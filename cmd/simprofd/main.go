@@ -40,8 +40,7 @@
 // hit (served from the content-hash result cache, tune with
 // -cache-entries/-cache-bytes), or coalesced (shared a concurrent
 // identical request's execution). Distinct requests batch into flush
-// passes (-batch-size/-batch-wait); -batch-size -1 restores the
-// inline pre-batching path.
+// passes (-batch-size/-batch-wait).
 package main
 
 import (
@@ -149,9 +148,9 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	queue := fs.Int("queue", 8, "profile requests allowed to wait beyond that")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := fs.Int64("max-body", 64<<20, "trace upload size limit in bytes (oversize uploads are refused as bad_input)")
-	cacheEntries := fs.Int("cache-entries", 512, "content-hash result cache entry bound (-1 disables the cache)")
+	cacheEntries := fs.Int("cache-entries", 512, "content-hash result cache entry bound")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "content-hash result cache resident-byte bound")
-	batchSize := fs.Int("batch-size", 8, "distinct profile requests per batch flush (-1 disables batching, coalescing and the cache)")
+	batchSize := fs.Int("batch-size", 8, "distinct profile requests per batch flush")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time a batched request waits for the flush under load")
 	drainBudget := fs.Duration("drain", 20*time.Second, "graceful-shutdown budget for in-flight requests")
 	sloConfig := fs.String("slo-config", "", "JSON SLO objectives file ('' selects the built-in defaults)")
@@ -186,14 +185,14 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	if *maxBody < 1 {
 		return nil, usageErr(fs, "-max-body must be at least 1, got %d", *maxBody)
 	}
-	if *cacheEntries < 1 && *cacheEntries != -1 {
-		return nil, usageErr(fs, "-cache-entries must be at least 1, or -1 to disable the cache, got %d", *cacheEntries)
+	if *cacheEntries < 1 {
+		return nil, usageErr(fs, "-cache-entries must be at least 1, got %d", *cacheEntries)
 	}
 	if *cacheBytes < 1 {
 		return nil, usageErr(fs, "-cache-bytes must be at least 1, got %d", *cacheBytes)
 	}
-	if *batchSize < 1 && *batchSize != -1 {
-		return nil, usageErr(fs, "-batch-size must be at least 1, or -1 to disable batching, got %d", *batchSize)
+	if *batchSize < 1 {
+		return nil, usageErr(fs, "-batch-size must be at least 1, got %d", *batchSize)
 	}
 	if *batchWait <= 0 {
 		return nil, usageErr(fs, "-batch-wait must be positive, got %v", *batchWait)

@@ -35,9 +35,11 @@ func TestServeFlagValidation(t *testing.T) {
 		{"neg-max-body", []string{"-max-body", "-5"}, "-max-body must be at least 1"},
 		{"zero-cache-entries", []string{"-cache-entries", "0"}, "-cache-entries must be at least 1"},
 		{"bad-neg-cache-entries", []string{"-cache-entries", "-2"}, "-cache-entries must be at least 1"},
+		{"neg-one-cache-entries", []string{"-cache-entries", "-1"}, "-cache-entries must be at least 1"},
 		{"zero-cache-bytes", []string{"-cache-bytes", "0"}, "-cache-bytes must be at least 1"},
 		{"zero-batch-size", []string{"-batch-size", "0"}, "-batch-size must be at least 1"},
 		{"bad-neg-batch-size", []string{"-batch-size", "-8"}, "-batch-size must be at least 1"},
+		{"neg-one-batch-size", []string{"-batch-size", "-1"}, "-batch-size must be at least 1"},
 		{"zero-batch-wait", []string{"-batch-wait", "0"}, "-batch-wait must be positive"},
 		{"neg-batch-wait", []string{"-batch-wait", "-1ms"}, "-batch-wait must be positive"},
 		{"missing-slo-config", []string{"-slo-config", "/nonexistent/slo.json"}, "-slo-config"},
@@ -114,8 +116,8 @@ func TestServeGoodFlags(t *testing.T) {
 	}
 }
 
-// TestServeBatchFlags: the cache/batch/body knobs land in the server
-// config, including the -1 disable sentinels and the -workers bound.
+// TestServeBatchFlags: the cache/batch/body knobs and the -workers
+// bound land in the server config.
 func TestServeBatchFlags(t *testing.T) {
 	o, err := buildServeOpts([]string{
 		"-history", "",
@@ -140,14 +142,6 @@ func TestServeBatchFlags(t *testing.T) {
 	}
 	if o.cfg.BatchSize != 16 || o.cfg.BatchWait != 5*time.Millisecond {
 		t.Fatalf("batch knobs = (%d, %v), want (16, 5ms)", o.cfg.BatchSize, o.cfg.BatchWait)
-	}
-
-	o, err = buildServeOpts([]string{"-history", "", "-cache-entries", "-1", "-batch-size", "-1"})
-	if err != nil {
-		t.Fatalf("disable sentinels rejected: %v", err)
-	}
-	if o.cfg.CacheEntries != -1 || o.cfg.BatchSize != -1 {
-		t.Fatalf("sentinels = (%d, %d), want (-1, -1)", o.cfg.CacheEntries, o.cfg.BatchSize)
 	}
 }
 

@@ -83,10 +83,6 @@ func benchChooseK(b *testing.B, workers int) {
 func BenchmarkChooseKSerial_1000x100(b *testing.B)   { benchChooseK(b, 1) }
 func BenchmarkChooseKParallel_1000x100(b *testing.B) { benchChooseK(b, 0) }
 
-// BenchmarkChooseKParallel is the acceptance benchmark: the Fig 9-scale
-// k sweep on the GOMAXPROCS-sized pool.
-func BenchmarkChooseKParallel(b *testing.B) { benchChooseK(b, 0) }
-
 // BenchmarkSilhouetteExactVsSimplified quantifies why phase formation
 // uses the centroid-based silhouette: the exact form is O(n²·d).
 func BenchmarkSilhouetteExact(b *testing.B) {

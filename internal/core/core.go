@@ -67,7 +67,7 @@ func DefaultConfig() Config {
 // on the simulated machine and collects the profiling trace. Hadoop
 // traces are merged per core automatically (§III-A).
 func ProfileWorkload(bench, framework string, in synth.InputStats, wopts workloads.Options, cfg Config) (*trace.Trace, error) {
-	span := obs.StartSpan("core.profile " + bench + "_" + framework)
+	_, span := obs.StartSpan(context.Background(), "core.profile "+bench+"_"+framework)
 	defer span.End()
 	wopts.Seed = cfg.Seed
 	threads, table, err := workloads.Build(bench, framework, in, wopts)

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // BenchmarkTelemetryDisabled is the guard for the no-op sink contract:
 // with telemetry off, every record operation must run in a few
@@ -30,9 +33,11 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 		}
 	})
 	b.Run("span", func(b *testing.B) {
+		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			StartSpan("x").End()
+			_, s := StartSpan(ctx, "x")
+			s.End()
 		}
 	})
 	b.Run("timer", func(b *testing.B) {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -8,10 +10,11 @@ import (
 func TestCollectorDisabledReturnsNil(t *testing.T) {
 	Disable()
 	defer Disable()
-	if c := AttachCollector("req"); c != nil {
-		t.Fatalf("AttachCollector while disabled = %v, want nil", c)
+	ctx := context.Background()
+	got, c := AttachCollector(ctx, "req")
+	if c != nil || got != ctx {
+		t.Fatalf("AttachCollector while disabled = (%v, %v), want (ctx, nil)", got, c)
 	}
-	var c *Collector
 	if got := c.Detach(); got != nil {
 		t.Fatalf("nil Collector.Detach() = %v, want nil", got)
 	}
@@ -21,15 +24,15 @@ func TestCollectorCapturesSpanTree(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	c := AttachCollector("req-1")
+	ctx, c := AttachCollector(context.Background(), "req-1")
 	if c == nil {
 		t.Fatal("AttachCollector returned nil while enabled")
 	}
-	a := StartSpan("stage.a")
-	aa := StartSpan("stage.a.inner")
+	actx, a := StartSpan(ctx, "stage.a")
+	_, aa := StartSpan(actx, "stage.a.inner")
 	aa.End()
 	a.End()
-	b := StartSpan("stage.b")
+	_, b := StartSpan(ctx, "stage.b")
 	b.End()
 	root := c.Detach()
 
@@ -49,9 +52,15 @@ func TestCollectorCapturesSpanTree(t *testing.T) {
 		t.Fatalf("root DurNS = %d, want > 0 (closed at detach)", root.DurNS)
 	}
 	// Spans after detach must not resurrect the collector's tree.
-	s := StartSpan("stage.after")
-	if s != nil {
-		t.Fatalf("StartSpan after detach (no run, no collector) = %+v, want nil", s)
+	if _, s := StartSpan(ctx, "stage.after"); s != nil {
+		t.Fatalf("StartSpan in a detached tree = %+v, want nil", s)
+	}
+	if len(root.Children) != 2 {
+		t.Fatalf("detached tree grew to %d children", len(root.Children))
+	}
+	// Without a request context and without a run there is no parent.
+	if _, s := StartSpan(context.Background(), "stage.orphan"); s != nil {
+		t.Fatalf("StartSpan with no run and no span in ctx = %+v, want nil", s)
 	}
 }
 
@@ -60,10 +69,12 @@ func TestCollectorDoesNotTouchGlobalRun(t *testing.T) {
 	defer Disable()
 
 	run := StartRun("global-run")
-	c := AttachCollector("req")
-	StartSpan("req.stage").End()
+	ctx, c := AttachCollector(context.Background(), "req")
+	_, s := StartSpan(ctx, "req.stage")
+	s.End()
 	c.Detach()
-	StartSpan("global.stage").End()
+	_, g := StartSpan(context.Background(), "global.stage")
+	g.End()
 	run.End()
 
 	tree := SpanTree()
@@ -86,10 +97,10 @@ func TestCollectorConcurrentIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := AttachCollector("req")
+			ctx, c := AttachCollector(context.Background(), "req")
 			for j := 0; j < 8; j++ {
-				s := StartSpan("stage")
-				inner := StartSpan("inner")
+				sctx, s := StartSpan(ctx, "stage")
+				_, inner := StartSpan(sctx, "inner")
 				inner.End()
 				s.End()
 			}
@@ -102,11 +113,13 @@ func TestCollectorConcurrentIsolation(t *testing.T) {
 			t.Fatalf("goroutine %d: nil root", i)
 		}
 		if len(r.Children) != 8 {
-			t.Fatalf("goroutine %d: %d children, want 8 (cross-goroutine leak?)", i, len(r.Children))
+			t.Fatalf("goroutine %d: %d children, want 8 (cross-request leak?)", i, len(r.Children))
 		}
-	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count after all detached = %d, want 0", n)
+		for _, s := range r.Children {
+			if len(s.Children) != 1 || s.Children[0].Name != "inner" {
+				t.Fatalf("goroutine %d: stage children = %+v, want one inner", i, s.Children)
+			}
+		}
 	}
 }
 
@@ -114,78 +127,100 @@ func TestCollectorDetachIdempotent(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	c := AttachCollector("req")
-	StartSpan("stage").End()
+	ctx, c := AttachCollector(context.Background(), "req")
+	_, s := StartSpan(ctx, "stage")
 	first := c.Detach()
+	dur := s.DurNS
 	second := c.Detach()
 	if first == nil || second != first {
 		t.Fatalf("Detach not idempotent: first=%p second=%p", first, second)
 	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
+	// The open span was closed at detach; a late End or SetAttr must not
+	// change the finalized tree.
+	if dur <= 0 {
+		t.Fatalf("open span DurNS = %d after detach, want > 0", dur)
+	}
+	s.End()
+	s.SetAttr("late", "1")
+	if s.DurNS != dur || s.Attrs != nil {
+		t.Fatalf("detached span changed: dur %d→%d attrs %v", dur, s.DurNS, s.Attrs)
 	}
 }
 
-func TestCurrentCollectorAndAdopt(t *testing.T) {
+// TestCollectorCtxHandOff hands a request's span to another goroutine
+// through a context, the way simprofd's batch flush executes a
+// request's flight: the spans it opens land in the request tree, under
+// the handed span.
+func TestCollectorCtxHandOff(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	if got := CurrentCollector(); got != nil {
-		t.Fatalf("CurrentCollector with none attached = %v, want nil", got)
-	}
-	c := AttachCollector("req")
-	if got := CurrentCollector(); got != c {
-		t.Fatalf("CurrentCollector = %p, want the attached collector %p", got, c)
-	}
-
-	// Hand the collector to a worker goroutine: its spans must land in
-	// the request tree, and release must restore the worker's state.
+	ctx, c := AttachCollector(context.Background(), "req")
+	_, do := StartSpan(ctx, "batch.do")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		release := c.Adopt()
-		StartSpan("adopted.stage").End()
-		release()
-		if s := StartSpan("after.release"); s != nil {
-			t.Errorf("StartSpan after release = %+v, want nil (no collector, no run)", s)
-		}
+		flight := ContextWithSpan(context.Background(), do)
+		_, s := StartSpan(flight, "batch.exec")
+		s.End()
 	}()
 	<-done
+	do.End()
 
 	root := c.Detach()
-	if len(root.Children) != 1 || root.Children[0].Name != "adopted.stage" {
-		t.Fatalf("adopted span missing from request tree: %+v", root.Children)
+	if len(root.Children) != 1 || root.Children[0].Name != "batch.do" {
+		t.Fatalf("request children = %+v, want batch.do", root.Children)
 	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
+	if got := root.Children[0].Children; len(got) != 1 || got[0].Name != "batch.exec" {
+		t.Fatalf("batch.do children = %+v, want the handed-off batch.exec", got)
 	}
 }
 
-func TestAdoptNilCollector(t *testing.T) {
-	var c *Collector
-	release := c.Adopt()
-	release() // must be a safe no-op
+func TestContextWithSpanNil(t *testing.T) {
+	ctx := context.Background()
+	if got := ContextWithSpan(ctx, nil); got != ctx {
+		t.Fatalf("ContextWithSpan(ctx, nil) = %v, want ctx unchanged", got)
+	}
 }
 
-func TestAdoptRestoresPreviousCollector(t *testing.T) {
+// TestSpansNestByContext pins the concurrency contract of span
+// nesting: the parent is the span in the opening context, never
+// whatever span happens to be open elsewhere in the process.
+func TestSpansNestByContext(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	mine := AttachCollector("mine")
-	theirs := &Collector{gid: -1} // synthetic collector owned elsewhere
-	theirs.root = &Span{Name: "theirs", col: theirs}
-	theirs.cur = theirs.root
+	root := StartRun("run")
+	ctx, a := StartSpan(context.Background(), "a")
 
-	release := theirs.Adopt()
-	if got := CurrentCollector(); got != theirs {
-		t.Fatalf("CurrentCollector during adoption = %p, want %p", got, theirs)
+	// A span opened on another goroutine with a span-less context is a
+	// child of the run root, not of a (open on this goroutine), and it
+	// does not capture spans this goroutine opens meanwhile.
+	opened := make(chan *Span)
+	go func() {
+		_, w := StartSpan(context.Background(), "worker")
+		opened <- w
+	}()
+	w := <-opened
+	_, a1 := StartSpan(ctx, "a1")
+	a1.End()
+	a.End()
+	w.End()
+	// A span opened after its sibling closed is not nested under it.
+	_, b := StartSpan(context.Background(), "b")
+	b.End()
+	root.End()
+
+	var got []string
+	SpanTree().Walk(func(sp *Span, depth int) {
+		got = append(got, strings.Repeat(">", depth)+sp.Name)
+	})
+	want := "run >a >>a1 >worker >b"
+	if g := strings.Join(got, " "); g != want {
+		t.Fatalf("span tree %q, want %q", g, want)
 	}
-	release()
-	if got := CurrentCollector(); got != mine {
-		t.Fatalf("CurrentCollector after release = %p, want restored %p", got, mine)
-	}
-	mine.Detach()
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
+	// A closed span accepts no children.
+	if _, late := StartSpan(ctx, "late"); late != nil {
+		t.Fatalf("StartSpan under an ended span = %+v, want nil", late)
 	}
 }

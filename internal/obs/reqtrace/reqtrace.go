@@ -16,6 +16,7 @@
 package reqtrace
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -230,27 +231,28 @@ func (e *Engine) Stop() {
 	})
 }
 
-// Start begins tracing one request: it attaches a span collector to the
-// calling goroutine (when telemetry is enabled) so the pipeline's
-// ordinary StartSpan calls land in this request's tree. The returned
-// handle must be Finished (or Aborted) on the same goroutine chain.
-// A nil engine returns nil, and a nil Active no-ops — the disabled path
-// is two nil checks and nothing else.
-func (e *Engine) Start(id, route, tenant string) *Active {
+// Start begins tracing one request: it attaches a span collector to
+// the request context (when telemetry is enabled), so stages that open
+// spans under the returned context land in this request's tree. The
+// returned handle must be Finished (or Aborted) exactly once. A nil
+// engine returns ctx and a nil Active, and a nil Active no-ops — the
+// disabled path is two nil checks and nothing else.
+func (e *Engine) Start(ctx context.Context, id, route, tenant string) (context.Context, *Active) {
 	if e == nil {
-		return nil
+		return ctx, nil
 	}
-	return &Active{
+	ctx, col := obs.AttachCollector(ctx, "request "+id)
+	return ctx, &Active{
 		id: id, route: route, tenant: tenant,
 		start: e.cfg.Now(),
-		col:   obs.AttachCollector("request " + id),
+		col:   col,
 	}
 }
 
-// Finish completes the request: the span collector detaches and the
-// trace enters retention. latency is the caller's measured duration
-// (the same number its metrics report); the engine's clock only stamps
-// start times.
+// Finish completes the request: the span tree is finalized (spans
+// still open are closed now) and the trace enters retention. latency is
+// the caller's measured duration (the same number its metrics report);
+// the engine's clock only stamps start times.
 func (e *Engine) Finish(a *Active, status int, class string, bytes int64, latency time.Duration) {
 	if e == nil || a == nil {
 		return

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -9,10 +10,10 @@ import (
 
 // Span is one timed region of a run. Spans form a tree: the CLI opens a
 // root with StartRun, pipeline stages open children with StartSpan and
-// close them with End. Durations come from the monotonic clock; the
-// tree structure follows the driver's stage order, which is
-// deterministic because stages open and close sequentially (timer
-// samples, not spans, carry the concurrent work inside parallel loops).
+// close them with End. Durations come from the monotonic clock. The
+// parent of a span is the span carried by the context it was opened
+// with, so the tree follows the call structure even when stages run
+// on several goroutines at once.
 type Span struct {
 	Name string `json:"name"`
 	// StartNS is the span's start offset from the root start, DurNS its
@@ -28,16 +29,17 @@ type Span struct {
 	// attributed spans stay deterministic in manifests and diffs.
 	Attrs map[string]string `json:"attrs,omitempty"`
 
-	parent *Span
-	start  time.Time
-	// col is set when the span belongs to a request-scoped Collector
-	// instead of the global run tree; End routes accordingly.
+	start time.Time
+	ended bool
+	// col owns the tree the span belongs to; its lock guards the
+	// span's children, duration and attributes.
 	col *Collector
 }
 
 // curGID returns the running goroutine's id by parsing the
-// "goroutine N [...]" header of its stack dump. Only called on enabled
-// telemetry paths; the cost is a single-goroutine stack header write.
+// "goroutine N [...]" header of its stack dump. It only labels spans
+// and timer samples with their trace-viewer lane; nothing is looked up
+// by it. Only called on enabled telemetry paths.
 func curGID() int64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)
@@ -92,105 +94,109 @@ func (s *Span) Walk(fn func(sp *Span, depth int)) {
 	rec(s, 0)
 }
 
-// spanState is the process-wide span collector: one tree per run, with
-// a "current" cursor that StartSpan attaches to and End pops, plus the
-// run's concurrent timer samples.
+// spanState is the process-wide run: the tree StartRun opened (the
+// parent of every span whose context carries none) plus the run's
+// concurrent timer samples.
 var spanState struct {
 	mu             sync.Mutex
-	root           *Span
-	current        *Span
-	t0             time.Time
+	run            *Collector
 	samples        []TimerSample
 	samplesDropped int64
 }
 
-// StartRun resets the span tree (and the timer-sample buffer) and opens
+// StartRun resets the run tree (and the timer-sample buffer) and opens
 // a new root span. It returns nil (and collects nothing) while
 // telemetry is disabled.
 func StartRun(name string) *Span {
 	if !enabled.Load() {
 		return nil
 	}
-	gid := curGID()
+	c := newCollector(name)
 	spanState.mu.Lock()
 	defer spanState.mu.Unlock()
-	now := time.Now()
-	root := &Span{Name: name, GID: gid, start: now}
-	spanState.root = root
-	spanState.current = root
-	spanState.t0 = now
+	spanState.run = c
 	spanState.samples = nil
 	spanState.samplesDropped = 0
-	return root
+	return c.root
 }
 
-// StartSpan opens a child of the current span and makes it current.
-// Disabled telemetry (or no active run) returns nil; nil spans no-op on
-// End, so call sites need no guards. If the calling goroutine has a
-// request-scoped Collector attached, the span lands in that tree
-// instead of the global run.
-func StartSpan(name string) *Span {
+// spanKey is the context key under which StartSpan and ContextWithSpan
+// carry the enclosing span.
+type spanKey struct{}
+
+// StartSpan opens a child span and returns it with a context carrying
+// it, so stages that take the returned context nest under it. The
+// parent is the span in ctx; a ctx without one parents the span on the
+// root StartRun opened. With telemetry disabled, no run, or a parent
+// that has already ended, it returns ctx unchanged and a nil span; nil
+// spans no-op on End, so call sites need no guards.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if !enabled.Load() {
-		return nil
+		return ctx, nil
 	}
-	gid := curGID()
-	if collectors.n.Load() != 0 {
-		if c := collectorFor(gid); c != nil {
-			return c.startSpan(name, gid)
+	parent, _ := ctx.Value(spanKey{}).(*Span)
+	if parent == nil {
+		spanState.mu.Lock()
+		if spanState.run != nil {
+			parent = spanState.run.root
+		}
+		spanState.mu.Unlock()
+		if parent == nil {
+			return ctx, nil
 		}
 	}
-	spanState.mu.Lock()
-	defer spanState.mu.Unlock()
-	if spanState.current == nil {
-		return nil
+	s := parent.col.open(parent, name)
+	if s == nil {
+		return ctx, nil
 	}
-	now := time.Now()
-	s := &Span{
-		Name:    name,
-		StartNS: now.Sub(spanState.t0).Nanoseconds(),
-		GID:     gid,
-		parent:  spanState.current,
-		start:   now,
-	}
-	spanState.current.Children = append(spanState.current.Children, s)
-	spanState.current = s
-	return s
+	return ContextWithSpan(ctx, s), s
 }
 
-// End closes the span, recording its monotonic duration. If the span is
-// the current one, the cursor pops back to its parent; ending out of
-// order just records the duration.
+// ContextWithSpan returns ctx carrying s as the parent for StartSpan.
+// It hands a span to work that runs on another goroutine under its own
+// context (a batch flush executing a request's flight). A nil span
+// returns ctx unchanged.
+func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// End closes the span, recording its monotonic duration. Ending twice
+// keeps the first duration.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	if s.col != nil {
-		s.col.end(s)
+	s.col.mu.Lock()
+	defer s.col.mu.Unlock()
+	s.close(time.Now())
+}
+
+// close records the duration of an open span. The caller holds the
+// collector's lock.
+func (s *Span) close(now time.Time) {
+	if s.ended || s.col.done {
 		return
 	}
-	spanState.mu.Lock()
-	defer spanState.mu.Unlock()
-	s.DurNS = time.Since(s.start).Nanoseconds()
-	if spanState.current == s {
-		spanState.current = s.parent
-	}
+	s.DurNS = now.Sub(s.start).Nanoseconds()
+	s.ended = true
 }
 
 // SetAttr annotates the span with a key=value attribute, shown by
 // inspect and carried into manifests and trace exports. Nil spans (the
-// disabled path) no-op. Attributes take the span's owning lock, so
-// SetAttr is safe from the goroutine that opened the span even while
-// other goroutines snapshot the tree.
+// disabled path) no-op, as do spans of a detached tree. Attributes take
+// the owning collector's lock, so SetAttr is safe while other
+// goroutines open spans in the same tree.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	if s.col != nil {
-		s.col.mu.Lock()
-		defer s.col.mu.Unlock()
-	} else {
-		spanState.mu.Lock()
-		defer spanState.mu.Unlock()
+	s.col.mu.Lock()
+	defer s.col.mu.Unlock()
+	if s.col.done {
+		return
 	}
 	if s.Attrs == nil {
 		s.Attrs = make(map[string]string)
@@ -203,7 +209,10 @@ func (s *Span) SetAttr(key, value string) {
 func SpanTree() *Span {
 	spanState.mu.Lock()
 	defer spanState.mu.Unlock()
-	return spanState.root
+	if spanState.run == nil {
+		return nil
+	}
+	return spanState.run.root
 }
 
 // Timer marks a start time for histogram-recorded durations. The zero
@@ -222,7 +231,7 @@ func StartTimer() Timer {
 // TimerSample is one concurrent timed interval captured by ObserveTimer
 // while a run was active: which histogram it fed, which goroutine ran
 // it, and when it ran relative to the run's root span. Samples are the
-// parallel-pool complement of the sequential span tree — trace export
+// parallel-pool complement of the stage span tree — trace export
 // lanes them by GID next to the driver's stages.
 type TimerSample struct {
 	Name    string `json:"name"`
@@ -258,7 +267,7 @@ func recordTimerSample(name string, start time.Time, d time.Duration) {
 	gid := curGID()
 	spanState.mu.Lock()
 	defer spanState.mu.Unlock()
-	if spanState.root == nil {
+	if spanState.run == nil {
 		return
 	}
 	if len(spanState.samples) >= maxTimerSamples {
@@ -268,7 +277,7 @@ func recordTimerSample(name string, start time.Time, d time.Duration) {
 	spanState.samples = append(spanState.samples, TimerSample{
 		Name:    name,
 		GID:     gid,
-		StartNS: start.Sub(spanState.t0).Nanoseconds(),
+		StartNS: start.Sub(spanState.run.t0).Nanoseconds(),
 		DurNS:   d.Nanoseconds(),
 	})
 }

@@ -246,52 +246,54 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 // TestAdmissionBackpressure: workers=1, queue=1 — the third concurrent
-// caller is refused with ErrOverload, a queued caller gets the slot
-// when released, and a queued caller whose context ends leaves cleanly.
+// ticket is refused with ErrOverload, a queued ticket gets the slot
+// when released, and a queued ticket whose context ends leaves cleanly.
 func TestAdmissionBackpressure(t *testing.T) {
 	a := NewAdmission(1, 1)
-	rel1, err := a.Acquire(context.Background())
+	t1, err := a.Enqueue()
 	if err != nil {
-		t.Fatalf("first acquire: %v", err)
+		t.Fatalf("first enqueue: %v", err)
 	}
 
-	// Second caller queues in the background.
+	// Second caller queues and waits for the slot in the background.
+	t2, err := a.Enqueue()
+	if err != nil {
+		t.Fatalf("second enqueue: %v", err)
+	}
 	got2 := make(chan error, 1)
-	var rel2 func()
-	go func() {
-		r, err := a.Acquire(context.Background())
-		rel2 = r
-		got2 <- err
-	}()
+	go func() { got2 <- t2.Start(context.Background()) }()
 	waitDepth(t, a, 1, 1)
 
 	// Third caller: queue full → immediate typed refusal.
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrOverload) {
-		t.Fatalf("overload acquire returned %v, want ErrOverload", err)
+	if _, err := a.Enqueue(); !errors.Is(err, ErrOverload) {
+		t.Fatalf("overload enqueue returned %v, want ErrOverload", err)
 	}
 
 	// Releasing the slot admits the queued caller.
-	rel1()
+	t1.Done()
 	if err := <-got2; err != nil {
-		t.Fatalf("queued acquire: %v", err)
+		t.Fatalf("queued start: %v", err)
 	}
 	waitDepth(t, a, 1, 0)
 
 	// A queued caller whose context is canceled leaves the queue.
+	t3, err := a.Enqueue()
+	if err != nil {
+		t.Fatalf("third enqueue: %v", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	got3 := make(chan error, 1)
-	go func() { _, err := a.Acquire(ctx); got3 <- err }()
-	waitDepth(t, a, 1, 1)
+	go func() { got3 <- t3.Start(ctx) }()
 	cancel()
 	if err := <-got3; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled acquire returned %v, want context.Canceled", err)
+		t.Fatalf("canceled start returned %v, want context.Canceled", err)
 	}
 	waitDepth(t, a, 1, 0)
-	rel2()
+	t2.Done()
 	waitDepth(t, a, 0, 0)
 
 	// Double release must not free two slots.
-	rel2()
+	t2.Done()
 	if active, _ := a.Depth(); active != 0 {
 		t.Fatalf("double release drove active to %d", active)
 	}

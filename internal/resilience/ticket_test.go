@@ -103,20 +103,21 @@ func TestTicketStartImmediateWhenSlotHeld(t *testing.T) {
 	}
 }
 
-func TestTicketInteroperatesWithAcquire(t *testing.T) {
+func TestTicketDoneFreesSlotForEnqueue(t *testing.T) {
 	a := NewAdmission(1, 0)
 	tk, err := a.Enqueue()
 	if err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
-	// The ticket holds the only slot, so Acquire must refuse.
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrOverload) {
-		t.Fatalf("Acquire err = %v, want ErrOverload while ticket holds the slot", err)
+	// The ticket holds the only slot and there is no queue, so a second
+	// Enqueue must refuse.
+	if _, err := a.Enqueue(); !errors.Is(err, ErrOverload) {
+		t.Fatalf("Enqueue err = %v, want ErrOverload while a ticket holds the slot", err)
 	}
 	tk.Done()
-	release, err := a.Acquire(context.Background())
+	next, err := a.Enqueue()
 	if err != nil {
-		t.Fatalf("Acquire after ticket Done: %v", err)
+		t.Fatalf("Enqueue after ticket Done: %v", err)
 	}
-	release()
+	next.Done()
 }

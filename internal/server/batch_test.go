@@ -8,9 +8,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"simprof/internal/obs"
+	"simprof/internal/obs/reqtrace"
 )
 
 // stripVolatile decodes a profile response body and removes the
@@ -57,13 +61,14 @@ func historyManifestSections(t testing.TB, baseURL string, seq int) string {
 		rec.Manifest["workload"], rec.Manifest["phases"], rec.Manifest["sampling"])
 }
 
-// TestBatchedResponsesBitIdentical: the batched path (cache +
-// coalescing + batcher) and the inline path produce byte-identical
-// response bodies and history manifests for the same request
-// sequence — batching changes scheduling, never results.
+// TestBatchedResponsesBitIdentical: the served path (cache +
+// coalescing + batcher) produces byte-identical response bodies and
+// history manifests to the pipeline run directly (profile + persist)
+// for the same request sequence — batching changes scheduling, never
+// results.
 func TestBatchedResponsesBitIdentical(t *testing.T) {
 	_, batched := newTestServer(t, Config{})
-	_, inline := newTestServer(t, Config{BatchSize: -1})
+	direct, directTS := newTestServer(t, Config{})
 
 	traces := [][]byte{
 		encodedTrace(t, 120, 3),
@@ -71,28 +76,45 @@ func TestBatchedResponsesBitIdentical(t *testing.T) {
 		encodedTrace(t, 80, 11),
 	}
 	for i, data := range traces {
-		url := fmt.Sprintf("/v1/profile?n=%d&seed=%d", 10+2*i, i+1)
-		respB, bodyB := postTrace(t, batched.URL+url, data)
-		respI, bodyI := postTrace(t, inline.URL+url, data)
-		if respB.StatusCode != http.StatusOK || respI.StatusCode != http.StatusOK {
-			t.Fatalf("trace %d: statuses %d/%d, bodies %s / %s",
-				i, respB.StatusCode, respI.StatusCode, bodyB, bodyI)
+		n, seed := 10+2*i, uint64(i+1)
+		resp, body := postTrace(t, fmt.Sprintf("%s/v1/profile?n=%d&seed=%d", batched.URL, n, seed), data)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace %d: status %d, body %s", i, resp.StatusCode, body)
 		}
-		if gotB, gotI := stripVolatile(t, bodyB), stripVolatile(t, bodyI); gotB != gotI {
-			t.Fatalf("trace %d: batched and inline bodies differ:\n%s\n%s", i, gotB, gotI)
+		if h := resp.Header.Get("X-Simprof-Cache"); h != "miss" {
+			t.Fatalf("trace %d: header %q, want miss", i, h)
 		}
-		if respB.Header.Get("X-Simprof-Cache") != "miss" {
-			t.Fatalf("trace %d: batched header %q, want miss", i, respB.Header.Get("X-Simprof-Cache"))
+
+		ctx, cancel := ctxTimeout(t)
+		out, err := direct.profile(ctx, data, n, seed)
+		if err != nil {
+			cancel()
+			t.Fatalf("trace %d: direct pipeline: %v", i, err)
 		}
-		if h := respI.Header.Get("X-Simprof-Cache"); h != "" {
-			t.Fatalf("inline path set X-Simprof-Cache=%q", h)
+		rec, err := direct.persist(ctx, out, n, seed)
+		cancel()
+		if err != nil {
+			t.Fatalf("trace %d: direct persist: %v", i, err)
+		}
+		ci := out.Sp.CI(0.997)
+		want, err := json.Marshal(ProfileResponse{
+			Seq: rec.Seq, Key: rec.Key,
+			Units: len(out.Trace.Units), K: out.Ph.K, Silhouette: out.Ph.Silhouette,
+			N: n, EstCPI: out.Sp.EstCPI, SE: out.Sp.SE, CILo: ci.Lo(), CIHi: ci.Hi(),
+			Alloc: out.Sp.Alloc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stripVolatile(t, body), stripVolatile(t, want); got != want {
+			t.Fatalf("trace %d: served and direct bodies differ:\n%s\n%s", i, got, want)
 		}
 	}
 	for seq := 1; seq <= len(traces); seq++ {
 		mb := historyManifestSections(t, batched.URL, seq)
-		mi := historyManifestSections(t, inline.URL, seq)
-		if mb != mi {
-			t.Fatalf("seq %d: manifests differ:\n%s\n%s", seq, mb, mi)
+		md := historyManifestSections(t, directTS.URL, seq)
+		if mb != md {
+			t.Fatalf("seq %d: manifests differ:\n%s\n%s", seq, mb, md)
 		}
 	}
 }
@@ -184,10 +206,16 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 
 // TestCoalescedRequestsShareOneExecution: identical concurrent
 // requests ride one pipeline execution; followers see the coalesced
-// header and the same body.
+// header and the same body. With request tracing on, the pipeline's
+// spans land in the leader's request tree, under its batch.do span,
+// even though the flight runs on a batch-flush goroutine.
 func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	leakCheck(t)
-	srv, ts := newTestServer(t, Config{})
+	withObs(t)
+	// A 0.001ms tail bound force-keeps every trace.
+	srv, ts := newTestServer(t, Config{
+		Trace: &reqtrace.Config{Budget: 8, BucketBoundsMS: []float64{0.001}, Seed: 5},
+	})
 	var execs int
 	var mu sync.Mutex
 	gate := make(chan struct{})
@@ -208,14 +236,14 @@ func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 		status int
 	}
 	replies := make(chan reply, 3)
-	post := func() {
-		resp, body := postTrace(t, ts.URL+"/v1/profile?n=10", data)
+	post := func(id string) {
+		resp, body := postTraceWithID(t, ts.URL+"/v1/profile?n=10", data, id)
 		replies <- reply{resp.Header.Get("X-Simprof-Cache"), stripVolatile(t, body), resp.StatusCode}
 	}
-	go post()
+	go post("leader")
 	<-entered
-	go post()
-	go post()
+	go post("follower-1")
+	go post("follower-2")
 	waitFor(t, func() bool {
 		_, waiters, _, _ := srv.group.Stats()
 		return waiters == 3
@@ -240,6 +268,30 @@ func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	}
 	if execs != 1 {
 		t.Fatalf("pipeline ran %d times, want 1", execs)
+	}
+
+	tree := func(id string) string {
+		var tr *reqtrace.Trace
+		waitFor(t, func() bool { tr = srv.tracer.Get(id); return tr != nil })
+		var nodes []string
+		tr.Spans.Walk(func(sp *obs.Span, depth int) {
+			node := strings.Repeat(">", depth) + sp.Name
+			if src := sp.Attrs["source"]; src != "" {
+				node += "[" + src + "]"
+			}
+			nodes = append(nodes, node)
+		})
+		return strings.Join(nodes, " ")
+	}
+	want := "request leader >batch.do[miss] >>batch.exec >>>phase.form >>>>phase.vectorize " +
+		">>>>phase.feature_select >>>>phase.cluster >>>sampling.simprof"
+	if got := tree("leader"); got != want {
+		t.Fatalf("leader tree:\n got %s\nwant %s", got, want)
+	}
+	for _, id := range []string{"follower-1", "follower-2"} {
+		if got, want := tree(id), "request "+id+" >batch.do[coalesced]"; got != want {
+			t.Fatalf("%s tree: got %q, want %q", id, got, want)
+		}
 	}
 }
 

@@ -71,13 +71,12 @@ func BenchmarkSimprofdP99(b *testing.B) {
 }
 
 // BenchmarkSimprofdStorm drives a duplicate-heavy concurrent storm —
-// the fleet-scale shape the batch layer exists for — against the
-// batched path and the inline baseline. The request schedule draws
-// from a fixed catalog of 16 distinct profile requests: a configurable
-// fraction (SIMPROF_STORM_DUP percent, default 50) targets the 4-key
-// hot set, the rest sweep the whole catalog, so the same profiles
-// recur throughout the run the way redundant analytic workloads do.
-// Each sub-benchmark reports p99 latency as ns/op (riding the repo's
+// the fleet-scale shape the batch layer exists for. The request
+// schedule draws from a fixed catalog of 16 distinct profile requests:
+// a configurable fraction (SIMPROF_STORM_DUP percent, default 50)
+// targets the 4-key hot set, the rest sweep the whole catalog, so the
+// same profiles recur throughout the run the way redundant analytic
+// workloads do. It reports p99 latency as ns/op (riding the repo's
 // noise-aware bench gate), plus req/s and the measured dedup ratio
 // (hits + coalesced per request) for the throughput table in
 // EXPERIMENTS.md.
@@ -88,110 +87,101 @@ func BenchmarkSimprofdStorm(b *testing.B) {
 			dupPct = p
 		}
 	}
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		// HistoryPath stays empty in both modes: fsync throughput is not
-		// what this benchmark measures.
-		{"batched", Config{Concurrency: 4, Queue: 1 << 16}},
-		{"baseline", Config{Concurrency: 4, Queue: 1 << 16, BatchSize: -1, CacheEntries: -1}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			srv, err := New(mode.cfg)
+	b.Run("batched", func(b *testing.B) {
+		// HistoryPath stays empty: fsync throughput is not what this
+		// benchmark measures.
+		srv, err := New(Config{Concurrency: 4, Queue: 1 << 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		// Catalog: 16 distinct requests over 4 distinct trace payloads
+		// (the seed query param splits each payload into 4 keys).
+		traces := make([][]byte, 4)
+		for i := range traces {
+			traces[i] = encodedTrace(b, 200, uint64(i+1))
+		}
+		type req struct {
+			url  string
+			data []byte
+		}
+		catalog := make([]req, 16)
+		for i := range catalog {
+			catalog[i] = req{
+				url:  fmt.Sprintf("%s/v1/profile?n=20&seed=%d", ts.URL, i+1),
+				data: traces[i%len(traces)],
+			}
+		}
+
+		// Warm the catalog before timing: every key's first request is
+		// an unavoidable compute miss, and at short benchtimes those 16
+		// cold misses would dominate the p99 and make the gated metric
+		// benchtime-dependent. The steady state — a fleet replaying
+		// profiles it has seen before — is what this benchmark measures.
+		for _, c := range catalog {
+			resp, err := http.Post(c.url, "application/octet-stream", bytes.NewReader(c.data))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("warm-up status %d", resp.StatusCode)
+			}
+		}
 
-			// Catalog: 16 distinct requests over 4 distinct trace payloads
-			// (the seed query param splits each payload into 4 keys).
-			traces := make([][]byte, 4)
-			for i := range traces {
-				traces[i] = encodedTrace(b, 200, uint64(i+1))
-			}
-			type req struct {
-				url  string
-				data []byte
-			}
-			catalog := make([]req, 16)
-			for i := range catalog {
-				catalog[i] = req{
-					url:  fmt.Sprintf("%s/v1/profile?n=20&seed=%d", ts.URL, i+1),
-					data: traces[i%len(traces)],
+		var seq atomic.Uint64
+		var dedup atomic.Uint64
+		var mu sync.Mutex
+		var lat []float64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			local := make([]float64, 0, 256)
+			for pb.Next() {
+				// Seeded schedule: deterministic across runs for a given
+				// dup percentage, independent of goroutine interleaving.
+				r := stats.SplitSeed(0xbeef, seq.Add(1))
+				var target req
+				if int(r%100) < dupPct {
+					target = catalog[(r>>8)%4] // hot set
+				} else {
+					target = catalog[(r>>8)%uint64(len(catalog))]
 				}
-			}
-
-			// Warm the catalog before timing: every key's first request is
-			// an unavoidable compute miss, and at short benchtimes those 16
-			// cold misses would dominate the p99 and make the gated metric
-			// benchtime-dependent. The steady state — a fleet replaying
-			// profiles it has seen before — is what this benchmark measures.
-			for _, c := range catalog {
-				resp, err := http.Post(c.url, "application/octet-stream", bytes.NewReader(c.data))
+				start := time.Now()
+				resp, err := http.Post(target.url, "application/octet-stream", bytes.NewReader(target.data))
 				if err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("warm-up status %d", resp.StatusCode)
+					b.Errorf("status %d", resp.StatusCode)
+					return
 				}
-			}
-
-			var seq atomic.Uint64
-			var dedup atomic.Uint64
-			var mu sync.Mutex
-			var lat []float64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				local := make([]float64, 0, 256)
-				for pb.Next() {
-					// Seeded schedule: deterministic across runs for a given
-					// dup percentage, independent of goroutine interleaving.
-					r := stats.SplitSeed(0xbeef, seq.Add(1))
-					var target req
-					if int(r%100) < dupPct {
-						target = catalog[(r>>8)%4] // hot set
-					} else {
-						target = catalog[(r>>8)%uint64(len(catalog))]
-					}
-					start := time.Now()
-					resp, err := http.Post(target.url, "application/octet-stream", bytes.NewReader(target.data))
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						b.Errorf("status %d", resp.StatusCode)
-						return
-					}
-					switch resp.Header.Get("X-Simprof-Cache") {
-					case "hit", "coalesced":
-						dedup.Add(1)
-					}
-					local = append(local, float64(time.Since(start)))
+				switch resp.Header.Get("X-Simprof-Cache") {
+				case "hit", "coalesced":
+					dedup.Add(1)
 				}
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			})
-			elapsed := b.Elapsed()
-			b.StopTimer()
-			if len(lat) == 0 {
-				return
+				local = append(local, float64(time.Since(start)))
 			}
-			sort.Float64s(lat)
-			b.ReportMetric(lat[int(0.99*float64(len(lat)-1))], "ns/op") // p99, gated
-			b.ReportMetric(float64(len(lat))/elapsed.Seconds(), "req/s")
-			b.ReportMetric(float64(dedup.Load())/float64(len(lat)), "dedup/op")
+			mu.Lock()
+			lat = append(lat, local...)
+			mu.Unlock()
 		})
-	}
+		elapsed := b.Elapsed()
+		b.StopTimer()
+		if len(lat) == 0 {
+			return
+		}
+		sort.Float64s(lat)
+		b.ReportMetric(lat[int(0.99*float64(len(lat)-1))], "ns/op") // p99, gated
+		b.ReportMetric(float64(len(lat))/elapsed.Seconds(), "req/s")
+		b.ReportMetric(float64(dedup.Load())/float64(len(lat)), "dedup/op")
+	})
 }
 
 // BenchmarkAccessLog measures what the access log adds to the request

@@ -43,6 +43,7 @@ import (
 	"simprof/internal/sampling"
 	"simprof/internal/stats"
 	"simprof/internal/trace"
+	_ "simprof/internal/tracebin" // registers the "bin" (SPTB) upload format
 )
 
 var (
@@ -114,16 +115,14 @@ type Config struct {
 	// Trace is nil.
 	TraceStorePath string
 	// CacheEntries and CacheBytes bound the content-hash result cache
-	// (0 selects 512 entries / 64 MiB). CacheEntries < 0 disables the
-	// cache: every request coalesces or executes.
+	// (0 selects 512 entries / 64 MiB). New rejects a negative
+	// CacheEntries.
 	CacheEntries int
 	CacheBytes   int64
 	// BatchSize and BatchWait tune the request batcher: a batch flushes
 	// at BatchSize distinct requests (0 selects 8) or BatchWait after
 	// its first enqueue (0 selects 2ms); an idle server flushes
-	// immediately. BatchSize < 0 disables the whole batched path —
-	// requests run the pre-batching inline pipeline with no cache and
-	// no coalescing.
+	// immediately. New rejects a negative BatchSize.
 	BatchSize int
 	BatchWait time.Duration
 }
@@ -169,13 +168,13 @@ type profileKey struct {
 }
 
 // profilePayload carries one upload into the batcher, including the
-// leader's request-trace collector so pipeline spans executed on a
-// flush goroutine still land in the originating request's tree.
+// leader's batch.do span so pipeline spans executed on a flush
+// goroutine still land in the originating request's tree.
 type profilePayload struct {
 	data []byte
 	n    int
 	seed uint64
-	col  *obs.Collector
+	span *obs.Span
 }
 
 // profileResult is the cacheable outcome of one executed profile:
@@ -199,9 +198,8 @@ type Server struct {
 	drain *resilience.Drain
 	mux   *http.ServeMux
 
-	// group is the batched request path: content-hash cache, coalescing
-	// of identical in-flight uploads, bounded batching of distinct ones.
-	// nil (BatchSize < 0) selects the inline pipeline.
+	// group is the request path: content-hash cache, coalescing of
+	// identical in-flight uploads, bounded batching of distinct ones.
 	group *batch.Group[profileKey, profilePayload, profileResult]
 
 	slo         *sloTracker
@@ -223,6 +221,12 @@ type Server struct {
 // any) before accepting writes.
 func New(cfg Config) (*Server, error) {
 	c := cfg.withDefaults()
+	if c.BatchSize < 0 {
+		return nil, fmt.Errorf("server: BatchSize must be at least 1 (0 selects the default), got %d", c.BatchSize)
+	}
+	if c.CacheEntries < 0 {
+		return nil, fmt.Errorf("server: CacheEntries must be at least 1 (0 selects the default), got %d", c.CacheEntries)
+	}
 	if c.SLO != nil {
 		if err := c.SLO.Validate(); err != nil {
 			return nil, err
@@ -253,26 +257,20 @@ func New(cfg Config) (*Server, error) {
 		}
 		traceCfg = &tc
 	}
-	if c.BatchSize >= 0 {
-		var cache *batch.Cache[profileKey, profileResult]
-		if c.CacheEntries >= 0 {
-			cache = batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes)
-		}
-		s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
-			MaxBatch: c.BatchSize,
-			MaxWait:  c.BatchWait,
-			Exec:     s.execProfile,
-			Size:     func(v profileResult) int64 { return v.size },
-			Cache:    cache,
-			Admit: func() (batch.Ticket, error) {
-				t, err := s.adm.Enqueue()
-				if err != nil {
-					return nil, err
-				}
-				return t, nil
-			},
-		})
-	}
+	s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
+		MaxBatch: c.BatchSize,
+		MaxWait:  c.BatchWait,
+		Exec:     s.execProfile,
+		Size:     func(v profileResult) int64 { return v.size },
+		Cache:    batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes),
+		Admit: func() (batch.Ticket, error) {
+			t, err := s.adm.Enqueue()
+			if err != nil {
+				return nil, err
+			}
+			return t, nil
+		},
+	})
 	// Background goroutines start only after every fallible step, so a
 	// failed New never leaks them.
 	if traceCfg != nil {
@@ -302,9 +300,7 @@ func (s *Server) Close() {
 	if s.stopRuntime != nil {
 		s.stopRuntime()
 	}
-	if s.group != nil {
-		s.group.Stop()
-	}
+	s.group.Stop()
 	s.tracer.Stop()
 	s.accessLog.Close()
 }
@@ -422,13 +418,11 @@ func (s *Server) Handler() http.Handler {
 			route:  routeOf(r.URL.Path),
 		}
 		w.Header().Set("X-Request-Id", st.id)
-		// Request tracing: the collector attaches to this goroutine, so
-		// the pipeline's ordinary StartSpan calls land in this request's
-		// tree. ServeHTTP runs the handler synchronously on this
-		// goroutine, which is what makes that safe.
-		act := s.tracer.Start(st.id, st.route, st.tenant)
+		// Request tracing: the collector rides the request context, so
+		// pipeline spans opened under it land in this request's tree.
+		ctx, act := s.tracer.Start(context.WithValue(r.Context(), reqStatsKey, st), st.id, st.route, st.tenant)
 		sr := &statusRecorder{ResponseWriter: w}
-		s.mux.ServeHTTP(sr, r.WithContext(context.WithValue(r.Context(), reqStatsKey, st)))
+		s.mux.ServeHTTP(sr, r.WithContext(ctx))
 		if sr.status == 0 {
 			sr.status = http.StatusOK
 		}
@@ -531,18 +525,12 @@ type ProfileResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-// handleProfile is the hot path. With batching on (the default) it is
-// content-hash dedup → coalesce/batch → admission-gated execution:
-// parse, read and hash the upload, then hand the key to the batch
-// group, which answers from the result cache, joins an identical
-// in-flight request, or enqueues a new flight (refusing with 429 at
-// enqueue when the admission queue is full). With BatchSize < 0 the
-// original inline pipeline runs instead.
+// handleProfile is the hot path: content-hash dedup → coalesce/batch →
+// admission-gated execution. It parses, reads and hashes the upload,
+// then hands the key to the batch group, which answers from the result
+// cache, joins an identical in-flight request, or enqueues a new flight
+// (refusing with 429 at enqueue when the admission queue is full).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if s.group == nil {
-		s.handleProfileInline(w, r)
-		return
-	}
 	start := time.Now()
 	exit, err := s.drain.Enter()
 	if err != nil {
@@ -574,8 +562,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := profileKey{sum: sha256.Sum256(data), opts: fmt.Sprintf("n=%d,seed=%d", n, seed)}
-	payload := profilePayload{data: data, n: n, seed: seed, col: obs.CurrentCollector()}
-	span := obs.StartSpan("batch.do")
+	ctx, span := obs.StartSpan(ctx, "batch.do")
+	payload := profilePayload{data: data, n: n, seed: seed, span: span}
 	v, res, err := s.group.Do(ctx, key, payload)
 	if span != nil {
 		span.SetAttr("source", res.Source.String())
@@ -606,12 +594,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // execProfile runs one deduplicated flight on a batch-flush goroutine:
 // breaker gate → pipeline → retried, fsynced history append. ctx is
 // the flight context (alive until the last waiting request leaves).
-// The leader's trace collector is adopted for the duration so the
-// pipeline's spans land in that request's tree.
+// The leader's batch.do span goes onto it, so the pipeline's spans land
+// in that request's tree.
 func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePayload) (profileResult, error) {
-	release := p.col.Adopt()
-	defer release()
-	span := obs.StartSpan("batch.exec")
+	ctx, span := obs.StartSpan(obs.ContextWithSpan(ctx, p.span), "batch.exec")
 	defer span.End()
 
 	if err := s.brk.Allow(); err != nil {
@@ -653,104 +639,6 @@ func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePaylo
 	// fields plus the allocation slice and key string.
 	size := int64(224 + 8*len(resp.Alloc) + len(resp.Key) + len(key.opts))
 	return profileResult{resp: resp, flush: flush, size: size}, nil
-}
-
-// handleProfileInline is the pre-batching request path (BatchSize < 0):
-// admission → breaker → deadline-bound pipeline → retried, fsynced
-// history append, all on the handler goroutine. Kept both as the
-// de-risking escape hatch and as the baseline the storm benchmark
-// measures batching against.
-func (s *Server) handleProfileInline(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	exit, err := s.drain.Enter()
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	defer exit()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	st := statsFrom(ctx)
-
-	enqStart := time.Now()
-	release, err := s.adm.Acquire(ctx)
-	if st != nil {
-		st.enqueue = time.Since(enqStart)
-	}
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	defer release()
-
-	if err := s.brk.Allow(); err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-
-	n, seed, err := sampleParams(r)
-	if err != nil {
-		s.brk.Record(false) // client error: not the pipeline's fault
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-
-	data, err := readBody(ctx, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		// A stalled or disconnected client is their failure, not the
-		// pipeline's; don't feed it to the breaker.
-		s.brk.Record(false)
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	obsBodyBytes.Add(int64(len(data)))
-	if st != nil {
-		st.bytes = int64(len(data))
-	}
-
-	out, err := s.runProfile(ctx, data, n, seed)
-	if err != nil {
-		class := resilience.Classify(err)
-		s.brk.Record(class == resilience.ClassInternal || class == resilience.ClassTimeout)
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	s.brk.Record(false)
-
-	resp := ProfileResponse{
-		Units:      len(out.Trace.Units),
-		K:          out.Ph.K,
-		Silhouette: out.Ph.Silhouette,
-		N:          n,
-		EstCPI:     out.Sp.EstCPI,
-		SE:         out.Sp.SE,
-		CILo:       out.Sp.CI(0.997).Lo(),
-		CIHi:       out.Sp.CI(0.997).Hi(),
-		Alloc:      out.Sp.Alloc,
-	}
-	flushStart := time.Now()
-	rec, err := s.persist(ctx, out, n, seed)
-	if st != nil {
-		st.flush = time.Since(flushStart)
-	}
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	if rec != nil {
-		resp.Seq, resp.Key = rec.Seq, rec.Key
-	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	obsProfilesOK.Inc()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // sampleParams parses the n/seed query knobs.

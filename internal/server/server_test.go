@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,6 +264,22 @@ func TestHistoryDisabled(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeBatchKnobs: there is one request path, so no
+// negative BatchSize or CacheEntries sentinel selects another; New
+// refuses them instead of serving with a surprising configuration.
+func TestNewRejectsNegativeBatchKnobs(t *testing.T) {
+	for _, cfg := range []Config{{BatchSize: -1}, {CacheEntries: -1}} {
+		srv, err := New(cfg)
+		if err == nil {
+			srv.Close()
+			t.Fatalf("New(%+v) accepted a negative knob", cfg)
+		}
+		if !strings.Contains(err.Error(), "must be at least 1") {
+			t.Fatalf("New(%+v) error %q does not name the bound", cfg, err)
+		}
+	}
+}
+
 // breakerCfg builds a fast-tripping breaker for tests.
 func breakerCfg(threshold int) resilience.BreakerConfig {
 	return resilience.BreakerConfig{Threshold: threshold, Cooldown: 50 * time.Millisecond}
@@ -288,4 +307,47 @@ func TestServerAcceptsJSONTrace(t *testing.T) {
 		t.Fatalf("json trace: status %d, body %s", resp.StatusCode, body)
 	}
 	_ = trace.FormatNames()
+}
+
+// TestServerAcceptsBinTrace: an SPTB (tracebin) upload profiles exactly
+// like the gob upload of the same trace. Only the per-record fields
+// (seq, key) and elapsed_ms may differ. The SPTB bytes are the tracebin
+// golden fixture (tracebin.Marshal of the spec below, pinned byte for
+// byte by its TestGoldenEncode) rather than a Marshal call, so this test
+// binary does not import tracebin: the upload decodes only if the
+// server package itself registers the format.
+func TestServerAcceptsBinTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bin, err := os.ReadFile("../tracebin/testdata/golden.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := synth.TraceSpec{
+		Benchmark: "golden", Framework: "spark", Input: "fixture",
+		Units: 20, Methods: 24, Phases: 3, Depth: 4, Snapshots: 3,
+		UnitInstr: 1_000_000, Seed: 42,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gob bytes.Buffer
+	if err := tr.Encode(&gob, "gob"); err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([]map[string]any, 2)
+	for i, data := range [][]byte{gob.Bytes(), bin} {
+		resp, body := postTrace(t, ts.URL+"/v1/profile?n=6&seed=3", data)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &bodies[i]); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"seq", "key", "elapsed_ms"} {
+			delete(bodies[i], k)
+		}
+	}
+	if !reflect.DeepEqual(bodies[0], bodies[1]) {
+		t.Fatalf("gob and bin uploads profile differently:\ngob: %v\nbin: %v", bodies[0], bodies[1])
+	}
 }

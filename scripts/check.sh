@@ -42,13 +42,19 @@
 #                                            resilience + crash-recovery
 #                                            unit suites)
 #   batch-smoke   dedup/batch serving       (bit-identical responses
-#                                            batched vs inline and cached
-#                                            vs computed, coalescing and
+#                                            served vs the pipeline run
+#                                            directly and cached vs
+#                                            computed, coalescing and
 #                                            leader-cancel hand-off,
 #                                            cache bounds/eviction, and
 #                                            the batch + two-phase
 #                                            admission unit suites; all
 #                                            under -race)
+#   bench-module  end-to-end benchmark      (bench/ is its own Go module,
+#                                            so ./... never reaches it:
+#                                            vet + short tests keep it
+#                                            compiling against the
+#                                            internal APIs it imports)
 #   bench-gate    perf-regression gate      (fresh bench run vs the
 #                                            committed BENCH_pipeline.json
 #                                            baseline, noise-aware medians)
@@ -180,10 +186,9 @@ run_bench_gate() {
 	# concurrent HTTP workload — the noisiest number in the file by
 	# construction — so it gets the widest band: it is there to catch a
 	# structural tail regression (a lock on the hot path, a lost
-	# fast-path), not scheduler jitter. The SimprofdStorm pair are tail
-	# statistics of the same construction — batched is mostly cache-hit
-	# latency, baseline is compute under saturation — and share that
-	# widest band.
+	# fast-path), not scheduler jitter. SimprofdStorm/batched is a tail
+	# statistic of the same construction (mostly cache-hit latency) and
+	# shares that widest band.
 	# The single-digit-ns observability paths (disabled labeled metrics,
 	# the access-log enqueue, the disabled reqtrace Start/Finish) sit at
 	# the timer's resolution floor, so they get the wide microbenchmark
@@ -192,7 +197,7 @@ run_bench_gate() {
 	# sub-microsecond map-and-reservoir loop with the same jitter
 	# profile.
 	go run ./cmd/simprof history gate -baseline "$baseline" -bench "$cur" \
-		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkSimprofdStorm/baseline=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/gaugevec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60,BenchmarkReqTraceDisabled=0.60,BenchmarkReqTraceEnabled=0.60" \
+		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/gaugevec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60,BenchmarkReqTraceDisabled=0.60,BenchmarkReqTraceEnabled=0.60" \
 		|| fail bench-gate
 }
 
@@ -227,7 +232,8 @@ run_chaos_smoke() {
 run_batch_smoke() {
 	# The batched-serving determinism contract under the race detector:
 	# batching/caching may change when and how often the pipeline runs,
-	# never what a request gets back. Covers the batch group + LRU cache
+	# never what a request gets back (the served body and history record
+	# match the pipeline run directly). Covers the batch group + LRU cache
 	# unit suite, the two-phase admission tickets, and the HTTP-level
 	# bit-identity, coalescing, hand-off and eviction tests.
 	go test -race -count=1 ./internal/batch || fail batch-smoke
@@ -235,6 +241,10 @@ run_batch_smoke() {
 	go test -race -count=1 \
 		-run 'TestBatched|TestCached|TestCacheEviction|TestCoalesced|TestLeaderCancel|TestIdenticalBytes|TestMaxBodyLimit|TestChaosDuplicateStorm' \
 		./internal/server || fail batch-smoke
+}
+
+run_bench_module() {
+	(cd bench && go vet ./... && go test -short ./...) || fail bench-module
 }
 
 run_fuzz_smoke() {
@@ -251,7 +261,7 @@ run_fuzz_smoke() {
 	done
 }
 
-stages="${*:-tier1-build tier1-test vet gofmt race bench-smoke kernel-equivalence chaos-smoke batch-smoke fuzz-smoke trace-golden tracebin-golden metrics-golden reqtrace-golden}"
+stages="${*:-tier1-build tier1-test vet gofmt race bench-smoke kernel-equivalence chaos-smoke batch-smoke bench-module fuzz-smoke trace-golden tracebin-golden metrics-golden reqtrace-golden}"
 for stage in $stages; do
 	echo "==> $stage"
 	case "$stage" in
@@ -269,6 +279,7 @@ for stage in $stages; do
 	kernel-equivalence) run_kernel_equivalence ;;
 	chaos-smoke) run_chaos_smoke ;;
 	batch-smoke) run_batch_smoke ;;
+	bench-module) run_bench_module ;;
 	bench-gate) run_bench_gate ;;
 	*)
 		echo "unknown stage $stage" >&2
