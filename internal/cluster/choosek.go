@@ -31,7 +31,7 @@ type KSelection struct {
 	ChosenScore float64   // silhouette at the chosen k
 }
 
-// ChooseKOptions configures ChooseK.
+// ChooseKOptions configures ChooseKDense.
 type ChooseKOptions struct {
 	MaxK      int     // upper bound of the sweep (paper: 20)
 	Threshold float64 // fraction of the best score that still qualifies (default 0.93; paper: 0.90)
@@ -44,7 +44,7 @@ type ChooseKOptions struct {
 	// selection is bit-for-bit identical for every setting.
 	Workers int
 	// Ctx, when non-nil, lets a caller abandon the sweep: once it ends,
-	// in-flight chunks finish, no new work starts, and ChooseK returns
+	// in-flight chunks finish, no new work starts, and ChooseKDense returns
 	// the context error. A nil Ctx never cancels.
 	Ctx context.Context
 }
@@ -65,34 +65,19 @@ func (o ChooseKOptions) withDefaults() ChooseKOptions {
 	return o
 }
 
-// ChooseK scores every k in [1, MaxK] with the simplified silhouette and
-// returns the smallest k whose score is at least Threshold × the best
-// score (the paper's rule). k=1 is the degenerate "single phase" answer:
-// it is chosen when the best silhouette over k ≥ 2 is below MinScore,
-// i.e. when the units do not separate (e.g. grep on Spark, which runs a
-// single filter stage).
-func ChooseK(points [][]float64, opts ChooseKOptions) (KSelection, error) {
-	if len(points) == 0 {
-		return KSelection{}, fmt.Errorf("cluster: ChooseK with no points")
-	}
-	d := len(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return KSelection{}, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
-		}
-	}
-	return ChooseKDense(matrix.FromRows(points), opts)
-}
-
-// ChooseKDense is ChooseK on a flat matrix — the entry phase formation
-// uses once its projected vectors already live in a Dense. Point norms
-// are computed once and shared by every k of the sweep, every restart's
-// seeding and assignment passes, and every silhouette scoring pass.
+// ChooseKDense scores every k in [1, MaxK] with the simplified
+// silhouette and returns the smallest k whose score is at least
+// Threshold × the best score (the paper's rule). k=1 is the degenerate
+// "single phase" answer: it is chosen when the best silhouette over
+// k ≥ 2 is below MinScore, i.e. when the units do not separate (e.g.
+// grep on Spark, which runs a single filter stage).
 //
-// Every k of the sweep is an independent task (its k-means seed is
-// pre-derived from the base seed, its result lands in its own slot), so
-// the sweep fans out across the worker pool while remaining
-// deterministic.
+// Point norms are computed once and shared by every k of the sweep,
+// every restart's seeding and assignment passes, and every silhouette
+// scoring pass. Every k of the sweep is an independent task (its
+// k-means seed is pre-derived from the base seed, its result lands in
+// its own slot), so the sweep fans out across the worker pool while
+// remaining deterministic.
 func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	o := opts.withDefaults()
 	n := pts.Rows()
@@ -114,32 +99,21 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	}
 	eng := parallel.New(o.Workers).WithContext(o.Ctx)
 	pn2, pnr := pointNorms(pts)
-	var rows [][]float64
-	if o.KMeans.naive {
-		rows = pts.RowViews()
-	}
-	sel := KSelection{Scores: make([]float64, maxK)}
+	// k = 1 scores 0 by definition (silhouette undefined).
+	scores := make([]float64, maxK)
 	results := make([]Result, maxK+1)
 	kstats := make([]distStats, maxK+1)
-	// k = 1 scores 0 by definition (silhouette undefined).
-	sel.Scores[0] = 0
 	obsSweeps.Inc()
 	err := eng.ForEachIndexErr(maxK-1, func(i int) error {
 		k := i + 2
 		t := obs.StartTimer()
-		kmOpts := o.KMeans
-		kmOpts.Seed = o.KMeans.Seed + uint64(k)*101
-		res, st, err := kMeansDenseWith(eng, pts, pn2, pnr, k, kmOpts)
+		res, st, err := kMeansDenseWith(eng, pts, pn2, pnr, k, sweepOptions(o.KMeans, k))
 		if err != nil {
 			return err
 		}
 		results[k] = res
 		kstats[k] = st
-		if o.KMeans.naive {
-			sel.Scores[k-1] = SimplifiedSilhouetteWith(eng, rows, res.Centers, res.Assign)
-		} else {
-			sel.Scores[k-1] = simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign)
-		}
+		scores[k-1] = simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign)
 		obsSweepK.Inc()
 		obsSweepSeconds.ObserveTimer(t)
 		return nil
@@ -153,32 +127,54 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 		st.equivalent += s.equivalent
 	}
 	st.record()
-	best := 0.0
-	for _, s := range sel.Scores {
-		if s > best {
-			best = s
-		}
-	}
-	sel.BestScore = best
-	if best < o.MinScore {
-		// No cluster structure: one phase covering everything.
+	return selectK(scores, results, o, func() (Result, error) {
 		one, st1, err := kMeansDenseWith(eng, pts, pn2, pnr, 1, o.KMeans)
 		if err != nil {
-			return KSelection{}, err
+			return Result{}, err
 		}
 		if err := eng.Err(); err != nil {
 			// Canceled mid-run: the result may cover a partial grid.
-			return KSelection{}, err
+			return Result{}, err
 		}
 		st1.record()
-		sel.K, sel.Best, sel.ChosenScore = 1, one, 0
+		return one, nil
+	})
+}
+
+// sweepOptions derives the k-means options of sweep step k: each k runs
+// from its own seed, so the steps are independent tasks.
+func sweepOptions(base Options, k int) Options {
+	base.Seed += uint64(k) * 101
+	return base
+}
+
+// selectK turns the sweep's per-k outcomes into the KSelection:
+// scores[k-1] is the silhouette at k (scores[0] = 0 for k=1) and
+// results[k] the clustering at k ≥ 2. one runs the single-cluster
+// clustering, needed only when no k reaches MinScore. o must carry its
+// defaults.
+func selectK(scores []float64, results []Result, o ChooseKOptions,
+	one func() (Result, error)) (KSelection, error) {
+	sel := KSelection{Scores: scores}
+	for _, s := range scores {
+		if s > sel.BestScore {
+			sel.BestScore = s
+		}
+	}
+	if sel.BestScore < o.MinScore {
+		// No cluster structure: one phase covering everything.
+		res, err := one()
+		if err != nil {
+			return KSelection{}, err
+		}
+		sel.K, sel.Best = 1, res
 		return sel, nil
 	}
-	for k := 2; k <= maxK; k++ {
-		if sel.Scores[k-1] >= o.Threshold*best {
+	for k := 2; k <= len(scores); k++ {
+		if scores[k-1] >= o.Threshold*sel.BestScore {
 			sel.K = k
 			sel.Best = results[k]
-			sel.ChosenScore = sel.Scores[k-1]
+			sel.ChosenScore = scores[k-1]
 			return sel, nil
 		}
 	}

@@ -5,8 +5,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"simprof/internal/matrix"
+	"simprof/internal/parallel"
 	"simprof/internal/stats"
 )
+
+// kMeansRows runs the production k-means on rows copied into a Dense,
+// on an engine of opts.Workers, the way phase formation reaches it.
+func kMeansRows(rows [][]float64, k int, opts Options) (Result, distStats, error) {
+	pts := matrix.FromRows(rows)
+	pn2, pnr := pointNorms(pts)
+	return kMeansDenseWith(parallel.New(opts.Workers), pts, pn2, pnr, k, opts)
+}
 
 // threeBlobs returns well-separated clusters around (0,0), (10,0), (0,10).
 func threeBlobs(perBlob int, seed uint64) ([][]float64, []int) {
@@ -25,7 +35,7 @@ func threeBlobs(perBlob int, seed uint64) ([][]float64, []int) {
 
 func TestKMeansRecoversBlobs(t *testing.T) {
 	pts, truth := threeBlobs(40, 3)
-	res, err := KMeans(pts, 3, Options{Seed: 1})
+	res, _, err := kMeansRows(pts, 3, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +58,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 
 func TestKMeansInvariants(t *testing.T) {
 	pts, _ := threeBlobs(30, 11)
-	res, err := KMeans(pts, 4, Options{Seed: 5})
+	res, _, err := kMeansRows(pts, 4, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +73,9 @@ func TestKMeansInvariants(t *testing.T) {
 		t.Fatalf("sizes sum %d want %d", total, len(pts))
 	}
 	// Every point is assigned to its nearest center.
+	var dc distCount
 	for i, p := range pts {
-		c, _ := NearestCenter(p, res.Centers)
+		c, _ := nearestCenter(p, res.Centers, &dc)
 		if c != res.Assign[i] {
 			t.Fatalf("point %d assigned %d but nearest is %d", i, res.Assign[i], c)
 		}
@@ -72,17 +83,14 @@ func TestKMeansInvariants(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if _, err := KMeans(nil, 3, Options{}); err == nil {
+	if _, _, err := kMeansRows(nil, 3, Options{}); err == nil {
 		t.Fatal("no points should error")
 	}
-	if _, err := KMeans([][]float64{{1}}, 0, Options{}); err == nil {
+	if _, _, err := kMeansRows([][]float64{{1}}, 0, Options{}); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	if _, err := KMeans([][]float64{{1, 2}, {1}}, 1, Options{}); err == nil {
-		t.Fatal("ragged dims should error")
-	}
 	// k > n clamps.
-	res, err := KMeans([][]float64{{1}, {2}}, 5, Options{Seed: 1})
+	res, _, err := kMeansRows([][]float64{{1}, {2}}, 5, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	}
 	// Identical points: inertia 0, single effective center value.
 	same := [][]float64{{3, 3}, {3, 3}, {3, 3}, {3, 3}}
-	res, err = KMeans(same, 2, Options{Seed: 1})
+	res, _, err = kMeansRows(same, 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +110,8 @@ func TestKMeansEdgeCases(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	pts, _ := threeBlobs(25, 7)
-	a, _ := KMeans(pts, 3, Options{Seed: 99})
-	b, _ := KMeans(pts, 3, Options{Seed: 99})
+	a, _, _ := kMeansRows(pts, 3, Options{Seed: 99})
+	b, _, _ := kMeansRows(pts, 3, Options{Seed: 99})
 	if a.Inertia != b.Inertia {
 		t.Fatal("same seed, different inertia")
 	}
@@ -116,12 +124,13 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	pts, _ := threeBlobs(20, 13)
-	res, _ := KMeans(pts, 3, Options{Seed: 2})
-	sep := Silhouette(pts, res.Assign, 3)
+	res, _, _ := kMeansRows(pts, 3, Options{Seed: 2})
+	eng := parallel.Default()
+	sep := silhouette(eng, pts, res.Assign, 3)
 	if sep < 0.7 {
 		t.Fatalf("separated blobs silhouette=%v want >0.7", sep)
 	}
-	simp := SimplifiedSilhouette(pts, res.Centers, res.Assign)
+	simp := simplifiedSilhouetteRows(eng, pts, res.Centers, res.Assign)
 	if math.Abs(simp-sep) > 0.15 {
 		t.Fatalf("simplified %v far from exact %v", simp, sep)
 	}
@@ -135,7 +144,7 @@ func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	for i := range assign {
 		assign[i] = rng.IntN(3)
 	}
-	if s := Silhouette(blob, assign, 3); s > 0.2 {
+	if s := silhouette(eng, blob, assign, 3); s > 0.2 {
 		t.Fatalf("random labels silhouette=%v want ≤0.2", s)
 	}
 }
@@ -151,7 +160,7 @@ func TestSilhouetteBounds(t *testing.T) {
 			pts[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 			assign[i] = rng.IntN(k)
 		}
-		s := Silhouette(pts, assign, k)
+		s := silhouette(parallel.Default(), pts, assign, k)
 		return s >= -1.0000001 && s <= 1.0000001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -160,22 +169,23 @@ func TestSilhouetteBounds(t *testing.T) {
 }
 
 func TestSilhouetteDegenerate(t *testing.T) {
-	if s := Silhouette(nil, nil, 3); s != 0 {
+	eng := parallel.Default()
+	if s := silhouette(eng, nil, nil, 3); s != 0 {
 		t.Fatalf("empty silhouette=%v", s)
 	}
-	if s := Silhouette([][]float64{{1}, {2}}, []int{0, 0}, 1); s != 0 {
+	if s := silhouette(eng, [][]float64{{1}, {2}}, []int{0, 0}, 1); s != 0 {
 		t.Fatalf("k=1 silhouette=%v", s)
 	}
 	// All identical points → 0 contributions.
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	if s := Silhouette(pts, []int{0, 0, 1, 1}, 2); s != 0 {
+	if s := silhouette(eng, pts, []int{0, 0, 1, 1}, 2); s != 0 {
 		t.Fatalf("identical points silhouette=%v", s)
 	}
 }
 
 func TestChooseKFindsThreeBlobs(t *testing.T) {
 	pts, _ := threeBlobs(30, 21)
-	sel, err := ChooseK(pts, ChooseKOptions{MaxK: 8, KMeans: Options{Seed: 3}})
+	sel, err := ChooseKDense(matrix.FromRows(pts), ChooseKOptions{MaxK: 8, KMeans: Options{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestChooseKNoStructureGivesOne(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{5, 5, 5}
 	}
-	sel, err := ChooseK(pts, ChooseKOptions{MaxK: 6, KMeans: Options{Seed: 1}})
+	sel, err := ChooseKDense(matrix.FromRows(pts), ChooseKOptions{MaxK: 6, KMeans: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +221,7 @@ func TestChooseKPrefersSmallestWithinThreshold(t *testing.T) {
 		pts = append(pts, []float64{rng.NormFloat64() * 0.3, 0})
 		pts = append(pts, []float64{20 + rng.NormFloat64()*0.3, 0})
 	}
-	sel, err := ChooseK(pts, ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 8}})
+	sel, err := ChooseKDense(matrix.FromRows(pts), ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,15 +231,16 @@ func TestChooseKPrefersSmallestWithinThreshold(t *testing.T) {
 }
 
 func TestChooseKEmpty(t *testing.T) {
-	if _, err := ChooseK(nil, ChooseKOptions{}); err == nil {
+	if _, err := ChooseKDense(matrix.FromRows(nil), ChooseKOptions{}); err == nil {
 		t.Fatal("empty ChooseK should error")
 	}
 }
 
 func TestNearestCenter(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 10}}
-	c, d := NearestCenter([]float64{1, 1}, centers)
-	if c != 0 || d != 2 {
-		t.Fatalf("NearestCenter=(%d,%v)", c, d)
+	var dc distCount
+	c, d := nearestCenter([]float64{1, 1}, centers, &dc)
+	if c != 0 || d != 2 || dc != 2 {
+		t.Fatalf("nearestCenter=(%d,%v) after %d SqDist calls", c, d, dc)
 	}
 }

@@ -3,9 +3,11 @@ package cluster
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"simprof/internal/matrix"
 	"simprof/internal/parallel"
 	"simprof/internal/stats"
 )
@@ -17,30 +19,30 @@ var workerSweep = []int{1, 2, 8}
 
 func TestKMeansBitForBitAcrossWorkers(t *testing.T) {
 	pts := benchPoints(400, 24, 5, 17)
-	base, err := KMeans(pts, 5, Options{Seed: 9, Workers: 1})
+	base, _, err := kMeansRows(pts, 5, Options{Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep[1:] {
-		got, err := KMeans(pts, 5, Options{Seed: 9, Workers: w})
+		got, _, err := kMeansRows(pts, 5, Options{Seed: 9, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: KMeans result diverged from serial baseline\nserial: inertia=%.17g sizes=%v\ngot:    inertia=%.17g sizes=%v",
+			t.Fatalf("workers=%d: k-means result diverged from serial baseline\nserial: inertia=%.17g sizes=%v\ngot:    inertia=%.17g sizes=%v",
 				w, base.Inertia, base.Sizes, got.Inertia, got.Sizes)
 		}
 	}
 }
 
 func TestChooseKBitForBitAcrossWorkers(t *testing.T) {
-	pts := benchPoints(600, 32, 4, 23)
-	base, err := ChooseK(pts, ChooseKOptions{MaxK: 12, KMeans: Options{Seed: 5}, Workers: 1})
+	pts := matrix.FromRows(benchPoints(600, 32, 4, 23))
+	base, err := ChooseKDense(pts, ChooseKOptions{MaxK: 12, KMeans: Options{Seed: 5}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep[1:] {
-		got, err := ChooseK(pts, ChooseKOptions{MaxK: 12, KMeans: Options{Seed: 5}, Workers: w})
+		got, err := ChooseKDense(pts, ChooseKOptions{MaxK: 12, KMeans: Options{Seed: 5}, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,19 +54,21 @@ func TestChooseKBitForBitAcrossWorkers(t *testing.T) {
 }
 
 func TestSilhouettesBitForBitAcrossWorkers(t *testing.T) {
-	pts := benchPoints(500, 16, 4, 29)
-	res, err := KMeans(pts, 4, Options{Seed: 3, Workers: 1})
+	rows := benchPoints(500, 16, 4, 29)
+	pts := matrix.FromRows(rows)
+	pn2, pnr := pointNorms(pts)
+	res, _, err := kMeansRows(rows, 4, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactBase := SilhouetteWith(parallel.New(1), pts, res.Assign, 4)
-	simpBase := SimplifiedSilhouetteWith(parallel.New(1), pts, res.Centers, res.Assign)
+	exactBase := silhouette(parallel.New(1), rows, res.Assign, 4)
+	simpBase := simplifiedSilhouetteDense(parallel.New(1), pts, pn2, pnr, res.Centers, res.Assign)
 	for _, w := range workerSweep[1:] {
 		eng := parallel.New(w)
-		if got := SilhouetteWith(eng, pts, res.Assign, 4); got != exactBase {
+		if got := silhouette(eng, rows, res.Assign, 4); got != exactBase {
 			t.Fatalf("workers=%d: exact silhouette %.17g != serial %.17g", w, got, exactBase)
 		}
-		if got := SimplifiedSilhouetteWith(eng, pts, res.Centers, res.Assign); got != simpBase {
+		if got := simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign); got != simpBase {
 			t.Fatalf("workers=%d: simplified silhouette %.17g != serial %.17g", w, got, simpBase)
 		}
 	}
@@ -74,9 +78,9 @@ func TestSilhouettesBitForBitAcrossWorkers(t *testing.T) {
 // parallelism of the runtime, not just the engine's worker cap: the
 // chunk grid and merge order must make scheduling invisible.
 func TestChooseKStableUnderGOMAXPROCS(t *testing.T) {
-	pts := benchPoints(400, 16, 3, 31)
+	pts := matrix.FromRows(benchPoints(400, 16, 3, 31))
 	opts := ChooseKOptions{MaxK: 8, KMeans: Options{Seed: 13}, Workers: 8}
-	base, err := ChooseK(pts, opts)
+	base, err := ChooseKDense(pts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestChooseKStableUnderGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got, err := ChooseK(pts, opts)
+		got, err := ChooseKDense(pts, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +107,8 @@ func TestKMeansWorkerInvarianceProperty(t *testing.T) {
 		k := int(kRaw%6) + 1
 		workers := int(wRaw%7) + 2
 		pts := benchPoints(n, 8, 3, seed)
-		a, errA := KMeans(pts, k, Options{Seed: seed, Workers: 1})
-		b, errB := KMeans(pts, k, Options{Seed: seed, Workers: workers})
+		a, _, errA := kMeansRows(pts, k, Options{Seed: seed, Workers: 1})
+		b, _, errB := kMeansRows(pts, k, Options{Seed: seed, Workers: workers})
 		if (errA == nil) != (errB == nil) {
 			return false
 		}
@@ -116,7 +120,7 @@ func TestKMeansWorkerInvarianceProperty(t *testing.T) {
 }
 
 // TestAssignPartialSumMergeProperty is the kernel-level version of the
-// chunked-merge property: the fused assignment pass (per-chunk sizes,
+// chunked-merge property on the oracle's assignment pass: the fused pass (per-chunk sizes,
 // centroid sums and inertia merged in chunk index order) must agree
 // exactly with a plain serial accumulator on the integer outputs, and
 // bit-for-bit with its own workers=1 execution on the float outputs.
@@ -136,16 +140,18 @@ func TestAssignPartialSumMergeProperty(t *testing.T) {
 		run := func(w int) ([]int, []int, float64) {
 			assign := make([]int, n)
 			sizes := make([]int, 4)
-			sc := newLloydScratch(n, 4, 6)
-			inertia := assignPoints(parallel.New(w), pts, centers, assign, sizes, sc, true)
+			sc := new(lloydScratch)
+			sc.ensure(n, 4, 6)
+			inertia := assignPoints(parallel.New(w), pts, centers, assign, sizes, sc, true, new(atomic.Int64))
 			return assign, sizes, inertia
 		}
 		assign1, sizes1, in1 := run(1)
 		assignW, sizesW, inW := run(workers)
 		// Serial reference accumulator for the integer outputs.
 		refSizes := make([]int, 4)
+		var dc distCount
 		for _, p := range pts {
-			c, _ := NearestCenter(p, centers)
+			c, _ := nearestCenter(p, centers, &dc)
 			refSizes[c]++
 		}
 		return reflect.DeepEqual(assign1, assignW) &&

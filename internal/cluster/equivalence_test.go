@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -13,24 +14,37 @@ import (
 )
 
 // The bound-pruned Lloyd kernel's contract is bit-for-bit equivalence
-// with the retained naive kernel: same centers, same assignments, same
-// inertia floats, for every worker count, telemetry on or off. These
-// tests are the enforcement (scripts/check.sh runs them as the
-// kernel-equivalence stage with -count=2).
+// with the naive oracle kernel (oracle_test.go): same centers, same
+// assignments, same inertia floats, for every worker count, telemetry
+// on or off. These tests are the enforcement (scripts/check.sh runs
+// them as the kernel-equivalence stage with -count=2).
 
+// runBoth runs the oracle and the production kernel on one problem, and
+// holds the production kernel's naive-equivalent work count
+// (distStats.equivalent, behind cluster.distances_pruned) to the SqDist
+// calls the oracle actually made.
 func runBoth(t *testing.T, pts [][]float64, k int, opts Options) (naive, pruned Result) {
 	t.Helper()
-	naiveOpts := opts
-	naiveOpts.naive = true
-	naive, err := KMeans(pts, k, naiveOpts)
+	var calls atomic.Int64
+	naive = oracleKMeans(parallel.New(opts.Workers), pts, k, opts, &calls)
+	pruned, st, err := kMeansRows(pts, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err = KMeans(pts, k, opts)
-	if err != nil {
-		t.Fatal(err)
+	if st.equivalent != calls.Load() {
+		t.Fatalf("equivalent=%d, oracle made %d SqDist calls", st.equivalent, calls.Load())
 	}
 	return naive, pruned
+}
+
+// cycled returns n points cycling through `distinct` values: any k above
+// `distinct` leaves clusters empty and forces re-seeds.
+func cycled(n, distinct int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{float64(i % distinct), 1}
+	}
+	return pts
 }
 
 func TestPrunedMatchesNaiveBitForBit(t *testing.T) {
@@ -45,6 +59,7 @@ func TestPrunedMatchesNaiveBitForBit(t *testing.T) {
 		{"k1", benchPoints(100, 12, 3, 5), 1, 2},
 		{"high-dim", benchPoints(150, 64, 4, 11), 4, 8},
 		{"k-equals-n-ish", benchPoints(24, 4, 3, 13), 20, 6},
+		{"duplicates", cycled(40, 3), 6, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, w := range workerSweep {
@@ -75,14 +90,10 @@ func TestPrunedMatchesNaiveProperty(t *testing.T) {
 			copy(pts[n-1-i], pts[i])
 		}
 		opts := Options{Seed: seed, Workers: workers}
-		naiveOpts := opts
-		naiveOpts.naive = true
-		naive, errA := KMeans(pts, k, naiveOpts)
-		pruned, errB := KMeans(pts, k, opts)
-		if (errA == nil) != (errB == nil) {
-			return false
-		}
-		return reflect.DeepEqual(naive, pruned)
+		var calls atomic.Int64
+		naive := oracleKMeans(parallel.New(workers), pts, k, opts, &calls)
+		pruned, st, err := kMeansRows(pts, k, opts)
+		return err == nil && reflect.DeepEqual(naive, pruned) && st.equivalent == calls.Load()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -109,22 +120,44 @@ func TestPrunedMatchesNaiveWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestChooseKPrunedMatchesNaive holds every step of the k sweep to the
+// oracle — each k's clustering and simplified-silhouette score — and
+// the selection ChooseKDense returns to the one selectK makes from the
+// oracle's per-k outcomes, on clustered data and on data with no
+// structure (the k=1 answer).
 func TestChooseKPrunedMatchesNaive(t *testing.T) {
-	pts := benchPoints(600, 32, 4, 23)
-	for _, w := range workerSweep {
-		naiveSel, err := ChooseK(pts, ChooseKOptions{MaxK: 10,
-			KMeans: Options{Seed: 5, naive: true}, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prunedSel, err := ChooseK(pts, ChooseKOptions{MaxK: 10,
-			KMeans: Options{Seed: 5}, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(naiveSel, prunedSel) {
-			t.Fatalf("workers=%d: ChooseK diverged (k=%d scores=%v vs k=%d scores=%v)",
-				w, naiveSel.K, naiveSel.Scores, prunedSel.K, prunedSel.Scores)
+	for _, rows := range [][][]float64{benchPoints(600, 32, 4, 23), cycled(60, 1)} {
+		pts := matrix.FromRows(rows)
+		pn2, pnr := pointNorms(pts)
+		for _, w := range workerSweep {
+			o := ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 5}, Workers: w}.withDefaults()
+			sel, err := ChooseKDense(pts, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := parallel.New(w)
+			scores := make([]float64, len(sel.Scores))
+			results := make([]Result, len(scores)+1)
+			for k := 2; k <= len(scores); k++ {
+				kmOpts := sweepOptions(o.KMeans, k)
+				want := oracleKMeans(eng, rows, k, kmOpts, new(atomic.Int64))
+				got, _, err := kMeansDenseWith(eng, pts, pn2, pnr, k, kmOpts)
+				if err != nil || !reflect.DeepEqual(want, got) {
+					t.Fatalf("workers=%d k=%d: clustering diverged from the oracle (err %v)", w, k, err)
+				}
+				results[k] = want
+				scores[k-1] = simplifiedSilhouetteRows(eng, rows, want.Centers, want.Assign)
+				if s := simplifiedSilhouetteDense(eng, pts, pn2, pnr, got.Centers, got.Assign); s != scores[k-1] {
+					t.Fatalf("workers=%d k=%d: score %.17g, oracle %.17g", w, k, s, scores[k-1])
+				}
+			}
+			want, _ := selectK(scores, results, o, func() (Result, error) {
+				return oracleKMeans(eng, rows, 1, o.KMeans, new(atomic.Int64)), nil
+			})
+			if !reflect.DeepEqual(want, sel) {
+				t.Fatalf("workers=%d: selection k=%d scores=%v, oracle k=%d scores=%v",
+					w, sel.K, sel.Scores, want.K, want.Scores)
+			}
 		}
 	}
 }
@@ -212,9 +245,10 @@ func TestSeedingPickSequencePreserved(t *testing.T) {
 		pn2, pnr := pointNorms(pts)
 		eng := parallel.New(1)
 		rngA := stats.NewRNG(seed)
-		refCenters := seedPlusPlus(rows, k, rngA, eng)
+		refCenters := seedPlusPlus(rows, k, rngA, eng, new(atomic.Int64))
 		rngB := stats.NewRNG(seed)
-		sc := newLloydScratch(n, k, 6)
+		sc := new(lloydScratch)
+		sc.ensure(n, k, 6)
 		var st distStats
 		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, sc, &st)
 		for c := range refCenters {
@@ -231,7 +265,7 @@ func TestSeedingPickSequencePreserved(t *testing.T) {
 }
 
 // TestNearestSetMatchesNearestCenter pins the cached-norm classifier
-// against the plain scan, including empty center sets.
+// against the oracle's plain scan, including empty center sets.
 func TestNearestSetMatchesNearestCenter(t *testing.T) {
 	prop := func(seed uint64, kRaw uint8) bool {
 		rng := stats.NewRNG(seed)
@@ -253,7 +287,8 @@ func TestNearestSetMatchesNearestCenter(t *testing.T) {
 			if trial%5 == 0 && k > 0 {
 				copy(p, centers[rng.IntN(k)]) // exact hits
 			}
-			wantC, wantD := NearestCenter(p, centers)
+			var dc distCount
+			wantC, wantD := nearestCenter(p, centers, &dc)
 			gotC, gotD := set.Nearest(p)
 			if wantC != gotC || wantD != gotD {
 				return false
@@ -267,7 +302,7 @@ func TestNearestSetMatchesNearestCenter(t *testing.T) {
 }
 
 // TestSimplifiedSilhouetteDenseMatches pins the squared-domain,
-// norm-pruned silhouette against the reference implementation.
+// norm-pruned silhouette against the row oracle.
 func TestSimplifiedSilhouetteDenseMatches(t *testing.T) {
 	prop := func(seed uint64, kRaw uint8) bool {
 		n := 30 + int(seed%300)
@@ -275,12 +310,12 @@ func TestSimplifiedSilhouetteDenseMatches(t *testing.T) {
 		rows := benchPoints(n, 10, k, seed)
 		pts := matrix.FromRows(rows)
 		pn2, pnr := pointNorms(pts)
-		res, err := KMeans(rows, k, Options{Seed: seed})
+		res, _, err := kMeansRows(rows, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
 		eng := parallel.New(1)
-		want := SimplifiedSilhouetteWith(eng, rows, res.Centers, res.Assign)
+		want := simplifiedSilhouetteRows(eng, rows, res.Centers, res.Assign)
 		got := simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign)
 		return want == got
 	}

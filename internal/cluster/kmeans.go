@@ -1,17 +1,17 @@
 // Package cluster implements the clustering layer of SimProf's phase
-// formation: k-means with k-means++ seeding, silhouette scoring (both the
-// exact pairwise form and the centroid-based simplified form), and the
-// paper's k-selection rule (smallest k within 90% of the best silhouette
-// among k ∈ [1, 20]).
+// formation: k-means with k-means++ seeding, centroid-based (simplified)
+// silhouette scoring, and the paper's k-selection rule (smallest k
+// within 90% of the best silhouette among k ∈ [1, 20]).
 //
 // The production kernels run on flat matrix.Dense inputs with a
 // Hamerly-style bound-pruned Lloyd pass: per-point lower bounds on the
 // second-closest center plus per-center drift skip most SqDist calls,
 // and cached squared norms prune the full scans that remain. Every
 // distance that is computed uses the same SqDist kernel in the same
-// order as the naive pass, and every pruning test carries a float-safety
-// margin that only ever forces extra work, so results are bit-for-bit
-// identical to the retained naive reference kernel (see DESIGN.md §12).
+// order as a plain Lloyd pass, and every pruning test carries a
+// float-safety margin that only ever forces extra work, so results are
+// bit-for-bit identical to the naive reference kernel the equivalence
+// tests run against (oracle_test.go; see DESIGN.md §12).
 //
 // Every kernel runs on the shared internal/parallel engine. Results are
 // bit-for-bit identical for any worker count: point loops run over a
@@ -102,7 +102,7 @@ type Result struct {
 	Iters   int
 }
 
-// Options controls KMeans.
+// Options controls one k-means run.
 type Options struct {
 	MaxIter  int    // maximum Lloyd iterations (default 100)
 	Restarts int    // independent restarts, best inertia wins (default 4)
@@ -112,11 +112,6 @@ type Options struct {
 	// chunked Lloyd passes). 0 selects GOMAXPROCS; 1 runs serially.
 	// The result is identical for every setting.
 	Workers int
-	// naive selects the retained reference kernel (plain Lloyd over
-	// [][]float64 rows, no pruning). It exists for the equivalence suite
-	// and the naive-vs-pruned benchmarks; the pruned kernel is the
-	// production path and returns bit-identical results.
-	naive bool
 }
 
 func (o Options) withDefaults() Options {
@@ -146,18 +141,6 @@ func SqDist(a, b []float64) float64 {
 // Dist returns the Euclidean distance between two vectors.
 func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
 
-// NearestCenter returns the index of the center closest to p and the
-// squared distance to it.
-func NearestCenter(p []float64, centers [][]float64) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for c, center := range centers {
-		if d := SqDist(p, center); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, bestD
-}
-
 // distStats counts the distance evaluations of one pruned run: computed
 // is the number of SqDist calls actually executed, equivalent is what
 // the naive kernel would have executed for the same passes. The
@@ -175,36 +158,6 @@ func (s distStats) record() {
 	obsDistPruned.Add(s.equivalent - s.computed)
 }
 
-// KMeans clusters points (N × D, row-major) into k clusters using Lloyd's
-// algorithm with k-means++ seeding. It returns an error for invalid
-// input; k larger than N is clamped to N.
-func KMeans(points [][]float64, k int, opts Options) (Result, error) {
-	if len(points) == 0 {
-		return Result{}, fmt.Errorf("cluster: no points")
-	}
-	if k <= 0 {
-		return Result{}, fmt.Errorf("cluster: k=%d must be positive", k)
-	}
-	d := len(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return Result{}, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
-		}
-	}
-	return KMeansDense(matrix.FromRows(points), k, opts)
-}
-
-// KMeansDense is KMeans on a flat matrix (no copy, no per-row pointer
-// chasing). This is the entry the phase-formation pipeline uses once its
-// vectors already live in a Dense.
-func KMeansDense(pts *matrix.Dense, k int, opts Options) (Result, error) {
-	eng := parallel.New(opts.Workers)
-	pn2, pnr := pointNorms(pts)
-	res, st, err := kMeansDenseWith(eng, pts, pn2, pnr, k, opts)
-	st.record()
-	return res, err
-}
-
 // pointNorms returns the squared and plain Euclidean norms of every row.
 // Both are cached once per clustering problem and shared across restarts
 // and the whole k sweep.
@@ -217,10 +170,13 @@ func pointNorms(pts *matrix.Dense) (pn2, pnr []float64) {
 	return pn2, pnr
 }
 
-// kMeansDenseWith is KMeansDense on a caller-supplied engine and
-// pre-computed point norms, so that an already parallel caller (the
-// ChooseK sweep) shares one concurrency budget — and one norm cache —
-// with the restarts and Lloyd passes it spawns.
+// kMeansDenseWith clusters the rows of pts into k clusters (k larger
+// than the row count is clamped to it) with k-means++ seeding and the
+// bound-pruned Lloyd kernel, keeping the lowest-inertia restart. It runs
+// on a caller-supplied engine and pre-computed point norms, so that an
+// already parallel caller (the ChooseK sweep) shares one concurrency
+// budget — and one norm cache — with the restarts and Lloyd passes it
+// spawns.
 func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
 	k int, opts Options) (Result, distStats, error) {
 	n := pts.Rows()
@@ -241,17 +197,9 @@ func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64
 	// exactly the serial semantics).
 	results := make([]Result, o.Restarts)
 	rstats := make([]distStats, o.Restarts)
-	var rows [][]float64
-	if o.naive {
-		rows = pts.RowViews()
-	}
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-		if o.naive {
-			results[r] = lloyd(rows, k, rng, o, eng)
-		} else {
-			results[r] = lloydPruned(pts, pn2, pnr, k, rng, o, eng, &rstats[r])
-		}
+		results[r] = lloydPruned(pts, pn2, pnr, k, rng, o, eng, &rstats[r])
 	})
 	best := Result{Inertia: math.Inf(1)}
 	for _, res := range results {
@@ -373,12 +321,6 @@ func (s *lloydScratch) ensure(n, k, d int) {
 	s.qcc = s.qcc[:k*k]
 }
 
-func newLloydScratch(n, k, d int) *lloydScratch {
-	s := new(lloydScratch)
-	s.ensure(n, k, d)
-	return s
-}
-
 var scratchPool = sync.Pool{New: func() any { return new(lloydScratch) }}
 
 func getScratch(n, k, d int) *lloydScratch {
@@ -389,131 +331,6 @@ func getScratch(n, k, d int) *lloydScratch {
 
 func putScratch(s *lloydScratch) { scratchPool.Put(s) }
 
-// assignPoints runs one chunked assignment pass against centers: it
-// fills assign, merges per-chunk cluster sizes into sizes (chunk index
-// order) and returns the inertia. When accumulate is true it also
-// gathers per-chunk centroid partial sums for the update step. This is
-// the naive reference pass; the production path is lloydPruned.
-func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
-	assign []int, sizes []int, sc *lloydScratch, accumulate bool) float64 {
-	n := len(points)
-	d := len(points[0])
-	eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
-		szs := sc.sizes[c]
-		for i := range szs {
-			szs[i] = 0
-		}
-		var sums []float64
-		if accumulate {
-			sums = sc.sums[c]
-			for i := range sums {
-				sums[i] = 0
-			}
-		}
-		var inertia float64
-		for i := lo; i < hi; i++ {
-			p := points[i]
-			ci, dist := NearestCenter(p, centers)
-			assign[i] = ci
-			szs[ci]++
-			inertia += dist
-			if accumulate {
-				row := sums[ci*d : ci*d+d]
-				for j, v := range p {
-					row[j] += v
-				}
-			}
-		}
-		sc.inertia[c] = inertia
-	})
-	for i := range sizes {
-		sizes[i] = 0
-	}
-	var inertia float64
-	for c := 0; c < sc.chunks; c++ {
-		for i, s := range sc.sizes[c] {
-			sizes[i] += s
-		}
-		inertia += sc.inertia[c]
-	}
-	return inertia
-}
-
-// lloyd is the retained naive reference kernel: plain Lloyd over
-// [][]float64 rows, every point–center distance computed every pass.
-// The equivalence suite asserts lloydPruned reproduces it bit-for-bit.
-func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.Engine) Result {
-	n, d := len(points), len(points[0])
-	centers := seedPlusPlus(points, k, rng, eng)
-	assign := make([]int, n)
-	sizes := make([]int, k)
-	sc := newLloydScratch(n, k, d)
-	// Double-buffered centroids: next is rebuilt from the merged chunk
-	// sums every iteration, then swapped with centers.
-	next := make([][]float64, k)
-	for c := range next {
-		next[c] = make([]float64, d)
-	}
-	prev := math.Inf(1)
-	var inertia float64
-	var iter int
-	for iter = 0; iter < o.MaxIter; iter++ {
-		// Fused assignment + partial-sum pass.
-		inertia = assignPoints(eng, points, centers, assign, sizes, sc, true)
-		// Update step: merge the per-chunk partial sums in chunk index
-		// order, then normalize.
-		for c := range next {
-			row := next[c]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-		for c := 0; c < sc.chunks; c++ {
-			sums := sc.sums[c]
-			for cl := 0; cl < k; cl++ {
-				row := next[cl]
-				part := sums[cl*d : cl*d+d]
-				for j, v := range part {
-					row[j] += v
-				}
-			}
-		}
-		for c := range next {
-			if sizes[c] == 0 {
-				obsEmptyReseeds.Inc()
-				// Re-seed an empty cluster at the point farthest from
-				// its center — standard k-means repair.
-				far, farD := 0, -1.0
-				for i, p := range points {
-					if dd := SqDist(p, centers[assign[i]]); dd > farD {
-						far, farD = i, dd
-					}
-				}
-				copy(next[c], points[far])
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			for j := range next[c] {
-				next[c][j] *= inv
-			}
-		}
-		centers, next = next, centers
-		if math.Abs(prev-inertia) <= o.Tol*(1+prev) {
-			break
-		}
-		prev = inertia
-	}
-	// Final assignment pass so Assign/Sizes/Inertia are consistent with
-	// the returned (post-update) centers.
-	inertia = assignPoints(eng, points, centers, assign, sizes, sc, false)
-	obsRestarts.Inc()
-	obsLloydIters.Observe(float64(iter + 1))
-	if !math.IsInf(prev, 1) {
-		obsConvergenceDelta.Observe(math.Abs(prev - inertia))
-	}
-	return Result{K: k, Centers: centers, Assign: assign, Sizes: sizes, Inertia: inertia, Iters: iter + 1}
-}
-
 // lloydPruned is the production Lloyd kernel on the flat matrix. It
 // maintains, per point, a squared lower bound lb2 on the distance to the
 // second-closest center. Each pass computes the one distance to the
@@ -523,8 +340,8 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 // deems plausibly prunable — the other k−1 distances are skipped: the
 // assignment provably cannot change, and strictness means the naive
 // scan would have kept the same index even under ties. Otherwise it
-// falls back to a full scan that replicates NearestCenter's order and
-// tie-breaking exactly. The scan skips candidates the compare-means
+// falls back to a full scan that replicates the plain nearest-center
+// scan's order and lowest-index tie-breaking exactly. The scan skips candidates the compare-means
 // test excludes (d2a < (d(a,cc)/2)² proves cc strictly farther than the
 // assigned center; the threshold then folds into lb2 so the bound stays
 // valid) and, above the dimensionality gate, candidates excluded by the
@@ -612,7 +429,7 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	centerGeometry(centers)
 
 	// Handover from seeding: the relax passes already computed every
-	// point's nearest seeded center (with NearestCenter's exact
+	// point's nearest seeded center (with the plain scan's exact
 	// lowest-index tie-breaking), its squared distance, and a valid
 	// lower bound on the second-nearest. The first Lloyd pass therefore
 	// runs in reuse mode — pure bookkeeping, zero distance computations
@@ -818,8 +635,8 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 			if sizes[c] == 0 {
 				obsEmptyReseeds.Inc()
 				// Re-seed an empty cluster at the point farthest from
-				// its center. dist2 caches exactly the SqDist the naive
-				// kernel recomputes here.
+				// its center. dist2 caches exactly the n SqDist calls the
+				// naive kernel recomputes here, so they count as pruned.
 				far, farD := 0, -1.0
 				for i := 0; i < n; i++ {
 					if dist2[i] > farD {
@@ -827,6 +644,7 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 					}
 				}
 				copy(next.Row(c), pts.Row(far))
+				st.equivalent += int64(n)
 				continue
 			}
 			inv := 1 / float64(sizes[c])
@@ -865,63 +683,12 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 		Inertia: inertia, Iters: iter + 1}
 }
 
-// seedPlusPlus picks k initial centers with the k-means++ D² weighting.
-// The squared distance to the nearest chosen center is maintained
-// incrementally (each new center can only lower it), which turns the
-// O(n·k²·d) recompute-everything seeding into O(n·k·d). The distance
-// update is chunked on the engine; the weighted draw itself stays
-// sequential because each pick feeds the next. This is the naive
-// reference; the production path is seedPlusPlusDense.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine) [][]float64 {
-	n := len(points)
-	centers := make([][]float64, 0, k)
-	first := rng.IntN(n)
-	centers = append(centers, append([]float64(nil), points[first]...))
-	d2 := make([]float64, n)
-	chunks := parallel.Chunks(n, pointChunk)
-	partial := make([]float64, chunks)
-	relax := func(center []float64) float64 {
-		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
-			var sum float64
-			for i := lo; i < hi; i++ {
-				if dd := SqDist(points[i], center); dd < d2[i] {
-					d2[i] = dd
-				}
-				sum += d2[i]
-			}
-			partial[c] = sum
-		})
-		var total float64
-		for _, p := range partial {
-			total += p
-		}
-		return total
-	}
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-	}
-	total := relax(centers[0])
-	for len(centers) < k {
-		var pick int
-		if total == 0 {
-			pick = rng.IntN(n) // all points identical to some center
-		} else {
-			pick = drawLinear(d2, rng.Float64()*total)
-		}
-		centers = append(centers, append([]float64(nil), points[pick]...))
-		if len(centers) < k {
-			total = relax(centers[len(centers)-1])
-		}
-	}
-	return centers
-}
-
 // seedPlusPlusDense is the production k-means++ seeding on the flat
-// matrix. Same draw sequence as seedPlusPlus — the RNG consumption and
-// the picked indices are bit-identical — but the relax pass skips
-// points whose cached-norm bound proves the new center cannot lower
-// their D² weight, and each draw resolves through the chunk partial
-// sums instead of a full O(n) scan.
+// matrix. Same draw sequence as the naive kernel's plain seeding — the
+// RNG consumption and the picked indices are bit-identical — but the
+// relax pass skips points whose cached-norm bound proves the new center
+// cannot lower their D² weight, and each draw resolves through the
+// chunk partial sums instead of a full O(n) scan.
 func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	eng *parallel.Engine, sc *lloydScratch, st *distStats) *matrix.Dense {
 	n, d := pts.Rows(), pts.Cols()
@@ -1004,9 +771,6 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 					}
 				}
 			}
-			if m+1 < k {
-				st.equivalent += int64(n)
-			}
 			return prev
 		}
 		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
@@ -1055,12 +819,6 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 			total += partial[c]
 			st.computed += sc.computed[c]
 		}
-		if m+1 < k {
-			// The naive seeding relaxes centers 0..k−2; the extra relax
-			// of the last center (which feeds the Lloyd handover) is not
-			// part of the naive-equivalent workload.
-			st.equivalent += int64(n)
-		}
 		epoch++
 		return total
 	}
@@ -1083,6 +841,10 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 		// consumption are unaffected.
 		total = relax(count, total)
 	}
+	// The naive seeding relaxes its first max(k−1, 1) centers, n SqDist
+	// calls each; relaxing the last center of a k ≥ 2 run only feeds the
+	// Lloyd handover, so it is not part of the naive-equivalent workload.
+	st.equivalent += int64(n) * int64(max(k-1, 1))
 	return centers
 }
 

@@ -33,12 +33,12 @@ func NewNearestSet(centers [][]float64) *NearestSet {
 	return s
 }
 
-// Nearest returns NearestCenter(p, centers) bit-for-bit: the index of
-// the closest center and the squared distance to it. A candidate is
-// skipped only when its norm bound shows — with the normSlack safety
-// margin — that its distance strictly exceeds the current best, which
-// under NearestCenter's strict-< scan means it could never have been
-// selected.
+// Nearest returns the index of the center closest to p and the squared
+// distance to it, bit-for-bit what a plain strict-< scan over every
+// center returns (lowest index wins ties; -1 and +Inf for an empty
+// set). A candidate is skipped only when its norm bound shows — with
+// the normSlack safety margin — that its distance strictly exceeds the
+// current best, so under that scan it could never have been selected.
 func (s *NearestSet) Nearest(p []float64) (int, float64) {
 	var pn2 float64
 	for _, v := range p {

@@ -7,136 +7,17 @@ import (
 	"simprof/internal/parallel"
 )
 
-// silhouetteChunk is the chunk size of the exact silhouette's outer
-// loop. Each outer point costs O(n·d), so chunks are kept small to
-// spread the quadratic work evenly across workers; like pointChunk it
-// is fixed so the reduction order never depends on the worker count.
-const silhouetteChunk = 32
-
-// Silhouette returns the exact mean silhouette coefficient of the
-// clustering: for each point, a = mean distance to its own cluster's
-// other members, b = lowest mean distance to another cluster, and
-// s = (b-a)/max(a,b). Points in singleton clusters contribute 0 (the
-// sklearn convention). The result is in [-1, 1]; it is 0 when every
-// cluster is a singleton and NaN-free by construction. O(n²·d): use
-// SimplifiedSilhouette for large inputs. The pairwise pass runs on the
-// shared parallel engine; use SilhouetteWith to bound its concurrency.
-func Silhouette(points [][]float64, assign []int, k int) float64 {
-	return SilhouetteWith(parallel.Default(), points, assign, k)
-}
-
-// SilhouetteWith is Silhouette on a caller-supplied engine. The result
-// is bit-for-bit identical for every worker count: per-point terms are
-// summed within fixed chunks and chunk partials merge in index order.
-func SilhouetteWith(eng *parallel.Engine, points [][]float64, assign []int, k int) float64 {
-	n := len(points)
-	if n == 0 || k < 2 {
-		return 0
-	}
-	sizes := make([]int, k)
-	for _, c := range assign {
-		sizes[c]++
-	}
-	total := parallel.MapReduce(eng, n, silhouetteChunk,
-		func(_, lo, hi int) float64 {
-			return silhouetteRange(points, assign, sizes, k, lo, hi)
-		},
-		func(a, b float64) float64 { return a + b })
-	return total / float64(n)
-}
-
-// silhouetteRange sums the silhouette terms of points [lo, hi). Kept as
-// a top-level function (not a closure) so the O(n·d)-per-point inner
-// loop compiles to the same code the serial implementation had.
-func silhouetteRange(points [][]float64, assign []int, sizes []int, k, lo, hi int) float64 {
-	sum := make([]float64, k) // per-chunk scratch: cluster → Σ dist
-	var part float64
-	for i := lo; i < hi; i++ {
-		p := points[i]
-		for c := range sum {
-			sum[c] = 0
-		}
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			sum[assign[j]] += Dist(p, q)
-		}
-		ci := assign[i]
-		if sizes[ci] <= 1 {
-			continue // silhouette of a singleton is defined as 0
-		}
-		a := sum[ci] / float64(sizes[ci]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == ci || sizes[c] == 0 {
-				continue
-			}
-			if m := sum[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		if m := math.Max(a, b); m > 0 {
-			part += (b - a) / m
-		}
-	}
-	return part
-}
-
-// SimplifiedSilhouette is the centroid-based silhouette: a = distance to
-// the assigned centroid, b = distance to the nearest other centroid.
-// It tracks the exact silhouette closely for compact clusters and runs in
-// O(n·k·d), which keeps the k-sweep over thousands of 100-dimensional
-// sampling units cheap. Degenerate clusterings (all points on their
-// centroid, no second centroid) score 0.
-func SimplifiedSilhouette(points [][]float64, centers [][]float64, assign []int) float64 {
-	return SimplifiedSilhouetteWith(parallel.Default(), points, centers, assign)
-}
-
-// SimplifiedSilhouetteWith is SimplifiedSilhouette on a caller-supplied
-// engine, with the same worker-count-independent result guarantee as
-// SilhouetteWith.
-func SimplifiedSilhouetteWith(eng *parallel.Engine, points [][]float64, centers [][]float64, assign []int) float64 {
-	n := len(points)
-	k := len(centers)
-	if n == 0 || k < 2 {
-		return 0
-	}
-	total := parallel.MapReduce(eng, n, pointChunk,
-		func(_, lo, hi int) float64 {
-			var part float64
-			for i := lo; i < hi; i++ {
-				p := points[i]
-				a := Dist(p, centers[assign[i]])
-				b := math.Inf(1)
-				for c := range centers {
-					if c == assign[i] {
-						continue
-					}
-					if d := Dist(p, centers[c]); d < b {
-						b = d
-					}
-				}
-				if math.IsInf(b, 1) {
-					continue
-				}
-				if m := math.Max(a, b); m > 0 {
-					part += (b - a) / m
-				}
-			}
-			return part
-		},
-		func(a, b float64) float64 { return a + b })
-	return total / float64(n)
-}
-
-// simplifiedSilhouetteDense is the flat-matrix simplified silhouette the
-// k sweep runs: same score bit-for-bit as SimplifiedSilhouetteWith. The
-// minimum over the other centroids is taken in the squared domain (the
-// correctly-rounded sqrt is monotone, so √min(d²) equals min(√d²)
+// simplifiedSilhouetteDense is the centroid-based silhouette the k
+// sweep scores with: a = distance to the assigned centroid, b =
+// distance to the nearest other centroid, s = (b−a)/max(a,b), averaged
+// over the points. It tracks the exact pairwise silhouette closely for
+// compact clusters and runs in O(n·k·d), which keeps the sweep over
+// thousands of 100-dimensional sampling units cheap. Degenerate
+// clusterings (all points on their centroid, no second centroid) score
+// 0. The result is bit-for-bit that of the plain per-point scan, for
+// any worker count (fixed chunk grid, partials merged in index order).
+// The minimum over the other centroids is taken in the squared domain
+// (the correctly-rounded sqrt is monotone, so √min(d²) equals min(√d²)
 // exactly) and candidates whose cached-norm bound proves them strictly
 // worse than the running minimum are skipped without touching their
 // coordinates.

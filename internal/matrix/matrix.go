@@ -270,17 +270,3 @@ func (s *Sparse) GatherColumnsDense(cols []int) *Dense {
 	s.GatherColumnsInto(out, s.ColMap(cols), 0, s.rows)
 	return out
 }
-
-// DenseFromSparse materializes the full dense form (tests and small
-// matrices only).
-func DenseFromSparse(s *Sparse) *Dense {
-	out := NewDense(s.rows, s.cols)
-	for i := 0; i < s.rows; i++ {
-		cs, vs := s.Row(i)
-		row := out.Row(i)
-		for k, c := range cs {
-			row[c] = vs[k]
-		}
-	}
-	return out
-}

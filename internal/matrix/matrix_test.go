@@ -64,6 +64,20 @@ func TestDenseRowNorms2(t *testing.T) {
 	}
 }
 
+// denseFromSparse materializes the full dense form: the reference the
+// CSR accessors and projections are checked against.
+func denseFromSparse(s *Sparse) *Dense {
+	out := NewDense(s.rows, s.cols)
+	for i := 0; i < s.rows; i++ {
+		cs, vs := s.Row(i)
+		row := out.Row(i)
+		for k, c := range cs {
+			row[c] = vs[k]
+		}
+	}
+	return out
+}
+
 func buildSparse(t *testing.T) *Sparse {
 	t.Helper()
 	b := NewSparseBuilder(6, 3, 4)
@@ -87,8 +101,8 @@ func TestSparseBuilderAndDensify(t *testing.T) {
 		{0, 0, 0, 0, 0, 0},
 		{1, 3, 0, 0, 0, 9},
 	}
-	if !reflect.DeepEqual(DenseFromSparse(s).RowViews(), want) {
-		t.Fatalf("densify: %v", DenseFromSparse(s).RowViews())
+	if !reflect.DeepEqual(denseFromSparse(s).RowViews(), want) {
+		t.Fatalf("densify: %v", denseFromSparse(s).RowViews())
 	}
 }
 
@@ -116,7 +130,7 @@ func TestGatherColumnsDense(t *testing.T) {
 	// columns reading as zero and repeated columns.
 	cols := []int{4, 0, 1}
 	got := s.GatherColumnsDense(cols)
-	full := DenseFromSparse(s)
+	full := denseFromSparse(s)
 	for i := 0; i < s.Rows(); i++ {
 		for j, c := range cols {
 			if got.Row(i)[j] != full.Row(i)[c] {

@@ -248,12 +248,11 @@ type Phases struct {
 
 	// unitsByPhase is the per-phase unit index list, built once at Form
 	// time so the per-phase accessors cost O(phase size) instead of
-	// rescanning all N assignments on every call (formerly O(N·K) when
-	// iterated over phases). Only the phase membership is cached —
-	// measured status stays dynamic, because unit quality can legally
-	// change after formation (tests degrade traces post-Form). A
-	// zero-value Phases (hand-assembled in tests) leaves it nil and the
-	// accessors fall back to the full scan.
+	// rescanning all N assignments on every call. Only the phase
+	// membership is cached — measured status stays dynamic, because unit
+	// quality can legally change after formation (tests degrade traces
+	// post-Form). The per-phase accessors read membership only from
+	// here, so a Phases must come from Form.
 	unitsByPhase [][]int
 }
 
@@ -389,7 +388,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// Classify degraded units onto the formed centers so they keep a
 	// phase (and so phase weights reflect the whole execution). The
 	// NearestSet shares one norm cache across every degraded unit and
-	// matches NearestCenter bit-for-bit.
+	// matches a plain nearest-center scan bit-for-bit.
 	obsFormDegraded.Add(int64(len(tr.Units) - len(clean)))
 	if len(clean) < len(tr.Units) {
 		ns := cluster.NewNearestSet(sel.Best.Centers)
@@ -416,31 +415,25 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	return p, nil
 }
 
+// members returns the cached unit list of phase h; an out-of-range h
+// has no units.
+func (p *Phases) members(h int) []int {
+	if h < 0 || h >= len(p.unitsByPhase) {
+		return nil
+	}
+	return p.unitsByPhase[h]
+}
+
 // PhaseUnits returns the unit indices of phase h.
 func (p *Phases) PhaseUnits(h int) []int {
-	if p.unitsByPhase != nil && h >= 0 && h < len(p.unitsByPhase) {
-		return append([]int(nil), p.unitsByPhase[h]...)
-	}
-	var out []int
-	for i, a := range p.Assign {
-		if a == h {
-			out = append(out, i)
-		}
-	}
-	return out
+	return append([]int(nil), p.members(h)...)
 }
 
 // Sizes returns the unit count per phase.
 func (p *Phases) Sizes() []int {
 	out := make([]int, p.K)
-	if p.unitsByPhase != nil {
-		for h := range out {
-			out[h] = len(p.unitsByPhase[h])
-		}
-		return out
-	}
-	for _, a := range p.Assign {
-		out[a]++
+	for h := range out {
+		out[h] = len(p.unitsByPhase[h])
 	}
 	return out
 }
@@ -461,18 +454,10 @@ func (p *Phases) Weights() []float64 {
 // would crater the phase mean and inflate σ, which feeds Neyman
 // allocation (Eq. 1) and the stratified SE (Eq. 4–5).
 func (p *Phases) PhaseCPIs(h int) []float64 {
-	if p.unitsByPhase != nil && h >= 0 && h < len(p.unitsByPhase) {
-		out := make([]float64, 0, len(p.unitsByPhase[h]))
-		for _, i := range p.unitsByPhase[h] {
-			if p.UnitMeasured(i) {
-				out = append(out, p.Trace.Units[i].CPI())
-			}
-		}
-		return out
-	}
-	var out []float64
-	for i, a := range p.Assign {
-		if a == h && p.UnitMeasured(i) {
+	units := p.members(h)
+	out := make([]float64, 0, len(units))
+	for _, i := range units {
+		if p.UnitMeasured(i) {
 			out = append(out, p.Trace.Units[i].CPI())
 		}
 	}
@@ -491,18 +476,10 @@ func (p *Phases) UnitMeasured(i int) bool {
 // MeasuredPhaseUnits returns the unit indices of phase h that carry a
 // usable CPI — the frame stratified sampling may draw from.
 func (p *Phases) MeasuredPhaseUnits(h int) []int {
-	if p.unitsByPhase != nil && h >= 0 && h < len(p.unitsByPhase) {
-		out := make([]int, 0, len(p.unitsByPhase[h]))
-		for _, i := range p.unitsByPhase[h] {
-			if p.UnitMeasured(i) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	var out []int
-	for i, a := range p.Assign {
-		if a == h && p.UnitMeasured(i) {
+	units := p.members(h)
+	out := make([]int, 0, len(units))
+	for _, i := range units {
+		if p.UnitMeasured(i) {
 			out = append(out, i)
 		}
 	}
@@ -512,19 +489,11 @@ func (p *Phases) MeasuredPhaseUnits(h int) []int {
 // MeasuredSizes returns the usable unit count per phase.
 func (p *Phases) MeasuredSizes() []int {
 	out := make([]int, p.K)
-	if p.unitsByPhase != nil {
-		for h := range out {
-			for _, i := range p.unitsByPhase[h] {
-				if p.UnitMeasured(i) {
-					out[h]++
-				}
+	for h := range out {
+		for _, i := range p.unitsByPhase[h] {
+			if p.UnitMeasured(i) {
+				out[h]++
 			}
-		}
-		return out
-	}
-	for i, a := range p.Assign {
-		if p.UnitMeasured(i) {
-			out[a]++
 		}
 	}
 	return out

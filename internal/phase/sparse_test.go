@@ -1,6 +1,7 @@
 package phase
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,15 @@ import (
 	"simprof/internal/parallel"
 	"simprof/internal/trace"
 )
+
+// allColumns lists every column of sp, so projecting onto it densifies.
+func allColumns(sp *matrix.Sparse) []int {
+	cols := make([]int, sp.Cols())
+	for j := range cols {
+		cols[j] = j
+	}
+	return cols
+}
 
 // TestVectorizeSparseMatchesDense pins the CSR vectorization against the
 // dense one cell for cell: same counts, everything else exactly zero.
@@ -19,7 +29,7 @@ func TestVectorizeSparseMatchesDense(t *testing.T) {
 	if sp.Rows() != len(dense) || sp.Cols() != fs.Dim() {
 		t.Fatalf("dims %dx%d, want %dx%d", sp.Rows(), sp.Cols(), len(dense), fs.Dim())
 	}
-	back := matrix.DenseFromSparse(sp)
+	back := sp.GatherColumnsDense(allColumns(sp))
 	for i, row := range dense {
 		if !reflect.DeepEqual(back.Row(i), row) {
 			t.Fatalf("unit %d: sparse %v dense %v", i, back.Row(i), row)
@@ -42,7 +52,8 @@ func TestVectorizeSparseSubsetSpace(t *testing.T) {
 		Kinds:   full.Kinds[:1],
 	}
 	dense := sub.vectorizeWith(parallel.New(1), tr)
-	back := matrix.DenseFromSparse(sub.VectorizeSparse(tr))
+	sp := sub.VectorizeSparse(tr)
+	back := sp.GatherColumnsDense(allColumns(sp))
 	for i, row := range dense {
 		if !reflect.DeepEqual(back.Row(i), row) {
 			t.Fatalf("unit %d: %v vs %v", i, back.Row(i), row)
@@ -51,9 +62,8 @@ func TestVectorizeSparseSubsetSpace(t *testing.T) {
 }
 
 // TestPhaseIndexAccessors pins the cached per-phase index lists against
-// the legacy full-assignment scans, both on a formed Phases (cache
-// present) and on a hand-assembled one (cache absent), including after
-// a post-formation quality change.
+// full scans of the assignment, including out-of-range phases (no
+// units) and a post-formation quality change.
 func TestPhaseIndexAccessors(t *testing.T) {
 	tr := synthTrace(30, 9)
 	p, err := Form(tr, Options{Seed: 1, Workers: 1})
@@ -64,23 +74,38 @@ func TestPhaseIndexAccessors(t *testing.T) {
 	for i := 0; i < len(tr.Units); i += 7 {
 		tr.Units[i].Quality |= trace.CountersMissing
 	}
-	bare := &Phases{Trace: p.Trace, K: p.K, Assign: p.Assign, Degraded: p.Degraded}
+	// Compare through fmt.Sprint, which prints floats exactly and nil
+	// like empty: an out-of-range phase has no units either way.
+	same := func(got, want any) bool { return fmt.Sprint(got) == fmt.Sprint(want) }
+	sizes, measuredSizes := make([]int, p.K+2), make([]int, p.K+2)
 	for h := -1; h <= p.K; h++ {
-		if got, want := p.PhaseUnits(h), bare.PhaseUnits(h); !reflect.DeepEqual(got, want) {
-			t.Fatalf("PhaseUnits(%d): %v vs %v", h, got, want)
+		var units, measured []int
+		var cpis []float64
+		for i, a := range p.Assign {
+			if a == h {
+				units = append(units, i)
+				if p.UnitMeasured(i) {
+					measured = append(measured, i)
+					cpis = append(cpis, tr.Units[i].CPI())
+				}
+			}
 		}
-		if got, want := p.MeasuredPhaseUnits(h), bare.MeasuredPhaseUnits(h); !reflect.DeepEqual(got, want) {
-			t.Fatalf("MeasuredPhaseUnits(%d): %v vs %v", h, got, want)
+		sizes[h+1], measuredSizes[h+1] = len(units), len(measured)
+		if got := p.PhaseUnits(h); !same(got, units) {
+			t.Fatalf("PhaseUnits(%d): %v, scan %v", h, got, units)
 		}
-		if got, want := p.PhaseCPIs(h), bare.PhaseCPIs(h); !reflect.DeepEqual(got, want) {
-			t.Fatalf("PhaseCPIs(%d): %v vs %v", h, got, want)
+		if got := p.MeasuredPhaseUnits(h); !same(got, measured) {
+			t.Fatalf("MeasuredPhaseUnits(%d): %v, scan %v", h, got, measured)
+		}
+		if got := p.PhaseCPIs(h); !same(got, cpis) {
+			t.Fatalf("PhaseCPIs(%d): %v, scan %v", h, got, cpis)
 		}
 	}
-	if got, want := p.Sizes(), bare.Sizes(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Sizes: %v vs %v", got, want)
+	if got := p.Sizes(); !same(got, sizes[1:p.K+1]) {
+		t.Fatalf("Sizes: %v, scan %v", got, sizes[1:p.K+1])
 	}
-	if got, want := p.MeasuredSizes(), bare.MeasuredSizes(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("MeasuredSizes: %v vs %v", got, want)
+	if got := p.MeasuredSizes(); !same(got, measuredSizes[1:p.K+1]) {
+		t.Fatalf("MeasuredSizes: %v, scan %v", got, measuredSizes[1:p.K+1])
 	}
 	// The cached lists must be insulated from caller mutation.
 	u := p.PhaseUnits(0)

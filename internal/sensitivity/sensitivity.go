@@ -28,7 +28,7 @@ const DefaultThreshold = 0.10
 // so the reference run may intern methods in a different order). The
 // center norms are cached once and shared by every query, and units
 // classify in fixed chunks on the worker pool — each unit writes only
-// its own slot, so the assignment matches a serial NearestCenter scan
+// its own slot, so the assignment matches a serial nearest-center scan
 // bit-for-bit at every worker count.
 func Classify(ph *phase.Phases, ref *trace.Trace) []int {
 	vectors := ph.Space.Vectorize(ref)

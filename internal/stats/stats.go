@@ -171,42 +171,9 @@ func FScore(r float64, n int) float64 {
 	return r2 / (1 - r2) * float64(n-2)
 }
 
-// FRegression scores each feature column against the target with the
-// univariate linear-regression test. features is row-major: features[i]
-// is observation i with d dimensions; target has one entry per row. The
-// returned slice has one F score per feature dimension. Columns are
-// independent, so the scoring fans out over the shared worker pool;
-// each column's score lands in its own slot, keeping the result
-// identical for any worker count.
-func FRegression(features [][]float64, target []float64) []float64 {
-	return FRegressionWith(parallel.Default(), features, target)
-}
-
-// featureChunk is the fixed per-chunk column count of FRegression.
+// featureChunk is the fixed per-chunk column count of the F-regression
+// scoring fan-out.
 const featureChunk = 32
-
-// FRegressionWith is FRegression on a caller-supplied engine.
-func FRegressionWith(eng *parallel.Engine, features [][]float64, target []float64) []float64 {
-	n := len(features)
-	if n == 0 {
-		return nil
-	}
-	if n != len(target) {
-		panic("stats: FRegression rows/target mismatch")
-	}
-	d := len(features[0])
-	scores := make([]float64, d)
-	eng.ForEachChunk(d, featureChunk, func(_, lo, hi int) {
-		col := make([]float64, n) // per-chunk scratch
-		for j := lo; j < hi; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = features[i][j]
-			}
-			scores[j] = FScore(Pearson(col, target), n)
-		}
-	})
-	return scores
-}
 
 // FRegressionSparseWith scores each feature column of a CSR matrix
 // against the target without ever materializing the dense feature
@@ -217,12 +184,13 @@ func FRegressionWith(eng *parallel.Engine, features [][]float64, target []float6
 // column's zero entries contribute their closed form: a zero deviates
 // from the column mean by exactly −mx, so the n−nnz zero terms add
 // (n−nnz)·mx² to Σ(x−mx)² and −mx·Σ_{zeros}(y−my) to Σ(x−mx)(y−my).
-// The column sum Σx (and so the mean) is bit-identical to the dense
-// scan's: skipped zeros add exactly nothing to a non-negative
+// The column sum Σx (and so the mean) is bit-identical to a dense
+// column scan's: skipped zeros add exactly nothing to a non-negative
 // accumulator. The centered second-order sums accumulate in a different
-// order than the dense row scan, so scores agree with FRegressionWith
-// to float rounding, not bit-for-bit; columns with identical content
-// still get identical scores, keeping TopK ties deterministic.
+// order than the dense scan (FScore of each column's Pearson r against
+// the target), so scores agree with it to float rounding, not
+// bit-for-bit; columns with identical content still get identical
+// scores, keeping TopK ties deterministic.
 func FRegressionSparseWith(eng *parallel.Engine, X *matrix.Sparse, rows []int, target []float64) []float64 {
 	n := len(rows)
 	if n != len(target) {
@@ -243,7 +211,7 @@ func FRegressionSparseWith(eng *parallel.Engine, X *matrix.Sparse, rows []int, t
 		sydev += dy
 	}
 	// Pass 1: column sums and nonzero counts, rows in the given order
-	// (matching the dense column scan's row order over its nonzeros).
+	// (matching a dense column scan's row order over its nonzeros).
 	sx := make([]float64, d)
 	nnz := make([]int32, d)
 	for _, r := range rows {
@@ -272,7 +240,7 @@ func FRegressionSparseWith(eng *parallel.Engine, X *matrix.Sparse, rows []int, t
 		}
 	}
 	// Fold the zero entries' closed form and score; columns are
-	// independent, so this fans out like FRegressionWith.
+	// independent, so each lands in its own slot for any worker count.
 	eng.ForEachChunk(d, featureChunk, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			zeros := float64(n - int(nnz[j]))

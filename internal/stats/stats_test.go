@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"simprof/internal/matrix"
+	"simprof/internal/parallel"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -88,12 +91,14 @@ func TestFRegressionRanksInformativeFeature(t *testing.T) {
 	// Feature 0 = noise-free linear signal, feature 1 = constant,
 	// feature 2 = weakly related.
 	target := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	rows := make([][]float64, len(target))
+	b := matrix.NewSparseBuilder(3, len(target), 0)
+	rows := make([]int, len(target))
 	rng := NewRNG(7)
-	for i := range rows {
-		rows[i] = []float64{2 * target[i], 5, target[i] + 4*rng.Float64()}
+	for i, y := range target {
+		b.AppendRow([]int32{0, 1, 2}, []float64{2 * y, 5, y + 4*rng.Float64()})
+		rows[i] = i
 	}
-	scores := FRegression(rows, target)
+	scores := FRegressionSparseWith(parallel.New(1), b.Build(), rows, target)
 	if len(scores) != 3 {
 		t.Fatalf("len(scores)=%d", len(scores))
 	}

@@ -197,10 +197,18 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace: SnapshotEvery=%d must be in (0, UnitInstr=%d]",
 			t.SnapshotEvery, t.UnitInstr)
 	}
+	// Table re-interns methods by qualified name, so a name listed twice
+	// would collapse two ids into one.
+	names := make(map[string]bool, len(t.Methods))
 	for i, m := range t.Methods {
 		if int(m.ID) != i {
 			return fmt.Errorf("trace: method table not id-ordered at %d (id %d)", i, m.ID)
 		}
+		fqn := m.FQN()
+		if names[fqn] {
+			return fmt.Errorf("trace: method %q listed twice (id %d)", fqn, m.ID)
+		}
+		names[fqn] = true
 	}
 	maxSnaps := t.ExpectedSnapshots() + 1
 	for i, u := range t.Units {

@@ -28,12 +28,17 @@
 #                                            validity and the tracing
 #                                            on/off determinism contract)
 #   kernel-equivalence  pruned vs naive     (bound-pruned k-means must be
-#                                            bit-for-bit the naive kernel,
-#                                            run twice to shake out
-#                                            scratch-pool reuse; phase
-#                                            formation on a decoded bin
-#                                            trace must be bit-identical
-#                                            at workers 1/2/8)
+#                                            bit-for-bit the naive test
+#                                            oracle, run twice to shake
+#                                            out scratch-pool reuse;
+#                                            sparse F-regression matches
+#                                            the dense oracle; Phases
+#                                            accessors match full scans;
+#                                            phase formation on a decoded
+#                                            bin trace must be
+#                                            bit-identical at workers
+#                                            1/2/8; fails if a named test
+#                                            no longer exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
 #                                            torn appends, breaker trips,
 #                                            overload — typed errors, no
@@ -201,17 +206,50 @@ run_bench_gate() {
 		|| fail bench-gate
 }
 
+# equiv_tests PKG TEST...: runs the named tests of PKG twice in one
+# process (-count=2: the second round hits the warm scratch pool,
+# catching any state a kernel leaks between runs) and fails unless every
+# name passed both times. `go test -run` exits 0 when nothing matches,
+# so without the count a renamed test would silently empty the stage.
+equiv_tests() {
+	pkg=$1
+	shift
+	names=$(echo "$*" | tr ' ' '|')
+	out=$(go test -count=2 -v -run "^($names)\$" "$pkg" 2>&1)
+	status=$?
+	if [ "$status" -ne 0 ]; then
+		echo "$out"
+		return 1
+	fi
+	for name in "$@"; do
+		passes=$(echo "$out" | grep -c "^--- PASS: $name ")
+		if [ "$passes" -ne 2 ]; then
+			echo "kernel-equivalence: $pkg $name passed $passes times, want 2 (renamed or missing?)" >&2
+			return 1
+		fi
+	done
+	echo "$out" | tail -n 1
+}
+
 run_kernel_equivalence() {
-	# -count=2 runs every equivalence test twice in one process: the
-	# second round hits the warm scratch pool, catching any state the
-	# pruned kernel leaks between runs.
-	go test -run 'TestPruned|TestChooseKPruned|TestSeedingPickSequence|TestDrawWeighted|TestNearestSet|TestSimplifiedSilhouetteDense|TestPruningEffectiveness' \
-		-count=2 ./internal/cluster || fail kernel-equivalence
+	# The pruned k-means, seeding, silhouette and nearest-center kernels
+	# against the naive oracle (internal/cluster/oracle_test.go).
+	equiv_tests ./internal/cluster TestPrunedMatchesNaiveBitForBit \
+		TestPrunedMatchesNaiveProperty TestPrunedMatchesNaiveWithTelemetry \
+		TestChooseKPrunedMatchesNaive TestSeedingPickSequencePreserved \
+		TestDrawWeightedMatchesLinear \
+		TestNearestSetMatchesNearestCenter TestSimplifiedSilhouetteDenseMatches \
+		TestPruningEffectiveness || fail kernel-equivalence
+	# Sparse F-regression against the dense oracle, and the cached
+	# Phases accessors against full assignment scans.
+	equiv_tests ./internal/stats TestFRegressionSparseMatchesDense \
+		TestFRegressionSparseRowSubset || fail kernel-equivalence
+	equiv_tests ./internal/phase TestPhaseIndexAccessors || fail kernel-equivalence
 	# The chunk-parallel TopK projection inside phase.Form must produce
 	# bit-identical phases at any worker count, on both the gob and the
 	# zero-copy tracebin ingest paths.
-	go test -run 'TestFormBitIdentical|TestRoundTripGobBinGob|TestFreqMatchesVectorizeSparse' \
-		-count=2 ./internal/tracebin || fail kernel-equivalence
+	equiv_tests ./internal/tracebin TestFormBitIdentical TestRoundTripGobBinGob \
+		TestFreqMatchesVectorizeSparse || fail kernel-equivalence
 }
 
 run_chaos_smoke() {
