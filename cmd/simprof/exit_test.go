@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"simprof/internal/cli"
 	"simprof/internal/resilience"
 )
 
@@ -16,22 +17,22 @@ import (
 // buried under %w wrapping — a script must be able to branch on $?
 // no matter how deep the failure happened.
 func TestExitCodeFor(t *testing.T) {
-	fs := newFlagSet("phases")
+	fs := cli.NewFlagSet("simprof phases")
 	cases := []struct {
 		name string
 		err  error
 		want int
 	}{
 		{"nil", nil, 0},
-		{"help", errHelp, 0},
-		{"help wrapped", fmt.Errorf("parse: %w", errHelp), 0},
-		{"usage", usageErr(fs, "-trace is required"), 2},
-		{"usage wrapped", fmt.Errorf("phases: %w", usageErr(fs, "bad")), 2},
+		{"help", cli.ErrHelp, 0},
+		{"help wrapped", fmt.Errorf("parse: %w", cli.ErrHelp), 0},
+		{"usage", cli.UsageErr(fs, "-trace is required"), 2},
+		{"usage wrapped", fmt.Errorf("phases: %w", cli.UsageErr(fs, "bad")), 2},
 		{"bad input", resilience.BadInput(errors.New("not a trace")), 3},
 		{"bad input wrapped", fmt.Errorf("load: %w", resilience.BadInput(errors.New("x"))), 3},
 		{"timeout", fmt.Errorf("profile: %w", context.DeadlineExceeded), 4},
 		{"overload", fmt.Errorf("submit: %w", resilience.ErrOverload), 5},
-		{"breaker open", resilience.ErrBreakerOpen, 6},
+		{"unavailable", resilience.Unavailable(errors.New("connection refused")), 6},
 		{"draining", fmt.Errorf("refused: %w", resilience.ErrDraining), 6},
 		{"canceled", fmt.Errorf("run: %w", context.Canceled), 7},
 		{"internal", errors.New("boom"), 1},
@@ -39,24 +40,23 @@ func TestExitCodeFor(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := exitCodeFor(c.err); got != c.want {
-				t.Fatalf("exitCodeFor(%v) = %d, want %d", c.err, got, c.want)
+			if got := cli.ExitCode(c.err); got != c.want {
+				t.Fatalf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
 			}
 		})
 	}
 }
 
-// TestUsageErrMessage: moving usageErr behind the typed error must not
-// change the message contract the subcommand tests rely on.
+// TestUsageErrMessage: the shared usage error keeps the message
+// contract the subcommand tests rely on.
 func TestUsageErrMessage(t *testing.T) {
-	err := usageErr(newFlagSet("sample"), "-n must be positive, got %d", -1)
+	err := cli.UsageErr(cli.NewFlagSet("simprof sample"), "-n must be positive, got %d", -1)
 	want := "usage: simprof sample: -n must be positive, got -1 (run 'simprof sample -h' for flags)"
 	if err.Error() != want {
 		t.Fatalf("message %q, want %q", err.Error(), want)
 	}
-	var ue *usageError
-	if !errors.As(err, &ue) {
-		t.Fatal("usageErr no longer yields a *usageError")
+	if got := cli.ExitCode(err); got != 2 {
+		t.Fatalf("usage error exit code %d, want 2", got)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestLoadTraceBadInputClass(t *testing.T) {
 	if err == nil {
 		t.Fatal("garbage file decoded")
 	}
-	if got := exitCodeFor(err); got != 3 {
+	if got := cli.ExitCode(err); got != 3 {
 		t.Fatalf("garbage trace exit code %d, want 3 (bad input); err: %v", got, err)
 	}
 	if !strings.Contains(err.Error(), "load trace") {
@@ -83,7 +83,7 @@ func TestLoadTraceBadInputClass(t *testing.T) {
 	if err == nil {
 		t.Fatal("missing file loaded")
 	}
-	if got := exitCodeFor(err); got != 1 {
+	if got := cli.ExitCode(err); got != 1 {
 		t.Fatalf("missing trace exit code %d, want 1 (internal); err: %v", got, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/history"
 	"simprof/internal/obs"
 	"simprof/internal/report"
@@ -54,16 +55,16 @@ func loadBenchFile(path string) ([]history.BenchResult, error) {
 }
 
 func cmdHistoryRecord(args []string) error {
-	fs := newFlagSet("history record")
+	fs := cli.NewFlagSet("simprof history record")
 	store := fs.String("store", defaultStorePath, "history store (JSONL, appended to)")
 	manifestPath := fs.String("manifest", "", "telemetry manifest to record (written with -telemetry)")
 	benchPath := fs.String("bench", "", "benchmark results to attach (go test -json output, e.g. BENCH_pipeline.json)")
 	note := fs.String("note", "", "free-form note stored with the record")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *manifestPath == "" && *benchPath == "" {
-		return usageErr(fs, "at least one of -manifest or -bench is required")
+		return cli.UsageErr(fs, "at least one of -manifest or -bench is required")
 	}
 	var m *obs.Manifest
 	if *manifestPath != "" {
@@ -99,9 +100,9 @@ func cmdHistoryRecord(args []string) error {
 }
 
 func cmdHistoryList(args []string) error {
-	fs := newFlagSet("history list")
+	fs := cli.NewFlagSet("simprof history list")
 	store := fs.String("store", defaultStorePath, "history store (JSONL)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	recs, skipped, err := history.Open(*store).Records()
@@ -125,10 +126,10 @@ func cmdHistoryList(args []string) error {
 }
 
 func cmdHistoryShow(args []string) error {
-	fs := newFlagSet("history show")
+	fs := cli.NewFlagSet("simprof history show")
 	store := fs.String("store", defaultStorePath, "history store (JSONL)")
 	seq := fs.Int("seq", 0, "record to show (0 = last, negative counts from the end)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	r, err := history.Open(*store).Get(*seq)
@@ -156,11 +157,11 @@ func cmdHistoryShow(args []string) error {
 }
 
 func cmdHistoryDiff(args []string) error {
-	fs := newFlagSet("history diff")
+	fs := cli.NewFlagSet("simprof history diff")
 	store := fs.String("store", defaultStorePath, "history store (JSONL)")
 	aSeq := fs.Int("a", -2, "reference record (negative counts from the end)")
 	bSeq := fs.Int("b", -1, "current record")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	st := history.Open(*store)
@@ -256,7 +257,7 @@ func renderDiff(w *os.File, d *history.Diff) {
 }
 
 func cmdHistoryGate(args []string) error {
-	fs := newFlagSet("history gate")
+	fs := cli.NewFlagSet("simprof history gate")
 	baseline := fs.String("baseline", "", "baseline benchmark results (go test -json, e.g. the committed BENCH_pipeline.json)")
 	benchPath := fs.String("bench", "", "current benchmark results to gate")
 	maxSlowdown := fs.Float64("max-slowdown", history.DefaultGateOptions().MaxSlowdown,
@@ -268,18 +269,18 @@ func cmdHistoryGate(args []string) error {
 	curManifest := fs.String("cur-manifest", "", "current telemetry manifest for the SE gate (optional)")
 	maxSEInfl := fs.Float64("max-se-inflation", 0.5,
 		"allowed standard-error inflation over the baseline manifest (0 disables)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *baseline == "" {
-		return usageErr(fs, "-baseline is required")
+		return cli.UsageErr(fs, "-baseline is required")
 	}
 	if *benchPath == "" {
-		return usageErr(fs, "-bench is required")
+		return cli.UsageErr(fs, "-bench is required")
 	}
 	pb, err := history.ParsePerBench(*perBench)
 	if err != nil {
-		return usageErr(fs, "%v", err)
+		return cli.UsageErr(fs, "%v", err)
 	}
 	base, err := loadBenchFile(*baseline)
 	if err != nil {

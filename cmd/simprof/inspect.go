@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/obs"
 	"simprof/internal/obs/traceevent"
 	"simprof/internal/report"
@@ -21,15 +22,15 @@ import (
 // a newer binary, or one with sections stripped, renders what is there
 // plus a note — it never fails the whole render.
 func cmdInspect(args []string) error {
-	fs := newFlagSet("inspect")
+	fs := cli.NewFlagSet("simprof inspect")
 	path := fs.String("manifest", "", "telemetry manifest written with -telemetry")
 	metrics := fs.Bool("metrics", true, "render the metric snapshot")
 	tracePath := fs.String("trace", "", "also export the manifest as Chrome trace-event JSON (Perfetto / about://tracing) to this file")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *path == "" {
-		return usageErr(fs, "-manifest is required")
+		return cli.UsageErr(fs, "-manifest is required")
 	}
 	m, note, err := obs.ReadManifestFileLenient(*path)
 	if err != nil {

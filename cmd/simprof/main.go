@@ -29,10 +29,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
+	"simprof/internal/cli"
 	"simprof/internal/core"
 	"simprof/internal/faults"
 	"simprof/internal/phase"
@@ -78,12 +78,12 @@ func main() {
 	}
 	switch {
 	case err == nil:
-	case errors.Is(err, errHelp):
+	case errors.Is(err, cli.ErrHelp):
 		// -h on a subcommand: usage was already printed.
 	default:
 		fmt.Fprintf(os.Stderr, "simprof: %v\n", err)
 	}
-	os.Exit(exitCodeFor(err))
+	os.Exit(cli.ExitCode(err))
 }
 
 func usage() {
@@ -102,34 +102,6 @@ commands:
 run 'simprof <command> -h' for the command's flags`)
 }
 
-// errHelp marks a -h/-help parse: usage has been printed, exit clean.
-var errHelp = errors.New("help requested")
-
-// newFlagSet builds a subcommand FlagSet that reports parse errors
-// through the uniform usageErr path instead of exiting or printing on
-// its own.
-func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	return fs
-}
-
-// parseFlags parses args, turning flag errors into "usage: simprof
-// <cmd>: ..." errors and -h into a printed usage plus errHelp.
-func parseFlags(fs *flag.FlagSet, args []string) error {
-	err := fs.Parse(args)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintf(os.Stderr, "usage: simprof %s [flags]\n\nflags:\n", fs.Name())
-		fs.SetOutput(os.Stderr)
-		fs.PrintDefaults()
-		return errHelp
-	}
-	return usageErr(fs, "%v", err)
-}
-
 // validateWorkload rejects unknown -bench / -framework values up front
 // instead of failing deep inside workload construction.
 func validateWorkload(fs *flag.FlagSet, bench, fw string) error {
@@ -142,10 +114,10 @@ func validateWorkload(fs *flag.FlagSet, bench, fw string) error {
 		}
 	}
 	if !ok {
-		return usageErr(fs, "unknown -bench %q (choose from: %s)", bench, strings.Join(known, " "))
+		return cli.UsageErr(fs, "unknown -bench %q (choose from: %s)", bench, strings.Join(known, " "))
 	}
 	if fw != "spark" && fw != "hadoop" {
-		return usageErr(fs, "unknown -framework %q (spark or hadoop)", fw)
+		return cli.UsageErr(fs, "unknown -framework %q (spark or hadoop)", fw)
 	}
 	return nil
 }
@@ -153,7 +125,7 @@ func validateWorkload(fs *flag.FlagSet, bench, fw string) error {
 // validateConfidence checks a -confidence level is a proper probability.
 func validateConfidence(fs *flag.FlagSet, conf float64) error {
 	if conf <= 0 || conf >= 1 {
-		return usageErr(fs, "-confidence must be in (0,1), got %v", conf)
+		return cli.UsageErr(fs, "-confidence must be in (0,1), got %v", conf)
 	}
 	return nil
 }
@@ -172,18 +144,18 @@ func workloadFlags(fs *flag.FlagSet) (*string, *string, *uint64, *workloads.Opti
 }
 
 func cmdProfile(args []string) error {
-	fs := newFlagSet("profile")
+	fs := cli.NewFlagSet("simprof profile")
 	bench, fw, seed, opts := workloadFlags(fs)
 	out := fs.String("out", "", "output trace file")
 	format := fs.String("format", "", "trace format: "+strings.Join(trace.FormatNames(), " ")+" (default: by extension)")
 	faultSpec := fs.String("faults", "", `inject profiler faults before writing, e.g. "rate=0.05" or "drop=0.1,crash=0.02,snap=0.05" (keys: drop mux muxcov snap crash dup reorder rate)`)
 	faultSeed := fs.Uint64("faultseed", 0, "seed for the fault injector (default: derived from -seed)")
 	tel := telemetryFlagsWithTrace(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *out == "" {
-		return usageErr(fs, "-out is required")
+		return cli.UsageErr(fs, "-out is required")
 	}
 	outFormat, err := formatForOut(fs, *out, *format)
 	if err != nil {
@@ -208,7 +180,7 @@ func cmdProfile(args []string) error {
 	if *faultSpec != "" {
 		fcfg, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
-			return usageErr(fs, "%v", err)
+			return cli.UsageErr(fs, "%v", err)
 		}
 		fcfg.Seed = *faultSeed
 		if fcfg.Seed == 0 {
@@ -284,7 +256,7 @@ func formatForOut(fs *flag.FlagSet, out, format string) (string, error) {
 			return format, nil
 		}
 	}
-	return "", usageErr(fs, "unknown -format %q (have: %s)", format, strings.Join(trace.FormatNames(), " "))
+	return "", cli.UsageErr(fs, "unknown -format %q (have: %s)", format, strings.Join(trace.FormatNames(), " "))
 }
 
 // workersFlag registers the shared -workers knob: how many goroutines
@@ -306,16 +278,16 @@ func formPhases(path string, seed uint64, workers int) (*trace.Trace, *phase.Pha
 }
 
 func cmdPhases(args []string) error {
-	fs := newFlagSet("phases")
+	fs := cli.NewFlagSet("simprof phases")
 	path := fs.String("trace", "", "trace file from 'simprof profile'")
 	seed := fs.Uint64("seed", 42, "random seed")
 	workers := workersFlag(fs)
 	tel := telemetryFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *path == "" {
-		return usageErr(fs, "-trace is required")
+		return cli.UsageErr(fs, "-trace is required")
 	}
 	if err := tel.start("phases", args); err != nil {
 		return err
@@ -352,21 +324,21 @@ func cmdPhases(args []string) error {
 }
 
 func cmdSample(args []string) error {
-	fs := newFlagSet("sample")
+	fs := cli.NewFlagSet("simprof sample")
 	path := fs.String("trace", "", "trace file")
 	n := fs.Int("n", 20, "number of simulation points")
 	conf := fs.Float64("confidence", 0.997, "confidence level for the interval")
 	seed := fs.Uint64("seed", 42, "random seed")
 	workers := workersFlag(fs)
 	tel := telemetryFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *path == "" {
-		return usageErr(fs, "-trace is required")
+		return cli.UsageErr(fs, "-trace is required")
 	}
 	if *n <= 0 {
-		return usageErr(fs, "-n must be positive, got %d", *n)
+		return cli.UsageErr(fs, "-n must be positive, got %d", *n)
 	}
 	if err := validateConfidence(fs, *conf); err != nil {
 		return err
@@ -401,21 +373,21 @@ func cmdSample(args []string) error {
 }
 
 func cmdPlan(args []string) error {
-	fs := newFlagSet("plan")
+	fs := cli.NewFlagSet("simprof plan")
 	path := fs.String("trace", "", "trace file")
 	errTarget := fs.Float64("err", 0.05, "target relative CPI error")
 	conf := fs.Float64("confidence", 0.997, "confidence level")
 	seed := fs.Uint64("seed", 42, "random seed")
 	workers := workersFlag(fs)
 	tel := telemetryFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *path == "" {
-		return usageErr(fs, "-trace is required")
+		return cli.UsageErr(fs, "-trace is required")
 	}
 	if *errTarget <= 0 || *errTarget >= 1 {
-		return usageErr(fs, "-err must be in (0,1), got %v", *errTarget)
+		return cli.UsageErr(fs, "-err must be in (0,1), got %v", *errTarget)
 	}
 	if err := validateConfidence(fs, *conf); err != nil {
 		return err
@@ -441,20 +413,20 @@ func cmdPlan(args []string) error {
 }
 
 func cmdCompare(args []string) error {
-	fs := newFlagSet("compare")
+	fs := cli.NewFlagSet("simprof compare")
 	path := fs.String("trace", "", "trace file")
 	n := fs.Int("n", 20, "sample size for SRS/SimProf")
 	seed := fs.Uint64("seed", 42, "random seed")
 	workers := workersFlag(fs)
 	tel := telemetryFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *path == "" {
-		return usageErr(fs, "-trace is required")
+		return cli.UsageErr(fs, "-trace is required")
 	}
 	if *n <= 0 {
-		return usageErr(fs, "-n must be positive, got %d", *n)
+		return cli.UsageErr(fs, "-n must be positive, got %d", *n)
 	}
 	if err := tel.start("compare", args); err != nil {
 		return err
@@ -495,21 +467,21 @@ func cmdCompare(args []string) error {
 }
 
 func cmdSensitivity(args []string) error {
-	fs := newFlagSet("sensitivity")
+	fs := cli.NewFlagSet("simprof sensitivity")
 	bench := fs.String("bench", "cc", "graph benchmark: cc or rank")
 	fw := fs.String("framework", "spark", "framework: spark or hadoop")
 	scale := fs.Int("graphscale", 19, "Kronecker scale of the Table II inputs")
 	seed := fs.Uint64("seed", 42, "random seed")
 	workers := workersFlag(fs)
 	tel := telemetryFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *bench != "cc" && *bench != "rank" {
-		return usageErr(fs, "-bench must be cc or rank, got %q", *bench)
+		return cli.UsageErr(fs, "-bench must be cc or rank, got %q", *bench)
 	}
 	if *fw != "spark" && *fw != "hadoop" {
-		return usageErr(fs, "unknown -framework %q (spark or hadoop)", *fw)
+		return cli.UsageErr(fs, "unknown -framework %q (spark or hadoop)", *fw)
 	}
 	if err := tel.start("sensitivity", args); err != nil {
 		return err

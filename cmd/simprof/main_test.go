@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"simprof/internal/cli"
 	"simprof/internal/core"
 	"simprof/internal/obs"
 	"simprof/internal/obs/traceevent"
@@ -58,11 +59,11 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestHelpFlag checks -h prints usage and resolves to errHelp (exit 0),
+// TestHelpFlag checks -h prints usage and resolves to cli.ErrHelp (exit 0),
 // not a failure.
 func TestHelpFlag(t *testing.T) {
-	if err := cmdSample([]string{"-h"}); err != errHelp {
-		t.Fatalf("-h: got %v, want errHelp", err)
+	if err := cmdSample([]string{"-h"}); err != cli.ErrHelp {
+		t.Fatalf("-h: got %v, want cli.ErrHelp", err)
 	}
 }
 

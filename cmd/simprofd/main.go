@@ -1,7 +1,7 @@
 // Command simprofd serves SimProf's profiling pipeline over HTTP with
 // resilience built in: per-request deadlines, bounded-queue admission
-// with backpressure, a circuit breaker around the pipeline, retried
-// crash-safe history persistence, and graceful SIGTERM drain.
+// with backpressure, retried crash-safe history persistence, and
+// graceful SIGTERM drain.
 //
 // Subcommands:
 //
@@ -26,8 +26,7 @@
 //	GET  /v1/traces/{id}           one trace as a Chrome trace-event
 //	                               file (load in about:tracing/Perfetto)
 //	GET  /healthz                  liveness
-//	GET  /readyz                   readiness (503 while draining or
-//	                               breaker-open)
+//	GET  /readyz                   readiness (503 while draining)
 //
 // Every response carries an X-Request-Id (caller-provided or
 // generated); with -access-log the service writes one structured JSON
@@ -48,7 +47,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -58,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/obs"
 	"simprof/internal/obs/reqtrace"
 	"simprof/internal/server"
@@ -84,10 +83,10 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err != nil && !errors.Is(err, errHelp) {
+	if err != nil && !errors.Is(err, cli.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "simprofd: %v\n", err)
 	}
-	os.Exit(exitCodeFor(err))
+	os.Exit(cli.ExitCode(err))
 }
 
 func usage() {
@@ -99,31 +98,6 @@ commands:
   traces  render a running instance's retained request traces
 
 run 'simprofd <command> -h' for the command's flags`)
-}
-
-// newFlagSet builds a subcommand FlagSet that reports parse errors
-// through the uniform usageErr path instead of exiting or printing on
-// its own.
-func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	return fs
-}
-
-// parseFlags parses args, turning flag errors into "usage: simprofd
-// <cmd>: ..." errors and -h into a printed usage plus errHelp.
-func parseFlags(fs *flag.FlagSet, args []string) error {
-	err := fs.Parse(args)
-	if err == nil {
-		return nil
-	}
-	if err == flag.ErrHelp {
-		fmt.Fprintf(os.Stderr, "usage: simprofd %s [flags]\n\nflags:\n", fs.Name())
-		fs.SetOutput(os.Stderr)
-		fs.PrintDefaults()
-		return errHelp
-	}
-	return usageErr(fs, "%v", err)
 }
 
 // serveOpts is the validated serve configuration: cmdServe builds it
@@ -140,7 +114,7 @@ type serveOpts struct {
 // buildServeOpts parses and validates the serve flags without starting
 // anything, so flag mistakes fail fast with exit code 2.
 func buildServeOpts(args []string) (*serveOpts, error) {
-	fs := newFlagSet("serve")
+	fs := cli.NewFlagSet("simprofd serve")
 	addr := fs.String("addr", "localhost:7041", "listen address")
 	historyPath := fs.String("history", "simprofd-history.jsonl", "history store path ('' disables persistence)")
 	workers := fs.Int("workers", 0, "pipeline worker bound per request (0 = GOMAXPROCS)")
@@ -164,41 +138,41 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	traceSeed := fs.Uint64("trace-seed", 0x7a3e, "seed for the per-stratum retention reservoirs")
 	traceBuckets := fs.String("trace-buckets", "", "latency stratum bounds in ms, comma-separated ascending ('' = 5,25,100,500)")
 	traceStore := fs.String("trace-store", "", "durable JSONL store for admitted traces ('' keeps the sample in memory only)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return nil, usageErr(fs, "unexpected argument %q", fs.Arg(0))
+		return nil, cli.UsageErr(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if *timeout <= 0 {
-		return nil, usageErr(fs, "-timeout must be positive, got %v", *timeout)
+		return nil, cli.UsageErr(fs, "-timeout must be positive, got %v", *timeout)
 	}
 	if *drainBudget <= 0 {
-		return nil, usageErr(fs, "-drain must be positive, got %v", *drainBudget)
+		return nil, cli.UsageErr(fs, "-drain must be positive, got %v", *drainBudget)
 	}
 	if *concurrency < 1 {
-		return nil, usageErr(fs, "-concurrency must be at least 1, got %d", *concurrency)
+		return nil, cli.UsageErr(fs, "-concurrency must be at least 1, got %d", *concurrency)
 	}
 	if *workers < 0 {
-		return nil, usageErr(fs, "-workers must not be negative, got %d", *workers)
+		return nil, cli.UsageErr(fs, "-workers must not be negative, got %d", *workers)
 	}
 	if *maxBody < 1 {
-		return nil, usageErr(fs, "-max-body must be at least 1, got %d", *maxBody)
+		return nil, cli.UsageErr(fs, "-max-body must be at least 1, got %d", *maxBody)
 	}
 	if *cacheEntries < 1 {
-		return nil, usageErr(fs, "-cache-entries must be at least 1, got %d", *cacheEntries)
+		return nil, cli.UsageErr(fs, "-cache-entries must be at least 1, got %d", *cacheEntries)
 	}
 	if *cacheBytes < 1 {
-		return nil, usageErr(fs, "-cache-bytes must be at least 1, got %d", *cacheBytes)
+		return nil, cli.UsageErr(fs, "-cache-bytes must be at least 1, got %d", *cacheBytes)
 	}
 	if *batchSize < 1 {
-		return nil, usageErr(fs, "-batch-size must be at least 1, got %d", *batchSize)
+		return nil, cli.UsageErr(fs, "-batch-size must be at least 1, got %d", *batchSize)
 	}
 	if *batchWait <= 0 {
-		return nil, usageErr(fs, "-batch-wait must be positive, got %v", *batchWait)
+		return nil, cli.UsageErr(fs, "-batch-wait must be positive, got %v", *batchWait)
 	}
 	if *runtimeInterval < 0 {
-		return nil, usageErr(fs, "-runtime-interval must not be negative, got %v", *runtimeInterval)
+		return nil, cli.UsageErr(fs, "-runtime-interval must not be negative, got %v", *runtimeInterval)
 	}
 	if !*traceOn {
 		var stray string
@@ -208,23 +182,23 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 			}
 		})
 		if stray != "" {
-			return nil, usageErr(fs, "-%s requires -trace", stray)
+			return nil, cli.UsageErr(fs, "-%s requires -trace", stray)
 		}
 	}
 	var traceCfg *reqtrace.Config
 	if *traceOn {
 		if *traceBudget < 1 {
-			return nil, usageErr(fs, "-trace-budget must be at least 1, got %d", *traceBudget)
+			return nil, cli.UsageErr(fs, "-trace-budget must be at least 1, got %d", *traceBudget)
 		}
 		if *traceRing < 1 {
-			return nil, usageErr(fs, "-trace-ring must be at least 1, got %d", *traceRing)
+			return nil, cli.UsageErr(fs, "-trace-ring must be at least 1, got %d", *traceRing)
 		}
 		if *traceRebalance < 1 {
-			return nil, usageErr(fs, "-trace-rebalance must be at least 1, got %d", *traceRebalance)
+			return nil, cli.UsageErr(fs, "-trace-rebalance must be at least 1, got %d", *traceRebalance)
 		}
 		bounds, err := parseBucketBounds(*traceBuckets)
 		if err != nil {
-			return nil, usageErr(fs, "-trace-buckets: %v", err)
+			return nil, cli.UsageErr(fs, "-trace-buckets: %v", err)
 		}
 		traceCfg = &reqtrace.Config{
 			Budget:         *traceBudget,
@@ -258,7 +232,7 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	if *sloConfig != "" {
 		slo, err := server.LoadSLOConfig(*sloConfig)
 		if err != nil {
-			return nil, usageErr(fs, "-slo-config: %v", err)
+			return nil, cli.UsageErr(fs, "-slo-config: %v", err)
 		}
 		o.cfg.SLO = slo
 	}
@@ -269,7 +243,7 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	default:
 		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, usageErr(fs, "-access-log: %v", err)
+			return nil, cli.UsageErr(fs, "-access-log: %v", err)
 		}
 		o.cfg.AccessLog = f
 		o.accessLogClose = f.Close
@@ -287,7 +261,7 @@ func cmdServe(args []string) error {
 
 func serve(o *serveOpts) error {
 	// The service always records its telemetry — counters are how
-	// operators see rejections, retries and breaker flips.
+	// operators see rejections, retries and drains.
 	obs.Enable()
 
 	srv, err := server.New(o.cfg)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/obs"
 	"simprof/internal/server"
 )
@@ -54,7 +55,7 @@ func TestServeFlagValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
-			if got := exitCodeFor(err); got != 2 {
+			if got := cli.ExitCode(err); got != 2 {
 				t.Fatalf("exit code %d, want 2", got)
 			}
 			if !strings.HasPrefix(err.Error(), "usage: simprofd serve") {
@@ -76,8 +77,8 @@ func TestServeBadSLOConfigContent(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "availability") {
 		t.Fatalf("invalid availability not rejected: %v", err)
 	}
-	if exitCodeFor(err) != 2 {
-		t.Fatalf("exit code %d, want 2", exitCodeFor(err))
+	if cli.ExitCode(err) != 2 {
+		t.Fatalf("exit code %d, want 2", cli.ExitCode(err))
 	}
 }
 
@@ -163,20 +164,20 @@ func TestStatusFlagValidation(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not contain %q", err, tc.want)
 			}
-			if exitCodeFor(err) != 2 {
-				t.Fatalf("exit code %d, want 2", exitCodeFor(err))
+			if cli.ExitCode(err) != 2 {
+				t.Fatalf("exit code %d, want 2", cli.ExitCode(err))
 			}
 		})
 	}
 }
 
-// TestHelpFlag: -h prints usage and resolves to errHelp (exit 0).
+// TestHelpFlag: -h prints usage and resolves to cli.ErrHelp (exit 0).
 func TestHelpFlag(t *testing.T) {
-	if _, err := buildServeOpts([]string{"-h"}); err != errHelp {
-		t.Fatalf("serve -h: got %v, want errHelp", err)
+	if _, err := buildServeOpts([]string{"-h"}); err != cli.ErrHelp {
+		t.Fatalf("serve -h: got %v, want cli.ErrHelp", err)
 	}
-	if err := cmdStatus([]string{"-h"}); err != errHelp {
-		t.Fatalf("status -h: got %v, want errHelp", err)
+	if err := cmdStatus([]string{"-h"}); err != cli.ErrHelp {
+		t.Fatalf("status -h: got %v, want cli.ErrHelp", err)
 	}
 }
 
@@ -201,7 +202,7 @@ func TestStatusRender(t *testing.T) {
 		t.Fatalf("statusRender: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"ready:   ok", "breaker: closed", "/v1/profile", "SLO burn rates"} {
+	for _, want := range []string{"ready:   ok", "active: 0  waiting: 0", "/v1/profile", "SLO burn rates"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("status output missing %q:\n%s", want, out)
 		}
@@ -216,7 +217,7 @@ func TestStatusRenderUnreachable(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error for an unreachable daemon")
 	}
-	if got := exitCodeFor(err); got != 6 {
+	if got := cli.ExitCode(err); got != 6 {
 		t.Fatalf("exit code %d, want 6 (unavailable)", got)
 	}
 }
@@ -228,7 +229,7 @@ func TestStatusRenderDraining(t *testing.T) {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"status":"draining","breaker":"closed","active":1,"waiting":0}`))
+		w.Write([]byte(`{"status":"draining","active":1,"waiting":0}`))
 	})
 	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

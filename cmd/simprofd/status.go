@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/report"
 	"simprof/internal/resilience"
 	"simprof/internal/server"
@@ -17,17 +18,17 @@ import (
 // cmdStatus renders a running simprofd's readiness and live SLO burn
 // rates as a table — the operator's one-glance view.
 func cmdStatus(args []string) error {
-	fs := newFlagSet("status")
+	fs := cli.NewFlagSet("simprofd status")
 	addr := fs.String("addr", "localhost:7041", "simprofd address (host:port or http:// URL)")
 	timeout := fs.Duration("timeout", 5*time.Second, "request timeout")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return usageErr(fs, "unexpected argument %q", fs.Arg(0))
+		return cli.UsageErr(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if *timeout <= 0 {
-		return usageErr(fs, "-timeout must be positive, got %v", *timeout)
+		return cli.UsageErr(fs, "-timeout must be positive, got %v", *timeout)
 	}
 	base := *addr
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
@@ -39,7 +40,6 @@ func cmdStatus(args []string) error {
 // readyzBody mirrors the /readyz response.
 type readyzBody struct {
 	Status  string `json:"status"`
-	Breaker string `json:"breaker"`
 	Active  int    `json:"active"`
 	Waiting int    `json:"waiting"`
 }
@@ -63,7 +63,7 @@ func statusRender(w io.Writer, baseURL string, timeout time.Duration) error {
 
 	fmt.Fprintf(w, "simprofd %s\n", baseURL)
 	fmt.Fprintf(w, "  ready:   %s (HTTP %d)\n", ready.Status, readyStatus)
-	fmt.Fprintf(w, "  breaker: %s  active: %d  waiting: %d\n\n", ready.Breaker, ready.Active, ready.Waiting)
+	fmt.Fprintf(w, "  active: %d  waiting: %d\n\n", ready.Active, ready.Waiting)
 
 	tb := report.NewTable(fmt.Sprintf("SLO burn rates (alert > %.1f on both windows)", slo.BurnAlert),
 		"Route", "Objective", "Fast burn (5m)", "Slow burn (1h)", "Lat fast", "Lat slow", "Window p99", "Alert")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/report"
 	"simprof/internal/resilience"
 	"simprof/internal/server"
@@ -18,7 +19,7 @@ import (
 // retention engine's status (per-stratum inclusion probabilities, the
 // weighted latency estimate) and the trace listing.
 func cmdTraces(args []string) error {
-	fs := newFlagSet("traces")
+	fs := cli.NewFlagSet("simprofd traces")
 	addr := fs.String("addr", "localhost:7041", "simprofd address (host:port or http:// URL)")
 	timeout := fs.Duration("timeout", 5*time.Second, "request timeout")
 	route := fs.String("route", "", "filter: normalized route (e.g. /v1/profile)")
@@ -26,17 +27,17 @@ func cmdTraces(args []string) error {
 	bucket := fs.String("bucket", "", "filter: latency bucket label (e.g. '<5ms', '>=500ms')")
 	recent := fs.Bool("recent", false, "list the most-recent completions instead of the retained set")
 	limit := fs.Int("limit", 20, "max traces listed, newest win (0 = unlimited)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return usageErr(fs, "unexpected argument %q", fs.Arg(0))
+		return cli.UsageErr(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if *timeout <= 0 {
-		return usageErr(fs, "-timeout must be positive, got %v", *timeout)
+		return cli.UsageErr(fs, "-timeout must be positive, got %v", *timeout)
 	}
 	if *limit < 0 {
-		return usageErr(fs, "-limit must not be negative, got %d", *limit)
+		return cli.UsageErr(fs, "-limit must not be negative, got %d", *limit)
 	}
 	base := *addr
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {

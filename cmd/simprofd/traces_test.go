@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simprof/internal/cli"
 	"simprof/internal/obs"
 	"simprof/internal/obs/reqtrace"
 	"simprof/internal/server"
@@ -69,8 +70,8 @@ func TestServeTraceFlags(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not contain %q", err, tc.want)
 			}
-			if exitCodeFor(err) != 2 {
-				t.Fatalf("exit code %d, want 2", exitCodeFor(err))
+			if cli.ExitCode(err) != 2 {
+				t.Fatalf("exit code %d, want 2", cli.ExitCode(err))
 			}
 		})
 	}
@@ -94,8 +95,8 @@ func TestTracesFlagValidation(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not contain %q", err, tc.want)
 			}
-			if exitCodeFor(err) != 2 {
-				t.Fatalf("exit code %d, want 2", exitCodeFor(err))
+			if cli.ExitCode(err) != 2 {
+				t.Fatalf("exit code %d, want 2", cli.ExitCode(err))
 			}
 		})
 	}

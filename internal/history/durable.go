@@ -42,7 +42,7 @@ func (s *Store) RecoverTail() (dropped int64, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("history: recover %s: %w", s.path, err)
 	}
-	good := validPrefix(data)
+	good := validPrefix(data, nil)
 	if good == int64(len(data)) {
 		return 0, nil
 	}
@@ -67,8 +67,9 @@ func (s *Store) RecoverTail() (dropped int64, err error) {
 // ends after a committed record: every byte past it belongs to the torn
 // tail. A line counts as committed when it is newline-terminated and
 // either blank or valid JSON (json.Marshal never emits raw newlines, so
-// a committed record is always exactly one line).
-func validPrefix(data []byte) int64 {
+// a committed record is always exactly one line). visit, when non-nil,
+// receives every committed non-blank line in order.
+func validPrefix(data []byte, visit func(line []byte)) int64 {
 	var good int64
 	for off := int64(0); off < int64(len(data)); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -79,6 +80,9 @@ func validPrefix(data []byte) int64 {
 		end := off + int64(nl) + 1
 		if len(line) == 0 || json.Valid(line) {
 			good = end
+			if visit != nil && len(line) > 0 {
+				visit(line)
+			}
 		}
 		off = end
 	}

@@ -1,10 +1,16 @@
 package history
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"simprof/internal/faults"
+	"simprof/internal/obs"
 )
 
 // seedStore appends n small records durably and returns the store path
@@ -123,5 +129,95 @@ func TestDurableAppendThenRead(t *testing.T) {
 	}
 	if len(recs) != 3 || recs[2].Seq != 3 {
 		t.Fatalf("got %d records, last seq %d; want 3 records ending at seq 3", len(recs), recs[len(recs)-1].Seq)
+	}
+}
+
+// TestDurableAppendAfterTornWrite: a write that fails part-way (the
+// faults torn-write channel) leaves an unterminated fragment, and the
+// retried Append must not glue its record onto it. The acknowledged
+// record reads back by seq, survives the next RecoverTail, and the
+// store reads with no skipped line.
+func TestDurableAppendAfterTornWrite(t *testing.T) {
+	path, _ := seedStore(t, 1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _ := json.Marshal(&Record{Seq: 2, Key: "torn"})
+	w := faults.NewIO(faults.Config{TornWrite: 1, Seed: 3}).Writer(f)
+	if _, err := w.Write(append(line, '\n')); !errors.Is(err, faults.ErrTornWrite) {
+		t.Fatalf("torn writer returned %v", err)
+	}
+	f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatal("torn write left no unterminated fragment")
+	}
+
+	st := OpenDurable(path)
+	rec, err := st.Append(&Record{Key: "retried", Time: "t"})
+	if err != nil {
+		t.Fatalf("Append after torn write: %v", err)
+	}
+	if rec.Seq != 2 {
+		t.Fatalf("Append assigned seq %d, want 2", rec.Seq)
+	}
+	got, err := st.Get(2)
+	if err != nil || got.Key != "retried" {
+		t.Fatalf("Get(2) = %+v, %v; want the acknowledged record", got, err)
+	}
+	dropped, err := st.RecoverTail()
+	if err != nil || dropped != 0 {
+		t.Fatalf("RecoverTail dropped %d bytes (err %v) of an acknowledged store", dropped, err)
+	}
+	recs, skipped, err := st.Records()
+	if err != nil || skipped != 0 || len(recs) != 2 || recs[1].Key != "retried" {
+		t.Fatalf("Records: %d records, skipped=%d, err=%v; want 2 clean records", len(recs), skipped, err)
+	}
+}
+
+// BenchmarkAppend times one Append to a store holding 1000
+// simprofd-shaped profile records: the read that finds the next seq
+// dominates. The store is reset before each append, and the handle is
+// not durable, so neither growth nor fsync masks the read.
+func BenchmarkAppend(b *testing.B) {
+	rec := func() *Record {
+		m := obs.NewManifest("simprofd profile", nil)
+		m.Workload = &obs.WorkloadInfo{Benchmark: "wc", Framework: "spark", Seed: 1, Units: 1000, UnitInstr: 1e8}
+		m.Phases = &obs.PhaseInfo{K: 7, Silhouette: 0.61}
+		m.Sampling = &obs.SamplingInfo{Method: "simprof", N: 20, Confidence: 0.997,
+			EstCPI: 1.2345, SE: 0.0123, CILo: 1.2, CIHi: 1.27, SEInflation: 1}
+		r := FromManifest(m)
+		r.Note = "profile wc_spark n=20"
+		r.Time = "t"
+		return r
+	}
+	var seed []byte
+	for i := 1; i <= 1000; i++ {
+		r := rec()
+		r.Seq = i
+		line, err := json.Marshal(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seed = append(append(seed, line...), '\n')
+	}
+	path := filepath.Join(b.TempDir(), "history.jsonl")
+	st := Open(path)
+	b.SetBytes(int64(len(seed)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.WriteFile(path, seed, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		r := rec()
+		b.StartTimer()
+		if _, err := st.Append(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -160,18 +160,25 @@ func (s *Store) Get(seq int) (*Record, error) {
 }
 
 // Append assigns the record's Seq (and Time, if unset) and appends it
-// as one JSON line. The record is returned for convenience.
+// as one JSON line. The record is returned for convenience. A torn
+// tail left by an earlier failed write is cut off first (the rule
+// RecoverTail applies), so the new line starts on a line boundary
+// instead of being glued onto the fragment. Appends to one store must
+// not run concurrently.
 func (s *Store) Append(r *Record) (*Record, error) {
-	recs, _, err := s.Records()
-	if err != nil {
-		return nil, err
+	data, err := os.ReadFile(s.path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("history: read %s: %w", s.path, err)
 	}
 	maxSeq := 0
-	for _, old := range recs {
-		if old.Seq > maxSeq {
-			maxSeq = old.Seq
+	good := validPrefix(data, func(line []byte) {
+		var head struct {
+			Seq int `json:"seq"`
 		}
-	}
+		if json.Unmarshal(line, &head) == nil && head.Seq > maxSeq {
+			maxSeq = head.Seq
+		}
+	})
 	r.Seq = maxSeq + 1
 	if r.Time == "" {
 		r.Time = time.Now().UTC().Format(time.RFC3339)
@@ -185,6 +192,13 @@ func (s *Store) Append(r *Record) (*Record, error) {
 		return nil, fmt.Errorf("history: append %s: %w", s.path, err)
 	}
 	defer f.Close()
+	if torn := int64(len(data)) - good; torn > 0 {
+		if err := f.Truncate(good); err != nil {
+			return nil, fmt.Errorf("history: truncate %s to %d: %w", s.path, good, err)
+		}
+		obsTailRecovered.Inc()
+		obsTailBytes.Add(torn)
+	}
 	if _, err := f.Write(append(line, '\n')); err != nil {
 		return nil, fmt.Errorf("history: append %s: %w", s.path, err)
 	}

@@ -2,8 +2,7 @@
 // SimProf consumer) degrades gracefully on: a uniform error taxonomy
 // with HTTP-status and CLI-exit-code mappings, bounded-queue admission
 // with backpressure, retry with exponential backoff and seeded jitter,
-// a circuit breaker for repeatedly failing dependencies, and a drain
-// controller for graceful shutdown.
+// and a drain controller for graceful shutdown.
 //
 // The design rule throughout: every refusal is *typed*. A request that
 // cannot run fails with a sentinel the caller can classify — timeout,
@@ -14,15 +13,13 @@
 //
 // Determinism contract: like the rest of the repository, nothing here
 // draws from the global RNG. Retry jitter comes from a seeded
-// SplitSeed-derived stream, so a retry schedule replays bit-for-bit;
-// breakers and drains take an injectable clock for the same reason.
+// SplitSeed-derived stream, so a retry schedule replays bit-for-bit.
 package resilience
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Class partitions every pipeline and service error into the buckets
@@ -46,7 +43,7 @@ const (
 	// full. Retrying after backoff is expected to succeed.
 	ClassOverload
 	// ClassUnavailable: the service is refusing work for its own health
-	// (circuit open, draining for shutdown). Retry later.
+	// (draining for shutdown) or cannot reach a dependency. Retry later.
 	ClassUnavailable
 	// ClassCanceled: the caller abandoned the work
 	// (context.Canceled anywhere in the chain).
@@ -79,9 +76,6 @@ func (c Class) String() string {
 var (
 	// ErrOverload: a bounded queue was full — backpressure, not failure.
 	ErrOverload = errors.New("resilience: overloaded, queue full")
-	// ErrBreakerOpen: the circuit breaker is open; the dependency it
-	// guards has been failing and calls are refused during cooldown.
-	ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 	// ErrDraining: the service is shutting down and not accepting work.
 	ErrDraining = errors.New("resilience: draining for shutdown")
 	// ErrBadInput marks caller-at-fault errors; wrap with BadInput.
@@ -121,8 +115,7 @@ func Classify(err error) Class {
 		return ClassBadInput
 	case errors.Is(err, ErrOverload):
 		return ClassOverload
-	case errors.Is(err, ErrBreakerOpen), errors.Is(err, ErrDraining),
-		errors.Is(err, ErrUnavailable):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrUnavailable):
 		return ClassUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return ClassTimeout
@@ -189,15 +182,4 @@ func Retryable(err error) bool {
 	default:
 		return false
 	}
-}
-
-// clock is the injectable time source breakers and drains use so the
-// chaos suite can step time deterministically.
-type clock func() time.Time
-
-func (c clock) now() time.Time {
-	if c == nil {
-		return time.Now()
-	}
-	return c()
 }

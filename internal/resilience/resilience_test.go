@@ -22,7 +22,7 @@ func TestClassify(t *testing.T) {
 		{"nil", nil, ClassOK, 200, 0},
 		{"overload", ErrOverload, ClassOverload, 429, 5},
 		{"overload-wrapped", wrap(ErrOverload), ClassOverload, 429, 5},
-		{"breaker", ErrBreakerOpen, ClassUnavailable, 503, 6},
+		{"unavailable", wrap(Unavailable(errors.New("connection refused"))), ClassUnavailable, 503, 6},
 		{"draining", wrap(ErrDraining), ClassUnavailable, 503, 6},
 		{"deadline", context.DeadlineExceeded, ClassTimeout, 504, 4},
 		{"deadline-wrapped", wrap(context.DeadlineExceeded), ClassTimeout, 504, 4},
@@ -177,71 +177,6 @@ func TestRetryCanceledMidBackoff(t *testing.T) {
 	}
 	if !errors.Is(err, root) {
 		t.Fatalf("root cause lost: %v", err)
-	}
-}
-
-// TestBreakerLifecycle drives closed → open → half-open → closed with
-// a stepped clock.
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Minute, Probes: 2,
-		Now: func() time.Time { return now }})
-
-	for i := 0; i < 2; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker refused: %v", err)
-		}
-		b.Record(true)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v before threshold, want closed", b.State())
-	}
-	b.Record(true) // third consecutive failure
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v after threshold, want open", b.State())
-	}
-	err := b.Allow()
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker returned %v, want ErrBreakerOpen", err)
-	}
-	if Classify(err) != ClassUnavailable {
-		t.Fatalf("class = %v, want unavailable", Classify(err))
-	}
-	if ra := b.RetryAfter(); ra != time.Minute {
-		t.Fatalf("RetryAfter = %v, want full cooldown", ra)
-	}
-
-	// Cooldown elapses → half-open, admitting exactly Probes calls.
-	now = now.Add(time.Minute)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v after cooldown, want half-open", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe 1 refused: %v", err)
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe 2 refused: %v", err)
-	}
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("probe 3 should be refused, got %v", err)
-	}
-	b.Record(false)
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v after successful probes, want closed", b.State())
-	}
-
-	// A half-open failure re-opens immediately.
-	for i := 0; i < 3; i++ {
-		b.Record(true)
-	}
-	now = now.Add(time.Minute)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	b.Record(true)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v after failed probe, want open", b.State())
 	}
 }
 

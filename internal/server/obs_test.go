@@ -290,7 +290,7 @@ func getSLO(t testing.TB, base string) RouteSLO {
 func TestChaosSLOBurnUnderFailure(t *testing.T) {
 	leakCheck(t)
 	withObs(t)
-	srv, ts := newTestServer(t, Config{Breaker: breakerCfg(100)})
+	srv, ts := newTestServer(t, Config{})
 	var failing atomic.Bool
 	failing.Store(true)
 	srv.profileFn = func(ctx context.Context, data []byte, n int, seed uint64) (*profileOutcome, error) {

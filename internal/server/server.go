@@ -11,8 +11,6 @@
 //     Retry-After, not unbounded latency;
 //   - transient history-store failures are retried with seeded
 //     exponential backoff;
-//   - a circuit breaker around the profile pipeline sheds load when
-//     the pipeline itself is failing (not when clients send garbage);
 //   - SIGTERM drains: new work is refused with 503 while in-flight
 //     requests finish inside the drain budget.
 //
@@ -84,11 +82,6 @@ type Config struct {
 	// Timeout is the per-request deadline (default 30s). The handler
 	// context carries it; pipeline work stops when it fires.
 	Timeout time.Duration
-	// Breaker wraps the profile pipeline (defaults per BreakerConfig).
-	Breaker resilience.BreakerConfig
-	// Retry is the store-append retry policy. Zero value means a
-	// sensible default (3 attempts, 10ms base, jittered).
-	Retry resilience.Retry
 	// MaxBodyBytes caps trace uploads (default 64 MiB).
 	MaxBodyBytes int64
 	// AccessLog receives one structured JSON line per finished request
@@ -139,14 +132,15 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
-	if c.Retry.Attempts == 0 {
-		c.Retry = resilience.Retry{Attempts: 3, Base: 10 * time.Millisecond, Jitter: 0.5, Seed: 0x51dd}
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
 	return c
 }
+
+// appendRetry is the history-append retry policy: a failed append is
+// retried twice with jittered backoff before the request fails.
+var appendRetry = resilience.Retry{Attempts: 3, Base: 10 * time.Millisecond, Jitter: 0.5, Seed: 0x51dd}
 
 // profileOutcome is what the profile pipeline hands back for one
 // upload.
@@ -193,7 +187,6 @@ type profileResult struct {
 type Server struct {
 	cfg   Config
 	store *history.Store
-	brk   *resilience.Breaker
 	adm   *resilience.Admission
 	drain *resilience.Drain
 	mux   *http.ServeMux
@@ -234,7 +227,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   c,
-		brk:   resilience.NewBreaker(c.Breaker),
 		adm:   resilience.NewAdmission(c.Concurrency, c.Queue),
 		drain: resilience.NewDrain(),
 		slo:   newSLOTracker(c.SLO, nil),
@@ -479,7 +471,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		st.class = class
 	}
 	obsErrorsByClass.With(class.String(), route).Inc()
-	if ra := s.retryAfter(err); ra > 0 {
+	if ra := retryAfter(err); ra > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds()+1)))
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -487,17 +479,11 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error(), Class: class.String()})
 }
 
-// retryAfter picks the Retry-After hint for a refusal: the breaker's
-// remaining cooldown when it is the refuser, one second for queue
-// overload and draining (retry against a peer or after the drain).
-func (s *Server) retryAfter(err error) time.Duration {
-	switch {
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		if ra := s.brk.RetryAfter(); ra > 0 {
-			return ra
-		}
-		return time.Second
-	case errors.Is(err, resilience.ErrOverload), errors.Is(err, resilience.ErrDraining):
+// retryAfter picks the Retry-After hint for a refusal: one second for
+// queue overload and draining (retry against a peer or after the
+// drain), none otherwise.
+func retryAfter(err error) time.Duration {
+	if errors.Is(err, resilience.ErrOverload) || errors.Is(err, resilience.ErrDraining) {
 		return time.Second
 	}
 	return 0
@@ -592,7 +578,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 // execProfile runs one deduplicated flight on a batch-flush goroutine:
-// breaker gate → pipeline → retried, fsynced history append. ctx is
+// pipeline → retried, fsynced history append. ctx is
 // the flight context (alive until the last waiting request leaves).
 // The leader's batch.do span goes onto it, so the pipeline's spans land
 // in that request's tree.
@@ -600,20 +586,10 @@ func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePaylo
 	ctx, span := obs.StartSpan(obs.ContextWithSpan(ctx, p.span), "batch.exec")
 	defer span.End()
 
-	if err := s.brk.Allow(); err != nil {
-		return profileResult{}, err
-	}
 	out, err := s.runProfile(ctx, p.data, p.n, p.seed)
 	if err != nil {
-		class := resilience.Classify(err)
-		// The breaker guards the pipeline: internal faults and pipeline
-		// timeouts count, caller-at-fault classes must not (a flood of
-		// malformed uploads would otherwise take the service down for
-		// well-behaved clients too).
-		s.brk.Record(class == resilience.ClassInternal || class == resilience.ClassTimeout)
 		return profileResult{}, err
 	}
-	s.brk.Record(false)
 
 	resp := ProfileResponse{
 		Units:      len(out.Trace.Units),
@@ -762,7 +738,7 @@ func (s *Server) persist(ctx context.Context, out *profileOutcome, n int, seed u
 	rec.Note = fmt.Sprintf("profile %s_%s n=%d", out.Trace.Benchmark, out.Trace.Framework, n)
 
 	var saved *history.Record
-	err := s.cfg.Retry.Do(ctx, nil, func(context.Context) error {
+	err := appendRetry.Do(ctx, nil, func(context.Context) error {
 		var err error
 		saved, err = s.append(rec)
 		return err
@@ -866,27 +842,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz: readiness — refuses while draining or while the
-// pipeline breaker is open, so load balancers steer traffic away
-// before requests fail.
+// handleReadyz: readiness — refuses while draining, so load balancers
+// steer traffic away before requests fail.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	active, waiting := s.adm.Depth()
 	body := map[string]any{
-		"breaker": s.brk.State().String(),
 		"active":  active,
 		"waiting": waiting,
 	}
-	switch {
-	case s.drain.Draining():
+	if s.drain.Draining() {
 		body["status"] = "draining"
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, body)
-	case s.brk.State() == resilience.BreakerOpen:
-		body["status"] = "breaker-open"
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.brk.RetryAfter().Seconds()+1)))
-		writeJSON(w, http.StatusServiceUnavailable, body)
-	default:
-		body["status"] = "ok"
-		writeJSON(w, http.StatusOK, body)
+		return
 	}
+	body["status"] = "ok"
+	writeJSON(w, http.StatusOK, body)
 }

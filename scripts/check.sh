@@ -40,7 +40,8 @@
 #                                            1/2/8; fails if a named test
 #                                            no longer exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
-#                                            torn appends, breaker trips,
+#                                            torn appends, internal
+#                                            failures, expired deadlines,
 #                                            overload — typed errors, no
 #                                            leaks, no store corruption;
 #                                            runs under -race plus the
@@ -255,10 +256,10 @@ run_kernel_equivalence() {
 run_chaos_smoke() {
 	# The resilience contract under injected faults, always with the race
 	# detector on: the chaos suite (internal/server TestChaos*) plus the
-	# primitives it leans on — the taxonomy/retry/breaker/admission/drain
-	# unit tests, crash-recovery property tests for the history store, the
-	# I/O fault channels, and the cancellation tests for the parallel
-	# engine.
+	# primitives it leans on — the taxonomy/retry/admission/drain unit
+	# tests, crash-recovery tests for the history store (torn-tail recovery
+	# and appends after a torn write), the I/O fault channels, and the
+	# cancellation tests for the parallel engine.
 	go test -race -count=1 -run 'TestChaos' ./internal/server || fail chaos-smoke
 	go test -race -count=1 -run 'TestChaos|TestPersist' ./internal/obs/reqtrace || fail chaos-smoke
 	go test -race -count=1 ./internal/resilience ./internal/faults || fail chaos-smoke
