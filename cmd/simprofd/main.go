@@ -38,8 +38,8 @@
 // X-Simprof-Cache saying how they were produced — miss (computed),
 // hit (served from the content-hash result cache, tune with
 // -cache-entries/-cache-bytes), or coalesced (shared a concurrent
-// identical request's execution). Distinct requests batch into flush
-// passes (-batch-size/-batch-wait).
+// identical request's execution). Distinct requests each start their
+// own execution as soon as an admission slot frees.
 package main
 
 import (
@@ -124,8 +124,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	maxBody := fs.Int64("max-body", 64<<20, "trace upload size limit in bytes (oversize uploads are refused as bad_input)")
 	cacheEntries := fs.Int("cache-entries", 512, "content-hash result cache entry bound")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "content-hash result cache resident-byte bound")
-	batchSize := fs.Int("batch-size", 8, "distinct profile requests per batch flush")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time a batched request waits for the flush under load")
 	drainBudget := fs.Duration("drain", 20*time.Second, "graceful-shutdown budget for in-flight requests")
 	sloConfig := fs.String("slo-config", "", "JSON SLO objectives file ('' selects the built-in defaults)")
 	accessLog := fs.String("access-log", "", "access-log destination: '' disables, '-' is stdout, else a file appended to")
@@ -164,12 +162,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	}
 	if *cacheBytes < 1 {
 		return nil, cli.UsageErr(fs, "-cache-bytes must be at least 1, got %d", *cacheBytes)
-	}
-	if *batchSize < 1 {
-		return nil, cli.UsageErr(fs, "-batch-size must be at least 1, got %d", *batchSize)
-	}
-	if *batchWait <= 0 {
-		return nil, cli.UsageErr(fs, "-batch-wait must be positive, got %v", *batchWait)
 	}
 	if *runtimeInterval < 0 {
 		return nil, cli.UsageErr(fs, "-runtime-interval must not be negative, got %v", *runtimeInterval)
@@ -221,8 +213,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 			MaxBodyBytes:    *maxBody,
 			CacheEntries:    *cacheEntries,
 			CacheBytes:      *cacheBytes,
-			BatchSize:       *batchSize,
-			BatchWait:       *batchWait,
 			RuntimeInterval: *runtimeInterval,
 			RequestIDSeed:   *requestIDSeed,
 			Trace:           traceCfg,

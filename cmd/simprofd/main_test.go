@@ -38,11 +38,13 @@ func TestServeFlagValidation(t *testing.T) {
 		{"bad-neg-cache-entries", []string{"-cache-entries", "-2"}, "-cache-entries must be at least 1"},
 		{"neg-one-cache-entries", []string{"-cache-entries", "-1"}, "-cache-entries must be at least 1"},
 		{"zero-cache-bytes", []string{"-cache-bytes", "0"}, "-cache-bytes must be at least 1"},
-		{"zero-batch-size", []string{"-batch-size", "0"}, "-batch-size must be at least 1"},
-		{"bad-neg-batch-size", []string{"-batch-size", "-8"}, "-batch-size must be at least 1"},
-		{"neg-one-batch-size", []string{"-batch-size", "-1"}, "-batch-size must be at least 1"},
-		{"zero-batch-wait", []string{"-batch-wait", "0"}, "-batch-wait must be positive"},
-		{"neg-batch-wait", []string{"-batch-wait", "-1ms"}, "-batch-wait must be positive"},
+		// Retired flags are usage errors, so a script still passing
+		// them fails loudly instead of being silently ignored.
+		{"zero-batch-size", []string{"-batch-size", "0"}, "flag provided but not defined: -batch-size"},
+		{"bad-neg-batch-size", []string{"-batch-size", "-8"}, "flag provided but not defined: -batch-size"},
+		{"neg-one-batch-size", []string{"-batch-size", "-1"}, "flag provided but not defined: -batch-size"},
+		{"zero-batch-wait", []string{"-batch-wait", "0"}, "flag provided but not defined: -batch-wait"},
+		{"neg-batch-wait", []string{"-batch-wait", "-1ms"}, "flag provided but not defined: -batch-wait"},
 		{"missing-slo-config", []string{"-slo-config", "/nonexistent/slo.json"}, "-slo-config"},
 		{"bad-access-log-dir", []string{"-access-log", "/nonexistent/dir/access.log"}, "-access-log"},
 	}
@@ -117,8 +119,8 @@ func TestServeGoodFlags(t *testing.T) {
 	}
 }
 
-// TestServeBatchFlags: the cache/batch/body knobs and the -workers
-// bound land in the server config.
+// TestServeBatchFlags: the batch layer's cache bounds, the body limit
+// and the -workers bound land in the server config.
 func TestServeBatchFlags(t *testing.T) {
 	o, err := buildServeOpts([]string{
 		"-history", "",
@@ -126,8 +128,6 @@ func TestServeBatchFlags(t *testing.T) {
 		"-max-body", "1048576",
 		"-cache-entries", "64",
 		"-cache-bytes", "8388608",
-		"-batch-size", "16",
-		"-batch-wait", "5ms",
 	})
 	if err != nil {
 		t.Fatalf("buildServeOpts: %v", err)
@@ -140,9 +140,6 @@ func TestServeBatchFlags(t *testing.T) {
 	}
 	if o.cfg.CacheEntries != 64 || o.cfg.CacheBytes != 8<<20 {
 		t.Fatalf("cache bounds = (%d, %d), want (64, %d)", o.cfg.CacheEntries, o.cfg.CacheBytes, 8<<20)
-	}
-	if o.cfg.BatchSize != 16 || o.cfg.BatchWait != 5*time.Millisecond {
-		t.Fatalf("batch knobs = (%d, %v), want (16, 5ms)", o.cfg.BatchSize, o.cfg.BatchWait)
 	}
 }
 

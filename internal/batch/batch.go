@@ -1,12 +1,11 @@
-// Package batch is simprofd's high-throughput request path: a
-// content-keyed result cache, singleflight coalescing of identical
-// in-flight requests, and a bounded batcher that flushes enqueued
-// distinct requests into a single worker-pool pass.
+// Package batch is simprofd's deduplicated profile path: a
+// content-keyed result cache in front of singleflight coalescing of
+// identical in-flight requests, with admission claimed on arrival.
 //
 // The observation driving it is the paper's own: analytic workloads
 // are massively redundant, so at fleet scale most profile uploads are
-// byte-identical to one the service has already processed. The three
-// layers exploit that redundancy at three timescales:
+// byte-identical to one the service has already processed. Two layers
+// exploit that redundancy at two timescales:
 //
 //   - the Cache answers repeats of *completed* work in microseconds
 //     (bounded by entries and resident bytes, LRU beyond that);
@@ -14,20 +13,20 @@
 //     execution, every waiter shares the result. Each waiter keeps its
 //     own context — a canceled leader hands the flight off to the
 //     surviving followers, and the flight's execution context cancels
-//     only when the last waiter has left;
-//   - the Batcher absorbs *bursts* of distinct work: items flush as
-//     one pass when the batch fills (MaxBatch), when the oldest item
-//     has waited MaxWait, or immediately when the group is idle (no
-//     batching latency on an unloaded service).
+//     only when the last waiter has left.
 //
-// Admission composes at enqueue: Config.Admit runs before an item can
-// sit in a batch, so an overloaded service refuses (429) immediately
-// instead of timing requests out mid-flush.
+// Distinct requests share no work, so they are not grouped: a new
+// flight starts its goroutine at once, which waits for an execution
+// slot (Ticket.Start), runs Exec, releases the slot, caches a success
+// and commits the result to every waiter.
 //
-// Determinism contract: batching and caching change *when and how
-// often* Exec runs, never what it returns — callers get bit-identical
-// results batched or unbatched, cached or computed, which the server's
-// determinism suite enforces.
+// Admission composes on arrival: Config.Admit runs under the group
+// lock before a flight exists, so an overloaded service refuses (429)
+// immediately instead of timing requests out later.
+//
+// Determinism contract: caching and coalescing change *how often* Exec
+// runs, never what it returns — callers get bit-identical results
+// cached or computed, which the server's determinism suite enforces.
 package batch
 
 import (
@@ -47,12 +46,8 @@ var (
 		"requests that joined an identical in-flight execution")
 	obsFlights = obs.NewCounter("batch.flights",
 		"deduplicated executions started (one per distinct in-flight key)")
-	obsFlushes = obs.NewCounter("batch.flushes",
-		"batch flush passes")
-	obsFlushSize = obs.NewHistogram("batch.flush_size",
-		"items per flush pass", 1, 2, 4, 8, 16, 32, 64)
 	obsStageSeconds = obs.NewHistogramVec("batch.stage_seconds",
-		"batching stage timings: enqueue_wait (enqueue to flush), exec (pipeline execution), commit (flush to completed result)",
+		"flight stage timings: enqueue_wait (admission to execution slot), exec (pipeline execution)",
 		[]string{"stage"},
 		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5)
 )
@@ -83,18 +78,15 @@ func (s Source) String() string {
 }
 
 // Result is the per-request bookkeeping Do returns beside the value:
-// where the result came from and, for executed flights, the batching
-// timeline (enqueue→flush wait, execution time, flush→commit total,
-// and how many items shared the flush pass).
+// where the result came from and, for executed flights, how long the
+// flight waited for an execution slot and how long Exec ran.
 type Result struct {
 	Source      Source
-	EnqueueWait time.Duration // enqueue → flush (zero for cache hits)
+	EnqueueWait time.Duration // admission → Ticket.Start returned (zero for cache hits)
 	Exec        time.Duration // Exec call duration
-	Commit      time.Duration // flush → result committed
-	BatchSize   int           // items in the flush pass (0 for cache hits)
 }
 
-// Ticket is the admission handle an item holds from enqueue to
+// Ticket is the admission handle a flight holds from arrival to
 // completion. resilience.Admission's *Ticket satisfies it: Start
 // blocks until an execution slot frees, Done releases it.
 type Ticket interface {
@@ -104,15 +96,8 @@ type Ticket interface {
 
 // Config tunes a Group.
 type Config[K comparable, P, V any] struct {
-	// MaxBatch flushes a batch when it holds this many distinct items
-	// (default 8).
-	MaxBatch int
-	// MaxWait flushes a non-empty batch this long after its first item
-	// enqueued (default 2ms). The wait only applies under load: an
-	// idle group flushes immediately.
-	MaxWait time.Duration
-	// Exec runs one item. ctx is the flight context: it cancels only
-	// when every request waiting on the item has left, so a canceled
+	// Exec runs one flight. ctx is the flight context: it cancels only
+	// when every request waiting on the flight has left, so a canceled
 	// leader with live followers does not abort the work.
 	Exec func(ctx context.Context, key K, payload P) (V, error)
 	// Size estimates a successful result's resident bytes for the
@@ -121,36 +106,18 @@ type Config[K comparable, P, V any] struct {
 	// Cache, when non-nil, memoizes successful results by key. Errors
 	// are never cached.
 	Cache *Cache[K, V]
-	// Admit gates enqueue: it must claim capacity without blocking or
-	// refuse with a typed error that Do returns verbatim. nil admits
+	// Admit gates new flights: it must claim capacity without blocking
+	// or refuse with a typed error that Do returns verbatim. nil admits
 	// everything.
 	Admit func() (Ticket, error)
-	// Clock stamps the batching timeline (injectable for tests). The
-	// MaxWait flush itself rides a real timer regardless.
-	Clock func() time.Time
 }
 
-// item is one enqueued distinct request.
-type item[K comparable, P, V any] struct {
-	key       K
-	payload   P
-	fl        *flight[V]
-	ticket    Ticket
-	enqueued  time.Time
-	flushed   time.Time
-	batchSize int
-}
-
-// Group composes the cache, the flights and the batcher over one Exec.
+// Group composes the cache and the flights over one Exec.
 type Group[K comparable, P, V any] struct {
 	cfg Config[K, P, V]
 
 	mu      sync.Mutex
 	flights map[K]*flight[V]
-	pending []*item[K, P, V]
-	timer   *time.Timer
-	running int // items currently executing (flushed, not yet committed)
-	stopped bool
 }
 
 // NewGroup builds a Group. Exec is required.
@@ -158,26 +125,13 @@ func NewGroup[K comparable, P, V any](cfg Config[K, P, V]) *Group[K, P, V] {
 	if cfg.Exec == nil {
 		panic("batch: Config.Exec is required")
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
 	return &Group[K, P, V]{cfg: cfg, flights: map[K]*flight[V]{}}
 }
 
-func (g *Group[K, P, V]) now() time.Time {
-	if g.cfg.Clock != nil {
-		return g.cfg.Clock()
-	}
-	return time.Now()
-}
-
 // Do resolves one request: cache hit, join of an identical in-flight
-// request, or a new admitted-batched-executed flight. ctx bounds only
-// this caller's wait — abandoning a shared flight leaves it running
-// for the other waiters.
+// request, or a new admitted flight. ctx bounds only this caller's
+// wait — abandoning a shared flight leaves it running for the other
+// waiters.
 func (g *Group[K, P, V]) Do(ctx context.Context, key K, payload P) (V, Result, error) {
 	var zero V
 	if g.cfg.Cache != nil {
@@ -205,8 +159,8 @@ func (g *Group[K, P, V]) Do(ctx context.Context, key K, payload P) (V, Result, e
 		}
 	}
 
-	// New flight. Admission happens now — at enqueue — so overload is
-	// refused before the item can sit in a batch.
+	// New flight. Admission happens now, on arrival, so overload is
+	// refused before any work is queued.
 	var ticket Ticket
 	if g.cfg.Admit != nil {
 		t, err := g.cfg.Admit()
@@ -219,97 +173,38 @@ func (g *Group[K, P, V]) Do(ctx context.Context, key K, payload P) (V, Result, e
 	fctx, cancel := context.WithCancel(context.Background())
 	fl := &flight[V]{done: make(chan struct{}), ctx: fctx, cancel: cancel, refs: 1}
 	g.flights[key] = fl
-	it := &item[K, P, V]{key: key, payload: payload, fl: fl, ticket: ticket, enqueued: g.now()}
-	g.enqueueLocked(it)
 	g.mu.Unlock()
 	obsFlights.Inc()
+	go g.run(key, payload, fl, ticket, time.Now())
 	return g.wait(ctx, fl, Miss)
 }
 
-// enqueueLocked appends the item and applies the flush rules: size
-// (MaxBatch), deadline (MaxWait from the first pending item), and the
-// idle fast path (nothing executing → flush now; waiting could not
-// improve batching and would only add latency).
-func (g *Group[K, P, V]) enqueueLocked(it *item[K, P, V]) {
-	g.pending = append(g.pending, it)
-	switch {
-	case len(g.pending) >= g.cfg.MaxBatch || g.stopped:
-		g.flushLocked()
-	case len(g.pending) == 1:
-		if g.running == 0 {
-			g.flushLocked()
-		} else {
-			g.timer = time.AfterFunc(g.cfg.MaxWait, g.flushTimer)
-		}
-	}
-}
-
-// flushTimer is the MaxWait deadline firing.
-func (g *Group[K, P, V]) flushTimer() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.flushLocked()
-}
-
-// flushLocked dispatches the pending batch as one pass: every item
-// gets a goroutine whose execution slot comes from its admission
-// ticket, so the pass's concurrency is bounded by the admission gate's
-// workers while queued items drain as slots free.
-func (g *Group[K, P, V]) flushLocked() {
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
-	}
-	batch := g.pending
-	g.pending = nil
-	if len(batch) == 0 {
-		return
-	}
-	g.running += len(batch)
-	obsFlushes.Inc()
-	obsFlushSize.Observe(float64(len(batch)))
-	now := g.now()
-	for _, it := range batch {
-		it.flushed = now
-		it.batchSize = len(batch)
-		go g.runItem(it)
-	}
-}
-
-// runItem executes one flushed item and commits its flight.
-func (g *Group[K, P, V]) runItem(it *item[K, P, V]) {
-	fl := it.fl
-	res := Result{
-		Source:      Miss,
-		EnqueueWait: it.flushed.Sub(it.enqueued),
-		BatchSize:   it.batchSize,
-	}
-	obsStageSeconds.With("enqueue_wait").Observe(res.EnqueueWait.Seconds())
-
+// run executes one flight and commits it: wait for the execution slot,
+// Exec, release the slot, cache a success, publish to every waiter.
+func (g *Group[K, P, V]) run(key K, payload P, fl *flight[V], ticket Ticket, enqueued time.Time) {
 	var v V
 	var err error
-	if it.ticket != nil {
-		err = it.ticket.Start(fl.ctx)
+	if ticket != nil {
+		err = ticket.Start(fl.ctx)
 	}
+	res := Result{Source: Miss, EnqueueWait: time.Since(enqueued)}
+	obsStageSeconds.With("enqueue_wait").Observe(res.EnqueueWait.Seconds())
 	if err == nil {
-		execStart := g.now()
-		v, err = g.cfg.Exec(fl.ctx, it.key, it.payload)
-		res.Exec = g.now().Sub(execStart)
+		execStart := time.Now()
+		v, err = g.cfg.Exec(fl.ctx, key, payload)
+		res.Exec = time.Since(execStart)
 		obsStageSeconds.With("exec").Observe(res.Exec.Seconds())
 	}
-	if it.ticket != nil {
-		it.ticket.Done()
+	if ticket != nil {
+		ticket.Done()
 	}
 	if err == nil && g.cfg.Cache != nil {
-		g.cfg.Cache.Put(it.key, v, g.sizeOf(v))
+		g.cfg.Cache.Put(key, v, g.sizeOf(v))
 	}
-	res.Commit = g.now().Sub(it.flushed)
-	obsStageSeconds.With("commit").Observe(res.Commit.Seconds())
 
 	g.mu.Lock()
-	g.running--
-	if g.flights[it.key] == fl {
-		delete(g.flights, it.key)
+	if g.flights[key] == fl {
+		delete(g.flights, key)
 	}
 	g.mu.Unlock()
 	fl.commit(v, err, res)
@@ -348,25 +243,13 @@ func (g *Group[K, P, V]) leave(fl *flight[V]) {
 	}
 }
 
-// Stats reports the group's live state: distinct in-flight keys, the
-// total requests waiting on them, items pending flush, and items
-// executing. For health endpoints and tests.
-func (g *Group[K, P, V]) Stats() (flights, waiters, pending, running int) {
+// Stats reports the group's live state: distinct in-flight keys and
+// the total requests waiting on them. For health endpoints and tests.
+func (g *Group[K, P, V]) Stats() (flights, waiters int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, fl := range g.flights {
 		waiters += fl.refs
 	}
-	return len(g.flights), waiters, len(g.pending), g.running
-}
-
-// Stop flushes any pending batch immediately and puts the group in
-// flush-through mode (every later enqueue dispatches at once), so no
-// waiter can hang on a timer that will never matter again. In-flight
-// executions finish normally. Safe to call more than once.
-func (g *Group[K, P, V]) Stop() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.stopped = true
-	g.flushLocked()
+	return len(g.flights), waiters
 }

@@ -23,32 +23,40 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for %s", msg)
 }
 
-func TestIdleFastPathExecutesImmediately(t *testing.T) {
-	g := NewGroup(Config[string, int, int]{
-		MaxWait: time.Hour, // the idle fast path must not wait for this
-		Exec: func(ctx context.Context, key string, p int) (int, error) {
+// TestNewFlightStartsAtOnce: a distinct key executes as soon as Do is
+// called, even while another flight is still running — nothing holds
+// a new flight back to group it with others.
+func TestNewFlightStartsAtOnce(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	var execs atomic.Int64
+	g := NewGroup(Config[int, int, int]{
+		Exec: func(ctx context.Context, key int, p int) (int, error) {
+			execs.Add(1)
+			if key == 0 { // the blocker that keeps the group busy
+				<-block
+			}
 			return p * 2, nil
 		},
 	})
-	defer g.Stop()
+	go g.Do(context.Background(), 0, 0)
+	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
+
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, res, err := g.Do(context.Background(), "k", 21)
+		v, res, err := g.Do(context.Background(), 1, 21)
 		if err != nil || v != 42 {
 			t.Errorf("Do = (%d, %v), want (42, nil)", v, err)
 		}
 		if res.Source != Miss {
 			t.Errorf("Source = %v, want Miss", res.Source)
 		}
-		if res.BatchSize != 1 {
-			t.Errorf("BatchSize = %d, want 1", res.BatchSize)
-		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("idle Do did not complete promptly despite MaxWait=1h")
+		t.Fatal("a distinct key waited behind a running flight")
 	}
 }
 
@@ -64,7 +72,6 @@ func TestCoalesceSharesOneExec(t *testing.T) {
 			return p + 1, nil
 		},
 	})
-	defer g.Stop()
 
 	results := make(chan Source, 3)
 	var wg sync.WaitGroup
@@ -125,7 +132,6 @@ func TestLeaderCancelHandsOffToFollower(t *testing.T) {
 			}
 		},
 	})
-	defer g.Stop()
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
@@ -180,7 +186,6 @@ func TestAllWaitersGoneCancelsFlight(t *testing.T) {
 			return 0, ctx.Err()
 		},
 	})
-	defer g.Stop()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go g.Do(ctx, "k", 0)
@@ -206,7 +211,6 @@ func TestCacheHitSkipsExec(t *testing.T) {
 			return fmt.Sprintf("v%d", p), nil
 		},
 	})
-	defer g.Stop()
 
 	v1, res1, err := g.Do(context.Background(), "k", 5)
 	if err != nil || res1.Source != Miss {
@@ -236,7 +240,6 @@ func TestErrorsAreNotCached(t *testing.T) {
 			return 9, nil
 		},
 	})
-	defer g.Stop()
 
 	if _, _, err := g.Do(context.Background(), "k", 0); !errors.Is(err, boom) {
 		t.Fatalf("first Do err = %v, want boom", err)
@@ -247,84 +250,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 }
 
-func TestSizeFlushAtMaxBatch(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
-	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 2,
-		MaxWait:  time.Hour,
-		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 { // the blocker that keeps the group busy
-				<-block
-			}
-			return key, nil
-		},
-	})
-	defer g.Stop()
-
-	// Occupy the group so later enqueues batch instead of fast-pathing.
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	var wg sync.WaitGroup
-	sizes := make(chan int, 2)
-	for k := 1; k <= 2; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			_, res, err := g.Do(context.Background(), k, 0)
-			if err != nil {
-				t.Errorf("Do(%d): %v", k, err)
-			}
-			sizes <- res.BatchSize
-		}(k)
-	}
-	// With MaxWait=1h the only way these complete is the size flush.
-	wg.Wait()
-	close(block)
-	for i := 0; i < 2; i++ {
-		if s := <-sizes; s != 2 {
-			t.Fatalf("BatchSize = %d, want 2 (size-triggered flush)", s)
-		}
-	}
-}
-
-func TestMaxWaitFlush(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
-	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 64,
-		MaxWait:  5 * time.Millisecond,
-		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 {
-				<-block
-			}
-			return key, nil
-		},
-	})
-	defer g.Stop()
-
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	start := time.Now()
-	_, res, err := g.Do(context.Background(), 1, 0)
-	close(block)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.BatchSize != 1 {
-		t.Fatalf("BatchSize = %d, want 1 (deadline flush of a lone item)", res.BatchSize)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline flush took %v", elapsed)
-	}
-}
-
-// fakeTicket counts Start/Done to check batch items hold admission
-// for exactly the execution.
+// fakeTicket counts Start/Done to check flights hold admission for
+// exactly the execution.
 type fakeTicket struct {
 	started atomic.Int64
 	done    atomic.Int64
@@ -349,7 +276,6 @@ func TestAdmitRefusalAtEnqueue(t *testing.T) {
 			return key, nil
 		},
 	})
-	defer g.Stop()
 
 	done := make(chan error, 1)
 	go func() {
@@ -371,40 +297,33 @@ func TestAdmitRefusalAtEnqueue(t *testing.T) {
 	}
 }
 
-func TestStopFlushesPending(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
+// slowTicket's Start blocks until released, standing in for a queued
+// admission ticket waiting for an execution slot.
+type slowTicket struct{ release chan struct{} }
+
+func (t *slowTicket) Start(ctx context.Context) error { <-t.release; return nil }
+func (t *slowTicket) Done()                           {}
+
+// TestEnqueueWaitCoversTicketStart: Result.EnqueueWait is the time
+// from admission until Ticket.Start returned — the wait for an
+// execution slot — not just the goroutine hand-off.
+func TestEnqueueWaitCoversTicketStart(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	tk := &slowTicket{release: make(chan struct{})}
 	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 64,
-		MaxWait:  time.Hour,
-		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 {
-				<-block
-			}
-			return key, nil
-		},
+		Admit: func() (Ticket, error) { return tk, nil },
+		Exec:  func(ctx context.Context, key int, p int) (int, error) { return key, nil },
 	})
-
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := g.Do(context.Background(), 1, 0)
-		done <- err
-	}()
-	waitFor(t, 2*time.Second, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.pending) == 1
-	}, "item to pend")
-
-	g.Stop()
-	if err := <-done; err != nil {
-		t.Fatalf("pending Do after Stop: %v", err)
+	time.AfterFunc(hold, func() { close(tk.release) })
+	_, res, err := g.Do(context.Background(), 1, 0)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
 	}
-	close(block)
+	// The release timer starts just before Do stamps the admission, so
+	// allow a little slack below the full hold.
+	if res.EnqueueWait < hold*8/10 {
+		t.Fatalf("EnqueueWait = %v, want about the %v Ticket.Start wait", res.EnqueueWait, hold)
+	}
 }
 
 func TestCacheEntryBound(t *testing.T) {

@@ -56,7 +56,6 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 func BenchmarkObsDisabledLabeled(b *testing.B) {
 	Disable()
 	cv := NewCounterVec("bench.disabled.countervec", "", "route", "status")
-	gv := NewGaugeVec("bench.disabled.gaugevec", "", "queue")
 	hv := NewHistogramVec("bench.disabled.histvec", "", []string{"route"}, 1, 10, 100)
 	wh := NewWindowedHistogram(0, 0, nil, 1, 10, 100)
 	wc := NewWindowedCounter(0, 0, nil)
@@ -64,12 +63,6 @@ func BenchmarkObsDisabledLabeled(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cv.With("/v1/profile", "200").Inc()
-		}
-	})
-	b.Run("gaugevec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			gv.With("fast").Set(float64(i))
 		}
 	})
 	b.Run("histogramvec", func(b *testing.B) {

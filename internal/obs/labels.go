@@ -116,13 +116,6 @@ type CounterVec struct {
 	children   map[string]*Counter
 }
 
-// GaugeVec is a labeled family of gauges.
-type GaugeVec struct {
-	name, help string
-	set        labelSet
-	children   map[string]*Gauge
-}
-
 // HistogramVec is a labeled family of fixed-bucket histograms. All
 // children share the family's bounds.
 type HistogramVec struct {
@@ -142,19 +135,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	v := &CounterVec{name: name, help: help, children: map[string]*Counter{}}
 	v.set = labelSet{labels: append([]string(nil), labels...), values: map[string][]string{}}
 	r.counterVecs[name] = v
-	return v
-}
-
-// GaugeVec registers (or returns the existing) gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.gaugeVecs[name]; ok {
-		return v
-	}
-	v := &GaugeVec{name: name, help: help, children: map[string]*Gauge{}}
-	v.set = labelSet{labels: append([]string(nil), labels...), values: map[string][]string{}}
-	r.gaugeVecs[name] = v
 	return v
 }
 
@@ -181,11 +161,6 @@ func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return defaultRegistry.CounterVec(name, help, labels...)
 }
 
-// NewGaugeVec registers a gauge family on the default registry.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return defaultRegistry.GaugeVec(name, help, labels...)
-}
-
 // NewHistogramVec registers a histogram family on the default registry.
 func NewHistogramVec(name, help string, labels []string, bounds ...float64) *HistogramVec {
 	return defaultRegistry.HistogramVec(name, help, labels, bounds...)
@@ -204,21 +179,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	k, fresh := v.set.resolve(values)
 	if fresh {
 		v.children[k] = &Counter{name: v.name, help: v.help}
-	}
-	return v.children[k]
-}
-
-// With returns the gauge child for the label-value tuple (nil while
-// telemetry is disabled; see CounterVec.With).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || !enabled.Load() {
-		return nil
-	}
-	v.set.mu.Lock()
-	defer v.set.mu.Unlock()
-	k, fresh := v.set.resolve(values)
-	if fresh {
-		v.children[k] = &Gauge{name: v.name, help: v.help}
 	}
 	return v.children[k]
 }

@@ -25,13 +25,6 @@ func TestVecBasics(t *testing.T) {
 		t.Fatalf("child value = %d, want 1", got)
 	}
 
-	gv := r.GaugeVec("depth", "", "queue")
-	gv.With("fast").Set(2)
-	gv.With("slow").Set(9)
-	if got := gv.With("fast").Value(); got != 2 {
-		t.Fatalf("gauge child = %v, want 2", got)
-	}
-
 	hv := r.HistogramVec("lat", "", []string{"route"}, 1, 10)
 	hv.With("/a").Observe(0.5)
 	hv.With("/a").Observe(5)

@@ -51,7 +51,6 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
 }
 
@@ -62,7 +61,6 @@ func NewRegistry() *Registry {
 		gauges:      map[string]*Gauge{},
 		hists:       map[string]*Histogram{},
 		counterVecs: map[string]*CounterVec{},
-		gaugeVecs:   map[string]*GaugeVec{},
 		histVecs:    map[string]*HistogramVec{},
 	}
 }
@@ -374,16 +372,6 @@ func (r *Registry) Snapshot() []Metric {
 		}
 		v.set.mu.Unlock()
 	}
-	for _, v := range r.gaugeVecs {
-		v.set.mu.Lock()
-		for _, k := range v.set.keys {
-			if g := v.children[k]; g.bits.Load() != 0 {
-				out = append(out, Metric{Name: v.name, Kind: "gauge", Help: v.help,
-					Value: math.Float64frombits(g.bits.Load()), Labels: v.set.pairs(v.set.values[k])})
-			}
-		}
-		v.set.mu.Unlock()
-	}
 	for _, v := range r.histVecs {
 		v.set.mu.Lock()
 		for _, k := range v.set.keys {
@@ -422,13 +410,6 @@ func (r *Registry) Reset() {
 		v.set.mu.Lock()
 		for _, c := range v.children {
 			c.v.Store(0)
-		}
-		v.set.mu.Unlock()
-	}
-	for _, v := range r.gaugeVecs {
-		v.set.mu.Lock()
-		for _, g := range v.children {
-			g.bits.Store(0)
 		}
 		v.set.mu.Unlock()
 	}

@@ -24,8 +24,8 @@ type Span struct {
 	// GID is the id of the goroutine that opened the span, so trace
 	// viewers can lane spans by executor (0 in pre-v2 manifests).
 	GID int64 `json:"gid,omitempty"`
-	// Attrs are key=value annotations set with SetAttr (batch sizes,
-	// queue waits, cache verdicts). Maps serialize with sorted keys, so
+	// Attrs are key=value annotations set with SetAttr (queue waits,
+	// execution times, cache verdicts). Maps serialize with sorted keys, so
 	// attributed spans stay deterministic in manifests and diffs.
 	Attrs map[string]string `json:"attrs,omitempty"`
 
@@ -154,7 +154,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // ContextWithSpan returns ctx carrying s as the parent for StartSpan.
 // It hands a span to work that runs on another goroutine under its own
-// context (a batch flush executing a request's flight). A nil span
+// context (a dedup flight executing a request's pipeline). A nil span
 // returns ctx unchanged.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	if s == nil {

@@ -47,13 +47,12 @@ func NewAdmission(workers, queue int) *Admission {
 	return a
 }
 
-// Ticket is two-phase admission for batched execution: Enqueue claims
-// capacity without blocking (the refusal — 429 — happens at enqueue
-// time), Start blocks until an execution slot frees (the batch flush
-// promotes queued items as slots open), Done releases whatever the
-// ticket holds. At most `workers` tickets are started at once, at most
-// `queue` more sit enqueued, and Enqueue beyond that refuses with
-// ErrOverload immediately.
+// Ticket is two-phase admission: Enqueue claims capacity without
+// blocking (the refusal — 429 — happens on arrival), Start blocks
+// until an execution slot frees (queued tickets are promoted as slots
+// open), Done releases whatever the ticket holds. At most `workers`
+// tickets are started at once, at most `queue` more sit enqueued, and
+// Enqueue beyond that refuses with ErrOverload immediately.
 type Ticket struct {
 	a     *Admission
 	mu    sync.Mutex

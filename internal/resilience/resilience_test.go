@@ -70,11 +70,11 @@ func TestRetryable(t *testing.T) {
 func TestRetrySucceedsAfterTransient(t *testing.T) {
 	var slept []time.Duration
 	p := Retry{
-		Attempts: 5, Base: 10 * time.Millisecond, Max: time.Second, Jitter: 0.2, Seed: 42,
+		Attempts: 5, Base: 10 * time.Millisecond, Jitter: 0.2, Seed: 42,
 		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}
 	calls := 0
-	err := p.Do(context.Background(), nil, func(context.Context) error {
+	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -98,9 +98,17 @@ func TestRetrySucceedsAfterTransient(t *testing.T) {
 	}
 }
 
-// TestRetryScheduleDeterministic: same policy, same jittered delays.
+// TestRetryScheduleDeterministic: same policy, same jittered delays;
+// without jitter the delay doubles per retry and stops at one second.
 func TestRetryScheduleDeterministic(t *testing.T) {
-	p := Retry{Attempts: 6, Base: 5 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5, Seed: 7}
+	ms := time.Millisecond
+	plain := Retry{Attempts: 6, Base: 300 * ms}.Delays()
+	want := []time.Duration{300 * ms, 600 * ms, time.Second, time.Second, time.Second}
+	if fmt.Sprint(plain) != fmt.Sprint(want) {
+		t.Fatalf("unjittered Delays = %v, want %v", plain, want)
+	}
+
+	p := Retry{Attempts: 6, Base: 300 * ms, Jitter: 0.5, Seed: 7}
 	a, b := p.Delays(), p.Delays()
 	if len(a) != 5 {
 		t.Fatalf("len(Delays) = %d, want 5", len(a))
@@ -109,8 +117,8 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("schedule not deterministic at %d: %v vs %v", i, a[i], b[i])
 		}
-		if a[i] <= 0 || a[i] > 100*time.Millisecond {
-			t.Fatalf("delay %d = %v out of (0, Max]", i, a[i])
+		if a[i] <= 0 || a[i] > retryMax {
+			t.Fatalf("delay %d = %v out of (0, %v]", i, a[i], retryMax)
 		}
 	}
 	// A different seed moves the jitter.
@@ -133,7 +141,7 @@ func TestRetryStopsOnNonRetryable(t *testing.T) {
 	p := Retry{Attempts: 5, Sleep: func(context.Context, time.Duration) error { return nil }}
 	calls := 0
 	bad := BadInput(errors.New("malformed"))
-	err := p.Do(context.Background(), nil, func(context.Context) error { calls++; return bad })
+	err := p.Do(context.Background(), func(context.Context) error { calls++; return bad })
 	if calls != 1 {
 		t.Fatalf("non-retryable error retried: %d calls", calls)
 	}
@@ -146,7 +154,7 @@ func TestRetryStopsOnNonRetryable(t *testing.T) {
 func TestRetryExhausted(t *testing.T) {
 	p := Retry{Attempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
 	calls := 0
-	err := p.Do(context.Background(), nil, func(context.Context) error {
+	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
 		return fmt.Errorf("boom %d", calls)
 	})
@@ -171,7 +179,7 @@ func TestRetryCanceledMidBackoff(t *testing.T) {
 		},
 	}
 	root := errors.New("flaky")
-	err := p.Do(ctx, nil, func(context.Context) error { return root })
+	err := p.Do(ctx, func(context.Context) error { return root })
 	if Classify(err) != ClassCanceled {
 		t.Fatalf("class = %v, want canceled", Classify(err))
 	}

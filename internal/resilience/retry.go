@@ -18,6 +18,12 @@ var (
 		"terminal Retry.Do outcomes by resilience class", "class")
 )
 
+// The backoff doubles after every retry and never exceeds a second.
+const (
+	retryMultiplier = 2
+	retryMax        = time.Second
+)
+
 // Retry is an exponential-backoff retry policy with seeded jitter.
 // The zero value is usable: it means one attempt, i.e. no retrying.
 type Retry struct {
@@ -25,12 +31,8 @@ type Retry struct {
 	// Values < 1 behave as 1.
 	Attempts int
 	// Base is the delay before the first retry; each further retry
-	// multiplies it by Multiplier up to Max. Base <= 0 selects 10ms.
+	// doubles it, up to one second. Base <= 0 selects 10ms.
 	Base time.Duration
-	// Max caps the per-retry delay. <= 0 selects 1s.
-	Max time.Duration
-	// Multiplier grows the delay between retries. < 1 selects 2.
-	Multiplier float64
 	// Jitter spreads each delay uniformly over
 	// [delay*(1-Jitter), delay*(1+Jitter)] so synchronized clients
 	// don't retry in lockstep. Negative behaves as 0; values are
@@ -51,12 +53,6 @@ func (r Retry) withDefaults() Retry {
 	}
 	if r.Base <= 0 {
 		r.Base = 10 * time.Millisecond
-	}
-	if r.Max <= 0 {
-		r.Max = time.Second
-	}
-	if r.Multiplier < 1 {
-		r.Multiplier = 2
 	}
 	if r.Jitter < 0 {
 		r.Jitter = 0
@@ -98,30 +94,26 @@ func (r Retry) Delays() []time.Duration {
 		if p.Jitter > 0 {
 			v = d * (1 - p.Jitter + 2*p.Jitter*rng.Float64())
 		}
-		if v > float64(p.Max) {
-			v = float64(p.Max)
+		if v > float64(retryMax) {
+			v = float64(retryMax)
 		}
 		out = append(out, time.Duration(v))
-		d *= p.Multiplier
-		if d > float64(p.Max) {
-			d = float64(p.Max)
+		d *= retryMultiplier
+		if d > float64(retryMax) {
+			d = float64(retryMax)
 		}
 	}
 	return out
 }
 
 // Do runs fn up to Attempts times, backing off between tries. A retry
-// happens only when retryable(err) is true (nil retryable selects the
-// package Retryable). Context cancellation or expiry stops the loop
-// immediately — during a backoff sleep too — and the context error
-// wraps the last attempt's error so both classification (timeout /
-// canceled) and the root cause survive.
-func (r Retry) Do(ctx context.Context, retryable func(error) bool, fn func(ctx context.Context) error) (err error) {
+// happens only when Retryable(err) is true. Context cancellation or
+// expiry stops the loop immediately — during a backoff sleep too — and
+// the context error wraps the last attempt's error so both
+// classification (timeout / canceled) and the root cause survive.
+func (r Retry) Do(ctx context.Context, fn func(ctx context.Context) error) (err error) {
 	defer func() { obsRetryOutcomes.With(Classify(err).String()).Inc() }()
 	p := r.withDefaults()
-	if retryable == nil {
-		retryable = Retryable
-	}
 	delays := p.Delays()
 	var last error
 	for attempt := 0; ; attempt++ {
@@ -135,7 +127,7 @@ func (r Retry) Do(ctx context.Context, retryable func(error) bool, fn func(ctx c
 		if last == nil {
 			return nil
 		}
-		if attempt >= len(delays) || !retryable(last) {
+		if attempt >= len(delays) || !Retryable(last) {
 			if attempt > 0 {
 				obsRetryExhausted.Inc()
 			}

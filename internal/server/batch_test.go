@@ -62,10 +62,10 @@ func historyManifestSections(t testing.TB, baseURL string, seq int) string {
 }
 
 // TestBatchedResponsesBitIdentical: the served path (cache +
-// coalescing + batcher) produces byte-identical response bodies and
-// history manifests to the pipeline run directly (profile + persist)
-// for the same request sequence — batching changes scheduling, never
-// results.
+// coalescing flights + admission) produces byte-identical response
+// bodies and history manifests to the pipeline run directly (profile +
+// persist) for the same request sequence — the dedup layer changes
+// scheduling, never results.
 func TestBatchedResponsesBitIdentical(t *testing.T) {
 	_, batched := newTestServer(t, Config{})
 	direct, directTS := newTestServer(t, Config{})
@@ -208,7 +208,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 // requests ride one pipeline execution; followers see the coalesced
 // header and the same body. With request tracing on, the pipeline's
 // spans land in the leader's request tree, under its batch.do span,
-// even though the flight runs on a batch-flush goroutine.
+// even though the flight runs on its own goroutine.
 func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	leakCheck(t)
 	withObs(t)
@@ -245,7 +245,7 @@ func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	go post("follower-1")
 	go post("follower-2")
 	waitFor(t, func() bool {
-		_, waiters, _, _ := srv.group.Stats()
+		_, waiters := srv.group.Stats()
 		return waiters == 3
 	})
 	close(gate)
@@ -337,7 +337,7 @@ func TestLeaderCancelHandsOffToFollowerHTTP(t *testing.T) {
 		followerDone <- reply2{resp.StatusCode, resp.Header.Get("X-Simprof-Cache"), body}
 	}()
 	waitFor(t, func() bool {
-		_, waiters, _, _ := srv.group.Stats()
+		_, waiters := srv.group.Stats()
 		return waiters == 2
 	})
 
@@ -355,6 +355,59 @@ func TestLeaderCancelHandsOffToFollowerHTTP(t *testing.T) {
 	}
 }
 
+// TestEnqueueMSIsAdmissionWait: the access log's enqueue_ms is the
+// admission-queue wait — arrival until the request's flight holds an
+// execution slot. With one slot held by a first upload for ~100ms, a
+// second distinct upload must log about that long.
+func TestEnqueueMSIsAdmissionWait(t *testing.T) {
+	const hold = 100 * time.Millisecond
+	buf := &syncBuffer{}
+	srv, ts := newTestServer(t, Config{Concurrency: 1, Queue: 1, AccessLog: buf})
+	first, second := encodedTrace(t, 100, 31), encodedTrace(t, 100, 32)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv.profileFn = func(ctx context.Context, data []byte, n int, seed uint64) (*profileOutcome, error) {
+		if bytes.Equal(data, first) {
+			close(entered)
+			<-release
+		}
+		return srv.profile(ctx, data, n, seed)
+	}
+
+	statuses := make(chan int, 2)
+	post := func(data []byte, id string) {
+		resp, _ := postTraceWithID(t, ts.URL+"/v1/profile?n=10", data, id)
+		statuses <- resp.StatusCode
+	}
+	go post(first, "first")
+	<-entered
+	go post(second, "second")
+	// The second upload holds a queued admission ticket from here on.
+	waitFor(t, func() bool { _, waiting := srv.adm.Depth(); return waiting == 1 })
+	time.Sleep(hold)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Fatalf("status %d, want 200", st)
+		}
+	}
+
+	srv.Close() // drains the access log
+	var got *accessEntry
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e accessEntry
+		if json.Unmarshal([]byte(line), &e) == nil && e.ID == "second" {
+			got = &e
+		}
+	}
+	if got == nil {
+		t.Fatalf("no access-log line for the second upload:\n%s", buf.String())
+	}
+	if min := durMS(hold * 8 / 10); got.EnqueueMS < min {
+		t.Fatalf("second upload enqueue_ms = %.3f, want >= %.0f (its admission wait)", got.EnqueueMS, min)
+	}
+}
+
 type reply2 struct {
 	status int
 	header string
@@ -362,7 +415,7 @@ type reply2 struct {
 }
 
 // TestMaxBodyLimitBadInput: an upload over -max-body is refused as the
-// caller's fault (400 bad_input), on the batched path.
+// caller's fault (400 bad_input), on the served path.
 func TestMaxBodyLimitBadInput(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
 	data := encodedTrace(t, 200, 3) // well over 64 bytes

@@ -1,8 +1,15 @@
 // Package server implements simprofd, SimProf's resilience-first
 // profiling service: trace upload → phase formation → stratified
-// sampling → crash-safe history append, behind HTTP. Every failure
-// mode maps to the typed error taxonomy of internal/resilience, and
-// every refusal is explicit:
+// sampling → crash-safe history append, behind HTTP.
+//
+// A profile upload goes cache → flight → admission (internal/batch): a
+// repeat of completed work is answered from the content-hash result
+// cache, an identical in-flight upload joins that flight, and only a
+// new distinct upload claims admission and runs the pipeline on its
+// own goroutine.
+//
+// Every failure mode maps to the typed error taxonomy of
+// internal/resilience, and every refusal is explicit:
 //
 //   - per-request deadlines propagate as context cancellation through
 //     the whole pipeline (decode, formation kernels, sampling), so an
@@ -15,7 +22,7 @@
 //     requests finish inside the drain budget.
 //
 // The pipeline stays bit-for-bit deterministic: the service adds
-// refusals and retries around it, never alternative results.
+// dedup, refusals and retries around it, never alternative results.
 package server
 
 import (
@@ -112,12 +119,6 @@ type Config struct {
 	// CacheEntries.
 	CacheEntries int
 	CacheBytes   int64
-	// BatchSize and BatchWait tune the request batcher: a batch flushes
-	// at BatchSize distinct requests (0 selects 8) or BatchWait after
-	// its first enqueue (0 selects 2ms); an idle server flushes
-	// immediately. New rejects a negative BatchSize.
-	BatchSize int
-	BatchWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -161,8 +162,8 @@ type profileKey struct {
 	opts string   // canonical "n=<n>,seed=<seed>"
 }
 
-// profilePayload carries one upload into the batcher, including the
-// leader's batch.do span so pipeline spans executed on a flush
+// profilePayload carries one upload into its flight, including the
+// leader's batch.do span so pipeline spans executed on the flight's
 // goroutine still land in the originating request's tree.
 type profilePayload struct {
 	data []byte
@@ -191,8 +192,8 @@ type Server struct {
 	drain *resilience.Drain
 	mux   *http.ServeMux
 
-	// group is the request path: content-hash cache, coalescing of
-	// identical in-flight uploads, bounded batching of distinct ones.
+	// group is the request path: content-hash cache, then coalescing
+	// of identical in-flight uploads, then admission.
 	group *batch.Group[profileKey, profilePayload, profileResult]
 
 	slo         *sloTracker
@@ -214,9 +215,6 @@ type Server struct {
 // any) before accepting writes.
 func New(cfg Config) (*Server, error) {
 	c := cfg.withDefaults()
-	if c.BatchSize < 0 {
-		return nil, fmt.Errorf("server: BatchSize must be at least 1 (0 selects the default), got %d", c.BatchSize)
-	}
 	if c.CacheEntries < 0 {
 		return nil, fmt.Errorf("server: CacheEntries must be at least 1 (0 selects the default), got %d", c.CacheEntries)
 	}
@@ -250,11 +248,9 @@ func New(cfg Config) (*Server, error) {
 		traceCfg = &tc
 	}
 	s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
-		MaxBatch: c.BatchSize,
-		MaxWait:  c.BatchWait,
-		Exec:     s.execProfile,
-		Size:     func(v profileResult) int64 { return v.size },
-		Cache:    batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes),
+		Exec:  s.execProfile,
+		Size:  func(v profileResult) int64 { return v.size },
+		Cache: batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes),
 		Admit: func() (batch.Ticket, error) {
 			t, err := s.adm.Enqueue()
 			if err != nil {
@@ -292,7 +288,6 @@ func (s *Server) Close() {
 	if s.stopRuntime != nil {
 		s.stopRuntime()
 	}
-	s.group.Stop()
 	s.tracer.Stop()
 	s.accessLog.Close()
 }
@@ -308,7 +303,7 @@ type reqStats struct {
 	class  resilience.Class
 	bytes  int64
 
-	enqueue time.Duration // admission-queue wait
+	enqueue time.Duration // admission-queue wait (until an execution slot)
 	flush   time.Duration // history persist, retries included
 }
 
@@ -511,11 +506,12 @@ type ProfileResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-// handleProfile is the hot path: content-hash dedup → coalesce/batch →
-// admission-gated execution. It parses, reads and hashes the upload,
-// then hands the key to the batch group, which answers from the result
-// cache, joins an identical in-flight request, or enqueues a new flight
-// (refusing with 429 at enqueue when the admission queue is full).
+// handleProfile is the hot path: content-hash cache → coalescing
+// flight → admission-gated execution. It parses, reads and hashes the
+// upload, then hands the key to the batch group, which answers from
+// the result cache, joins an identical in-flight request, or starts a
+// new flight (refusing with 429 on arrival when the admission queue is
+// full).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	exit, err := s.drain.Enter()
@@ -553,10 +549,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	v, res, err := s.group.Do(ctx, key, payload)
 	if span != nil {
 		span.SetAttr("source", res.Source.String())
-		span.SetAttr("batch_size", strconv.Itoa(res.BatchSize))
 		span.SetAttr("enqueue_wait_ms", strconv.FormatFloat(durMS(res.EnqueueWait), 'f', 3, 64))
 		span.SetAttr("exec_ms", strconv.FormatFloat(durMS(res.Exec), 'f', 3, 64))
-		span.SetAttr("commit_ms", strconv.FormatFloat(durMS(res.Commit), 'f', 3, 64))
 		span.End()
 	}
 	w.Header().Set("X-Simprof-Cache", res.Source.String())
@@ -577,7 +571,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// execProfile runs one deduplicated flight on a batch-flush goroutine:
+// execProfile runs one deduplicated flight on the flight's goroutine:
 // pipeline → retried, fsynced history append. ctx is
 // the flight context (alive until the last waiting request leaves).
 // The leader's batch.do span goes onto it, so the pipeline's spans land
@@ -738,7 +732,7 @@ func (s *Server) persist(ctx context.Context, out *profileOutcome, n int, seed u
 	rec.Note = fmt.Sprintf("profile %s_%s n=%d", out.Trace.Benchmark, out.Trace.Framework, n)
 
 	var saved *history.Record
-	err := appendRetry.Do(ctx, nil, func(context.Context) error {
+	err := appendRetry.Do(ctx, func(context.Context) error {
 		var err error
 		saved, err = s.append(rec)
 		return err

@@ -261,19 +261,17 @@ func TestHistoryDisabled(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeBatchKnobs: there is one request path, so no
-// negative BatchSize or CacheEntries sentinel selects another; New
-// refuses them instead of serving with a surprising configuration.
-func TestNewRejectsNegativeBatchKnobs(t *testing.T) {
-	for _, cfg := range []Config{{BatchSize: -1}, {CacheEntries: -1}} {
-		srv, err := New(cfg)
-		if err == nil {
-			srv.Close()
-			t.Fatalf("New(%+v) accepted a negative knob", cfg)
-		}
-		if !strings.Contains(err.Error(), "must be at least 1") {
-			t.Fatalf("New(%+v) error %q does not name the bound", cfg, err)
-		}
+// TestNewRejectsNegativeCacheEntries: there is one request path, so no
+// negative CacheEntries sentinel selects another; New refuses it
+// instead of serving with a surprising configuration.
+func TestNewRejectsNegativeCacheEntries(t *testing.T) {
+	srv, err := New(Config{CacheEntries: -1})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New accepted CacheEntries -1")
+	}
+	if !strings.Contains(err.Error(), "must be at least 1") {
+		t.Fatalf("New error %q does not name the bound", err)
 	}
 }
 

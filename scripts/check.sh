@@ -47,15 +47,17 @@
 #                                            runs under -race plus the
 #                                            resilience + crash-recovery
 #                                            unit suites)
-#   batch-smoke   dedup/batch serving       (bit-identical responses
+#   batch-smoke   deduplicated serving      (bit-identical responses
 #                                            served vs the pipeline run
 #                                            directly and cached vs
 #                                            computed, coalescing and
 #                                            leader-cancel hand-off,
-#                                            cache bounds/eviction, and
+#                                            cache bounds/eviction, the
+#                                            logged admission wait, and
 #                                            the batch + two-phase
 #                                            admission unit suites; all
-#                                            under -race)
+#                                            under -race; fails if a
+#                                            named test no longer exists)
 #   bench-module  end-to-end benchmark      (bench/ is its own Go module,
 #                                            so ./... never reaches it:
 #                                            vet + short tests keep it
@@ -109,7 +111,7 @@ run_bench_smoke() {
 	echo "$out"
 	# Every disabled-path sub-benchmark must report exactly 0 allocs/op:
 	# the no-op sink is contractually allocation-free on hot paths. The
-	# labeled families (CounterVec/GaugeVec/HistogramVec) and the sliding
+	# labeled families (CounterVec/HistogramVec) and the sliding
 	# windows carry the same contract as the scalar metrics: With(...)
 	# must bail on the enabled check before any map or slice touches.
 	echo "$out" | awk '
@@ -203,20 +205,24 @@ run_bench_gate() {
 	# sub-microsecond map-and-reservoir loop with the same jitter
 	# profile.
 	go run ./cmd/simprof history gate -baseline "$baseline" -bench "$cur" \
-		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/gaugevec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60,BenchmarkReqTraceDisabled=0.60,BenchmarkReqTraceEnabled=0.60" \
+		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60,BenchmarkReqTraceDisabled=0.60,BenchmarkReqTraceEnabled=0.60" \
 		|| fail bench-gate
 }
 
-# equiv_tests PKG TEST...: runs the named tests of PKG twice in one
-# process (-count=2: the second round hits the warm scratch pool,
-# catching any state a kernel leaks between runs) and fails unless every
-# name passed both times. `go test -run` exits 0 when nothing matches,
-# so without the count a renamed test would silently empty the stage.
-equiv_tests() {
-	pkg=$1
-	shift
+# named_tests STAGE RUNS FLAGS PKG TEST...: runs the named tests of PKG
+# RUNS times in one process (go test -count=RUNS plus FLAGS, e.g.
+# -race) and fails unless every name passed RUNS times. `go test -run`
+# exits 0 when nothing matches, so without the count a renamed test
+# would silently empty the stage.
+named_tests() {
+	stage=$1
+	runs=$2
+	flags=$3
+	pkg=$4
+	shift 4
 	names=$(echo "$*" | tr ' ' '|')
-	out=$(go test -count=2 -v -run "^($names)\$" "$pkg" 2>&1)
+	# $flags is unquoted on purpose: it holds zero or more go test flags.
+	out=$(go test $flags -count="$runs" -v -run "^($names)\$" "$pkg" 2>&1)
 	status=$?
 	if [ "$status" -ne 0 ]; then
 		echo "$out"
@@ -224,12 +230,21 @@ equiv_tests() {
 	fi
 	for name in "$@"; do
 		passes=$(echo "$out" | grep -c "^--- PASS: $name ")
-		if [ "$passes" -ne 2 ]; then
-			echo "kernel-equivalence: $pkg $name passed $passes times, want 2 (renamed or missing?)" >&2
+		if [ "$passes" -ne "$runs" ]; then
+			echo "$stage: $pkg $name passed $passes times, want $runs (renamed or missing?)" >&2
 			return 1
 		fi
 	done
 	echo "$out" | tail -n 1
+}
+
+# equiv_tests PKG TEST...: the kernel-equivalence form of named_tests —
+# each test runs twice (the second round hits the warm scratch pool,
+# catching any state a kernel leaks between runs).
+equiv_tests() {
+	pkg=$1
+	shift
+	named_tests kernel-equivalence 2 "" "$pkg" "$@"
 }
 
 run_kernel_equivalence() {
@@ -269,17 +284,25 @@ run_chaos_smoke() {
 }
 
 run_batch_smoke() {
-	# The batched-serving determinism contract under the race detector:
-	# batching/caching may change when and how often the pipeline runs,
-	# never what a request gets back (the served body and history record
-	# match the pipeline run directly). Covers the batch group + LRU cache
-	# unit suite, the two-phase admission tickets, and the HTTP-level
-	# bit-identity, coalescing, hand-off and eviction tests.
+	# The deduplicated-serving determinism contract under the race
+	# detector: caching and coalescing may change how often the pipeline
+	# runs, never what a request gets back (the served body and history
+	# record match the pipeline run directly). Covers the batch group +
+	# LRU cache unit suite, the two-phase admission tickets, and the
+	# HTTP-level bit-identity, coalescing, hand-off, eviction and
+	# admission-wait tests, each by exact name.
 	go test -race -count=1 ./internal/batch || fail batch-smoke
-	go test -race -count=1 -run 'TestTicket' ./internal/resilience || fail batch-smoke
-	go test -race -count=1 \
-		-run 'TestBatched|TestCached|TestCacheEviction|TestCoalesced|TestLeaderCancel|TestIdenticalBytes|TestMaxBodyLimit|TestChaosDuplicateStorm' \
-		./internal/server || fail batch-smoke
+	named_tests batch-smoke 1 -race ./internal/resilience \
+		TestTicketEnqueueOverload TestTicketStartBlocksUntilSlotFrees \
+		TestTicketStartCanceledReleasesQueuePosition \
+		TestTicketStartImmediateWhenSlotHeld TestTicketDoneFreesSlotForEnqueue ||
+		fail batch-smoke
+	named_tests batch-smoke 1 -race ./internal/server \
+		TestBatchedResponsesBitIdentical TestCachedResponseBitIdentical \
+		TestIdenticalBytesDifferentOptionsMiss TestCacheEvictionUnderPressure \
+		TestCoalescedRequestsShareOneExecution TestLeaderCancelHandsOffToFollowerHTTP \
+		TestEnqueueMSIsAdmissionWait TestMaxBodyLimitBadInput TestChaosDuplicateStorm ||
+		fail batch-smoke
 }
 
 run_bench_module() {
