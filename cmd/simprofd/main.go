@@ -1,6 +1,6 @@
 // Command simprofd serves SimProf's profiling pipeline over HTTP with
 // resilience built in: per-request deadlines, bounded-queue admission
-// with backpressure, retried crash-safe history persistence, and
+// with backpressure, crash-safe history persistence, and
 // graceful SIGTERM drain.
 //
 // Subcommands:

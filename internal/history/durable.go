@@ -33,8 +33,11 @@ func OpenDurable(path string) *Store { return &Store{path: path, durable: true} 
 // end of the file. It returns the number of bytes removed (0 when the
 // store is clean or absent). The truncation is flushed before
 // returning, so a recovery immediately followed by a crash cannot
-// resurrect the torn tail.
+// resurrect the torn tail. It does not prime Append's validated
+// prefix: the first append still scans the file itself.
 func (s *Store) RecoverTail() (dropped int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	data, err := os.ReadFile(s.path)
 	if os.IsNotExist(err) {
 		return 0, nil

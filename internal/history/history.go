@@ -11,14 +11,23 @@
 // existing bytes, so a crashed writer can at worst leave a truncated
 // final line — readers skip it and report how many lines they skipped
 // instead of failing the whole store.
+//
+// An append costs O(new bytes), not O(store): a Store handle reads only
+// what was appended since the prefix it last validated (Store.Append).
+// Durable appends fsync before acknowledging and are never retried,
+// because after a failed fsync Linux may drop the dirty pages and
+// report the next fsync clean — a retry could acknowledge a record
+// that is not on disk.
 package history
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"simprof/internal/obs"
@@ -90,6 +99,15 @@ func FromManifest(m *obs.Manifest) *Record {
 type Store struct {
 	path    string
 	durable bool // Append fsyncs before acknowledging
+
+	// mu serializes Append and RecoverTail on this handle and guards
+	// Append's validated prefix: the first valid bytes of file hold
+	// only committed records (and blank lines), whose largest seq is
+	// maxSeq. file is nil until the handle's first append scans.
+	mu     sync.Mutex
+	valid  int64
+	maxSeq int
+	file   os.FileInfo
 }
 
 // Open returns a handle on the store at path.
@@ -163,15 +181,42 @@ func (s *Store) Get(seq int) (*Record, error) {
 // as one JSON line. The record is returned for convenience. A torn
 // tail left by an earlier failed write is cut off first (the rule
 // RecoverTail applies), so the new line starts on a line boundary
-// instead of being glued onto the fragment. Appends to one store must
-// not run concurrently.
+// instead of being glued onto the fragment.
+//
+// An append costs O(new bytes), not O(store): the handle remembers how
+// far it has validated the file and the largest seq in that prefix, so
+// only bytes appended since (normally none; other handles' appends
+// otherwise) are read and parsed. The whole file is rescanned on the
+// handle's first append, when the file shrank below the validated
+// offset, and when the path now names a different file. A file
+// rewritten in place to at least its validated length is not detected:
+// reset a store by replacing or truncating it, or use a new handle.
+//
+// Append is safe for concurrent use on one handle. Appends through
+// different handles on one path are not serialized against each other.
+// Callers must not retry a failed durable append (see the package doc).
 func (s *Store) Append(r *Record) (*Record, error) {
-	data, err := os.ReadFile(s.path)
-	if err != nil && !os.IsNotExist(err) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("history: append %s: %w", s.path, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("history: stat %s: %w", s.path, err)
+	}
+	size := fi.Size()
+	from, maxSeq := s.valid, s.maxSeq
+	if s.file == nil || size < from || !os.SameFile(s.file, fi) {
+		from, maxSeq = 0, 0
+	}
+	suffix := make([]byte, size-from)
+	if _, err := f.ReadAt(suffix, from); err != nil {
 		return nil, fmt.Errorf("history: read %s: %w", s.path, err)
 	}
-	maxSeq := 0
-	good := validPrefix(data, func(line []byte) {
+	good := from + validPrefix(suffix, func(line []byte) {
 		var head struct {
 			Seq int `json:"seq"`
 		}
@@ -179,6 +224,9 @@ func (s *Store) Append(r *Record) (*Record, error) {
 			maxSeq = head.Seq
 		}
 	})
+	// The prefix is validated whatever happens to the write below.
+	s.valid, s.maxSeq, s.file = good, maxSeq, fi
+
 	r.Seq = maxSeq + 1
 	if r.Time == "" {
 		r.Time = time.Now().UTC().Format(time.RFC3339)
@@ -187,19 +235,15 @@ func (s *Store) Append(r *Record) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("history: marshal record: %w", err)
 	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("history: append %s: %w", s.path, err)
-	}
-	defer f.Close()
-	if torn := int64(len(data)) - good; torn > 0 {
+	line = append(line, '\n')
+	if torn := size - good; torn > 0 {
 		if err := f.Truncate(good); err != nil {
 			return nil, fmt.Errorf("history: truncate %s to %d: %w", s.path, good, err)
 		}
 		obsTailRecovered.Inc()
 		obsTailBytes.Add(torn)
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if _, err := f.Write(line); err != nil {
 		return nil, fmt.Errorf("history: append %s: %w", s.path, err)
 	}
 	if s.durable {
@@ -207,6 +251,12 @@ func (s *Store) Append(r *Record) (*Record, error) {
 			return nil, fmt.Errorf("history: sync %s: %w", s.path, err)
 		}
 		obsFsyncs.Inc()
+	}
+	// O_APPEND leaves the offset at the end of this write. Anywhere but
+	// right after the validated prefix means another handle appended in
+	// between; the next append then reads both lines from good.
+	if end, err := f.Seek(0, io.SeekCurrent); err == nil && end == good+int64(len(line)) {
+		s.valid, s.maxSeq = end, r.Seq
 	}
 	return r, f.Close()
 }

@@ -1,8 +1,7 @@
 // Package resilience is the substrate simprofd (and any long-running
 // SimProf consumer) degrades gracefully on: a uniform error taxonomy
 // with HTTP-status and CLI-exit-code mappings, bounded-queue admission
-// with backpressure, retry with exponential backoff and seeded jitter,
-// and a drain controller for graceful shutdown.
+// with backpressure, and a drain controller for graceful shutdown.
 //
 // The design rule throughout: every refusal is *typed*. A request that
 // cannot run fails with a sentinel the caller can classify — timeout,
@@ -10,10 +9,6 @@
 // pick the right status code (429 vs 503 vs 504), clients know whether
 // retrying can help, and the chaos harness can assert the exact failure
 // mode an injected fault must produce.
-//
-// Determinism contract: like the rest of the repository, nothing here
-// draws from the global RNG. Retry jitter comes from a seeded
-// SplitSeed-derived stream, so a retry schedule replays bit-for-bit.
 package resilience
 
 import (
@@ -168,18 +163,5 @@ func (c Class) ExitCode() int {
 		return 7
 	default:
 		return 1
-	}
-}
-
-// Retryable reports whether a retry of the same operation can
-// plausibly succeed: transient classes (internal, overload,
-// unavailable) are retryable; bad input never is, and deadline/cancel
-// belong to the caller, who decides for itself.
-func Retryable(err error) bool {
-	switch Classify(err) {
-	case ClassInternal, ClassOverload, ClassUnavailable:
-		return true
-	default:
-		return false
 	}
 }

@@ -53,141 +53,6 @@ func TestBadInputNil(t *testing.T) {
 	}
 }
 
-func TestRetryable(t *testing.T) {
-	if Retryable(BadInput(errors.New("x"))) {
-		t.Fatal("bad input must not be retryable")
-	}
-	if Retryable(context.Canceled) {
-		t.Fatal("cancellation must not be retryable")
-	}
-	if !Retryable(errors.New("flaky disk")) || !Retryable(ErrOverload) {
-		t.Fatal("internal/overload errors must be retryable")
-	}
-}
-
-// TestRetrySucceedsAfterTransient: a fn that fails twice then succeeds
-// is retried to success, with the seeded backoff schedule applied.
-func TestRetrySucceedsAfterTransient(t *testing.T) {
-	var slept []time.Duration
-	p := Retry{
-		Attempts: 5, Base: 10 * time.Millisecond, Jitter: 0.2, Seed: 42,
-		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
-	}
-	calls := 0
-	err := p.Do(context.Background(), func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("fn ran %d times, want 3", calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
-	}
-	want := p.Delays()
-	for i, d := range slept {
-		if d != want[i] {
-			t.Fatalf("sleep %d = %v, want schedule %v", i, d, want)
-		}
-	}
-}
-
-// TestRetryScheduleDeterministic: same policy, same jittered delays;
-// without jitter the delay doubles per retry and stops at one second.
-func TestRetryScheduleDeterministic(t *testing.T) {
-	ms := time.Millisecond
-	plain := Retry{Attempts: 6, Base: 300 * ms}.Delays()
-	want := []time.Duration{300 * ms, 600 * ms, time.Second, time.Second, time.Second}
-	if fmt.Sprint(plain) != fmt.Sprint(want) {
-		t.Fatalf("unjittered Delays = %v, want %v", plain, want)
-	}
-
-	p := Retry{Attempts: 6, Base: 300 * ms, Jitter: 0.5, Seed: 7}
-	a, b := p.Delays(), p.Delays()
-	if len(a) != 5 {
-		t.Fatalf("len(Delays) = %d, want 5", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedule not deterministic at %d: %v vs %v", i, a[i], b[i])
-		}
-		if a[i] <= 0 || a[i] > retryMax {
-			t.Fatalf("delay %d = %v out of (0, %v]", i, a[i], retryMax)
-		}
-	}
-	// A different seed moves the jitter.
-	p2 := p
-	p2.Seed = 8
-	c := p2.Delays()
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced an identical jitter schedule")
-	}
-}
-
-// TestRetryStopsOnNonRetryable: bad input is never retried.
-func TestRetryStopsOnNonRetryable(t *testing.T) {
-	p := Retry{Attempts: 5, Sleep: func(context.Context, time.Duration) error { return nil }}
-	calls := 0
-	bad := BadInput(errors.New("malformed"))
-	err := p.Do(context.Background(), func(context.Context) error { calls++; return bad })
-	if calls != 1 {
-		t.Fatalf("non-retryable error retried: %d calls", calls)
-	}
-	if Classify(err) != ClassBadInput {
-		t.Fatalf("class = %v, want bad input", Classify(err))
-	}
-}
-
-// TestRetryExhausted: the last error surfaces after all attempts.
-func TestRetryExhausted(t *testing.T) {
-	p := Retry{Attempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
-	calls := 0
-	err := p.Do(context.Background(), func(context.Context) error {
-		calls++
-		return fmt.Errorf("boom %d", calls)
-	})
-	if calls != 3 {
-		t.Fatalf("fn ran %d times, want 3", calls)
-	}
-	if err == nil || err.Error() != "boom 3" {
-		t.Fatalf("err = %v, want the last attempt's error", err)
-	}
-}
-
-// TestRetryCanceledMidBackoff: a context that ends during the backoff
-// sleep aborts the loop with a timeout/cancel classification that
-// still carries the root cause.
-func TestRetryCanceledMidBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Retry{
-		Attempts: 5,
-		Sleep: func(ctx context.Context, _ time.Duration) error {
-			cancel()
-			return ctx.Err()
-		},
-	}
-	root := errors.New("flaky")
-	err := p.Do(ctx, func(context.Context) error { return root })
-	if Classify(err) != ClassCanceled {
-		t.Fatalf("class = %v, want canceled", Classify(err))
-	}
-	if !errors.Is(err, root) {
-		t.Fatalf("root cause lost: %v", err)
-	}
-}
-
 // TestAdmissionBackpressure: workers=1, queue=1 — the third concurrent
 // ticket is refused with ErrOverload, a queued ticket gets the slot
 // when released, and a queued ticket whose context ends leaves cleanly.

@@ -24,7 +24,7 @@ var (
 // accessEntry is one structured access-log line: who asked for what,
 // how it was classified, and where the time went. Durations are split
 // the way an operator debugs tail latency: enqueue (admission-queue
-// wait), flush (history persist, retries included) and handle (whole
+// wait), flush (history persist) and handle (whole
 // request). All are milliseconds.
 type accessEntry struct {
 	ID        string  `json:"id"`

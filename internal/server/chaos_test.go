@@ -384,35 +384,55 @@ func TestChaosDrainWithInFlight(t *testing.T) {
 	}
 }
 
-// TestChaosStoreRetryTransient: a history store that fails twice and
-// then recovers is retried transparently — the client sees one clean
-// 200 and exactly one persisted record.
-func TestChaosStoreRetryTransient(t *testing.T) {
+// TestChaosStoreFailureNotRetried: one failed append fails the request
+// even though the next attempt would succeed. After a failed fsync the
+// kernel may drop the dirty pages and report the next fsync clean, so a
+// retry could acknowledge a record that is not on disk. The request
+// gets 500 internal, the store stays empty, and the next upload is
+// persisted as seq 1.
+func TestChaosStoreFailureNotRetried(t *testing.T) {
 	leakCheck(t)
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	srv, ts := newTestServer(t, Config{HistoryPath: path})
+	store := history.OpenDurable(path)
 	var attempts atomic.Int64
 	srv.appendFn = func(r *history.Record) (*history.Record, error) {
-		if attempts.Add(1) <= 2 {
-			return nil, errors.New("disk hiccup")
+		if attempts.Add(1) == 1 {
+			return nil, errors.New("fsync: input/output error")
 		}
-		return history.OpenDurable(path).Append(r)
+		return store.Append(r)
 	}
 	resp, body := postTrace(t, ts.URL+"/v1/profile?n=10", encodedTrace(t, 100, 5))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d body %s, want 500", resp.StatusCode, body)
 	}
-	if attempts.Load() != 3 {
-		t.Fatalf("append attempted %d times, want 3", attempts.Load())
+	if e := decodeError(t, body); e.Class != "internal" {
+		t.Fatalf("class %q, want internal", e.Class)
+	}
+	if attempts.Load() != 1 {
+		t.Fatalf("append attempted %d times, want 1", attempts.Load())
 	}
 	recs, _, err := history.Open(path).Records()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("store: %d records, err %v; want exactly 1", len(recs), err)
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("store: %d records, err %v; want none", len(recs), err)
+	}
+
+	resp, body = postTrace(t, ts.URL+"/v1/profile?n=10", encodedTrace(t, 100, 6))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next upload: status %d body %s", resp.StatusCode, body)
+	}
+	var pr ProfileResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Seq != 1 {
+		t.Fatalf("next upload persisted as seq %d, want 1", pr.Seq)
 	}
 }
 
-// TestChaosStoreDown: a store that stays down exhausts the retries and
-// surfaces 500 internal — a typed failure, not a hang or a lie.
+// TestChaosStoreDown: a store that is down fails the request on the
+// first attempt with 500 internal — a typed failure, not a hang or a
+// lie.
 func TestChaosStoreDown(t *testing.T) {
 	leakCheck(t)
 	srv, ts := newTestServer(t, Config{})
@@ -428,8 +448,8 @@ func TestChaosStoreDown(t *testing.T) {
 	if e := decodeError(t, body); e.Class != "internal" {
 		t.Fatalf("class %q, want internal", e.Class)
 	}
-	if attempts.Load() != 3 {
-		t.Fatalf("append attempted %d times, want the policy's 3", attempts.Load())
+	if attempts.Load() != 1 {
+		t.Fatalf("append attempted %d times, want 1", attempts.Load())
 	}
 }
 

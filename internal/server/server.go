@@ -16,13 +16,14 @@
 //     abandoned request stops burning CPU;
 //   - admission is a bounded queue — beyond it clients get 429 plus
 //     Retry-After, not unbounded latency;
-//   - transient history-store failures are retried with seeded
-//     exponential backoff;
+//   - a failed history append fails the request (500 internal) and is
+//     never retried: a retried fsync can report success for data the
+//     kernel already dropped;
 //   - SIGTERM drains: new work is refused with 503 while in-flight
 //     requests finish inside the drain budget.
 //
 // The pipeline stays bit-for-bit deterministic: the service adds
-// dedup, refusals and retries around it, never alternative results.
+// dedup and refusals around it, never alternative results.
 package server
 
 import (
@@ -35,7 +36,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -139,10 +139,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// appendRetry is the history-append retry policy: a failed append is
-// retried twice with jittered backoff before the request fails.
-var appendRetry = resilience.Retry{Attempts: 3, Base: 10 * time.Millisecond, Jitter: 0.5, Seed: 0x51dd}
-
 // profileOutcome is what the profile pipeline hands back for one
 // upload.
 type profileOutcome struct {
@@ -179,7 +175,7 @@ type profilePayload struct {
 // appending duplicates.
 type profileResult struct {
 	resp  ProfileResponse
-	flush time.Duration // history persist time, retries included
+	flush time.Duration // history persist time
 	size  int64         // resident-byte estimate for the cache budget
 }
 
@@ -201,8 +197,6 @@ type Server struct {
 	stopRuntime func()
 	tracer      *reqtrace.Engine // nil when request tracing is off
 	reqSeq      atomic.Uint64    // arrival index for generated request IDs
-
-	storeMu sync.Mutex // serializes Append's read-max-seq/write cycle
 
 	// Test seams: the chaos harness swaps these to inject pipeline and
 	// store faults without touching the HTTP machinery. nil selects the
@@ -304,7 +298,7 @@ type reqStats struct {
 	bytes  int64
 
 	enqueue time.Duration // admission-queue wait (until an execution slot)
-	flush   time.Duration // history persist, retries included
+	flush   time.Duration // history persist
 }
 
 type ctxKey int
@@ -572,7 +566,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 // execProfile runs one deduplicated flight on the flight's goroutine:
-// pipeline → retried, fsynced history append. ctx is
+// pipeline → fsynced history append. ctx is
 // the flight context (alive until the last waiting request leaves).
 // The leader's batch.do span goes onto it, so the pipeline's spans land
 // in that request's tree.
@@ -699,9 +693,10 @@ func pipelineError(stage string, err error) error {
 	return resilience.BadInput(fmt.Errorf("%s: %w", stage, err))
 }
 
-// persist appends the profile outcome to the history store, retrying
-// transient failures with seeded backoff. Returns (nil, nil) when
-// persistence is disabled.
+// persist appends the profile outcome to the history store. Returns
+// (nil, nil) when persistence is disabled. A failed append fails the
+// request and is never retried (see the package doc); an already-ended
+// flight context writes no record.
 func (s *Server) persist(ctx context.Context, out *profileOutcome, n int, seed uint64) (*history.Record, error) {
 	if s.store == nil && s.appendFn == nil {
 		return nil, nil
@@ -731,23 +726,19 @@ func (s *Server) persist(ctx context.Context, out *profileOutcome, n int, seed u
 	rec := history.FromManifest(m)
 	rec.Note = fmt.Sprintf("profile %s_%s n=%d", out.Trace.Benchmark, out.Trace.Framework, n)
 
-	var saved *history.Record
-	err := appendRetry.Do(ctx, func(context.Context) error {
-		var err error
-		saved, err = s.append(rec)
-		return err
-	})
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("history append: %w", err)
+	}
+	saved, err := s.append(rec)
 	if err != nil {
 		return nil, fmt.Errorf("history append: %w", err)
 	}
 	return saved, nil
 }
 
-// append runs one store append under the serialization lock (Append's
-// max-seq read and write must not interleave across requests).
+// append runs one store append through the test seam, if set. The
+// store handle serializes concurrent appends itself.
 func (s *Server) append(rec *history.Record) (*history.Record, error) {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
 	if s.appendFn != nil {
 		return s.appendFn(rec)
 	}

@@ -46,7 +46,9 @@
 #                                            leaks, no store corruption;
 #                                            runs under -race plus the
 #                                            resilience + crash-recovery
-#                                            unit suites)
+#                                            unit suites; fails if a
+#                                            named store test no longer
+#                                            exists)
 #   batch-smoke   deduplicated serving      (bit-identical responses
 #                                            served vs the pipeline run
 #                                            directly and cached vs
@@ -271,14 +273,23 @@ run_kernel_equivalence() {
 run_chaos_smoke() {
 	# The resilience contract under injected faults, always with the race
 	# detector on: the chaos suite (internal/server TestChaos*) plus the
-	# primitives it leans on — the taxonomy/retry/admission/drain unit
-	# tests, crash-recovery tests for the history store (torn-tail recovery
-	# and appends after a torn write), the I/O fault channels, and the
-	# cancellation tests for the parallel engine.
+	# primitives it leans on — the taxonomy/admission/drain unit tests,
+	# crash-recovery tests for the history store (torn-tail recovery,
+	# appends after a torn write, warm handles that must notice other
+	# writers, shrinking and replacement), the I/O fault channels, and the
+	# cancellation tests for the parallel engine. The store tests run by
+	# exact name, so a renamed or missing one fails the stage.
 	go test -race -count=1 -run 'TestChaos' ./internal/server || fail chaos-smoke
+	named_tests chaos-smoke 1 -race ./internal/server TestChaosStoreDown \
+		TestChaosTornAppendRecovery TestChaosStoreFailureNotRetried || fail chaos-smoke
 	go test -race -count=1 -run 'TestChaos|TestPersist' ./internal/obs/reqtrace || fail chaos-smoke
 	go test -race -count=1 ./internal/resilience ./internal/faults || fail chaos-smoke
-	go test -race -count=1 -run 'TestRecoverTail|TestDurable' ./internal/history || fail chaos-smoke
+	named_tests chaos-smoke 1 -race ./internal/history \
+		TestRecoverTailEveryTruncation TestRecoverTailCorruptLastLine TestRecoverTailMissingStore \
+		TestDurableAppendThenRead TestDurableAppendAfterTornWrite TestDurableInterleavedHandles \
+		TestDurableRescanAfterShrink TestDurableRescanAfterReplace \
+		TestDurableWarmAppendAfterTornWrite TestDurableConcurrentAppendsOneHandle ||
+		fail chaos-smoke
 	go test -race -count=1 -run 'TestCancel|TestWithContext|TestDeterminismUnchangedByContext' \
 		./internal/parallel || fail chaos-smoke
 }
