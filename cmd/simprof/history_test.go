@@ -61,8 +61,8 @@ func handManifest(se float64) string {
       {"name": "sampling.simprof", "start_ns": 3100000, "dur_ns": 1000000, "gid": 1}
     ]},
   "timer_samples": [
-    {"name": "cluster.choosek_k_seconds", "gid": 7, "start_ns": 200, "dur_ns": 900000},
-    {"name": "cluster.choosek_k_seconds", "gid": 8, "start_ns": 250, "dur_ns": 950000}
+    {"name": "cluster.choosek_restart_seconds", "gid": 7, "start_ns": 200, "dur_ns": 900000},
+    {"name": "cluster.choosek_restart_seconds", "gid": 8, "start_ns": 250, "dur_ns": 950000}
   ]
 }`, se)
 }

@@ -3,22 +3,25 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
 
 	"simprof/internal/matrix"
 	"simprof/internal/obs"
 	"simprof/internal/parallel"
+	"simprof/internal/stats"
 )
 
-// Sweep telemetry: how long each k of the silhouette sweep costs and
-// how many sweeps ran. Per-k timings use a histogram (not spans)
-// because the sweep tasks run concurrently on the worker pool.
+// Sweep telemetry: how long each restart stream of the sweep costs and
+// how many sweeps ran. Stream timings use a histogram (not spans)
+// because the streams run concurrently on the worker pool.
 var (
 	obsSweeps = obs.NewCounter("cluster.choosek_sweeps",
 		"ChooseK sweeps run")
 	obsSweepK = obs.NewCounter("cluster.choosek_ks",
 		"k values swept (clustering + silhouette each)")
-	obsSweepSeconds = obs.NewHistogram("cluster.choosek_k_seconds",
-		"wall seconds per swept k (k-means restarts + silhouette)",
+	obsSweepSeconds = obs.NewHistogram("cluster.choosek_restart_seconds",
+		"wall seconds per restart stream (seeding to the largest k + a Lloyd run per k)",
 		0.001, 0.01, 0.1, 1, 10)
 )
 
@@ -37,9 +40,9 @@ type ChooseKOptions struct {
 	Threshold float64 // fraction of the best score that still qualifies (default 0.93; paper: 0.90)
 	MinScore  float64 // below this best score the data has no cluster structure → k=1 (default 0.20)
 	KMeans    Options
-	// Workers bounds the concurrency of the whole sweep: the per-k
-	// tasks, their k-means restarts and the chunked point passes all
-	// share this one budget, so a parallel sweep never oversubscribes.
+	// Workers bounds the concurrency of the whole sweep: the restart
+	// streams, the per-k silhouette tasks and the chunked point passes
+	// all share this one budget, so a parallel sweep never oversubscribes.
 	// 0 selects GOMAXPROCS; 1 reproduces the serial baseline. The
 	// selection is bit-for-bit identical for every setting.
 	Workers int
@@ -72,61 +75,38 @@ func (o ChooseKOptions) withDefaults() ChooseKOptions {
 // k ≥ 2 is below MinScore, i.e. when the units do not separate (e.g.
 // grep on Spark, which runs a single filter stage).
 //
-// Point norms are computed once and shared by every k of the sweep,
-// every restart's seeding and assignment passes, and every silhouette
-// scoring pass. Every k of the sweep is an independent task (its
-// k-means seed is pre-derived from the base seed, its result lands in
-// its own slot), so the sweep fans out across the worker pool while
-// remaining deterministic.
+// Point norms are computed once and shared by every restart stream's
+// seeding and Lloyd passes and every silhouette scoring pass. The
+// clustering fans out over restart streams (sweepRestarts) whose
+// results merge order-independently (bestByK), the scoring over k into
+// per-k slots, so the sweep is deterministic.
 func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	o := opts.withDefaults()
 	n := pts.Rows()
 	if n == 0 {
 		return KSelection{}, fmt.Errorf("cluster: ChooseK with no points")
 	}
-	maxK := o.MaxK
-	// Small populations cannot support many clusters: below ~20 points
-	// per cluster the silhouette sweep overfits sampling noise, so the
-	// sweep is capped accordingly.
-	if kCap := n / 20; maxK > kCap {
-		maxK = kCap
-	}
-	if maxK < 2 {
-		maxK = 2
-	}
-	if maxK > n {
-		maxK = n
-	}
+	maxK := sweepMaxK(n, o.MaxK)
 	eng := parallel.New(o.Workers).WithContext(o.Ctx)
 	pn2, pnr := pointNorms(pts)
-	// k = 1 scores 0 by definition (silhouette undefined).
-	scores := make([]float64, maxK)
-	results := make([]Result, maxK+1)
-	kstats := make([]distStats, maxK+1)
 	obsSweeps.Inc()
-	err := eng.ForEachIndexErr(maxK-1, func(i int) error {
-		k := i + 2
-		t := obs.StartTimer()
-		res, st, err := kMeansDenseWith(eng, pts, pn2, pnr, k, sweepOptions(o.KMeans, k))
-		if err != nil {
-			return err
-		}
-		results[k] = res
-		kstats[k] = st
-		scores[k-1] = simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign)
-		obsSweepK.Inc()
-		obsSweepSeconds.ObserveTimer(t)
-		return nil
-	})
-	if err != nil {
+	best := newBestByK(maxK)
+	st := sweepRestarts(eng, pts, pn2, pnr, maxK, o.KMeans, best.keep)
+	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
-	var st distStats
-	for _, s := range kstats {
-		st.computed += s.computed
-		st.equivalent += s.equivalent
-	}
 	st.record()
+	results := best.results
+	// k = 1 scores 0 by definition (silhouette undefined).
+	scores := make([]float64, maxK)
+	eng.ForEachIndex(maxK-1, func(i int) {
+		k := i + 2
+		scores[k-1] = simplifiedSilhouetteDense(eng, pts, pn2, pnr, results[k].Centers, results[k].Assign)
+		obsSweepK.Inc()
+	})
+	if err := eng.Err(); err != nil {
+		return KSelection{}, err
+	}
 	return selectK(scores, results, o, func() (Result, error) {
 		one, st1, err := kMeansDenseWith(eng, pts, pn2, pnr, 1, o.KMeans)
 		if err != nil {
@@ -141,11 +121,75 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	})
 }
 
-// sweepOptions derives the k-means options of sweep step k: each k runs
-// from its own seed, so the steps are independent tasks.
-func sweepOptions(base Options, k int) Options {
-	base.Seed += uint64(k) * 101
-	return base
+// sweepMaxK is the largest k the sweep over n points tries, given the
+// requested bound maxK.
+func sweepMaxK(n, maxK int) int {
+	// Small populations cannot support many clusters: below ~20 points
+	// per cluster the silhouette sweep overfits sampling noise, so the
+	// sweep is capped accordingly.
+	if kCap := n / 20; maxK > kCap {
+		maxK = kCap
+	}
+	return min(max(maxK, 2), n)
+}
+
+// sweepRestarts runs the sweep's clustering for every k in [2, maxK]
+// (maxK ≤ the row count). Restart stream r draws from
+// stats.SplitSeed(opts.Seed, r), the stream of kMeansDenseWith's restart
+// r, and seeds once, to maxK centers. k-means++ picks centers one at a
+// time, so the seeding's first k centers are exactly the seeding of an
+// independent k run; as soon as the k-th center is relaxed, the pruned
+// Lloyd kernel runs from that prefix and the seeding's handover state.
+// keep(k, r, res) receives res, bit-for-bit restart r of
+// kMeansDenseWith(k, opts), for maxK relax passes per stream instead of
+// Σ_{k=2}^{maxK} k; calls from different streams may run concurrently.
+// The stats count what those independent runs would have computed.
+func sweepRestarts(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
+	maxK int, opts Options, keep func(k, r int, res Result)) distStats {
+	o := opts.withDefaults()
+	rstats := make([]distStats, o.Restarts)
+	eng.ForEachIndex(o.Restarts, func(r int) {
+		t := obs.StartTimer()
+		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
+		seedPlusPlusDense(pts, pn2, pnr, maxK, rng, eng, &rstats[r],
+			func(k int, seeds *matrix.Dense, hs *seedScratch) {
+				// Once canceled, no loop does any work: skip the runs
+				// the caller discards anyway.
+				if k >= 2 && eng.Err() == nil {
+					keep(k, r, lloydFrom(pts, pn2, pnr, seeds, k, hs, o, eng, &rstats[r]))
+				}
+			})
+		obsSweepSeconds.ObserveTimer(t)
+	})
+	return sumStats(rstats)
+}
+
+// bestByK keeps, for each k, the lowest-inertia restart delivered so
+// far, a tie going to the lower restart index. In any delivery order
+// that is the pick of bestRestart's strict-< scan in restart index
+// order, and the losers are dropped at once instead of restarts × k
+// clusterings staying live until the sweep ends. keep is safe for
+// concurrent use.
+type bestByK struct {
+	mu      sync.Mutex
+	results []Result // results[k]: the pick at k so far
+	from    []int    // restart behind results[k]; −1 = none yet
+}
+
+func newBestByK(maxK int) *bestByK {
+	b := &bestByK{results: make([]Result, maxK+1), from: make([]int, maxK+1)}
+	for k := range b.results {
+		b.results[k].Inertia, b.from[k] = math.Inf(1), -1
+	}
+	return b
+}
+
+func (b *bestByK) keep(k, r int, res Result) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if cur := b.results[k].Inertia; res.Inertia < cur || res.Inertia == cur && r < b.from[k] {
+		b.results[k], b.from[k] = res, r
+	}
 }
 
 // selectK turns the sweep's per-k outcomes into the KSelection:

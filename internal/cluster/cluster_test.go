@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"simprof/internal/matrix"
 	"simprof/internal/parallel"
@@ -227,6 +233,64 @@ func TestChooseKPrefersSmallestWithinThreshold(t *testing.T) {
 	}
 	if sel.K != 2 {
 		t.Fatalf("ChooseK=%d want 2", sel.K)
+	}
+}
+
+// pollCtx is a live context whose Err turns to context.Canceled after
+// a set number of polls; left < 0 never cancels. It counts every poll.
+type pollCtx struct {
+	context.Context
+	left  int64
+	polls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if n := c.polls.Add(1); c.left >= 0 && n > c.left {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestChooseKCanceledMidSweep cancels a sweep part-way through its
+// restart streams and again part-way through its silhouette loop: each
+// time ChooseKDense must return context.Canceled and a zero
+// KSelection, and leave no goroutine behind.
+func TestChooseKCanceledMidSweep(t *testing.T) {
+	pts := matrix.FromRows(benchPoints(600, 12, 4, 29))
+	pn2, pnr := pointNorms(pts)
+	before := runtime.NumGoroutine()
+	for _, w := range []int{1, 2} {
+		opts := ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 4}, Workers: w}
+		// Polls of the restart streams alone, then of the whole sweep.
+		streams := &pollCtx{Context: context.Background(), left: -1}
+		sweepRestarts(parallel.New(w).WithContext(streams), pts, pn2, pnr,
+			sweepMaxK(pts.Rows(), opts.MaxK), opts.KMeans, func(int, int, Result) {})
+		whole := &pollCtx{Context: context.Background(), left: -1}
+		opts.Ctx = whole
+		if sel, err := ChooseKDense(pts, opts); err != nil || sel.K < 2 {
+			t.Fatalf("workers=%d: uncanceled sweep k=%d err=%v, want k ≥ 2 (no k = 1 fallback)", w, sel.K, err)
+		}
+		s, total := streams.polls.Load(), whole.polls.Load()
+		for _, at := range []struct {
+			name string
+			left int64
+		}{{"streams", s / 2}, {"silhouettes", s + (total-s)/2}} {
+			opts.Ctx = &pollCtx{Context: context.Background(), left: at.left}
+			sel, err := ChooseKDense(pts, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d canceled in %s: err = %v, want context.Canceled", w, at.name, err)
+			}
+			if !reflect.DeepEqual(sel, KSelection{}) {
+				t.Fatalf("workers=%d canceled in %s: returned a partial selection k=%d", w, at.name, sel.K)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines grew from %d to %d after canceled sweeps", before, n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -160,6 +161,31 @@ func TestAssignPartialSumMergeProperty(t *testing.T) {
 			in1 == inW
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBestByKMatchesIndexScan: the sweep's merge keeps, at every k,
+// exactly the restart bestRestart's strict-< scan in restart index order
+// picks, whatever order the restarts arrive in — on tie-heavy inertias,
+// +Inf and NaN included.
+func TestBestByKMatchesIndexScan(t *testing.T) {
+	values := []float64{0, 1, 1, 2, math.Inf(1), math.NaN()}
+	prop := func(seed uint64, nRaw uint8) bool {
+		rng := stats.NewRNG(seed)
+		restarts := 1 + int(nRaw%6)
+		runs := make([]Result, restarts)
+		for r := range runs {
+			// Iters tags the restart; 0 is left for "none picked".
+			runs[r] = Result{Inertia: values[rng.IntN(len(values))], Iters: r + 1}
+		}
+		b := newBestByK(2)
+		for _, r := range rng.Perm(restarts) {
+			b.keep(2, r, runs[r])
+		}
+		return b.results[2].Iters == bestRestart(runs).Iters
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

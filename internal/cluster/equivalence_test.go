@@ -121,10 +121,12 @@ func TestPrunedMatchesNaiveWithTelemetry(t *testing.T) {
 }
 
 // TestChooseKPrunedMatchesNaive holds every step of the k sweep to the
-// oracle — each k's clustering and simplified-silhouette score — and
-// the selection ChooseKDense returns to the one selectK makes from the
-// oracle's per-k outcomes, on clustered data and on data with no
-// structure (the k=1 answer).
+// oracle — each k's clustering, run on its own from the base seed, and
+// its simplified-silhouette score — and the selection ChooseKDense
+// returns to the one selectK makes from the oracle's per-k outcomes, on
+// clustered data and on data with no structure (the k=1 answer). The
+// sweep's naive-equivalent distance count must be the oracle's summed
+// SqDist calls over those independent runs.
 func TestChooseKPrunedMatchesNaive(t *testing.T) {
 	for _, rows := range [][][]float64{benchPoints(600, 32, 4, 23), cycled(60, 1)} {
 		pts := matrix.FromRows(rows)
@@ -138,10 +140,10 @@ func TestChooseKPrunedMatchesNaive(t *testing.T) {
 			eng := parallel.New(w)
 			scores := make([]float64, len(sel.Scores))
 			results := make([]Result, len(scores)+1)
+			var calls atomic.Int64
 			for k := 2; k <= len(scores); k++ {
-				kmOpts := sweepOptions(o.KMeans, k)
-				want := oracleKMeans(eng, rows, k, kmOpts, new(atomic.Int64))
-				got, _, err := kMeansDenseWith(eng, pts, pn2, pnr, k, kmOpts)
+				want := oracleKMeans(eng, rows, k, o.KMeans, &calls)
+				got, _, err := kMeansDenseWith(eng, pts, pn2, pnr, k, o.KMeans)
 				if err != nil || !reflect.DeepEqual(want, got) {
 					t.Fatalf("workers=%d k=%d: clustering diverged from the oracle (err %v)", w, k, err)
 				}
@@ -151,6 +153,10 @@ func TestChooseKPrunedMatchesNaive(t *testing.T) {
 					t.Fatalf("workers=%d k=%d: score %.17g, oracle %.17g", w, k, s, scores[k-1])
 				}
 			}
+			if st := sweepRestarts(eng, pts, pn2, pnr, len(scores), o.KMeans, func(int, int, Result) {}); st.equivalent != calls.Load() {
+				t.Fatalf("workers=%d: sweep equivalent=%d, oracle made %d SqDist calls",
+					w, st.equivalent, calls.Load())
+			}
 			want, _ := selectK(scores, results, o, func() (Result, error) {
 				return oracleKMeans(eng, rows, 1, o.KMeans, new(atomic.Int64)), nil
 			})
@@ -159,6 +165,76 @@ func TestChooseKPrunedMatchesNaive(t *testing.T) {
 					w, sel.K, sel.Scores, want.K, want.Scores)
 			}
 		}
+	}
+}
+
+// TestSweepPrefixMatchesIndependentSeeding pins the prefix property the
+// k sweep rests on: restart stream r's clustering at every k is bit for
+// bit restart r of an independent k run from the base seed, the per-k
+// pick is kMeansDenseWith(k, base seed), and the sweep's
+// naive-equivalent count is the independent runs' sum. Cases: clustered
+// data; duplicate-heavy data (duplicate picks, touch-up epochs,
+// empty-cluster re-seeds); an n the small-population k cap applies to;
+// and k clamped to n. Each runs at every worker count, first on
+// whatever the scratch pools hold, then again after a differently sized
+// sweep has left its buffers in them.
+func TestSweepPrefixMatchesIndependentSeeding(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+		maxK int // largest k the sweep runs
+		ks   int // largest k compared; beyond maxK the k = maxK = n run
+	}{
+		{"blobs", benchPoints(500, 16, 5, 41), sweepMaxK(500, 20), sweepMaxK(500, 20)},
+		{"cycled", cycled(400, 3), sweepMaxK(400, 20), sweepMaxK(400, 20)},
+		{"k-cap", benchPoints(150, 8, 4, 43), sweepMaxK(150, 20), sweepMaxK(150, 20)},
+		{"k-clamped-to-n", benchPoints(9, 3, 2, 47), 9, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "k-cap" && tc.maxK != 7 {
+				t.Fatalf("n=150 swept to k=%d, want the cap 150/20 = 7", tc.maxK)
+			}
+			pts := matrix.FromRows(tc.rows)
+			pn2, pnr := pointNorms(pts)
+			opts := Options{Seed: 11}
+			o := opts.withDefaults()
+			for _, w := range workerSweep {
+				eng := parallel.New(w)
+				for _, pool := range []string{"as-is", "warm"} {
+					if pool == "warm" {
+						other := matrix.FromRows(benchPoints(700, 24, 6, 3))
+						on2, onr := pointNorms(other)
+						sweepRestarts(eng, other, on2, onr, 15, Options{Seed: 2}, func(int, int, Result) {})
+					}
+					byK := make([][]Result, tc.maxK+1)
+					for k := range byK {
+						byK[k] = make([]Result, o.Restarts)
+					}
+					st := sweepRestarts(eng, pts, pn2, pnr, tc.maxK, opts, func(k, r int, res Result) {
+						byK[k][r] = res
+					})
+					var equivalent int64
+					for k := 2; k <= tc.ks; k++ {
+						got := byK[min(k, tc.maxK)]
+						for r := range got {
+							var rst distStats
+							rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
+							want := lloydPruned(pts, pn2, pnr, min(k, pts.Rows()), rng, o, eng, &rst)
+							if !reflect.DeepEqual(want, got[r]) {
+								t.Fatalf("workers=%d pool=%s k=%d restart=%d: stream diverged from an independent run\nwant inertia=%.17g sizes=%v\ngot  inertia=%.17g sizes=%v",
+									w, pool, k, r, want.Inertia, want.Sizes, got[r].Inertia, got[r].Sizes)
+							}
+							if k <= tc.maxK {
+								equivalent += rst.equivalent
+							}
+						}
+					}
+					if st.equivalent != equivalent {
+						t.Fatalf("workers=%d pool=%s: sweep equivalent=%d, independent runs %d", w, pool, st.equivalent, equivalent)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -247,10 +323,8 @@ func TestSeedingPickSequencePreserved(t *testing.T) {
 		rngA := stats.NewRNG(seed)
 		refCenters := seedPlusPlus(rows, k, rngA, eng, new(atomic.Int64))
 		rngB := stats.NewRNG(seed)
-		sc := new(lloydScratch)
-		sc.ensure(n, k, 6)
 		var st distStats
-		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, sc, &st)
+		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, &st, func(int, *matrix.Dense, *seedScratch) {})
 		for c := range refCenters {
 			if !reflect.DeepEqual(refCenters[c], denseCenters.Row(c)) {
 				return false

@@ -17,8 +17,8 @@
 // bit-for-bit identical for any worker count: point loops run over a
 // fixed chunk grid with per-chunk partial sums merged in chunk index
 // order, restarts draw from pre-derived PCG seeds and are compared in
-// restart index order, and the k sweep writes each k's outcome into its
-// own slot.
+// restart index order, and each restart stream of the k sweep writes
+// its outcome at every k into its own slot.
 package cluster
 
 import (
@@ -58,6 +58,9 @@ var (
 // of floating-point merges) depends on it and on the input size only,
 // never on the worker count.
 const pointChunk = 256
+
+// cacheLineWords is a 64-byte cache line in 8-byte words.
+const cacheLineWords = 8
 
 // Float-safety margins of the pruning tests. Both are relative slacks
 // around 1e-9 — five orders of magnitude above the ~1e-14 relative error
@@ -150,6 +153,16 @@ type distStats struct {
 	equivalent int64
 }
 
+// sumStats adds up the counts of independent runs.
+func sumStats(runs []distStats) distStats {
+	var st distStats
+	for _, s := range runs {
+		st.computed += s.computed
+		st.equivalent += s.equivalent
+	}
+	return st
+}
+
 func (s distStats) record() {
 	if s.equivalent == 0 {
 		return
@@ -173,10 +186,11 @@ func pointNorms(pts *matrix.Dense) (pn2, pnr []float64) {
 // kMeansDenseWith clusters the rows of pts into k clusters (k larger
 // than the row count is clamped to it) with k-means++ seeding and the
 // bound-pruned Lloyd kernel, keeping the lowest-inertia restart. It runs
-// on a caller-supplied engine and pre-computed point norms, so that an
-// already parallel caller (the ChooseK sweep) shares one concurrency
+// on a caller-supplied engine and pre-computed point norms, so that a
+// caller (the ChooseK sweep's k = 1 fallback) shares one concurrency
 // budget — and one norm cache — with the restarts and Lloyd passes it
-// spawns.
+// spawns. Restart r draws from stats.SplitSeed(opts.Seed, r); the k
+// sweep's restart stream r reproduces it at every k.
 func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
 	k int, opts Options) (Result, distStats, error) {
 	n := pts.Rows()
@@ -192,45 +206,43 @@ func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64
 	o := opts.withDefaults()
 
 	// Each restart derives its own PCG seed up front, runs independently
-	// and lands in its own slot; the winner is picked by scanning slots
-	// in restart index order (strict <, so ties keep the lowest index —
-	// exactly the serial semantics).
+	// and lands in its own slot.
 	results := make([]Result, o.Restarts)
 	rstats := make([]distStats, o.Restarts)
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
 		results[r] = lloydPruned(pts, pn2, pnr, k, rng, o, eng, &rstats[r])
 	})
+	return bestRestart(results), sumStats(rstats), nil
+}
+
+// bestRestart picks the lowest-inertia run by scanning the restarts in
+// index order (strict <, so ties keep the lowest index — exactly the
+// serial semantics).
+func bestRestart(results []Result) Result {
 	best := Result{Inertia: math.Inf(1)}
 	for _, res := range results {
 		if res.Inertia < best.Inertia {
 			best = res
 		}
 	}
-	var st distStats
-	for _, s := range rstats {
-		st.computed += s.computed
-		st.equivalent += s.equivalent
-	}
-	return best, st, nil
+	return best
 }
 
 // lloydScratch holds the per-chunk accumulators and per-point state of
 // one Lloyd run. Runs borrow it from a pool (getScratch/putScratch), so
-// the 4-restart × 19-k sweep of phase formation reuses a handful of
-// buffers instead of reallocating per restart.
+// the restarts × k runs of the sweep reuse a handful of buffers instead
+// of reallocating per run.
 type lloydScratch struct {
 	chunks   int
 	sizes    [][]int     // chunk → cluster → count
 	sums     [][]float64 // chunk → k*d flattened partial centroid sums
+	sizeBuf  []int       // backing array of sizes
+	sumBuf   []float64   // backing array of sums
 	inertia  []float64   // chunk → partial inertia
 	computed []int64     // chunk → SqDist calls executed (pruned kernel)
-	partial  []float64   // chunk → seeding D² partial sums
 	lb2      []float64   // point → squared lower bound on dist to 2nd-closest center
 	dist2    []float64   // point → squared dist to assigned center (this pass)
-	d2       []float64   // point → seeding D² weight
-	seedArg  []int32     // point → chosen center achieving d2 (seeding)
-	sq2      []float64   // point → squared lower bound on 2nd-nearest (seeding)
 	cn2      []float64   // center → squared norm
 	cnr      []float64   // center → norm
 	ccd      []float64   // k×k inter-center distances (Elkan skip)
@@ -238,90 +250,85 @@ type lloydScratch struct {
 	dup      []int32     // center → first earlier identical center (class root), or −1
 	reps     []int32     // distinct-center representatives (class roots), in index order
 	mult     []int32     // class root → number of identical centers in its class
-	touched  []int32     // seeding: class → epoch of last sq2 touch-up
-	dPrev    []float64   // seeding: dist from earlier chosen centers to the newest
-	qSkip    []float64   // seeding: per-class squared fast-skip threshold
-	qB       []float64   // seeding: per-class sq2 bound when fast-skipped
 }
 
 // ensure (re)sizes the scratch for an n×? problem with k clusters in d
-// dims, reusing existing capacity. lb2 is zeroed: a fresh run must start
-// with no pruning information.
+// dims, reusing existing capacity. Every per-point entry is written
+// before it is read: a run's first pass takes them over from the
+// seeding's handover.
 func (s *lloydScratch) ensure(n, k, d int) {
 	chunks := parallel.Chunks(n, pointChunk)
 	s.chunks = chunks
-	if cap(s.inertia) < chunks {
-		s.inertia = make([]float64, chunks)
-		s.computed = make([]int64, chunks)
-		s.partial = make([]float64, chunks)
-	}
-	s.inertia = s.inertia[:chunks]
-	s.computed = s.computed[:chunks]
-	s.partial = s.partial[:chunks]
-	if cap(s.sizes) < chunks {
-		sizes := make([][]int, chunks)
-		copy(sizes, s.sizes)
-		s.sizes = sizes
-		sums := make([][]float64, chunks)
-		copy(sums, s.sums)
-		s.sums = sums
-	}
-	s.sizes = s.sizes[:chunks]
-	s.sums = s.sums[:chunks]
+	s.inertia = resize(s.inertia, chunks)
+	s.computed = resize(s.computed, chunks)
+	// The chunks of one pass run on different workers and bump their
+	// sizes and sums point by point, so each chunk's slice is followed
+	// by a cache line of padding: no two chunks ever write one line.
+	sizeStride, sumStride := k+cacheLineWords, k*d+cacheLineWords
+	s.sizeBuf = resize(s.sizeBuf, chunks*sizeStride)
+	s.sumBuf = resize(s.sumBuf, chunks*sumStride)
+	s.sizes = resize(s.sizes, chunks)
+	s.sums = resize(s.sums, chunks)
 	for c := 0; c < chunks; c++ {
-		if cap(s.sizes[c]) < k {
-			s.sizes[c] = make([]int, k)
-		}
-		s.sizes[c] = s.sizes[c][:k]
-		if cap(s.sums[c]) < k*d {
-			s.sums[c] = make([]float64, k*d)
-		}
-		s.sums[c] = s.sums[c][:k*d]
+		s.sizes[c] = s.sizeBuf[c*sizeStride : c*sizeStride+k]
+		s.sums[c] = s.sumBuf[c*sumStride : c*sumStride+k*d]
 	}
-	if cap(s.lb2) < n {
-		s.lb2 = make([]float64, n)
-		s.dist2 = make([]float64, n)
-		s.d2 = make([]float64, n)
-		s.seedArg = make([]int32, n)
-		s.sq2 = make([]float64, n)
-	}
-	s.lb2 = s.lb2[:n]
-	s.dist2 = s.dist2[:n]
-	s.d2 = s.d2[:n]
-	s.seedArg = s.seedArg[:n]
-	s.sq2 = s.sq2[:n]
-	for i := range s.lb2 {
-		s.lb2[i] = 0
-	}
-	if cap(s.cn2) < k {
-		s.cn2 = make([]float64, k)
-		s.cnr = make([]float64, k)
-		s.dPrev = make([]float64, k)
-		s.qSkip = make([]float64, k)
-		s.qB = make([]float64, k)
-		s.dup = make([]int32, k)
-		s.reps = make([]int32, k)
-		s.mult = make([]int32, k)
-		s.touched = make([]int32, k)
-	}
-	s.cn2 = s.cn2[:k]
-	s.cnr = s.cnr[:k]
-	s.dPrev = s.dPrev[:k]
-	s.qSkip = s.qSkip[:k]
-	s.qB = s.qB[:k]
-	s.dup = s.dup[:k]
-	s.reps = s.reps[:k]
-	s.mult = s.mult[:k]
-	s.touched = s.touched[:k]
-	if cap(s.ccd) < k*k {
-		s.ccd = make([]float64, k*k)
-		s.qcc = make([]float64, k*k)
-	}
-	s.ccd = s.ccd[:k*k]
-	s.qcc = s.qcc[:k*k]
+	s.lb2 = resize(s.lb2, n)
+	s.dist2 = resize(s.dist2, n)
+	s.cn2 = resize(s.cn2, k)
+	s.cnr = resize(s.cnr, k)
+	s.dup = resize(s.dup, k)
+	s.reps = resize(s.reps, k)
+	s.mult = resize(s.mult, k)
+	s.ccd = resize(s.ccd, k*k)
+	s.qcc = resize(s.qcc, k*k)
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(lloydScratch) }}
+// seedScratch holds the state of one k-means++ seeding: the D² weights
+// and their chunk partial sums, and the handover (seedArg, d2, sq2) a
+// Lloyd run starts from.
+type seedScratch struct {
+	chunks   int
+	partial  []float64 // chunk → D² partial sums
+	computed []int64   // chunk → SqDist calls executed
+	d2       []float64 // point → D² weight
+	seedArg  []int32   // point → chosen center achieving d2
+	sq2      []float64 // point → squared lower bound on 2nd-nearest chosen center
+	touched  []int32   // center → epoch of last sq2 touch-up
+	dPrev    []float64 // center → dist from it to the newest center
+	qSkip    []float64 // center → squared fast-skip threshold
+	qB       []float64 // center → sq2 bound when fast-skipped
+}
+
+// ensure (re)sizes the scratch for n points and k centers, reusing
+// existing capacity.
+func (s *seedScratch) ensure(n, k int) {
+	chunks := parallel.Chunks(n, pointChunk)
+	s.chunks = chunks
+	s.partial = resize(s.partial, chunks)
+	s.computed = resize(s.computed, chunks)
+	s.d2 = resize(s.d2, n)
+	s.seedArg = resize(s.seedArg, n)
+	s.sq2 = resize(s.sq2, n)
+	s.touched = resize(s.touched, k)
+	s.dPrev = resize(s.dPrev, k)
+	s.qSkip = resize(s.qSkip, k)
+	s.qB = resize(s.qB, k)
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+var (
+	scratchPool     = sync.Pool{New: func() any { return new(lloydScratch) }}
+	seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
+)
 
 func getScratch(n, k, d int) *lloydScratch {
 	s := scratchPool.Get().(*lloydScratch)
@@ -331,8 +338,24 @@ func getScratch(n, k, d int) *lloydScratch {
 
 func putScratch(s *lloydScratch) { scratchPool.Put(s) }
 
-// lloydPruned is the production Lloyd kernel on the flat matrix. It
-// maintains, per point, a squared lower bound lb2 on the distance to the
+// lloydPruned is one restart of kMeansDenseWith: the k-means++ seeding
+// of k centers, then the pruned Lloyd kernel from its handover.
+func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
+	o Options, eng *parallel.Engine, st *distStats) Result {
+	var res Result
+	seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, st, func(m int, seeds *matrix.Dense, sc *seedScratch) {
+		if m == k {
+			res = lloydFrom(pts, pn2, pnr, seeds, k, sc, o, eng, st)
+		}
+	})
+	return res
+}
+
+// lloydFrom is the production Lloyd kernel on the flat matrix. It
+// starts from the first k rows of seeds and the seeding's handover state
+// in hs, as left by relaxing the k-th center; it only reads them, so
+// the seeding can go on to pick more centers afterwards. It maintains,
+// per point, a squared lower bound lb2 on the distance to the
 // second-closest center. Each pass computes the one distance to the
 // point's current center (which the naive kernel needs for the inertia
 // anyway); when that distance is strictly below the bound — tested in
@@ -349,12 +372,17 @@ func putScratch(s *lloydScratch) { scratchPool.Put(s) }
 // the per-center drift between passes (triangle inequality), with
 // boundSlack margins absorbing float rounding. See DESIGN.md §12 for
 // the invariant and the equivalence argument.
-func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
-	o Options, eng *parallel.Engine, st *distStats) Result {
+func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int,
+	hs *seedScratch, o Options, eng *parallel.Engine, st *distStats) Result {
 	n, d := pts.Rows(), pts.Cols()
+	// The naive kernel seeds each run on its own, relaxing its first
+	// max(k−1, 1) centers at n SqDist calls each; whatever the shared
+	// seeding actually computed is already in st.computed.
+	st.equivalent += int64(n) * int64(max(k-1, 1))
 	sc := getScratch(n, k, d)
 	defer putScratch(sc)
-	centers := seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, sc, st)
+	centers := matrix.NewDense(k, d)
+	copy(centers.Data(), seeds.Data()[:k*d])
 	next := matrix.NewDense(k, d)
 	assign := make([]int, n)
 	sizes := make([]int, k)
@@ -432,16 +460,10 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	// point's nearest seeded center (with the plain scan's exact
 	// lowest-index tie-breaking), its squared distance, and a valid
 	// lower bound on the second-nearest. The first Lloyd pass therefore
-	// runs in reuse mode — pure bookkeeping, zero distance computations
-	// — and still produces bit-identical assignment, sizes, partial
-	// sums and inertia.
-	for i := 0; i < n; i++ {
-		assign[i] = int(sc.seedArg[i])
-	}
-	copy(dist2, sc.d2)
-	for i := 0; i < n; i++ {
-		lb2[i] = sc.sq2[i] * ((1 - boundSlack) * (1 - boundSlack))
-	}
+	// runs in reuse mode — it takes them over as assign, dist2 and lb2,
+	// pure bookkeeping with zero distance computations — and still
+	// produces bit-identical assignment, sizes, partial sums and inertia.
+	seedArg, seedD2, seedSq2 := hs.seedArg, hs.d2, hs.sq2
 
 	// Pending center drift from the previous update step, folded into
 	// every lb exactly once at the start of the next pass. driftArg is
@@ -471,7 +493,10 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 			var comp int64
 			for i := lo; i < hi; i++ {
 				if reuse {
-					ci := assign[i]
+					ci := int(seedArg[i])
+					assign[i] = ci
+					dist2[i] = seedD2[i]
+					lb2[i] = seedSq2[i] * ((1 - boundSlack) * (1 - boundSlack))
 					szs[ci]++
 					inertia += dist2[i]
 					if accumulate {
@@ -689,9 +714,19 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 // relax pass skips points whose cached-norm bound proves the new center
 // cannot lower their D² weight, and each draw resolves through the
 // chunk partial sums instead of a full O(n) scan.
+//
+// k-means++ picks its centers one at a time, so the first m centers of
+// a k-center seeding are exactly an m-center seeding from the same RNG
+// stream. After relaxing the m-th center, seedPlusPlusDense calls
+// prefix(m, centers, sc): rows [0, m) of centers and the handover state
+// in sc are then those of an m-center seeding, for the callee to read
+// but not modify. It returns all k centers.
 func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
-	eng *parallel.Engine, sc *lloydScratch, st *distStats) *matrix.Dense {
+	eng *parallel.Engine, st *distStats, prefix func(m int, centers *matrix.Dense, sc *seedScratch)) *matrix.Dense {
 	n, d := pts.Rows(), pts.Cols()
+	sc := seedScratchPool.Get().(*seedScratch)
+	defer seedScratchPool.Put(sc)
+	sc.ensure(n, k)
 	centers := matrix.NewDense(k, d)
 	first := rng.IntN(n)
 	copy(centers.Row(0), pts.Row(first))
@@ -705,7 +740,7 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 	// against chosen center j, so repeated duplicate picks of the same
 	// value — the common case once k exceeds the number of distinct
 	// points — cost O(1) instead of O(n).
-	touched := sc.touched[:k]
+	touched := sc.touched
 	for j := range touched {
 		touched[j] = -1
 	}
@@ -826,25 +861,24 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 		d2[i] = math.Inf(1)
 		sq2[i] = math.Inf(1)
 	}
-	total := relax(0, 0)
-	for count := 1; count < k; count++ {
-		var pick int
-		if total == 0 {
-			pick = rng.IntN(n) // all points identical to some center
-		} else {
-			pick = drawWeighted(d2, partial, total, rng.Float64()*total)
+	var total float64
+	for count := 0; count < k; count++ {
+		if count > 0 {
+			var pick int
+			if total == 0 {
+				pick = rng.IntN(n) // all points identical to some center
+			} else {
+				pick = drawWeighted(d2, partial, total, rng.Float64()*total)
+			}
+			copy(centers.Row(count), pts.Row(pick))
 		}
-		copy(centers.Row(count), pts.Row(pick))
 		// The naive seeding stops relaxing after the second-to-last
 		// pick (the weights are never drawn from again); relaxing the
 		// last center too completes the handover state. Draws and RNG
 		// consumption are unaffected.
 		total = relax(count, total)
+		prefix(count+1, centers, sc)
 	}
-	// The naive seeding relaxes its first max(k−1, 1) centers, n SqDist
-	// calls each; relaxing the last center of a k ≥ 2 run only feeds the
-	// Lloyd handover, so it is not part of the naive-equivalent workload.
-	st.equivalent += int64(n) * int64(max(k-1, 1))
 	return centers
 }
 

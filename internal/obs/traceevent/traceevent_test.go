@@ -27,9 +27,9 @@ func fixedManifest() *obs.Manifest {
 		Tool:    "simprof compare",
 		Spans:   root,
 		TimerSamples: []obs.TimerSample{
-			{Name: "cluster.choosek_k_seconds", GID: 7, StartNS: 700_000, DurNS: 400_000},
-			{Name: "cluster.choosek_k_seconds", GID: 8, StartNS: 750_000, DurNS: 900_000},
-			{Name: "cluster.choosek_k_seconds", GID: 7, StartNS: 1_200_000, DurNS: 300_000},
+			{Name: "cluster.choosek_restart_seconds", GID: 7, StartNS: 700_000, DurNS: 400_000},
+			{Name: "cluster.choosek_restart_seconds", GID: 8, StartNS: 750_000, DurNS: 900_000},
+			{Name: "cluster.choosek_restart_seconds", GID: 7, StartNS: 1_200_000, DurNS: 300_000},
 		},
 	}
 }

@@ -16,10 +16,10 @@
 //     (workers-1 helper goroutines across *all* simultaneous loops on
 //     that engine), and every helper additionally needs a token from a
 //     process-wide pool sized from GOMAXPROCS. A parallel k-sweep whose
-//     tasks run parallel restarts therefore degrades gracefully to
-//     serial execution instead of oversubscribing the machine: the
-//     calling goroutine always participates, so forward progress never
-//     waits on a token.
+//     restart streams run chunked point passes therefore degrades
+//     gracefully to serial execution instead of oversubscribing the
+//     machine: the calling goroutine always participates, so forward
+//     progress never waits on a token.
 //
 // Panics inside loop bodies are captured and re-raised on the calling
 // goroutine after all workers have drained, so a panicking task can

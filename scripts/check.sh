@@ -251,10 +251,13 @@ equiv_tests() {
 
 run_kernel_equivalence() {
 	# The pruned k-means, seeding, silhouette and nearest-center kernels
-	# against the naive oracle (internal/cluster/oracle_test.go).
+	# against the naive oracle (internal/cluster/oracle_test.go); the k
+	# sweep's shared-seeding restart streams against independent per-k
+	# runs, and its cancellation mid-stream and mid-scoring.
 	equiv_tests ./internal/cluster TestPrunedMatchesNaiveBitForBit \
 		TestPrunedMatchesNaiveProperty TestPrunedMatchesNaiveWithTelemetry \
 		TestChooseKPrunedMatchesNaive TestSeedingPickSequencePreserved \
+		TestSweepPrefixMatchesIndependentSeeding TestChooseKCanceledMidSweep \
 		TestDrawWeightedMatchesLinear \
 		TestNearestSetMatchesNearestCenter TestSimplifiedSilhouetteDenseMatches \
 		TestPruningEffectiveness || fail kernel-equivalence
