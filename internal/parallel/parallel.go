@@ -317,11 +317,21 @@ func (e *Engine) ForEachIndex(n int, fn func(i int)) {
 // deterministic: cancellation always wins over per-index errors, since
 // an abandoned loop has an incomplete error set).
 func (e *Engine) ForEachIndexErr(n int, fn func(i int) error) error {
-	if n <= 0 {
+	return e.ForEachChunkErr(n, 1, func(lo, _ int) error { return fn(lo) })
+}
+
+// ForEachChunkErr is ForEachIndexErr over the fixed chunk grid of
+// ForEachChunk: fn(lo, hi) runs for every chunk, and the error of the
+// lowest failing chunk is returned. A fn that stops at the first defect
+// in its range therefore yields the error a serial scan of [0,n) would
+// return, at any worker count.
+func (e *Engine) ForEachChunkErr(n, chunkSize int, fn func(lo, hi int) error) error {
+	chunks := Chunks(n, chunkSize)
+	if chunks == 0 {
 		return nil
 	}
-	errs := make([]error, n)
-	e.ForEachChunk(n, 1, func(_, lo, _ int) { errs[lo] = fn(lo) })
+	errs := make([]error, chunks)
+	e.ForEachChunk(n, chunkSize, func(c, lo, hi int) { errs[c] = fn(lo, hi) })
 	if err := e.Err(); err != nil {
 		return err
 	}

@@ -473,19 +473,6 @@ func (p *Phases) UnitMeasured(i int) bool {
 	return p.Trace.Units[i].CPIValid()
 }
 
-// MeasuredPhaseUnits returns the unit indices of phase h that carry a
-// usable CPI — the frame stratified sampling may draw from.
-func (p *Phases) MeasuredPhaseUnits(h int) []int {
-	units := p.members(h)
-	out := make([]int, 0, len(units))
-	for _, i := range units {
-		if p.UnitMeasured(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MeasuredSizes returns the usable unit count per phase.
 func (p *Phases) MeasuredSizes() []int {
 	out := make([]int, p.K)

@@ -94,9 +94,6 @@ func TestPhaseIndexAccessors(t *testing.T) {
 		if got := p.PhaseUnits(h); !same(got, units) {
 			t.Fatalf("PhaseUnits(%d): %v, scan %v", h, got, units)
 		}
-		if got := p.MeasuredPhaseUnits(h); !same(got, measured) {
-			t.Fatalf("MeasuredPhaseUnits(%d): %v, scan %v", h, got, measured)
-		}
 		if got := p.PhaseCPIs(h); !same(got, cpis) {
 			t.Fatalf("PhaseCPIs(%d): %v, scan %v", h, got, cpis)
 		}

@@ -20,6 +20,10 @@ import (
 // machines with very different timing; the design-exploration workflow
 // is therefore validated on Spark workloads, whose executor threads are
 // fixed.)
+//
+// A point whose target unit carries no valid CPI (zero instructions or
+// lost counters) is an error: its CPI is unknown, and reading it as 0
+// would fabricate the phase mean the estimate is made of.
 func EstimateOnTrace(ph *phase.Phases, sp Stratified, target *trace.Trace) (Sample, error) {
 	if len(target.Units) != len(ph.Trace.Units) {
 		return Sample{}, fmt.Errorf(
@@ -29,18 +33,19 @@ func EstimateOnTrace(ph *phase.Phases, sp Stratified, target *trace.Trace) (Samp
 	// Unit ids are dense on every validated trace, making the id→index
 	// map the identity; the map is only built for hand-assembled traces
 	// that renumbered units.
+	units := ph.Trace.Units
 	dense := true
-	for i, u := range ph.Trace.Units {
-		if u.ID != i {
+	for i := range units {
+		if units[i].ID != i {
 			dense = false
 			break
 		}
 	}
 	var byID map[int]int
 	if !dense {
-		byID = make(map[int]int, len(ph.Trace.Units))
-		for i, u := range ph.Trace.Units {
-			byID[u.ID] = i
+		byID = make(map[int]int, len(units))
+		for i := range units {
+			byID[units[i].ID] = i
 		}
 	}
 	// Per-phase means of the selected points, evaluated on the target.
@@ -49,7 +54,7 @@ func EstimateOnTrace(ph *phase.Phases, sp Stratified, target *trace.Trace) (Samp
 	for _, id := range sp.UnitIDs {
 		var i int
 		if dense {
-			if id < 0 || id >= len(ph.Trace.Units) {
+			if id < 0 || id >= len(units) {
 				return Sample{}, fmt.Errorf("sampling: point %d not in profiling trace", id)
 			}
 			i = id
@@ -60,8 +65,12 @@ func EstimateOnTrace(ph *phase.Phases, sp Stratified, target *trace.Trace) (Samp
 				return Sample{}, fmt.Errorf("sampling: point %d not in profiling trace", id)
 			}
 		}
+		u := &target.Units[i]
+		if !u.CPIValid() {
+			return Sample{}, fmt.Errorf("sampling: point %d has no valid CPI on the target trace", id)
+		}
 		h := ph.Assign[i]
-		sums[h] += target.Units[i].CPI()
+		sums[h] += u.CPI()
 		counts[h]++
 	}
 	out := Sample{Method: "SimProf(design)", UnitIDs: sp.UnitIDs}

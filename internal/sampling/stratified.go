@@ -201,19 +201,11 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 	if ph.K == 0 || len(ph.Assign) == 0 {
 		return Stratified{}, fmt.Errorf("sampling: no phases")
 	}
-	Nh := ph.Sizes()
-	capacity := ph.MeasuredSizes()
-	totalCap := 0
-	for _, c := range capacity {
-		totalCap += c
-	}
-	if totalCap == 0 {
+	st := scanStrata(ph)
+	if len(st.all) == 0 {
 		return Stratified{}, fmt.Errorf("sampling: no measurable units in any phase")
 	}
-	sigma := make([]float64, ph.K)
-	for h := 0; h < ph.K; h++ {
-		sigma[h] = stats.StdDev(ph.PhaseCPIs(h))
-	}
+	Nh, capacity, sigma := st.Nh, st.capacity, st.sigma
 	alloc, err := neymanAllocation(Nh, capacity, sigma, n)
 	if err != nil {
 		return Stratified{}, err
@@ -226,7 +218,7 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 		PhaseSamples: make([][]float64, ph.K),
 		Weights:      ph.Weights(),
 		Imputed:      make([]bool, ph.K),
-		DegradedFrac: ph.DegradedFraction(),
+		DegradedFrac: float64(len(ph.Assign)-len(st.all)) / float64(len(ph.Assign)),
 		SEInflation:  1,
 	}
 	N := float64(len(ph.Assign))
@@ -239,13 +231,12 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 		if alloc[h] == 0 {
 			continue
 		}
-		units := ph.MeasuredPhaseUnits(h)
+		units := st.units[h]
 		pick := stats.SampleWithoutReplacement(rng, len(units), alloc[h])
 		cpis := make([]float64, 0, alloc[h])
 		for _, j := range pick {
-			u := units[j]
-			out.UnitIDs = append(out.UnitIDs, ph.Trace.Units[u].ID)
-			cpis = append(cpis, ph.Trace.Units[u].CPI())
+			out.UnitIDs = append(out.UnitIDs, ph.Trace.Units[units[j]].ID)
+			cpis = append(cpis, st.cpis[h][j])
 		}
 		mean := stats.Mean(cpis)
 		out.PhaseMean[h] = mean
@@ -265,11 +256,7 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 		// path) never take this branch.
 		if sh == 0 && capacity[h] < Nh[h] {
 			obsSigmaFallbacks.Inc()
-			var clean []float64
-			for g := 0; g < ph.K; g++ {
-				clean = append(clean, ph.PhaseCPIs(g)...)
-			}
-			sh = stats.StdDev(clean)
+			sh = stats.StdDev(st.all)
 		}
 		nh := float64(alloc[h])
 		NhF := float64(Nh[h])
@@ -360,38 +347,37 @@ func (s Stratified) BootstrapCI(level float64, rounds int, seed uint64) stats.In
 // would achieve, using the profiled per-phase σ (available for free from
 // the hardware counters) — the planning loop of §III-C.
 func PlanSE(ph *phase.Phases, n int) (float64, error) {
-	Nh := ph.Sizes()
-	capacity := ph.MeasuredSizes()
-	sigma := make([]float64, ph.K)
-	var clean []float64
-	for h := 0; h < ph.K; h++ {
-		cpis := ph.PhaseCPIs(h)
-		sigma[h] = stats.StdDev(cpis)
-		clean = append(clean, cpis...)
-	}
-	alloc, err := neymanAllocation(Nh, capacity, sigma, n)
+	st := scanStrata(ph)
+	return planSE(st, n, stats.StdDev(st.all))
+}
+
+// planSE is PlanSE over a scanned population; sPool is the spread of
+// every measured CPI, charged to strata the plan cannot reach.
+func planSE(st strata, n int, sPool float64) (float64, error) {
+	alloc, err := neymanAllocation(st.Nh, st.capacity, st.sigma, n)
 	if err != nil {
 		return 0, err
 	}
-	sPool := stats.StdDev(clean)
 	var variance float64
-	for h := 0; h < ph.K; h++ {
-		if Nh[h] == 0 {
+	total := 0
+	for h, size := range st.Nh {
+		total += size
+		if size == 0 {
 			continue
 		}
-		NhF := float64(Nh[h])
+		NhF := float64(size)
 		if alloc[h] == 0 {
 			// A phase the plan cannot reach (no measurable units) will be
 			// imputed at estimation time; budget its uncertainty now.
-			if capacity[h] == 0 {
+			if st.capacity[h] == 0 {
 				variance += NhF * NhF * sPool * sPool
 			}
 			continue
 		}
 		nh := float64(alloc[h])
-		variance += NhF * NhF * (1 - nh/NhF) * sigma[h] * sigma[h] / nh
+		variance += NhF * NhF * (1 - nh/NhF) * st.sigma[h] * st.sigma[h] / nh
 	}
-	return math.Sqrt(variance) / float64(len(ph.Assign)), nil
+	return math.Sqrt(variance) / float64(total), nil
 }
 
 // RequiredSampleSize returns the smallest overall sample size whose
@@ -408,15 +394,14 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 	// The drawable population is the measured units; asking for more
 	// cannot shrink the SE further (degraded strata keep their
 	// imputation-variance floor no matter the budget).
-	N := 0
-	for _, c := range ph.MeasuredSizes() {
-		N += c
-	}
+	st := scanStrata(ph)
+	N := len(st.all)
 	if N == 0 {
 		return 0, fmt.Errorf("sampling: no measurable units to size a sample from")
 	}
+	sPool := stats.StdDev(st.all)
 	ok := func(n int) bool {
-		se, err := PlanSE(ph, n)
+		se, err := planSE(st, n, sPool)
 		if err != nil {
 			return false
 		}
@@ -435,4 +420,65 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 		}
 	}
 	return lo, nil
+}
+
+// strata is the measured population of every phase, collected in one
+// pass over the assignment: units[h] holds phase h's measured unit
+// indices in ascending order and cpis[h] their CPIs. The per-phase
+// windows sit back to back in one phase-major array, so all is every
+// measured CPI in phase order — the pooled population of the σ
+// fallbacks. Measured status is read afresh on every scan, never cached
+// on the Phases: unit quality may change after formation.
+type strata struct {
+	Nh       []int       // population per phase
+	capacity []int       // measured units per phase (the drawable frame)
+	sigma    []float64   // σ_h of each phase's measured CPIs
+	units    [][]int     // measured unit indices per phase
+	cpis     [][]float64 // their CPIs, aligned with units
+	all      []float64   // every measured CPI, phase-major
+}
+
+func scanStrata(ph *phase.Phases) strata {
+	K := ph.K
+	st := strata{
+		Nh:       ph.Sizes(),
+		capacity: make([]int, K),
+		sigma:    make([]float64, K),
+		units:    make([][]int, K),
+		cpis:     make([][]float64, K),
+	}
+	// Phase h fills idx/cpi from the sum of the populations before it;
+	// its own population bounds its measured count, so the regions
+	// cannot overlap.
+	fill := make([]int, K)
+	n := 0
+	for h, size := range st.Nh {
+		fill[h] = n
+		n += size
+	}
+	idx := make([]int, n)
+	cpi := make([]float64, n)
+	tr := ph.Trace
+	for i, h := range ph.Assign {
+		if ph.UnitMeasured(i) {
+			idx[fill[h]] = i
+			cpi[fill[h]] = tr.Units[i].CPI()
+			fill[h]++
+		}
+	}
+	// Close the gaps degraded units left, so the windows are contiguous.
+	start, pos := 0, 0
+	for h, size := range st.Nh {
+		c := fill[h] - start
+		copy(idx[pos:], idx[start:fill[h]])
+		copy(cpi[pos:], cpi[start:fill[h]])
+		st.units[h] = idx[pos : pos+c : pos+c]
+		st.cpis[h] = cpi[pos : pos+c : pos+c]
+		st.capacity[h] = c
+		st.sigma[h] = stats.StdDev(st.cpis[h])
+		start += size
+		pos += c
+	}
+	st.all = cpi[:pos]
+	return st
 }

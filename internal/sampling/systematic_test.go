@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -118,5 +119,30 @@ func TestEstimateOnTraceTracksTarget(t *testing.T) {
 	short := mixedTrace(10, 31)
 	if _, err := EstimateOnTrace(ph, sp, short); err == nil {
 		t.Fatal("mismatched unit counts should fail")
+	}
+}
+
+// TestEstimateOnTraceRejectsUnmeasuredPoint: a chosen point whose target
+// unit has no valid CPI (lost counters, or zero instructions) is an
+// error naming the point, not a CPI of 0 in the phase mean.
+func TestEstimateOnTraceRejectsUnmeasuredPoint(t *testing.T) {
+	tr := mixedTrace(40, 30)
+	ph := formed(t, tr)
+	sp, err := SimProf(ph, 10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sp.UnitIDs[len(sp.UnitIDs)/2]
+	for _, lose := range []func(u *trace.Unit){
+		func(u *trace.Unit) { u.Quality |= trace.CountersMissing },
+		func(u *trace.Unit) { u.Counters.Instructions = 0 },
+	} {
+		target := mixedTrace(40, 30)
+		lose(&target.Units[id])
+		_, err := EstimateOnTrace(ph, sp, target)
+		want := fmt.Sprintf("sampling: point %d has no valid CPI on the target trace", id)
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %s", err, want)
+		}
 	}
 }

@@ -75,7 +75,7 @@ type Unit struct {
 }
 
 // CPI is shorthand for u.Counters.CPI().
-func (u Unit) CPI() float64 { return u.Counters.CPI() }
+func (u *Unit) CPI() float64 { return u.Counters.CPI() }
 
 // Trace is a full profiling run of one workload on one input.
 type Trace struct {
@@ -128,8 +128,8 @@ func (t *Trace) Table() (*model.Table, error) {
 // oracle mean and every σ computed from the population.
 func (t *Trace) CPIs() []float64 {
 	out := make([]float64, 0, len(t.Units))
-	for _, u := range t.Units {
-		if u.CPIValid() {
+	for i := range t.Units {
+		if u := &t.Units[i]; u.CPIValid() {
 			out = append(out, u.CPI())
 		}
 	}
@@ -142,8 +142,8 @@ func (t *Trace) CPIs() []float64 {
 func (t *Trace) OracleCPI() float64 {
 	var sum float64
 	n := 0
-	for _, u := range t.Units {
-		if u.CPIValid() {
+	for i := range t.Units {
+		if u := &t.Units[i]; u.CPIValid() {
 			sum += u.CPI()
 			n++
 		}

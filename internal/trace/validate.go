@@ -88,7 +88,7 @@ func (q Quality) String() string {
 // instruction units (counter dropouts, malformed input) must not enter
 // CPI means or σ estimates as CPI 0 — that is a missing value, not a
 // fast unit.
-func (u Unit) CPIValid() bool {
+func (u *Unit) CPIValid() bool {
 	return u.Counters.Instructions > 0 && !u.Quality.Has(CountersMissing)
 }
 
@@ -107,7 +107,7 @@ func (t *Trace) ExpectedSnapshots() int {
 // pipeline consumes effective quality so hand-built or legacy traces
 // degrade gracefully even when nothing ran Repair on them.
 func (t *Trace) EffectiveQuality(i int) Quality {
-	u := t.Units[i]
+	u := &t.Units[i]
 	q := u.Quality
 	if u.Counters.Instructions == 0 {
 		q |= CountersMissing
@@ -211,7 +211,8 @@ func (t *Trace) Validate() error {
 		names[fqn] = true
 	}
 	maxSnaps := t.ExpectedSnapshots() + 1
-	for i, u := range t.Units {
+	for i := range t.Units {
+		u := &t.Units[i]
 		if u.ID != i {
 			return fmt.Errorf("trace: non-dense unit ids at %d (id %d)", i, u.ID)
 		}

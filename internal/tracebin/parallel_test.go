@@ -1,0 +1,310 @@
+package tracebin
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"simprof/internal/model"
+	"simprof/internal/parallel"
+	"simprof/internal/stats"
+	"simprof/internal/synth"
+	"simprof/internal/trace"
+)
+
+// TestCRCCombine: the chunk-combined checksum equals crc32.Checksum over
+// the whole buffer, for random split points, empty and 1-byte pieces,
+// and a buffer spanning several CRC chunks at any worker count.
+func TestCRCCombine(t *testing.T) {
+	rng := stats.NewRNG(5)
+	buf := make([]byte, 2*crcChunk+crcChunk/2+123)
+	for i := range buf {
+		buf[i] = byte(rng.Uint64())
+	}
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+	split := func(b []byte, at int) {
+		t.Helper()
+		if got, want := crcCombine(crc(b[:at]), crc(b[at:]), len(b)-at), crc(b); got != want {
+			t.Fatalf("split %d of %d bytes: combined %#x, want %#x", at, len(b), got, want)
+		}
+	}
+	small := buf[:4096]
+	for i := 0; i < 64; i++ {
+		split(small, rng.IntN(len(small)+1))
+	}
+	for _, at := range []int{0, 1, len(small) - 1, len(small)} {
+		split(small, at) // empty and 1-byte pieces on either side
+	}
+	for _, at := range []int{0, 1, crcChunk, len(buf) - 1, len(buf)} {
+		split(buf, at)
+	}
+	// Fold a buffer one byte at a time.
+	var folded uint32
+	for i := range small[:300] {
+		folded = crcCombine(folded, crc(small[i:i+1]), 1)
+	}
+	if want := crc(small[:300]); folded != want {
+		t.Fatalf("byte-by-byte fold %#x, want %#x", folded, want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, crcChunk, crcChunk + 1, len(buf)} {
+			if got, want := checksum(parallel.New(workers), buf[:n]), crc(buf[:n]); got != want {
+				t.Fatalf("workers=%d, %d bytes: chunked checksum %#x, want %#x", workers, n, got, want)
+			}
+		}
+	}
+}
+
+var gridTrace struct {
+	bin []byte
+	m   int
+}
+
+// gridBin is the encoding of a trace that spans at least three chunks of
+// every decode grid, checked here so a grid resize cannot quietly shrink
+// what the tests below cover. It is built once per test binary.
+func gridBin(t *testing.T) ([]byte, int) {
+	t.Helper()
+	if gridTrace.bin == nil {
+		spec := synth.DefaultTrace(40_000, 21)
+		spec.Depth, spec.Snapshots = 5, 5
+		tr, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stacks, frames int
+		for i := range tr.Units {
+			stacks += len(tr.Units[i].Snapshots)
+			for _, s := range tr.Units[i].Snapshots {
+				frames += len(s)
+			}
+		}
+		for _, g := range []struct {
+			what     string
+			n, chunk int
+		}{
+			{"body bytes", len(bin) - headerSize, crcChunk},
+			{"frames", frames, frameChunk},
+			{"stacks", stacks, stackChunk},
+			{"units", len(tr.Units), unitChunk},
+			{"frequency values", dec.Freq().NNZ(), freqChunk},
+		} {
+			if got := parallel.Chunks(g.n, g.chunk); got < 3 {
+				t.Fatalf("grid trace: %d %s fill %d chunks of %d, want at least 3", g.n, g.what, got, g.chunk)
+			}
+		}
+		gridTrace.bin, gridTrace.m = bin, len(tr.Methods)
+	}
+	return gridTrace.bin, gridTrace.m
+}
+
+// decodeAt decodes data on a fresh engine with GOMAXPROCS set to procs.
+func decodeAt(procs int, data []byte) (*trace.Trace, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return decode(data, parallel.New(procs))
+}
+
+// TestDecodeBinWorkerInvariant: a trace spanning several chunks of every
+// grid, the CRC's included, decodes to the identical trace at GOMAXPROCS
+// 1, 2 and 8, on the zero-copy and the copying path.
+func TestDecodeBinWorkerInvariant(t *testing.T) {
+	bin, _ := gridBin(t)
+	defer func(old bool) { forceCopy = old }(forceCopy)
+	var ref *trace.Trace
+	for _, copyPath := range []bool{false, true} {
+		forceCopy = copyPath
+		for _, procs := range []int{1, 2, 8} {
+			got, err := decodeAt(procs, bin)
+			if err != nil {
+				t.Fatalf("copy=%v procs=%d: %v", copyPath, procs, err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("copy=%v procs=%d: decoded trace differs from copy=false procs=1", copyPath, procs)
+			}
+		}
+	}
+}
+
+// section returns the bytes of section id inside data (aliased, so
+// writes through it mutate data).
+func section(t *testing.T, data []byte, id uint32) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	nsec := int(le.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		e := data[headerSize+i*entrySize:]
+		if le.Uint32(e) == id {
+			off, n := le.Uint64(e[8:]), le.Uint64(e[16:])
+			return data[off : off+n]
+		}
+	}
+	t.Fatalf("no section %d", id)
+	return nil
+}
+
+// TestDecodeBinFirstErrorAcrossChunks: with defects in several chunks,
+// the decode reports the one a serial scan meets first — the lowest
+// chunk within a loop, the earlier loop across loops, and a checksum
+// mismatch before any structural defect — at every worker count.
+func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
+	good, m := gridBin(t)
+	le := binary.LittleEndian
+	unitA, unitB := unitChunk+3, 2*unitChunk+9
+	frameA, frameB := frameChunk+5, 2*frameChunk+1
+	stackA, stackB := stackChunk+10, 2*stackChunk+4
+	freqA, freqB := freqChunk+2, 2*freqChunk+8
+	for _, tc := range []struct {
+		name    string
+		mangle  func(b []byte)
+		keepCRC bool
+		want    func(b []byte) string
+	}{
+		{
+			name: "frame ids, two chunks",
+			mangle: func(b []byte) {
+				f := section(t, b, secFrames)
+				le.PutUint32(f[4*frameA:], uint32(m+1))
+				le.PutUint32(f[4*frameB:], uint32(m+2))
+			},
+			want: func([]byte) string {
+				return fmt.Sprintf("snapshot frame refers to method %d outside the table (%d methods)", m+1, m)
+			},
+		},
+		{
+			name: "frame offsets, two chunks",
+			mangle: func(b []byte) {
+				off := section(t, b, secFrameOff)
+				le.PutUint32(off[4*stackA:], math.MaxUint32/2)
+				le.PutUint32(off[4*stackB:], 0)
+			},
+			want: func(b []byte) string {
+				prev := le.Uint32(section(t, b, secFrameOff)[4*(stackA-1):])
+				return fmt.Sprintf("frame offsets not monotone at %d (%d < %d)", stackA, math.MaxUint32/2, prev)
+			},
+		},
+		{
+			name: "units, two chunks",
+			mangle: func(b []byte) {
+				le.PutUint32(section(t, b, secThread)[4*unitA:], math.MaxUint32)
+				section(t, b, secQuality)[unitB] = 0x80
+			},
+			want: func(b []byte) string {
+				index := int32(le.Uint32(section(t, b, secIndex)[4*unitA:]))
+				return fmt.Sprintf("unit %d has negative thread/index (%d/%d)", unitA, -1, index)
+			},
+		},
+		{
+			name: "frequency values, two chunks",
+			mangle: func(b []byte) {
+				v := section(t, b, secFreqVal)
+				le.PutUint64(v[8*freqA:], math.Float64bits(-2))
+				le.PutUint64(v[8*freqB:], math.Float64bits(math.NaN()))
+			},
+			want: func([]byte) string {
+				return "frequency matrix holds non-positive or non-finite value -2"
+			},
+		},
+		{
+			name: "two loops: the earlier loop wins over a lower chunk",
+			mangle: func(b []byte) {
+				le.PutUint64(section(t, b, secUnitID)[8*3:], 7) // unit loop, chunk 0
+				le.PutUint32(section(t, b, secFrames)[4*frameB:], uint32(m+4))
+			},
+			want: func([]byte) string {
+				return fmt.Sprintf("snapshot frame refers to method %d outside the table (%d methods)", m+4, m)
+			},
+		},
+		{
+			name: "checksum before structure",
+			mangle: func(b []byte) {
+				le.PutUint32(section(t, b, secThread)[4*unitA:], math.MaxUint32)
+			},
+			keepCRC: true,
+			want: func(b []byte) string {
+				return fmt.Sprintf("%v: crc %#x != stored %#x", ErrChecksum,
+					crc32.Checksum(b[headerSize:], crcTable), le.Uint32(b[8:]))
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			tc.mangle(bad)
+			if !tc.keepCRC {
+				fixCRC(bad)
+			}
+			want := tc.want(bad)
+			for _, procs := range []int{1, 2, 8} {
+				_, err := decodeAt(procs, bad)
+				if err == nil || err.Error() != want {
+					t.Fatalf("procs=%d: got %v\nwant %s", procs, err, want)
+				}
+			}
+			if _, err := Decode(bad); err == nil || err.Error() != "tracebin: decode: "+want {
+				t.Fatalf("Decode: got %v, want the same error wrapped", err)
+			}
+			if tc.keepCRC {
+				if _, err := Decode(bad); !errors.Is(err, ErrChecksum) {
+					t.Fatalf("Decode: %v does not wrap ErrChecksum", err)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsDuplicateMethod: a method table that lists one
+// qualified name twice is rejected at decode with Validate's wording,
+// instead of yielding a trace that fails Validate.
+func TestDecodeRejectsDuplicateMethod(t *testing.T) {
+	tr := &trace.Trace{
+		UnitInstr:     100,
+		SnapshotEvery: 100,
+		Methods: []model.Method{
+			{ID: 0, Class: "a", Name: "xx"},
+			{ID: 1, Class: "a", Name: "yy"},
+		},
+		Units: []trace.Unit{{
+			Counters:  trace.Counters{Instructions: 100, Cycles: 150},
+			Snapshots: []model.Stack{{0, 1}},
+		}},
+	}
+	bin, err := Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := section(t, bin, secMethodStr)
+	if !bytes.Equal(blob, []byte("axxayy")) {
+		t.Fatalf("method blob %q", blob)
+	}
+	copy(blob[4:], "xx")
+	fixCRC(bin)
+	dec, err := Decode(bin)
+	if err == nil {
+		t.Fatalf("duplicate method decoded; Validate says %v", dec.Validate())
+	}
+	const want = `tracebin: decode: method "a.xx" listed twice (id 1)`
+	if err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
+	}
+	tr.Methods[1].Name = "xx"
+	if err := tr.Validate(); err == nil || err.Error() != `trace: method "a.xx" listed twice (id 1)` {
+		t.Fatalf("Validate wording drifted: %v", err)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"simprof/internal/matrix"
 	"simprof/internal/model"
 	"simprof/internal/obs"
+	"simprof/internal/parallel"
 	"simprof/internal/trace"
 )
 
@@ -112,6 +113,22 @@ var (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// The fixed chunk grids of the parallel decode, in elements of the loop
+// each one splits. A grid depends only on the input size, never on the
+// worker count, and every chunk stops at its first defect, so the lowest
+// failing chunk names the defect a serial scan finds first: a malformed
+// input gets the same error at any worker count. Each grid holds the
+// largest Table I trace in one chunk (868 KB, 118k frames, 16k stacks,
+// 1.6k units, 17k frequency values), so paper-sized inputs decode
+// inline on the caller.
+const (
+	crcChunk   = 4 << 20 // bytes per CRC-32C chunk
+	frameChunk = 1 << 18 // frame ids per bounds-check chunk
+	stackChunk = 1 << 16 // stacks per assembly chunk
+	unitChunk  = 1 << 14 // units per unit-loop chunk
+	freqChunk  = 1 << 17 // frequency values per sweep chunk
+)
 
 func init() {
 	trace.RegisterFormat(trace.Format{
@@ -440,9 +457,11 @@ func appendFreqVals(buf []byte, t *trace.Trace, counts []float64, touched []int3
 // data while the trace is in use. Decode never panics on malformed
 // input and never returns a trace that fails Validate; foreign bytes
 // come back wrapping ErrFormat, short files ErrTruncated, and corrupt
-// bodies ErrChecksum.
+// bodies ErrChecksum. A large input is checksummed and validated
+// chunk-parallel on parallel.Default(); the trace, and the error of a
+// malformed input, are those of a serial decode.
 func Decode(data []byte) (*trace.Trace, error) {
-	t, err := decode(data)
+	t, err := decode(data, parallel.Default())
 	if err != nil {
 		obsDecodeErrors.Inc()
 		return nil, fmt.Errorf("tracebin: decode: %w", err)
@@ -452,7 +471,9 @@ func Decode(data []byte) (*trace.Trace, error) {
 	return t, nil
 }
 
-func decode(data []byte) (*trace.Trace, error) {
+// decode runs the chunked loops on eng; the result, and the error of a
+// malformed input, do not depend on its worker count.
+func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	le := binary.LittleEndian
 	if len(data) < 4 || string(data[0:4]) != Magic {
 		return nil, fmt.Errorf("%w (missing %q magic)", ErrFormat, Magic)
@@ -471,7 +492,7 @@ func decode(data []byte) (*trace.Trace, error) {
 	if len(data) < tableEnd {
 		return nil, fmt.Errorf("%w: section table needs %d bytes, have %d", ErrTruncated, tableEnd, len(data))
 	}
-	if got, want := crc32.Checksum(data[headerSize:], crcTable), le.Uint32(data[8:]); got != want {
+	if got, want := checksum(eng, data[headerSize:]), le.Uint32(data[8:]); got != want {
 		return nil, fmt.Errorf("%w: crc %#x != stored %#x", ErrChecksum, got, want)
 	}
 
@@ -567,13 +588,22 @@ func decode(data []byte) (*trace.Trace, error) {
 		return nil, err
 	}
 	t.Methods = make([]model.Method, m)
+	names := make(map[string]bool, m)
 	for i := 0; i < m; i++ {
-		t.Methods[i] = model.Method{
+		mm := model.Method{
 			ID:    model.MethodID(i),
 			Class: string(blob[methodOff[2*i]:methodOff[2*i+1]]),
 			Name:  string(blob[methodOff[2*i+1]:methodOff[2*i+2]]),
 			Kind:  model.Kind(kinds[i]),
 		}
+		// Trace.Table re-interns by qualified name, so a name listed
+		// twice would collapse two ids into one (Validate's rule).
+		fqn := mm.FQN()
+		if names[fqn] {
+			return nil, fmt.Errorf("method %q listed twice (id %d)", fqn, mm.ID)
+		}
+		names[fqn] = true
+		t.Methods[i] = mm
 	}
 
 	// Fixed-width unit columns. The thread column defines n.
@@ -667,32 +697,44 @@ func decode(data []byte) (*trace.Trace, error) {
 		return nil, err
 	}
 	um := uint32(m)
-	for _, id := range frames {
-		if uint32(id) >= um {
-			return nil, fmt.Errorf("snapshot frame refers to method %d outside the table (%d methods)", id, m)
+	if err := checkChunks(eng, len(frames), frameChunk, func(lo, hi int) error {
+		for _, id := range frames[lo:hi] {
+			if uint32(id) >= um {
+				return fmt.Errorf("snapshot frame refers to method %d outside the table (%d methods)", id, m)
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Assemble the snapshot arena, validating the frame offsets in the
 	// same pass (monotone, anchored at 0, ending exactly at the frame
-	// count) instead of materializing an intermediate offset slice.
+	// count) instead of materializing an intermediate offset slice. A
+	// chunk starts from the offset just before its first stack; if that
+	// offset is bad, the chunk before it fails first.
 	if le.Uint32(frameOffB) != 0 {
 		return nil, fmt.Errorf("frame offsets do not start at 0")
 	}
 	stacks := make([]model.Stack, nStacks)
-	prevOff := 0
-	for s := 0; s < nStacks; s++ {
-		b := int(le.Uint32(frameOffB[4*s+4:]))
-		if b < prevOff || b > len(frames) {
-			return nil, fmt.Errorf("frame offsets not monotone at %d (%d < %d)", s+1, b, prevOff)
+	if err := checkChunks(eng, nStacks, stackChunk, func(lo, hi int) error {
+		prevOff := int(le.Uint32(frameOffB[4*lo:]))
+		for s := lo; s < hi; s++ {
+			b := int(le.Uint32(frameOffB[4*s+4:]))
+			if b < prevOff || b > len(frames) {
+				return fmt.Errorf("frame offsets not monotone at %d (%d < %d)", s+1, b, prevOff)
+			}
+			if prevOff < b {
+				stacks[s] = frames[prevOff:b:b]
+			}
+			prevOff = b
 		}
-		if prevOff < b {
-			stacks[s] = frames[prevOff:b:b]
-		}
-		prevOff = b
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	if prevOff != len(frames) {
-		return nil, fmt.Errorf("frame offsets end at %d, want %d", prevOff, len(frames))
+	if end := int(le.Uint32(frameOffB[4*nStacks:])); end != len(frames) {
+		return nil, fmt.Errorf("frame offsets end at %d, want %d", end, len(frames))
 	}
 	stages := make([]int, len(stageVals))
 	for i, v := range stageVals {
@@ -701,42 +743,47 @@ func decode(data []byte) (*trace.Trace, error) {
 	maxSnaps := t.ExpectedSnapshots() + 1
 	qualityKnown := byte(trace.CountersMissing | trace.SnapshotsPartial | trace.Truncated)
 	t.Units = make([]trace.Unit, n)
-	for i := 0; i < n; i++ {
-		u := &t.Units[i]
-		if ids[i] != uint64(i) {
-			return nil, fmt.Errorf("non-dense unit ids at %d (id %d)", i, ids[i])
+	if err := checkChunks(eng, n, unitChunk, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			u := &t.Units[i]
+			if ids[i] != uint64(i) {
+				return fmt.Errorf("non-dense unit ids at %d (id %d)", i, ids[i])
+			}
+			if threads[i] < 0 || indexes[i] < 0 {
+				return fmt.Errorf("unit %d has negative thread/index (%d/%d)", i, threads[i], indexes[i])
+			}
+			if instr[i] > t.UnitInstr {
+				return fmt.Errorf("unit %d holds %d instructions, more than the unit size %d", i, instr[i], t.UnitInstr)
+			}
+			if quality[i]&^qualityKnown != 0 {
+				return fmt.Errorf("unit %d has unknown quality bits %#x", i, quality[i])
+			}
+			if snapOff[i+1]-snapOff[i] > maxSnaps {
+				return fmt.Errorf("unit %d has %d snapshots, more than the cadence allows (%d)",
+					i, snapOff[i+1]-snapOff[i], maxSnaps)
+			}
+			u.ID = i
+			u.Thread = int(threads[i])
+			u.Index = int(indexes[i])
+			u.StartCycle = starts[i]
+			u.Counters = trace.Counters{
+				Instructions: instr[i],
+				Cycles:       cycles[i],
+				L1Misses:     l1[i],
+				L2Misses:     l2[i],
+				LLCMisses:    llc[i],
+			}
+			u.Quality = trace.Quality(quality[i])
+			if a, b := snapOff[i], snapOff[i+1]; a < b {
+				u.Snapshots = stacks[a:b:b]
+			}
+			if a, b := stageOff[i], stageOff[i+1]; a < b {
+				u.Stages = stages[a:b:b]
+			}
 		}
-		if threads[i] < 0 || indexes[i] < 0 {
-			return nil, fmt.Errorf("unit %d has negative thread/index (%d/%d)", i, threads[i], indexes[i])
-		}
-		if instr[i] > t.UnitInstr {
-			return nil, fmt.Errorf("unit %d holds %d instructions, more than the unit size %d", i, instr[i], t.UnitInstr)
-		}
-		if quality[i]&^qualityKnown != 0 {
-			return nil, fmt.Errorf("unit %d has unknown quality bits %#x", i, quality[i])
-		}
-		if snapOff[i+1]-snapOff[i] > maxSnaps {
-			return nil, fmt.Errorf("unit %d has %d snapshots, more than the cadence allows (%d)",
-				i, snapOff[i+1]-snapOff[i], maxSnaps)
-		}
-		u.ID = i
-		u.Thread = int(threads[i])
-		u.Index = int(indexes[i])
-		u.StartCycle = starts[i]
-		u.Counters = trace.Counters{
-			Instructions: instr[i],
-			Cycles:       cycles[i],
-			L1Misses:     l1[i],
-			L2Misses:     l2[i],
-			LLCMisses:    llc[i],
-		}
-		u.Quality = trace.Quality(quality[i])
-		if a, b := snapOff[i], snapOff[i+1]; a < b {
-			u.Snapshots = stacks[a:b:b]
-		}
-		if a, b := stageOff[i], stageOff[i+1]; a < b {
-			u.Stages = stages[a:b:b]
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// The frequency matrix: structural validation via NewSparseCSR plus a
@@ -758,10 +805,15 @@ func decode(data []byte) (*trace.Trace, error) {
 		return nil, err
 	}
 	freqVal := float64Col(freqValB)
-	for _, v := range freqVal {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("frequency matrix holds non-positive or non-finite value %v", v)
+	if err := checkChunks(eng, len(freqVal), freqChunk, func(lo, hi int) error {
+		for _, v := range freqVal[lo:hi] {
+			if !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("frequency matrix holds non-positive or non-finite value %v", v)
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	sp, err := matrix.NewSparseCSR(n, m, intCol(freqPtrB), int32Col(freqColB), freqVal)
 	if err != nil {
@@ -769,6 +821,95 @@ func decode(data []byte) (*trace.Trace, error) {
 	}
 	t.SetFreq(sp)
 	return t, nil
+}
+
+// checkChunks runs check over the fixed grid [0,n) of size-element
+// chunks on eng and returns the error of the lowest failing chunk. An
+// input that fits one chunk runs inline, off the engine.
+func checkChunks(eng *parallel.Engine, n, size int, check func(lo, hi int) error) error {
+	if n <= size {
+		return check(0, n)
+	}
+	return eng.ForEachChunkErr(n, size, check)
+}
+
+// checksum is the CRC-32C of body, computed per crcChunk chunk on eng
+// and combined in chunk order.
+func checksum(eng *parallel.Engine, body []byte) uint32 {
+	chunks := parallel.Chunks(len(body), crcChunk)
+	if chunks <= 1 {
+		return crc32.Checksum(body, crcTable)
+	}
+	crcs := make([]uint32, chunks)
+	eng.ForEachChunk(len(body), crcChunk, func(c, lo, hi int) {
+		crcs[c] = crc32.Checksum(body[lo:hi], crcTable)
+	})
+	crc := crcs[0]
+	full := crcZeros(crcChunk)
+	for c := 1; c < chunks-1; c++ {
+		crc = full.apply(crc) ^ crcs[c]
+	}
+	last := len(body) - (chunks-1)*crcChunk
+	return crcCombine(crc, crcs[chunks-1], last)
+}
+
+// crcCombine returns the CRC-32C of a||b from crcA = CRC(a), crcB =
+// CRC(b) and lenB = len(b): zlib's crc32_combine. Appending lenB zero
+// bytes to a advances its CRC register by a linear map over GF(2), and
+// the pre- and post-inversion of the two CRCs cancel, so the result is
+// that map applied to crcA, xor crcB.
+func crcCombine(crcA, crcB uint32, lenB int) uint32 {
+	op := crcZeros(lenB)
+	return op.apply(crcA) ^ crcB
+}
+
+// gf2Op is a linear map on 32-bit CRC registers over GF(2): entry i is
+// the image of bit i.
+type gf2Op [32]uint32
+
+func (m *gf2Op) apply(v uint32) uint32 {
+	var out uint32
+	for i := 0; v != 0; i, v = i+1, v>>1 {
+		if v&1 != 0 {
+			out ^= m[i]
+		}
+	}
+	return out
+}
+
+// then returns the map "m, then o".
+func (m *gf2Op) then(o *gf2Op) gf2Op {
+	var out gf2Op
+	for i := range m {
+		out[i] = o.apply(m[i])
+	}
+	return out
+}
+
+// crcZeros returns the map that feeds n zero bytes through the
+// (reflected, Castagnoli) CRC register, by repeated squaring of the
+// one-byte map.
+func crcZeros(n int) gf2Op {
+	var bit gf2Op // one zero bit: shift right, fold the polynomial in
+	bit[0] = crc32.Castagnoli
+	for i := 1; i < 32; i++ {
+		bit[i] = 1 << (i - 1)
+	}
+	pow := bit
+	for i := 0; i < 3; i++ {
+		pow = pow.then(&pow)
+	}
+	var out gf2Op // identity
+	for i := range out {
+		out[i] = 1 << i
+	}
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			out = out.then(&pow)
+		}
+		pow = pow.then(&pow)
+	}
+	return out
 }
 
 // offsetCol decodes a u32 offset column, checking the CSR invariants:

@@ -37,8 +37,13 @@
 #                                            phase formation on a decoded
 #                                            bin trace must be
 #                                            bit-identical at workers
-#                                            1/2/8; fails if a named test
-#                                            no longer exists)
+#                                            1/2/8; the chunk-parallel
+#                                            SPTB decode matches itself
+#                                            at GOMAXPROCS 1/2/8 and the
+#                                            serial first error; the
+#                                            stratum scan matches the
+#                                            five-pass oracle; fails if a
+#                                            named test no longer exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
 #                                            torn appends, internal
 #                                            failures, expired deadlines,
@@ -271,6 +276,15 @@ run_kernel_equivalence() {
 	# zero-copy tracebin ingest paths.
 	equiv_tests ./internal/tracebin TestFormBitIdentical TestRoundTripGobBinGob \
 		TestFreqMatchesVectorizeSparse || fail kernel-equivalence
+	# The chunk-parallel decode: the combined CRC equals the one-pass
+	# CRC, a multi-chunk trace decodes identically at GOMAXPROCS 1/2/8 on
+	# both ingest paths, and a malformed input gets the serial decode's
+	# first error whichever chunk holds it.
+	equiv_tests ./internal/tracebin TestCRCCombine TestDecodeBinWorkerInvariant \
+		TestDecodeBinFirstErrorAcrossChunks || fail kernel-equivalence
+	# The one-pass stratum scan behind SimProf, PlanSE and
+	# RequiredSampleSize against the five-pass reference.
+	equiv_tests ./internal/sampling TestStratumScanMatchesOracle || fail kernel-equivalence
 }
 
 run_chaos_smoke() {
