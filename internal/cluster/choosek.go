@@ -75,11 +75,13 @@ func (o ChooseKOptions) withDefaults() ChooseKOptions {
 // k ≥ 2 is below MinScore, i.e. when the units do not separate (e.g.
 // grep on Spark, which runs a single filter stage).
 //
-// Point norms are computed once and shared by every restart stream's
-// seeding and Lloyd passes and every silhouette scoring pass. The
-// clustering fans out over restart streams (sweepRestarts) whose
-// results merge order-independently (bestByK), the scoring over k into
-// per-k slots, so the sweep is deterministic.
+// The distinct-row table (rows, each point's row, the row norms) is
+// built once and shared by every restart stream's seeding and Lloyd
+// passes, every silhouette scoring pass and the k = 1 fallback; the
+// clusterings stay per row until the chosen one is expanded to the
+// points. The clustering fans out over restart streams (sweepRestarts)
+// whose results merge order-independently (bestByK), the scoring over
+// k into per-k slots, so the sweep is deterministic.
 func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	o := opts.withDefaults()
 	n := pts.Rows()
@@ -88,10 +90,13 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	}
 	maxK := sweepMaxK(n, o.MaxK)
 	eng := parallel.New(o.Workers).WithContext(o.Ctx)
-	pn2, pnr := pointNorms(pts)
+	tab := newRowTable(eng, pts)
+	if err := eng.Err(); err != nil {
+		return KSelection{}, err
+	}
 	obsSweeps.Inc()
 	best := newBestByK(maxK)
-	st := sweepRestarts(eng, pts, pn2, pnr, maxK, o.KMeans, best.keep)
+	st := sweepRestarts(eng, tab, maxK, o.KMeans, best.keep)
 	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
@@ -101,14 +106,14 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	scores := make([]float64, maxK)
 	eng.ForEachIndex(maxK-1, func(i int) {
 		k := i + 2
-		scores[k-1] = simplifiedSilhouetteDense(eng, pts, pn2, pnr, results[k].Centers, results[k].Assign)
+		scores[k-1] = simplifiedSilhouetteDense(eng, tab, results[k].Centers, results[k].Assign)
 		obsSweepK.Inc()
 	})
 	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
-	return selectK(scores, results, o, func() (Result, error) {
-		one, st1, err := kMeansDenseWith(eng, pts, pn2, pnr, 1, o.KMeans)
+	sel, err := selectK(scores, results, o, func() (Result, error) {
+		one, st1, err := kMeansDenseWith(eng, tab, 1, o.KMeans)
 		if err != nil {
 			return Result{}, err
 		}
@@ -119,6 +124,14 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 		st1.record()
 		return one, nil
 	})
+	if err != nil {
+		return KSelection{}, err
+	}
+	sel.Best.Assign = tab.pointAssign(eng, sel.Best.Assign)
+	if err := eng.Err(); err != nil {
+		return KSelection{}, err
+	}
+	return sel, nil
 }
 
 // sweepMaxK is the largest k the sweep over n points tries, given the
@@ -134,7 +147,7 @@ func sweepMaxK(n, maxK int) int {
 }
 
 // sweepRestarts runs the sweep's clustering for every k in [2, maxK]
-// (maxK ≤ the row count). Restart stream r draws from
+// (maxK ≤ the point count). Restart stream r draws from
 // stats.SplitSeed(opts.Seed, r), the stream of kMeansDenseWith's restart
 // r, and seeds once, to maxK centers. k-means++ picks centers one at a
 // time, so the seeding's first k centers are exactly the seeding of an
@@ -144,19 +157,19 @@ func sweepMaxK(n, maxK int) int {
 // kMeansDenseWith(k, opts), for maxK relax passes per stream instead of
 // Σ_{k=2}^{maxK} k; calls from different streams may run concurrently.
 // The stats count what those independent runs would have computed.
-func sweepRestarts(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
+func sweepRestarts(eng *parallel.Engine, tab *rowTable,
 	maxK int, opts Options, keep func(k, r int, res Result)) distStats {
 	o := opts.withDefaults()
 	rstats := make([]distStats, o.Restarts)
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		t := obs.StartTimer()
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-		seedPlusPlusDense(pts, pn2, pnr, maxK, rng, eng, &rstats[r],
+		seedPlusPlusDense(tab, maxK, rng, eng, &rstats[r],
 			func(k int, seeds *matrix.Dense, hs *seedScratch) {
 				// Once canceled, no loop does any work: skip the runs
 				// the caller discards anyway.
 				if k >= 2 && eng.Err() == nil {
-					keep(k, r, lloydFrom(pts, pn2, pnr, seeds, k, hs, o, eng, &rstats[r]))
+					keep(k, r, lloydFrom(tab, seeds, k, hs, o, eng, &rstats[r]))
 				}
 			})
 		obsSweepSeconds.ObserveTimer(t)
@@ -165,11 +178,11 @@ func sweepRestarts(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
 }
 
 // bestByK keeps, for each k, the lowest-inertia restart delivered so
-// far, a tie going to the lower restart index. In any delivery order
-// that is the pick of bestRestart's strict-< scan in restart index
-// order, and the losers are dropped at once instead of restarts × k
-// clusterings staying live until the sweep ends. keep is safe for
-// concurrent use.
+// far (its Assign per distinct row), a tie going to the lower restart
+// index. In any delivery order that is the pick of bestRestart's
+// strict-< scan in restart index order, and the losers are dropped at
+// once instead of restarts × k clusterings staying live until the sweep
+// ends. keep is safe for concurrent use.
 type bestByK struct {
 	mu      sync.Mutex
 	results []Result // results[k]: the pick at k so far

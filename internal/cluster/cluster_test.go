@@ -17,11 +17,26 @@ import (
 )
 
 // kMeansRows runs the production k-means on rows copied into a Dense,
-// on an engine of opts.Workers, the way phase formation reaches it.
+// on an engine of opts.Workers, the way phase formation reaches it; the
+// result's Assign is expanded to the points.
 func kMeansRows(rows [][]float64, k int, opts Options) (Result, distStats, error) {
-	pts := matrix.FromRows(rows)
-	pn2, pnr := pointNorms(pts)
-	return kMeansDenseWith(parallel.New(opts.Workers), pts, pn2, pnr, k, opts)
+	eng := parallel.New(opts.Workers)
+	tab := newRowTable(eng, matrix.FromRows(rows))
+	res, st, err := kMeansDenseWith(eng, tab, k, opts)
+	if err == nil {
+		res.Assign = tab.pointAssign(eng, res.Assign)
+	}
+	return res, st, err
+}
+
+// rowAssign folds a per-point assignment onto the rows of tab (the
+// points of one row share their cluster).
+func rowAssign(tab *rowTable, assign []int) []int {
+	out := make([]int, tab.distinct())
+	for i, r := range tab.rowOf {
+		out[r] = assign[i]
+	}
+	return out
 }
 
 // threeBlobs returns well-separated clusters around (0,0), (10,0), (0,10).
@@ -257,13 +272,13 @@ func (c *pollCtx) Err() error {
 // KSelection, and leave no goroutine behind.
 func TestChooseKCanceledMidSweep(t *testing.T) {
 	pts := matrix.FromRows(benchPoints(600, 12, 4, 29))
-	pn2, pnr := pointNorms(pts)
+	tab := newRowTable(parallel.New(1), pts)
 	before := runtime.NumGoroutine()
 	for _, w := range []int{1, 2} {
 		opts := ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 4}, Workers: w}
 		// Polls of the restart streams alone, then of the whole sweep.
 		streams := &pollCtx{Context: context.Background(), left: -1}
-		sweepRestarts(parallel.New(w).WithContext(streams), pts, pn2, pnr,
+		sweepRestarts(parallel.New(w).WithContext(streams), tab,
 			sweepMaxK(pts.Rows(), opts.MaxK), opts.KMeans, func(int, int, Result) {})
 		whole := &pollCtx{Context: context.Background(), left: -1}
 		opts.Ctx = whole

@@ -56,20 +56,20 @@ func TestChooseKBitForBitAcrossWorkers(t *testing.T) {
 
 func TestSilhouettesBitForBitAcrossWorkers(t *testing.T) {
 	rows := benchPoints(500, 16, 4, 29)
-	pts := matrix.FromRows(rows)
-	pn2, pnr := pointNorms(pts)
+	tab := newRowTable(parallel.New(1), matrix.FromRows(rows))
 	res, _, err := kMeansRows(rows, 4, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assign := rowAssign(tab, res.Assign)
 	exactBase := silhouette(parallel.New(1), rows, res.Assign, 4)
-	simpBase := simplifiedSilhouetteDense(parallel.New(1), pts, pn2, pnr, res.Centers, res.Assign)
+	simpBase := simplifiedSilhouetteDense(parallel.New(1), tab, res.Centers, assign)
 	for _, w := range workerSweep[1:] {
 		eng := parallel.New(w)
 		if got := silhouette(eng, rows, res.Assign, 4); got != exactBase {
 			t.Fatalf("workers=%d: exact silhouette %.17g != serial %.17g", w, got, exactBase)
 		}
-		if got := simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign); got != simpBase {
+		if got := simplifiedSilhouetteDense(eng, tab, res.Centers, assign); got != simpBase {
 			t.Fatalf("workers=%d: simplified silhouette %.17g != serial %.17g", w, got, simpBase)
 		}
 	}
@@ -142,7 +142,7 @@ func TestAssignPartialSumMergeProperty(t *testing.T) {
 			assign := make([]int, n)
 			sizes := make([]int, 4)
 			sc := new(lloydScratch)
-			sc.ensure(n, 4, 6)
+			sc.ensure(n, n, 4, 6)
 			inertia := assignPoints(parallel.New(w), pts, centers, assign, sizes, sc, true, new(atomic.Int64))
 			return assign, sizes, inertia
 		}

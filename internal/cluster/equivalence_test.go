@@ -129,42 +129,109 @@ func TestPrunedMatchesNaiveWithTelemetry(t *testing.T) {
 // SqDist calls over those independent runs.
 func TestChooseKPrunedMatchesNaive(t *testing.T) {
 	for _, rows := range [][][]float64{benchPoints(600, 32, 4, 23), cycled(60, 1)} {
-		pts := matrix.FromRows(rows)
-		pn2, pnr := pointNorms(pts)
-		for _, w := range workerSweep {
-			o := ChooseKOptions{MaxK: 10, KMeans: Options{Seed: 5}, Workers: w}.withDefaults()
-			sel, err := ChooseKDense(pts, o)
+		chooseKMatchesOracle(t, rows, 10)
+	}
+}
+
+// chooseKMatchesOracle is TestChooseKPrunedMatchesNaive's check of one
+// input, swept to at most maxK, at every worker count.
+func chooseKMatchesOracle(t *testing.T, rows [][]float64, maxK int) {
+	t.Helper()
+	pts := matrix.FromRows(rows)
+	tab := newRowTable(parallel.New(1), pts)
+	for _, w := range workerSweep {
+		o := ChooseKOptions{MaxK: maxK, KMeans: Options{Seed: 5}, Workers: w}.withDefaults()
+		sel, err := ChooseKDense(pts, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parallel.New(w)
+		scores := make([]float64, len(sel.Scores))
+		results := make([]Result, len(scores)+1)
+		var calls atomic.Int64
+		for k := 2; k <= len(scores); k++ {
+			want := oracleKMeans(eng, rows, k, o.KMeans, &calls)
+			got, _, err := kMeansDenseWith(eng, tab, k, o.KMeans)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := parallel.New(w)
-			scores := make([]float64, len(sel.Scores))
-			results := make([]Result, len(scores)+1)
-			var calls atomic.Int64
-			for k := 2; k <= len(scores); k++ {
-				want := oracleKMeans(eng, rows, k, o.KMeans, &calls)
-				got, _, err := kMeansDenseWith(eng, pts, pn2, pnr, k, o.KMeans)
-				if err != nil || !reflect.DeepEqual(want, got) {
-					t.Fatalf("workers=%d k=%d: clustering diverged from the oracle (err %v)", w, k, err)
-				}
-				results[k] = want
-				scores[k-1] = simplifiedSilhouetteRows(eng, rows, want.Centers, want.Assign)
-				if s := simplifiedSilhouetteDense(eng, pts, pn2, pnr, got.Centers, got.Assign); s != scores[k-1] {
-					t.Fatalf("workers=%d k=%d: score %.17g, oracle %.17g", w, k, s, scores[k-1])
-				}
+			s := simplifiedSilhouetteDense(eng, tab, got.Centers, got.Assign)
+			got.Assign = tab.pointAssign(eng, got.Assign)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("workers=%d k=%d: clustering diverged from the oracle", w, k)
 			}
-			if st := sweepRestarts(eng, pts, pn2, pnr, len(scores), o.KMeans, func(int, int, Result) {}); st.equivalent != calls.Load() {
-				t.Fatalf("workers=%d: sweep equivalent=%d, oracle made %d SqDist calls",
-					w, st.equivalent, calls.Load())
-			}
-			want, _ := selectK(scores, results, o, func() (Result, error) {
-				return oracleKMeans(eng, rows, 1, o.KMeans, new(atomic.Int64)), nil
-			})
-			if !reflect.DeepEqual(want, sel) {
-				t.Fatalf("workers=%d: selection k=%d scores=%v, oracle k=%d scores=%v",
-					w, sel.K, sel.Scores, want.K, want.Scores)
+			results[k] = want
+			scores[k-1] = simplifiedSilhouetteRows(eng, rows, want.Centers, want.Assign)
+			if s != scores[k-1] {
+				t.Fatalf("workers=%d k=%d: score %.17g, oracle %.17g", w, k, s, scores[k-1])
 			}
 		}
+		if st := sweepRestarts(eng, tab, len(scores), o.KMeans, func(int, int, Result) {}); st.equivalent != calls.Load() {
+			t.Fatalf("workers=%d: sweep equivalent=%d, oracle made %d SqDist calls",
+				w, st.equivalent, calls.Load())
+		}
+		want, _ := selectK(scores, results, o, func() (Result, error) {
+			return oracleKMeans(eng, rows, 1, o.KMeans, new(atomic.Int64)), nil
+		})
+		if !reflect.DeepEqual(want, sel) {
+			t.Fatalf("workers=%d: selection k=%d scores=%v, oracle k=%d scores=%v",
+				w, sel.K, sel.Scores, want.K, want.Scores)
+		}
+	}
+}
+
+// TestChooseKDistinctRowsMatchNaive is the same check on inputs whose
+// points repeat a few distinct vectors, where the kernels work per
+// distinct row and every reduction reads the rows back in point order:
+// integer counts from a pool of 40 vectors spread over more than four
+// point chunks; a pool smaller than the largest k, so the seeding picks
+// duplicates and Lloyd re-seeds empty clusters; rows that differ only
+// in the sign of a zero; and one vector repeated throughout.
+func TestChooseKDistinctRowsMatchNaive(t *testing.T) {
+	signed := countPoints(3*pointChunk, 6, 12, 17)
+	rng := stats.NewRNG(17)
+	for _, p := range signed {
+		for j, v := range p {
+			if v == 0 && rng.IntN(2) == 0 {
+				p[j] = math.Copysign(0, -1)
+			}
+		}
+	}
+	same := make([][]float64, 4*pointChunk+7)
+	for i := range same {
+		same[i] = []float64{3, 0, 1, 0, 2, 5}
+	}
+	for _, tc := range []struct {
+		name    string
+		rows    [][]float64
+		reseeds bool // the sweep must re-seed an empty cluster
+	}{
+		{"count-pool", countPoints(4*pointChunk+300, 6, 40, 7), false},
+		{"pool-below-maxk", countPoints(600, 5, 4, 9), true},
+		{"signed-zeros", signed, false},
+		{"all-identical", same, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs.Enable()
+			defer obs.Disable()
+			before := obsEmptyReseeds.Value()
+			chooseKMatchesOracle(t, tc.rows, 10)
+			if tc.reseeds && obsEmptyReseeds.Value() == before {
+				t.Fatal("no empty cluster was re-seeded")
+			}
+		})
+	}
+	// The signed zeros really are separate rows.
+	unsigned := make([][]float64, len(signed))
+	for i, p := range signed {
+		unsigned[i] = make([]float64, len(p))
+		for j, v := range p {
+			unsigned[i][j] = v + 0 // −0 + 0 = +0
+		}
+	}
+	eng := parallel.New(1)
+	if a, b := newRowTable(eng, matrix.FromRows(signed)).distinct(), newRowTable(eng, matrix.FromRows(unsigned)).distinct(); a <= b {
+		t.Fatalf("signed zeros gave %d rows, unsigned %d", a, b)
 	}
 }
 
@@ -195,22 +262,21 @@ func TestSweepPrefixMatchesIndependentSeeding(t *testing.T) {
 				t.Fatalf("n=150 swept to k=%d, want the cap 150/20 = 7", tc.maxK)
 			}
 			pts := matrix.FromRows(tc.rows)
-			pn2, pnr := pointNorms(pts)
+			tab := newRowTable(parallel.New(1), pts)
 			opts := Options{Seed: 11}
 			o := opts.withDefaults()
 			for _, w := range workerSweep {
 				eng := parallel.New(w)
 				for _, pool := range []string{"as-is", "warm"} {
 					if pool == "warm" {
-						other := matrix.FromRows(benchPoints(700, 24, 6, 3))
-						on2, onr := pointNorms(other)
-						sweepRestarts(eng, other, on2, onr, 15, Options{Seed: 2}, func(int, int, Result) {})
+						other := newRowTable(eng, matrix.FromRows(benchPoints(700, 24, 6, 3)))
+						sweepRestarts(eng, other, 15, Options{Seed: 2}, func(int, int, Result) {})
 					}
 					byK := make([][]Result, tc.maxK+1)
 					for k := range byK {
 						byK[k] = make([]Result, o.Restarts)
 					}
-					st := sweepRestarts(eng, pts, pn2, pnr, tc.maxK, opts, func(k, r int, res Result) {
+					st := sweepRestarts(eng, tab, tc.maxK, opts, func(k, r int, res Result) {
 						byK[k][r] = res
 					})
 					var equivalent int64
@@ -219,7 +285,7 @@ func TestSweepPrefixMatchesIndependentSeeding(t *testing.T) {
 						for r := range got {
 							var rst distStats
 							rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-							want := lloydPruned(pts, pn2, pnr, min(k, pts.Rows()), rng, o, eng, &rst)
+							want := lloydPruned(tab, min(k, pts.Rows()), rng, o, eng, &rst)
 							if !reflect.DeepEqual(want, got[r]) {
 								t.Fatalf("workers=%d pool=%s k=%d restart=%d: stream diverged from an independent run\nwant inertia=%.17g sizes=%v\ngot  inertia=%.17g sizes=%v",
 									w, pool, k, r, want.Inertia, want.Sizes, got[r].Inertia, got[r].Sizes)
@@ -243,9 +309,9 @@ func TestSweepPrefixMatchesIndependentSeeding(t *testing.T) {
 // computations must be skipped, otherwise the bounds machinery is dead
 // weight.
 func TestPruningEffectiveness(t *testing.T) {
-	pts := matrix.FromRows(benchPoints(2000, 24, 6, 31))
-	pn2, pnr := pointNorms(pts)
-	_, st, err := kMeansDenseWith(parallel.New(1), pts, pn2, pnr, 6, Options{Seed: 3})
+	eng := parallel.New(1)
+	tab := newRowTable(eng, matrix.FromRows(benchPoints(2000, 24, 6, 31)))
+	_, st, err := kMeansDenseWith(eng, tab, 6, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +329,25 @@ func TestPruningEffectiveness(t *testing.T) {
 
 // TestDrawWeightedMatchesLinear pins satellite semantics: the chunked
 // weighted draw must return exactly the sequential scan's index for any
-// weights and any u — including u at 0, at the total, and beyond it.
+// weights and any u — including u at 0, at the total, and beyond it —
+// with every point its own row, and with the points drawing their
+// weights from a small pool of rows.
 func TestDrawWeightedMatchesLinear(t *testing.T) {
 	prop := func(seed uint64, uRaw uint16) bool {
 		rng := stats.NewRNG(seed)
 		n := 1 + int(seed%2000)
-		w := make([]float64, n)
+		rowOf := make([]int32, n)
+		u := n
+		if seed%2 == 1 {
+			u = 1 + int(seed%50)
+		}
+		for i := range rowOf {
+			rowOf[i] = int32(i)
+			if u < n {
+				rowOf[i] = int32(rng.IntN(u))
+			}
+		}
+		w := make([]float64, u)
 		for i := range w {
 			switch rng.IntN(4) {
 			case 0:
@@ -289,7 +368,7 @@ func TestDrawWeightedMatchesLinear(t *testing.T) {
 			}
 			var sum float64
 			for i := lo; i < hi; i++ {
-				sum += w[i]
+				sum += w[rowOf[i]]
 			}
 			partial[c] = sum
 			total += sum
@@ -297,8 +376,8 @@ func TestDrawWeightedMatchesLinear(t *testing.T) {
 		if total == 0 {
 			return true // the seeding draws uniformly in this case
 		}
-		u := float64(uRaw) / math.MaxUint16 * total * 1.001
-		return drawWeighted(w, partial, total, u) == drawLinear(w, u)
+		x := float64(uRaw) / math.MaxUint16 * total * 1.001
+		return drawWeighted(w, rowOf, partial, total, x) == drawLinear(w, rowOf, x)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -317,14 +396,13 @@ func TestSeedingPickSequencePreserved(t *testing.T) {
 		for i := 0; i < n/6; i++ {
 			copy(rows[n-1-i], rows[i])
 		}
-		pts := matrix.FromRows(rows)
-		pn2, pnr := pointNorms(pts)
 		eng := parallel.New(1)
+		tab := newRowTable(eng, matrix.FromRows(rows))
 		rngA := stats.NewRNG(seed)
 		refCenters := seedPlusPlus(rows, k, rngA, eng, new(atomic.Int64))
 		rngB := stats.NewRNG(seed)
 		var st distStats
-		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, &st, func(int, *matrix.Dense, *seedScratch) {})
+		denseCenters := seedPlusPlusDense(tab, k, rngB, eng, &st, func(int, *matrix.Dense, *seedScratch) {})
 		for c := range refCenters {
 			if !reflect.DeepEqual(refCenters[c], denseCenters.Row(c)) {
 				return false
@@ -382,15 +460,14 @@ func TestSimplifiedSilhouetteDenseMatches(t *testing.T) {
 		n := 30 + int(seed%300)
 		k := int(kRaw%6) + 2
 		rows := benchPoints(n, 10, k, seed)
-		pts := matrix.FromRows(rows)
-		pn2, pnr := pointNorms(pts)
+		eng := parallel.New(1)
+		tab := newRowTable(eng, matrix.FromRows(rows))
 		res, _, err := kMeansRows(rows, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
-		eng := parallel.New(1)
 		want := simplifiedSilhouetteRows(eng, rows, res.Centers, res.Assign)
-		got := simplifiedSilhouetteDense(eng, pts, pn2, pnr, res.Centers, res.Assign)
+		got := simplifiedSilhouetteDense(eng, tab, res.Centers, rowAssign(tab, res.Assign))
 		return want == got
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

@@ -4,14 +4,18 @@
 // within 90% of the best silhouette among k ∈ [1, 20]).
 //
 // The production kernels run on flat matrix.Dense inputs with a
-// Hamerly-style bound-pruned Lloyd pass: per-point lower bounds on the
+// Hamerly-style bound-pruned Lloyd pass: per-row lower bounds on the
 // second-closest center plus per-center drift skip most SqDist calls,
 // and cached squared norms prune the full scans that remain. Every
 // distance that is computed uses the same SqDist kernel in the same
 // order as a plain Lloyd pass, and every pruning test carries a
 // float-safety margin that only ever forces extra work, so results are
 // bit-for-bit identical to the naive reference kernel the equivalence
-// tests run against (oracle_test.go; see DESIGN.md §12).
+// tests run against (oracle_test.go; see DESIGN.md §12). Everything that
+// is a pure function of one point's vector — distances, assignments,
+// bounds, D² weights, silhouette terms — is computed once per distinct
+// row of the input (rows.go), while every sum over points still adds
+// the points in order, so the memoization cannot move a bit either.
 //
 // Every kernel runs on the shared internal/parallel engine. Results are
 // bit-for-bit identical for any worker count: point loops run over a
@@ -50,7 +54,7 @@ var (
 	obsDistComputed = obs.NewCounter("cluster.distances_computed",
 		"point–center distance evaluations executed by the pruned kernel")
 	obsDistPruned = obs.NewCounter("cluster.distances_pruned",
-		"distance evaluations skipped by Hamerly bounds and cached-norm tests")
+		"distance evaluations skipped by Hamerly bounds, cached-norm tests and distinct-row reuse")
 )
 
 // pointChunk is the fixed chunk size for loops over points. It is part
@@ -99,7 +103,7 @@ const scanSkipMinDim = 6
 type Result struct {
 	K       int
 	Centers [][]float64 // K × D centroids
-	Assign  []int       // per-point cluster index
+	Assign  []int       // per-point cluster index (per distinct row inside the sweep)
 	Sizes   []int       // points per cluster
 	Inertia float64     // Σ squared distance to assigned center
 	Iters   int
@@ -171,29 +175,17 @@ func (s distStats) record() {
 	obsDistPruned.Add(s.equivalent - s.computed)
 }
 
-// pointNorms returns the squared and plain Euclidean norms of every row.
-// Both are cached once per clustering problem and shared across restarts
-// and the whole k sweep.
-func pointNorms(pts *matrix.Dense) (pn2, pnr []float64) {
-	pn2 = pts.RowNorms2(nil)
-	pnr = make([]float64, len(pn2))
-	for i, v := range pn2 {
-		pnr[i] = math.Sqrt(v)
-	}
-	return pn2, pnr
-}
-
-// kMeansDenseWith clusters the rows of pts into k clusters (k larger
-// than the row count is clamped to it) with k-means++ seeding and the
-// bound-pruned Lloyd kernel, keeping the lowest-inertia restart. It runs
-// on a caller-supplied engine and pre-computed point norms, so that a
+// kMeansDenseWith clusters the points of tab into k clusters (k larger
+// than the point count is clamped to it) with k-means++ seeding and the
+// bound-pruned Lloyd kernel, keeping the lowest-inertia restart. The
+// result's Assign is per distinct row (tab.pointAssign expands it). It
+// runs on a caller-supplied engine and distinct-row table, so that a
 // caller (the ChooseK sweep's k = 1 fallback) shares one concurrency
-// budget — and one norm cache — with the restarts and Lloyd passes it
+// budget — and one table — with the restarts and Lloyd passes it
 // spawns. Restart r draws from stats.SplitSeed(opts.Seed, r); the k
 // sweep's restart stream r reproduces it at every k.
-func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64,
-	k int, opts Options) (Result, distStats, error) {
-	n := pts.Rows()
+func kMeansDenseWith(eng *parallel.Engine, tab *rowTable, k int, opts Options) (Result, distStats, error) {
+	n := tab.points()
 	if n == 0 {
 		return Result{}, distStats{}, fmt.Errorf("cluster: no points")
 	}
@@ -211,7 +203,7 @@ func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64
 	rstats := make([]distStats, o.Restarts)
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-		results[r] = lloydPruned(pts, pn2, pnr, k, rng, o, eng, &rstats[r])
+		results[r] = lloydPruned(tab, k, rng, o, eng, &rstats[r])
 	})
 	return bestRestart(results), sumStats(rstats), nil
 }
@@ -229,20 +221,20 @@ func bestRestart(results []Result) Result {
 	return best
 }
 
-// lloydScratch holds the per-chunk accumulators and per-point state of
+// lloydScratch holds the per-chunk accumulators and per-row state of
 // one Lloyd run. Runs borrow it from a pool (getScratch/putScratch), so
 // the restarts × k runs of the sweep reuse a handful of buffers instead
 // of reallocating per run.
 type lloydScratch struct {
-	chunks   int
-	sizes    [][]int     // chunk → cluster → count
-	sums     [][]float64 // chunk → k*d flattened partial centroid sums
+	chunks   int         // point chunks
+	sizes    [][]int     // point chunk → cluster → count
+	sums     [][]float64 // point chunk → k*d flattened partial centroid sums
 	sizeBuf  []int       // backing array of sizes
 	sumBuf   []float64   // backing array of sums
-	inertia  []float64   // chunk → partial inertia
-	computed []int64     // chunk → SqDist calls executed (pruned kernel)
-	lb2      []float64   // point → squared lower bound on dist to 2nd-closest center
-	dist2    []float64   // point → squared dist to assigned center (this pass)
+	inertia  []float64   // point chunk → partial inertia
+	computed []int64     // row chunk → SqDist calls executed (pruned kernel)
+	lb2      []float64   // row → squared lower bound on dist to 2nd-closest center
+	dist2    []float64   // row → squared dist to assigned center (this pass)
 	cn2      []float64   // center → squared norm
 	cnr      []float64   // center → norm
 	ccd      []float64   // k×k inter-center distances (Elkan skip)
@@ -252,15 +244,15 @@ type lloydScratch struct {
 	mult     []int32     // class root → number of identical centers in its class
 }
 
-// ensure (re)sizes the scratch for an n×? problem with k clusters in d
-// dims, reusing existing capacity. Every per-point entry is written
-// before it is read: a run's first pass takes them over from the
-// seeding's handover.
-func (s *lloydScratch) ensure(n, k, d int) {
+// ensure (re)sizes the scratch for n points in u distinct rows with k
+// clusters in d dims, reusing existing capacity. Every per-row entry is
+// written before it is read: a run's first pass takes them over from
+// the seeding's handover.
+func (s *lloydScratch) ensure(n, u, k, d int) {
 	chunks := parallel.Chunks(n, pointChunk)
 	s.chunks = chunks
 	s.inertia = resize(s.inertia, chunks)
-	s.computed = resize(s.computed, chunks)
+	s.computed = resize(s.computed, parallel.Chunks(u, pointChunk))
 	// The chunks of one pass run on different workers and bump their
 	// sizes and sums point by point, so each chunk's slice is followed
 	// by a cache line of padding: no two chunks ever write one line.
@@ -273,8 +265,8 @@ func (s *lloydScratch) ensure(n, k, d int) {
 		s.sizes[c] = s.sizeBuf[c*sizeStride : c*sizeStride+k]
 		s.sums[c] = s.sumBuf[c*sumStride : c*sumStride+k*d]
 	}
-	s.lb2 = resize(s.lb2, n)
-	s.dist2 = resize(s.dist2, n)
+	s.lb2 = resize(s.lb2, u)
+	s.dist2 = resize(s.dist2, u)
 	s.cn2 = resize(s.cn2, k)
 	s.cnr = resize(s.cnr, k)
 	s.dup = resize(s.dup, k)
@@ -284,32 +276,32 @@ func (s *lloydScratch) ensure(n, k, d int) {
 	s.qcc = resize(s.qcc, k*k)
 }
 
-// seedScratch holds the state of one k-means++ seeding: the D² weights
-// and their chunk partial sums, and the handover (seedArg, d2, sq2) a
-// Lloyd run starts from.
+// seedScratch holds the state of one k-means++ seeding: the per-row D²
+// weights and their point-chunk partial sums, and the per-row handover
+// (seedArg, d2, sq2) a Lloyd run starts from.
 type seedScratch struct {
-	chunks   int
-	partial  []float64 // chunk → D² partial sums
-	computed []int64   // chunk → SqDist calls executed
-	d2       []float64 // point → D² weight
-	seedArg  []int32   // point → chosen center achieving d2
-	sq2      []float64 // point → squared lower bound on 2nd-nearest chosen center
+	chunks   int       // point chunks
+	partial  []float64 // point chunk → D² partial sums
+	computed []int64   // row chunk → SqDist calls executed
+	d2       []float64 // row → D² weight
+	seedArg  []int32   // row → chosen center achieving d2
+	sq2      []float64 // row → squared lower bound on 2nd-nearest chosen center
 	touched  []int32   // center → epoch of last sq2 touch-up
 	dPrev    []float64 // center → dist from it to the newest center
 	qSkip    []float64 // center → squared fast-skip threshold
 	qB       []float64 // center → sq2 bound when fast-skipped
 }
 
-// ensure (re)sizes the scratch for n points and k centers, reusing
-// existing capacity.
-func (s *seedScratch) ensure(n, k int) {
+// ensure (re)sizes the scratch for n points in u distinct rows and k
+// centers, reusing existing capacity.
+func (s *seedScratch) ensure(n, u, k int) {
 	chunks := parallel.Chunks(n, pointChunk)
 	s.chunks = chunks
 	s.partial = resize(s.partial, chunks)
-	s.computed = resize(s.computed, chunks)
-	s.d2 = resize(s.d2, n)
-	s.seedArg = resize(s.seedArg, n)
-	s.sq2 = resize(s.sq2, n)
+	s.computed = resize(s.computed, parallel.Chunks(u, pointChunk))
+	s.d2 = resize(s.d2, u)
+	s.seedArg = resize(s.seedArg, u)
+	s.sq2 = resize(s.sq2, u)
 	s.touched = resize(s.touched, k)
 	s.dPrev = resize(s.dPrev, k)
 	s.qSkip = resize(s.qSkip, k)
@@ -330,9 +322,9 @@ var (
 	seedScratchPool = sync.Pool{New: func() any { return new(seedScratch) }}
 )
 
-func getScratch(n, k, d int) *lloydScratch {
+func getScratch(n, u, k, d int) *lloydScratch {
 	s := scratchPool.Get().(*lloydScratch)
-	s.ensure(n, k, d)
+	s.ensure(n, u, k, d)
 	return s
 }
 
@@ -340,52 +332,58 @@ func putScratch(s *lloydScratch) { scratchPool.Put(s) }
 
 // lloydPruned is one restart of kMeansDenseWith: the k-means++ seeding
 // of k centers, then the pruned Lloyd kernel from its handover.
-func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
+func lloydPruned(tab *rowTable, k int, rng *rand.Rand,
 	o Options, eng *parallel.Engine, st *distStats) Result {
 	var res Result
-	seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, st, func(m int, seeds *matrix.Dense, sc *seedScratch) {
+	seedPlusPlusDense(tab, k, rng, eng, st, func(m int, seeds *matrix.Dense, sc *seedScratch) {
 		if m == k {
-			res = lloydFrom(pts, pn2, pnr, seeds, k, sc, o, eng, st)
+			res = lloydFrom(tab, seeds, k, sc, o, eng, st)
 		}
 	})
 	return res
 }
 
-// lloydFrom is the production Lloyd kernel on the flat matrix. It
-// starts from the first k rows of seeds and the seeding's handover state
-// in hs, as left by relaxing the k-th center; it only reads them, so
-// the seeding can go on to pick more centers afterwards. It maintains,
-// per point, a squared lower bound lb2 on the distance to the
-// second-closest center. Each pass computes the one distance to the
-// point's current center (which the naive kernel needs for the inertia
-// anyway); when that distance is strictly below the bound — tested in
-// the squared domain, paying a sqrt only for points the cheap prefilter
-// deems plausibly prunable — the other k−1 distances are skipped: the
-// assignment provably cannot change, and strictness means the naive
-// scan would have kept the same index even under ties. Otherwise it
-// falls back to a full scan that replicates the plain nearest-center
-// scan's order and lowest-index tie-breaking exactly. The scan skips candidates the compare-means
-// test excludes (d2a < (d(a,cc)/2)² proves cc strictly farther than the
-// assigned center; the threshold then folds into lb2 so the bound stays
-// valid) and, above the dimensionality gate, candidates excluded by the
-// Elkan triangle inequality or the cached-norm bound. Bounds decay by
-// the per-center drift between passes (triangle inequality), with
-// boundSlack margins absorbing float rounding. See DESIGN.md §12 for
-// the invariant and the equivalence argument.
-func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int,
+// lloydFrom is the production Lloyd kernel on the distinct-row table.
+// It starts from the first k rows of seeds and the seeding's handover
+// state in hs, as left by relaxing the k-th center; it only reads them,
+// so the seeding can go on to pick more centers afterwards. It
+// maintains, per distinct row, a squared lower bound lb2 on the
+// distance to the second-closest center. Each pass computes the one
+// distance to the row's current center (which the naive kernel needs
+// for the inertia anyway); when that distance is strictly below the
+// bound — tested in the squared domain, paying a sqrt only for rows the
+// cheap prefilter deems plausibly prunable — the other k−1 distances
+// are skipped: the assignment provably cannot change, and strictness
+// means the naive scan would have kept the same index even under ties.
+// Otherwise it falls back to a full scan that replicates the plain
+// nearest-center scan's order and lowest-index tie-breaking exactly.
+// The scan skips candidates the compare-means test excludes (d2a <
+// (d(a,cc)/2)² proves cc strictly farther than the assigned center; the
+// threshold then folds into lb2 so the bound stays valid) and, above
+// the dimensionality gate, candidates excluded by the Elkan triangle
+// inequality or the cached-norm bound. Bounds decay by the per-center
+// drift between passes (triangle inequality), with boundSlack margins
+// absorbing float rounding. After the rows, each pass accumulates
+// sizes, centroid sums and inertia over the points in order, reading
+// each point's row through rowOf, so every float sum has the naive
+// kernel's addends in the naive kernel's order. The returned Assign is
+// per row. See DESIGN.md §12 for the invariant and the equivalence
+// argument.
+func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 	hs *seedScratch, o Options, eng *parallel.Engine, st *distStats) Result {
-	n, d := pts.Rows(), pts.Cols()
+	n, u, d := tab.points(), tab.distinct(), tab.rows.Cols()
 	// The naive kernel seeds each run on its own, relaxing its first
 	// max(k−1, 1) centers at n SqDist calls each; whatever the shared
 	// seeding actually computed is already in st.computed.
 	st.equivalent += int64(n) * int64(max(k-1, 1))
-	sc := getScratch(n, k, d)
+	sc := getScratch(n, u, k, d)
 	defer putScratch(sc)
 	centers := matrix.NewDense(k, d)
 	copy(centers.Data(), seeds.Data()[:k*d])
 	next := matrix.NewDense(k, d)
-	assign := make([]int, n)
+	assign := make([]int, u)
 	sizes := make([]int, k)
+	rowOf, rdata, pn2, pnr := tab.rowOf, tab.rows.Data(), tab.pn2, tab.pnr
 	lb2, dist2 := sc.lb2, sc.dist2
 	cn2, cnr, ccd, qcc := sc.cn2, sc.cnr, sc.ccd, sc.qcc
 	useScanSkips := d >= scanSkipMinDim
@@ -457,7 +455,7 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 	centerGeometry(centers)
 
 	// Handover from seeding: the relax passes already computed every
-	// point's nearest seeded center (with the plain scan's exact
+	// row's nearest seeded center (with the plain scan's exact
 	// lowest-index tie-breaking), its squared distance, and a valid
 	// lower bound on the second-nearest. The first Lloyd pass therefore
 	// runs in reuse mode — it takes them over as assign, dist2 and lb2,
@@ -467,16 +465,138 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 
 	// Pending center drift from the previous update step, folded into
 	// every lb exactly once at the start of the next pass. driftArg is
-	// the center that moved farthest; points assigned to it decay by the
+	// the center that moved farthest; rows assigned to it decay by the
 	// second-largest drift instead (their own center's motion cannot
 	// bring other centers closer).
 	driftMax, driftSecond := 0.0, 0.0
 	driftArg := -1
 
-	pass := func(accumulate, reuse bool) float64 {
+	// assignRows brings every row's assign, dist2 and lb2 up to date
+	// with the current centers.
+	assignRows := func(reuse bool) {
 		dMax, dSec, dArg := driftMax, driftSecond, driftArg
-		pdata := pts.Data()
 		cdata := centers.Data()
+		eng.ForEachChunk(u, pointChunk, func(c, lo, hi int) {
+			var comp int64
+			for r := lo; r < hi; r++ {
+				if reuse {
+					assign[r] = int(seedArg[r])
+					dist2[r] = seedD2[r]
+					lb2[r] = seedSq2[r] * ((1 - boundSlack) * (1 - boundSlack))
+					continue
+				}
+				p := rdata[r*d : r*d+d]
+				a := assign[r]
+				d2a := SqDist(p, cdata[a*d:a*d+d])
+				comp++
+				// Prune prefilter in the squared domain: the stored
+				// (undecayed) bound only shrinks under drift decay, so
+				// d2a ≥ lb2 already rules the prune out without a sqrt.
+				// Only plausible candidates pay the sqrt for the exact
+				// drift-decayed test; either way the decay is folded
+				// exactly once, because a failed prune falls through to
+				// the scan, which rewrites lb2 against the current
+				// (post-drift) centers.
+				if bq := lb2[r]; bq > 0 && d2a < bq {
+					delta := dMax
+					if a == dArg {
+						delta = dSec
+					}
+					bv := (math.Sqrt(bq)-delta)*(1-boundSlack) - delta*boundSlack
+					if bv > 0 && d2a < bv*bv*(1-boundSlack) {
+						// The current center is strictly closer than any
+						// other can be: assignment unchanged, scan
+						// skipped; the decayed bound persists.
+						dist2[r] = d2a
+						lb2[r] = bv * bv
+						continue
+					}
+				}
+				// The scan visits only representative centers: a
+				// duplicate can never win under strict <, and its
+				// contribution to the second-best is folded back in
+				// below via the class multiplicity.
+				best, bestD, secD := -1, math.Inf(1), math.Inf(1)
+				bestR := -1.0 // √bestD, computed lazily per best
+				minSkipQ := math.Inf(1)
+				qrow := qcc[a*k : a*k+k]
+				for ri := 0; ri < nreps; ri++ {
+					cc := int(reps[ri])
+					var dd float64
+					if cc == a {
+						dd = d2a
+					} else {
+						if q := qrow[cc]; d2a < q {
+							// Compare-means: d(p,a) < d(a,cc)/2 puts
+							// cc strictly farther than a, so cc can
+							// affect neither the best nor the bound
+							// — provided its threshold, itself a
+							// valid lower bound on d(p,cc)², is
+							// folded into lb2 below.
+							if q < minSkipQ {
+								minSkipQ = q
+							}
+							continue
+						}
+						if useScanSkips {
+							if best >= 0 {
+								// Triangle inequality against the current
+								// best: d(p,cc) ≥ d(best,cc) − d(p,best).
+								if bestR < 0 {
+									bestR = math.Sqrt(bestD)
+								}
+								cb := ccd[best*k+cc]
+								if g := cb - bestR; g > elkanGuard*(cb+bestR) {
+									if gg := g * g; gg-secD > elkanSlack*(gg+secD) {
+										// Provably ≥ the current second-
+										// best: cannot affect best, bestD
+										// or secD.
+										continue
+									}
+								}
+							}
+							df := pnr[r] - cnr[cc]
+							if nb := df * df; nb > secD && nb-secD > normSlack*(nb+pn2[r]+cn2[cc]) {
+								continue
+							}
+						}
+						dd = SqDist(p, cdata[cc*d:cc*d+d])
+						comp++
+					}
+					if dd < bestD {
+						secD = bestD
+						best, bestD = cc, dd
+						bestR = -1
+					} else if dd < secD {
+						secD = dd
+					}
+				}
+				if mult[best] > 1 {
+					// A duplicate of the winner sits at exactly
+					// bestD, so the true second-best distance is
+					// bestD itself.
+					secD = bestD
+				}
+				assign[r] = best
+				dist2[r] = bestD
+				l2 := secD * ((1 - boundSlack) * (1 - boundSlack))
+				if minSkipQ < l2 {
+					l2 = minSkipQ
+				}
+				lb2[r] = l2
+			}
+			sc.computed[c] = comp
+		})
+		for _, comp := range sc.computed {
+			st.computed += comp
+		}
+	}
+
+	// pass is one Lloyd assignment pass: the rows, then the point-order
+	// reduction of sizes, inertia and (when accumulate) the per-chunk
+	// centroid partial sums.
+	pass := func(accumulate, reuse bool) float64 {
+		assignRows(reuse)
 		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
 			szs := sc.sizes[c]
 			for i := range szs {
@@ -490,138 +610,20 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 				}
 			}
 			var inertia float64
-			var comp int64
 			for i := lo; i < hi; i++ {
-				if reuse {
-					ci := int(seedArg[i])
-					assign[i] = ci
-					dist2[i] = seedD2[i]
-					lb2[i] = seedSq2[i] * ((1 - boundSlack) * (1 - boundSlack))
-					szs[ci]++
-					inertia += dist2[i]
-					if accumulate {
-						p := pdata[i*d : i*d+d]
-						row := sums[ci*d : ci*d+d]
-						for j, v := range p {
-							row[j] += v
-						}
-					}
-					continue
-				}
-				p := pdata[i*d : i*d+d]
-				a := assign[i]
-				d2a := SqDist(p, cdata[a*d:a*d+d])
-				comp++
-				// Prune prefilter in the squared domain: the stored
-				// (undecayed) bound only shrinks under drift decay, so
-				// d2a ≥ lb2 already rules the prune out without a sqrt.
-				// Only plausible candidates pay the sqrt for the exact
-				// drift-decayed test; either way the decay is folded
-				// exactly once, because a failed prune falls through to
-				// the scan, which rewrites lb2 against the current
-				// (post-drift) centers.
-				pruned := false
-				if bq := lb2[i]; bq > 0 && d2a < bq {
-					delta := dMax
-					if a == dArg {
-						delta = dSec
-					}
-					bv := (math.Sqrt(bq)-delta)*(1-boundSlack) - delta*boundSlack
-					if bv > 0 && d2a < bv*bv*(1-boundSlack) {
-						// The current center is strictly closer than any
-						// other can be: assignment unchanged, scan
-						// skipped; the decayed bound persists.
-						dist2[i] = d2a
-						lb2[i] = bv * bv
-						pruned = true
-					}
-				}
-				if !pruned {
-					// The scan visits only representative centers: a
-					// duplicate can never win under strict <, and its
-					// contribution to the second-best is folded back in
-					// below via the class multiplicity.
-					best, bestD, secD := -1, math.Inf(1), math.Inf(1)
-					bestR := -1.0 // √bestD, computed lazily per best
-					minSkipQ := math.Inf(1)
-					qrow := qcc[a*k : a*k+k]
-					for ri := 0; ri < nreps; ri++ {
-						cc := int(reps[ri])
-						var dd float64
-						if cc == a {
-							dd = d2a
-						} else {
-							if q := qrow[cc]; d2a < q {
-								// Compare-means: d(p,a) < d(a,cc)/2 puts
-								// cc strictly farther than a, so cc can
-								// affect neither the best nor the bound
-								// — provided its threshold, itself a
-								// valid lower bound on d(p,cc)², is
-								// folded into lb2 below.
-								if q < minSkipQ {
-									minSkipQ = q
-								}
-								continue
-							}
-							if useScanSkips {
-								if best >= 0 {
-									// Triangle inequality against the current
-									// best: d(p,cc) ≥ d(best,cc) − d(p,best).
-									if bestR < 0 {
-										bestR = math.Sqrt(bestD)
-									}
-									cb := ccd[best*k+cc]
-									if g := cb - bestR; g > elkanGuard*(cb+bestR) {
-										if gg := g * g; gg-secD > elkanSlack*(gg+secD) {
-											// Provably ≥ the current second-
-											// best: cannot affect best, bestD
-											// or secD.
-											continue
-										}
-									}
-								}
-								df := pnr[i] - cnr[cc]
-								if nb := df * df; nb > secD && nb-secD > normSlack*(nb+pn2[i]+cn2[cc]) {
-									continue
-								}
-							}
-							dd = SqDist(p, cdata[cc*d:cc*d+d])
-							comp++
-						}
-						if dd < bestD {
-							secD = bestD
-							best, bestD = cc, dd
-							bestR = -1
-						} else if dd < secD {
-							secD = dd
-						}
-					}
-					if mult[best] > 1 {
-						// A duplicate of the winner sits at exactly
-						// bestD, so the true second-best distance is
-						// bestD itself.
-						secD = bestD
-					}
-					assign[i] = best
-					dist2[i] = bestD
-					l2 := secD * ((1 - boundSlack) * (1 - boundSlack))
-					if minSkipQ < l2 {
-						l2 = minSkipQ
-					}
-					lb2[i] = l2
-				}
-				ci := assign[i]
+				r := int(rowOf[i])
+				ci := assign[r]
 				szs[ci]++
-				inertia += dist2[i]
+				inertia += dist2[r]
 				if accumulate {
-					row := sums[ci*d : ci*d+d]
+					p := rdata[r*d : r*d+d]
+					row := sums[ci*d:][:len(p)] // one length for both: no bounds checks
 					for j, v := range p {
 						row[j] += v
 					}
 				}
 			}
 			sc.inertia[c] = inertia
-			sc.computed[c] = comp
 		})
 		for i := range sizes {
 			sizes[i] = 0
@@ -632,7 +634,6 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 				sizes[i] += s
 			}
 			inertia += sc.inertia[c]
-			st.computed += sc.computed[c]
 		}
 		st.equivalent += int64(n) * int64(k)
 		return inertia
@@ -662,13 +663,15 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 				// Re-seed an empty cluster at the point farthest from
 				// its center. dist2 caches exactly the n SqDist calls the
 				// naive kernel recomputes here, so they count as pruned.
+				// Rows are in first-occurrence order, so the first
+				// farthest row holds the first farthest point.
 				far, farD := 0, -1.0
-				for i := 0; i < n; i++ {
-					if dist2[i] > farD {
-						far, farD = i, dist2[i]
+				for r := 0; r < u; r++ {
+					if dist2[r] > farD {
+						far, farD = r, dist2[r]
 					}
 				}
-				copy(next.Row(c), pts.Row(far))
+				copy(next.Row(c), tab.rows.Row(far))
 				st.equivalent += int64(n)
 				continue
 			}
@@ -708,12 +711,14 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 		Inertia: inertia, Iters: iter + 1}
 }
 
-// seedPlusPlusDense is the production k-means++ seeding on the flat
-// matrix. Same draw sequence as the naive kernel's plain seeding — the
-// RNG consumption and the picked indices are bit-identical — but the
-// relax pass skips points whose cached-norm bound proves the new center
-// cannot lower their D² weight, and each draw resolves through the
-// chunk partial sums instead of a full O(n) scan.
+// seedPlusPlusDense is the production k-means++ seeding on the
+// distinct-row table. Same draw sequence as the naive kernel's plain
+// seeding — the RNG consumption and the picked points are bit-identical
+// — but the relax pass runs once per distinct row and skips rows whose
+// cached-norm bound proves the new center cannot lower their D² weight,
+// and each draw resolves through the chunk partial sums instead of a
+// full O(n) scan. The weights of a draw are the points' (each point
+// reads its row's weight), summed over the points in order.
 //
 // k-means++ picks its centers one at a time, so the first m centers of
 // a k-center seeding are exactly an m-center seeding from the same RNG
@@ -721,25 +726,25 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, seeds *matrix.Dense, k int
 // prefix(m, centers, sc): rows [0, m) of centers and the handover state
 // in sc are then those of an m-center seeding, for the callee to read
 // but not modify. It returns all k centers.
-func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
+func seedPlusPlusDense(tab *rowTable, k int, rng *rand.Rand,
 	eng *parallel.Engine, st *distStats, prefix func(m int, centers *matrix.Dense, sc *seedScratch)) *matrix.Dense {
-	n, d := pts.Rows(), pts.Cols()
+	n, u, d := tab.points(), tab.distinct(), tab.rows.Cols()
 	sc := seedScratchPool.Get().(*seedScratch)
 	defer seedScratchPool.Put(sc)
-	sc.ensure(n, k)
+	sc.ensure(n, u, k)
 	centers := matrix.NewDense(k, d)
+	rowOf, rdata, pn2, pnr := tab.rowOf, tab.rows.Data(), tab.pn2, tab.pnr
 	first := rng.IntN(n)
-	copy(centers.Row(0), pts.Row(first))
+	copy(centers.Row(0), tab.rows.Row(int(rowOf[first])))
 	d2, partial := sc.d2, sc.partial
 	seedArg, sq2 := sc.seedArg, sc.sq2
-	pdata := pts.Data()
 	useNorm := d >= scanSkipMinDim
 	// Touch-up dedup: a duplicate pick's sq2 touch-up (below) is
 	// idempotent while d2 and seedArg are unchanged, i.e. until the next
 	// full relax pass. touched[j] records the epoch of the last touch-up
 	// against chosen center j, so repeated duplicate picks of the same
 	// value — the common case once k exceeds the number of distinct
-	// points — cost O(1) instead of O(n).
+	// rows — cost O(1) instead of O(U).
 	touched := sc.touched
 	for j := range touched {
 		touched[j] = -1
@@ -747,15 +752,15 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 	epoch := int32(0)
 	// relax folds chosen center m into the D² weights. Two exact skips
 	// avoid most SqDist calls. The main one is a per-class threshold in
-	// the squared domain: a point whose weight is achieved by chosen
-	// center a has √d2[i] exactly its distance to a, so the triangle
+	// the squared domain: a row whose weight is achieved by chosen
+	// center a has √d2[r] exactly its distance to a, so the triangle
 	// inequality d(p,cₘ) ≥ d(cₐ,cₘ) − d(p,cₐ) proves the new center
 	// cannot lower the weight whenever d(p,cₐ) < d(cₐ,cₘ)/2 — i.e.
-	// whenever d2[i] < qSkip[a], one comparison against a threshold
+	// whenever d2[r] < qSkip[a], one comparison against a threshold
 	// precomputed per (a, m) pair with a 1e-7 relative margin. The
 	// second is the cached-norm bound (‖p‖−‖cₘ‖)², kept only at
 	// dimensionalities where it beats just computing the distance. Both
-	// only ever skip when the new center provably cannot lower d2[i],
+	// only ever skip when the new center provably cannot lower d2[r],
 	// so the weight vector — and therefore the draw sequence — is
 	// bit-identical to the reference seeding.
 	//
@@ -789,77 +794,87 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 		if dupJ >= 0 {
 			// The new center is coordinate-identical to chosen center
 			// dupJ (a duplicate pick — routine once k exceeds the number
-			// of distinct points). SqDist against it returns the same
+			// of distinct rows). SqDist against it returns the same
 			// bits relax dupJ already folded in, so no weight can drop:
 			// d2, the partial sums and the total are all unchanged, and
 			// the whole pass is skipped. Only sq2 needs a touch-up: for
-			// points whose minimum is achieved by dupJ, the duplicate
+			// rows whose minimum is achieved by dupJ, the duplicate
 			// sits at the minimum distance itself, capping the
 			// second-nearest bound at d2 (with margin).
 			if touched[dupJ] != epoch {
 				touched[dupJ] = epoch
-				for i := 0; i < n; i++ {
-					if int(seedArg[i]) == dupJ {
-						if b := d2[i] * (1 - 1e-6); b < sq2[i] {
-							sq2[i] = b
+				for r := 0; r < u; r++ {
+					if int(seedArg[r]) == dupJ {
+						if b := d2[r] * (1 - 1e-6); b < sq2[r] {
+							sq2[r] = b
 						}
 					}
 				}
 			}
 			return prev
 		}
-		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
-			var sum float64
+		eng.ForEachChunk(u, pointChunk, func(c, lo, hi int) {
 			var comp int64
-			for i := lo; i < hi; i++ {
-				cur := d2[i]
+			for r := lo; r < hi; r++ {
+				cur := d2[r]
 				if m > 0 {
-					if a := seedArg[i]; cur < qSkip[a] {
-						if b := qB[a]; b < sq2[i] {
-							sq2[i] = b
+					if a := seedArg[r]; cur < qSkip[a] {
+						if b := qB[a]; b < sq2[r] {
+							sq2[r] = b
 						}
-						sum += cur
 						continue
 					}
 					if useNorm {
-						df := pnr[i] - cnrm
-						if nb := df * df; nb > cur && nb-cur > normSlack*(nb+pn2[i]+cn2m) {
-							if b := nb * (1 - 1e-6); b < sq2[i] {
-								sq2[i] = b
+						df := pnr[r] - cnrm
+						if nb := df * df; nb > cur && nb-cur > normSlack*(nb+pn2[r]+cn2m) {
+							if b := nb * (1 - 1e-6); b < sq2[r] {
+								sq2[r] = b
 							}
-							sum += cur
 							continue
 						}
 					}
 				}
-				dd := SqDist(pdata[i*d:i*d+d], center)
+				dd := SqDist(rdata[r*d:r*d+d], center)
 				comp++
 				if dd < cur {
-					if cur < sq2[i] {
-						sq2[i] = cur // the old minimum is now second
+					if cur < sq2[r] {
+						sq2[r] = cur // the old minimum is now second
 					}
-					d2[i] = dd
-					seedArg[i] = int32(m)
-					cur = dd
-				} else if dd < sq2[i] {
-					sq2[i] = dd
+					d2[r] = dd
+					seedArg[r] = int32(m)
+				} else if dd < sq2[r] {
+					sq2[r] = dd
 				}
-				sum += cur
+			}
+			sc.computed[c] = comp
+		})
+		for _, comp := range sc.computed {
+			st.computed += comp
+		}
+		epoch++
+		if m == k-1 {
+			// No draw follows the last center: its weights are never
+			// summed.
+			return prev
+		}
+		// The draw's partial sums run over the points in order: the
+		// addends and the order of a per-point relax.
+		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
+			var sum float64
+			for _, r := range rowOf[lo:hi] {
+				sum += d2[r]
 			}
 			partial[c] = sum
-			sc.computed[c] = comp
 		})
 		var total float64
 		for c := 0; c < sc.chunks; c++ {
 			total += partial[c]
-			st.computed += sc.computed[c]
 		}
-		epoch++
 		return total
 	}
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-		sq2[i] = math.Inf(1)
+	for r := range d2 {
+		d2[r] = math.Inf(1)
+		sq2[r] = math.Inf(1)
 	}
 	var total float64
 	for count := 0; count < k; count++ {
@@ -868,9 +883,9 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 			if total == 0 {
 				pick = rng.IntN(n) // all points identical to some center
 			} else {
-				pick = drawWeighted(d2, partial, total, rng.Float64()*total)
+				pick = drawWeighted(d2, rowOf, partial, total, rng.Float64()*total)
 			}
-			copy(centers.Row(count), pts.Row(pick))
+			copy(centers.Row(count), tab.rows.Row(int(rowOf[pick])))
 		}
 		// The naive seeding stops relaxing after the second-to-last
 		// pick (the weights are never drawn from again); relaxing the
@@ -882,33 +897,34 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 	return centers
 }
 
-// drawLinear is the sequential weighted draw: the smallest index i with
-// w[0]+…+w[i] ≥ u under strict left-to-right accumulation, or the last
-// index when the running sum never reaches u. It is both the reference
+// drawLinear is the sequential weighted draw over the points, point i
+// weighing w[rowOf[i]]: the smallest i with the weights of points 0..i
+// summing to ≥ u under strict left-to-right accumulation, or the last
+// point when the running sum never reaches u. It is both the reference
 // semantics of the k-means++ draw and the fallback drawWeighted resolves
 // through whenever float re-association makes the fast path ambiguous.
-func drawLinear(w []float64, u float64) int {
+func drawLinear(w []float64, rowOf []int32, u float64) int {
 	var acc float64
-	for i, v := range w {
-		acc += v
+	for i, r := range rowOf {
+		acc += w[r]
 		if acc >= u {
 			return i
 		}
 	}
-	return len(w) - 1
+	return len(rowOf) - 1
 }
 
-// drawWeighted returns exactly drawLinear(w, u), using the per-chunk
-// partial sums over the pointChunk grid (the relax pass already produces
-// them) to locate the crossing chunk first, so a draw costs
-// O(n/pointChunk + pointChunk) instead of O(n). The composed chunk
+// drawWeighted returns exactly drawLinear(w, rowOf, u), using the
+// per-chunk partial sums over the pointChunk grid (the relax pass
+// already produces them) to locate the crossing chunk first, so a draw
+// costs O(n/pointChunk + pointChunk) instead of O(n). The composed chunk
 // prefix differs from the sequential prefix only by float
 // re-association, which is bounded well below guard; any accumulator
 // that lands inside the ±guard ambiguity band falls back to drawLinear,
 // so the returned index — and therefore the seeding's RNG consumption
 // and pick sequence — is always exactly the sequential one.
-func drawWeighted(w, partial []float64, total, u float64) int {
-	n := len(w)
+func drawWeighted(w []float64, rowOf []int32, partial []float64, total, u float64) int {
+	n := len(rowOf)
 	guard := total * (1e-12 + float64(n)*1e-15)
 	acc := 0.0
 	chunk := -1
@@ -930,15 +946,15 @@ func drawWeighted(w, partial []float64, total, u float64) int {
 		hi = n
 	}
 	for i := lo; i < hi; i++ {
-		acc += w[i]
+		acc += w[rowOf[i]]
 		if acc >= u+guard {
 			return i // clear crossing: every earlier prefix was < u−guard
 		}
 		if acc >= u-guard {
-			return drawLinear(w, u) // ambiguous: resolve exactly
+			return drawLinear(w, rowOf, u) // ambiguous: resolve exactly
 		}
 	}
 	// The chunk's composed end cleared u−guard but the re-accumulated
 	// prefix did not: boundary noise, resolve exactly.
-	return drawLinear(w, u)
+	return drawLinear(w, rowOf, u)
 }

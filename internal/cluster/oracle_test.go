@@ -122,7 +122,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	sc := new(lloydScratch)
-	sc.ensure(n, k, d)
+	sc.ensure(n, n, k, d)
 	// Double-buffered centroids: next is rebuilt from the merged chunk
 	// sums every iteration, then swapped with centers.
 	next := make([][]float64, k)
@@ -197,6 +197,11 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engin
 	d2 := make([]float64, n)
 	chunks := parallel.Chunks(n, pointChunk)
 	partial := make([]float64, chunks)
+	// Every point is its own row of the draw.
+	ident := make([]int32, n)
+	for i := range ident {
+		ident[i] = int32(i)
+	}
 	relax := func(center []float64) float64 {
 		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
 			var sum float64
@@ -225,7 +230,7 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engin
 		if total == 0 {
 			pick = rng.IntN(n) // all points identical to some center
 		} else {
-			pick = drawLinear(d2, rng.Float64()*total)
+			pick = drawLinear(d2, ident, rng.Float64()*total)
 		}
 		centers = append(centers, append([]float64(nil), points[pick]...))
 		if len(centers) < k {

@@ -381,16 +381,19 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	if err != nil {
 		return nil, fmt.Errorf("phase: clustering: %w", err)
 	}
-	assign := make([]int, len(tr.Units))
-	for k, i := range clean {
-		assign[i] = sel.Best.Assign[k]
-	}
+	// On a pristine trace the clustering's assignment already covers
+	// every unit in order: adopt it as is.
+	assign := sel.Best.Assign
 	// Classify degraded units onto the formed centers so they keep a
 	// phase (and so phase weights reflect the whole execution). The
 	// NearestSet shares one norm cache across every degraded unit and
 	// matches a plain nearest-center scan bit-for-bit.
 	obsFormDegraded.Add(int64(len(tr.Units) - len(clean)))
 	if len(clean) < len(tr.Units) {
+		assign = make([]int, len(tr.Units))
+		for k, i := range clean {
+			assign[i] = sel.Best.Assign[k]
+		}
 		ns := cluster.NewNearestSet(sel.Best.Centers)
 		for i := range tr.Units {
 			if degraded[i] {

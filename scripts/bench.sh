@@ -1,6 +1,7 @@
 #!/bin/sh
 # Benchmark snapshot for the performance-tracked kernels: the k sweep
-# (ChooseK), phase formation end-to-end (Form, plus the FormPhases
+# (ChooseK, on all-distinct rows and on 200k count rows from ~200
+# distinct vectors), phase formation end-to-end (Form, plus the FormPhases
 # worker sweep), the naive-vs-pruned Lloyd kernel pair (KMeansDense),
 # sparse vectorization, SimProf's stratified selection, the telemetry
 # fast paths (disabled must stay at 0 allocs/op, enabled is the
@@ -13,8 +14,8 @@
 # the gate enforces), the request-trace retention engine (ReqTrace:
 # disabled must stay at 0 allocs/op, enabled is the stratify + reservoir
 # + rebalance cost), and the simprofd service under concurrent load
-# (SimprofdP99 reports the p99 request latency as its ns/op metric so
-# the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
+# (SimprofdP99 reports the p99 latency of cold-miss requests as its
+# ns/op metric so the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
 # storm through the batched path and the inline baseline, reporting p99
 # as ns/op plus req/s and the measured dedup ratio — the duplicate
 # fraction is tunable with SIMPROF_STORM_DUP). Results stream to

@@ -30,7 +30,10 @@
 #   kernel-equivalence  pruned vs naive     (bound-pruned k-means must be
 #                                            bit-for-bit the naive test
 #                                            oracle, run twice to shake
-#                                            out scratch-pool reuse;
+#                                            out scratch-pool reuse, also
+#                                            on duplicate-heavy inputs;
+#                                            the distinct-row table
+#                                            matches a serial scan;
 #                                            sparse F-regression matches
 #                                            the dense oracle; Phases
 #                                            accessors match full scans;
@@ -256,12 +259,17 @@ equiv_tests() {
 
 run_kernel_equivalence() {
 	# The pruned k-means, seeding, silhouette and nearest-center kernels
-	# against the naive oracle (internal/cluster/oracle_test.go); the k
-	# sweep's shared-seeding restart streams against independent per-k
-	# runs, and its cancellation mid-stream and mid-scoring.
+	# against the naive oracle (internal/cluster/oracle_test.go), also on
+	# duplicate-heavy inputs the kernels work on per distinct row; the
+	# distinct-row table against a serial first-occurrence scan and at
+	# GOMAXPROCS 1/2/8; the k sweep's shared-seeding restart streams
+	# against independent per-k runs, and its cancellation mid-stream
+	# and mid-scoring.
 	equiv_tests ./internal/cluster TestPrunedMatchesNaiveBitForBit \
 		TestPrunedMatchesNaiveProperty TestPrunedMatchesNaiveWithTelemetry \
-		TestChooseKPrunedMatchesNaive TestSeedingPickSequencePreserved \
+		TestChooseKPrunedMatchesNaive TestChooseKDistinctRowsMatchNaive \
+		TestRowTableFirstOccurrence TestRowTableBitwiseKeys TestRowTableExtremes \
+		TestRowTableWorkerInvariant TestSeedingPickSequencePreserved \
 		TestSweepPrefixMatchesIndependentSeeding TestChooseKCanceledMidSweep \
 		TestDrawWeightedMatchesLinear \
 		TestNearestSetMatchesNearestCenter TestSimplifiedSilhouetteDenseMatches \
