@@ -67,24 +67,6 @@ func renderManifest(w io.Writer, m *obs.Manifest, note string, withMetrics bool)
 		fmt.Fprintln(w)
 	}
 
-	if ri := m.Request; ri != nil {
-		fmt.Fprintf(w, "\nrequest: %s %s status=%d (%s)", ri.ID, ri.Route, ri.Status, ri.Class)
-		if ri.Tenant != "" {
-			fmt.Fprintf(w, " tenant=%s", ri.Tenant)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  latency %.2fms, %d bytes", ri.Latency, ri.Bytes)
-		if ri.Start != "" {
-			fmt.Fprintf(w, ", started %s", ri.Start)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  stratum %s", ri.Stratum)
-		if ri.Forced {
-			fmt.Fprint(w, " (forced keep)")
-		}
-		fmt.Fprintf(w, ", π=%.4g, weight=%.4g\n", ri.InclusionP, ri.Weight)
-	}
-
 	if wl := m.Workload; wl != nil {
 		fmt.Fprintf(w, "\nworkload: %s on %s (input %q, seed %d, workers %d)\n",
 			wl.Benchmark, wl.Framework, wl.Input, wl.Seed, wl.Workers)

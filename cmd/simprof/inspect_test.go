@@ -10,12 +10,11 @@ import (
 	"simprof/internal/obs"
 )
 
-// reqtraceManifest builds the fixed manifest behind
-// testdata/inspect_reqtrace.golden: a retained request trace with a
-// span tree and a metric snapshot whose labeled histogram children are
-// wider than any bare metric name — pinning both the request section
-// and the name{labels} column alignment.
-func reqtraceManifest(t *testing.T) *obs.Manifest {
+// labeledManifest builds the fixed manifest behind
+// testdata/inspect.golden: a simprofd profile manifest with a span tree
+// and a metric snapshot whose labeled children are wider than any bare
+// metric name — pinning the name{labels} column alignment.
+func labeledManifest(t *testing.T) *obs.Manifest {
 	t.Helper()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -27,32 +26,17 @@ func reqtraceManifest(t *testing.T) *obs.Manifest {
 		hv.With("/v1/profile").Observe(0.001 + float64(i)*0.001)
 	}
 	hv.With("/v1/history").Observe(0.002)
-	cv := r.CounterVec("reqtrace.retained", "retained", "route", "status_class", "latency_bucket")
-	cv.With("/v1/profile", "2xx", "25-100ms").Add(17)
-	cv.With("/v1/profile", "5xx", ">=500ms").Add(3)
+	cv := r.CounterVec("server.errors_by_class", "typed errors", "class", "route")
+	cv.With("unavailable", "/v1/profile").Add(17)
+	cv.With("timeout", "/v1/profile").Add(3)
 
 	return &obs.Manifest{
 		Version: obs.ManifestVersion,
-		Tool:    "simprofd reqtrace",
+		Tool:    "simprofd profile",
 		Build:   obs.BuildInfo{GoVersion: "go1.0test", Revision: "deadbeefcafe0123"},
-		Request: &obs.RequestInfo{
-			ID:      "req-42",
-			Route:   "/v1/profile",
-			Tenant:  "tenant-a",
-			Status:  504,
-			Class:   "timeout",
-			Bytes:   4096,
-			Start:   "2026-01-02T03:04:05.000000006Z",
-			Latency: 612.25,
-
-			Stratum:    "/v1/profile|5xx|>=500ms",
-			Forced:     true,
-			InclusionP: 1,
-			Weight:     1,
-		},
 		Metrics: r.Snapshot(),
 		Spans: &obs.Span{
-			Name: "request req-42", StartNS: 0, DurNS: 612_250_000, GID: 1,
+			Name: "profile", StartNS: 0, DurNS: 612_250_000, GID: 1,
 			Children: []*obs.Span{
 				{Name: "phase.form", StartNS: 1_000_000, DurNS: 420_000_000, GID: 1},
 				{Name: "sampling.simprof", StartNS: 421_000_000, DurNS: 150_000_000, GID: 1},
@@ -61,15 +45,15 @@ func reqtraceManifest(t *testing.T) *obs.Manifest {
 	}
 }
 
-// TestInspectReqTraceGolden pins the rendered inspect output for a
-// retained-trace manifest byte-for-byte (request section, aligned
-// labeled-vec rows with p50/p90/p99, span tree). Regenerate with
-// UPDATE_GOLDEN=1 after an intentional format change.
-func TestInspectReqTraceGolden(t *testing.T) {
+// TestInspectGolden pins the rendered inspect output for a manifest
+// byte-for-byte (aligned labeled-vec rows with p50/p90/p99, span tree,
+// hot stages). Regenerate with UPDATE_GOLDEN=1 after an intentional
+// format change.
+func TestInspectGolden(t *testing.T) {
 	var buf bytes.Buffer
-	renderManifest(&buf, reqtraceManifest(t), "", true)
+	renderManifest(&buf, labeledManifest(t), "", true)
 
-	golden := filepath.Join("testdata", "inspect_reqtrace.golden")
+	golden := filepath.Join("testdata", "inspect.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -94,7 +78,7 @@ func TestInspectReqTraceGolden(t *testing.T) {
 // than the bare names, and labeled histograms carry quantiles.
 func TestInspectLabeledVecAlignment(t *testing.T) {
 	var buf bytes.Buffer
-	renderManifest(&buf, reqtraceManifest(t), "", true)
+	renderManifest(&buf, labeledManifest(t), "", true)
 	out := buf.String()
 
 	if !strings.Contains(out, "p50=") || !strings.Contains(out, "p99=") {

@@ -8,8 +8,6 @@
 //	simprofd [serve] [flags]   run the service (the default)
 //	simprofd status -addr ...  render a running instance's readiness
 //	                           and SLO burn rates as a table
-//	simprofd traces -addr ...  render the retained request traces and
-//	                           the retention engine's status
 //
 // Endpoints:
 //
@@ -21,16 +19,16 @@
 //	GET  /v1/metrics               obs metric snapshot (JSON)
 //	GET  /metrics                  same snapshot, Prometheus text format
 //	GET  /v1/slo                   live SLO burn rates per route
-//	GET  /v1/traces                retained request traces + retention
-//	                               status (with -trace)
-//	GET  /v1/traces/{id}           one trace as a Chrome trace-event
-//	                               file (load in about:tracing/Perfetto)
 //	GET  /healthz                  liveness
 //	GET  /readyz                   readiness (503 while draining)
 //
 // Every response carries an X-Request-Id (caller-provided or
 // generated); with -access-log the service writes one structured JSON
-// line per request. Errors come back as {"error": ..., "class": ...}
+// line per request, and a profile request's line carries its stage
+// ledger: read_ms, hash_ms, enqueue_ms, decode_ms, form_ms, sample_ms,
+// flush_ms and encode_ms (the pipeline stages and the flush only on
+// the request that ran them, a cache miss), handle_ms for the whole
+// request, and dominant naming the largest stage. Errors come back as {"error": ..., "class": ...}
 // with the class mapped to the status code: 400 bad_input, 429
 // overload (plus Retry-After), 503 unavailable, 504 timeout.
 //
@@ -45,20 +43,17 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"simprof/internal/cli"
 	"simprof/internal/obs"
-	"simprof/internal/obs/reqtrace"
 	"simprof/internal/server"
 )
 
@@ -74,8 +69,6 @@ func main() {
 		err = cmdServe(args)
 	case "status":
 		err = cmdStatus(args)
-	case "traces":
-		err = cmdTraces(args)
 	case "help":
 		usage()
 	default:
@@ -95,7 +88,6 @@ func usage() {
 commands:
   serve   run the profiling service (default when no command is given)
   status  render a running instance's readiness and SLO burn rates
-  traces  render a running instance's retained request traces
 
 run 'simprofd <command> -h' for the command's flags`)
 }
@@ -129,13 +121,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	accessLog := fs.String("access-log", "", "access-log destination: '' disables, '-' is stdout, else a file appended to")
 	runtimeInterval := fs.Duration("runtime-interval", 10*time.Second, "runtime-metrics sampling period (0 disables the collector)")
 	requestIDSeed := fs.Uint64("request-id-seed", 0x51d0, "seed for generated request IDs")
-	traceOn := fs.Bool("trace", false, "retain a stratified sample of request traces (tune with -trace-*)")
-	traceBudget := fs.Int("trace-budget", 256, "retained-trace budget, forced keeps included")
-	traceRing := fs.Int("trace-ring", 64, "most-recent completions kept regardless of retention")
-	traceRebalance := fs.Int("trace-rebalance", 64, "completions between Neyman reallocations")
-	traceSeed := fs.Uint64("trace-seed", 0x7a3e, "seed for the per-stratum retention reservoirs")
-	traceBuckets := fs.String("trace-buckets", "", "latency stratum bounds in ms, comma-separated ascending ('' = 5,25,100,500)")
-	traceStore := fs.String("trace-store", "", "durable JSONL store for admitted traces ('' keeps the sample in memory only)")
 	if err := cli.Parse(fs, args); err != nil {
 		return nil, err
 	}
@@ -166,40 +151,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 	if *runtimeInterval < 0 {
 		return nil, cli.UsageErr(fs, "-runtime-interval must not be negative, got %v", *runtimeInterval)
 	}
-	if !*traceOn {
-		var stray string
-		fs.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "trace-") {
-				stray = f.Name
-			}
-		})
-		if stray != "" {
-			return nil, cli.UsageErr(fs, "-%s requires -trace", stray)
-		}
-	}
-	var traceCfg *reqtrace.Config
-	if *traceOn {
-		if *traceBudget < 1 {
-			return nil, cli.UsageErr(fs, "-trace-budget must be at least 1, got %d", *traceBudget)
-		}
-		if *traceRing < 1 {
-			return nil, cli.UsageErr(fs, "-trace-ring must be at least 1, got %d", *traceRing)
-		}
-		if *traceRebalance < 1 {
-			return nil, cli.UsageErr(fs, "-trace-rebalance must be at least 1, got %d", *traceRebalance)
-		}
-		bounds, err := parseBucketBounds(*traceBuckets)
-		if err != nil {
-			return nil, cli.UsageErr(fs, "-trace-buckets: %v", err)
-		}
-		traceCfg = &reqtrace.Config{
-			Budget:         *traceBudget,
-			Ring:           *traceRing,
-			Rebalance:      *traceRebalance,
-			Seed:           *traceSeed,
-			BucketBoundsMS: bounds,
-		}
-	}
 
 	o := &serveOpts{
 		addr:        *addr,
@@ -215,8 +166,6 @@ func buildServeOpts(args []string) (*serveOpts, error) {
 			CacheBytes:      *cacheBytes,
 			RuntimeInterval: *runtimeInterval,
 			RequestIDSeed:   *requestIDSeed,
-			Trace:           traceCfg,
-			TraceStorePath:  *traceStore,
 		},
 	}
 	if *sloConfig != "" {
@@ -270,11 +219,7 @@ func serve(o *serveOpts) error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		tracing := "off"
-		if o.cfg.Trace != nil {
-			tracing = fmt.Sprintf("on (budget %d, store %s)", o.cfg.Trace.Budget, historyOrOff(o.cfg.TraceStorePath))
-		}
-		log.Printf("simprofd listening on http://%s (history: %s, tracing: %s)", o.addr, historyOrOff(o.cfg.HistoryPath), tracing)
+		log.Printf("simprofd listening on http://%s (history: %s)", o.addr, historyOrOff(o.cfg.HistoryPath))
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
@@ -321,29 +266,4 @@ func historyOrOff(path string) string {
 		return "disabled"
 	}
 	return path
-}
-
-// parseBucketBounds parses the -trace-buckets value: a comma-separated,
-// strictly ascending list of positive millisecond bounds. Empty selects
-// the engine default.
-func parseBucketBounds(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	bounds := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad bound %q", p)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("bound %g must be positive", v)
-		}
-		if len(bounds) > 0 && v <= bounds[len(bounds)-1] {
-			return nil, fmt.Errorf("bounds must be strictly ascending, got %g after %g", v, bounds[len(bounds)-1])
-		}
-		bounds = append(bounds, v)
-	}
-	return bounds, nil
 }

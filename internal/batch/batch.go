@@ -147,7 +147,7 @@ func (g *Group[K, P, V]) Do(ctx context.Context, key K, payload P) (V, Result, e
 		fl.refs++
 		g.mu.Unlock()
 		obsCoalesced.Inc()
-		return g.wait(ctx, fl, Coalesced)
+		return g.wait(ctx, key, fl, Coalesced)
 	}
 	// Re-check the cache under the group lock: a flight for this key
 	// may have committed between the lock-free probe above and here.
@@ -176,7 +176,7 @@ func (g *Group[K, P, V]) Do(ctx context.Context, key K, payload P) (V, Result, e
 	g.mu.Unlock()
 	obsFlights.Inc()
 	go g.run(key, payload, fl, ticket, time.Now())
-	return g.wait(ctx, fl, Miss)
+	return g.wait(ctx, key, fl, Miss)
 }
 
 // run executes one flight and commits it: wait for the execution slot,
@@ -218,25 +218,30 @@ func (g *Group[K, P, V]) sizeOf(v V) int64 {
 }
 
 // wait blocks until the flight commits or this caller's ctx ends.
-func (g *Group[K, P, V]) wait(ctx context.Context, fl *flight[V], src Source) (V, Result, error) {
+func (g *Group[K, P, V]) wait(ctx context.Context, key K, fl *flight[V], src Source) (V, Result, error) {
 	select {
 	case <-fl.done:
 		res := fl.res
 		res.Source = src
 		return fl.v, res, fl.err
 	case <-ctx.Done():
-		g.leave(fl)
+		g.leave(key, fl)
 		var zero V
 		return zero, Result{Source: src}, ctx.Err()
 	}
 }
 
 // leave records one waiter abandoning the flight; the last one out
-// cancels the flight context, aborting the execution.
-func (g *Group[K, P, V]) leave(fl *flight[V]) {
+// cancels the flight context, aborting the execution, and removes the
+// flight from the map, so a later identical request starts a live
+// flight instead of joining the canceled one.
+func (g *Group[K, P, V]) leave(key K, fl *flight[V]) {
 	g.mu.Lock()
 	fl.refs--
 	last := fl.refs == 0
+	if last && g.flights[key] == fl {
+		delete(g.flights, key)
+	}
 	g.mu.Unlock()
 	if last {
 		fl.cancel()

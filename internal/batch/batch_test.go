@@ -201,6 +201,72 @@ func TestAllWaitersGoneCancelsFlight(t *testing.T) {
 	}
 }
 
+// TestRejoinAfterAllWaitersLeftStartsFreshFlight: once every waiter
+// has abandoned a flight, its context is canceled, so a later identical
+// request with a live context must start a new flight instead of
+// joining the dead one and inheriting its context.Canceled — even
+// while the canceled execution is still winding down.
+func TestRejoinAfterAllWaitersLeftStartsFreshFlight(t *testing.T) {
+	started := make(chan struct{})
+	aborted := make(chan struct{})
+	release := make(chan struct{})
+	var execs atomic.Int64
+	g := NewGroup(Config[string, int, int]{
+		Exec: func(ctx context.Context, key string, p int) (int, error) {
+			if execs.Add(1) > 1 {
+				return 42, nil
+			}
+			close(started)
+			<-ctx.Done()
+			close(aborted)
+			<-release // the abandoned execution notices its cancel late
+			return 0, ctx.Err()
+		},
+	})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	aDone := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctxA, "k", 0)
+		aDone <- err
+	}()
+	<-started
+	cancelA()
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning waiter err = %v, want Canceled", err)
+	}
+	<-aborted
+
+	type outcome struct {
+		v   int
+		res Result
+		err error
+	}
+	bDone := make(chan outcome, 1)
+	go func() {
+		v, res, err := g.Do(context.Background(), "k", 0)
+		bDone <- outcome{v, res, err}
+	}()
+	var b outcome
+	select {
+	case b = <-bDone:
+	case <-time.After(2 * time.Second):
+		close(release)
+		b = <-bDone
+		t.Fatalf("live request joined the abandoned flight: v=%d source=%v err=%v", b.v, b.res.Source, b.err)
+	}
+	if b.err != nil || b.v != 42 || b.res.Source != Miss {
+		t.Fatalf("live request = (%d, %v, %v), want (42, miss, nil) from a fresh flight", b.v, b.res.Source, b.err)
+	}
+}
+
 func TestCacheHitSkipsExec(t *testing.T) {
 	var execs atomic.Int64
 	g := NewGroup(Config[string, int, string]{

@@ -112,7 +112,7 @@ func BenchmarkChooseKDistinctRows_200kx6(b *testing.B) {
 // uses the centroid-based silhouette: the exact form is O(n²·d).
 func BenchmarkSilhouetteExact(b *testing.B) {
 	pts := benchPoints(500, 100, 4, 3)
-	res, _, _ := kMeansRows(pts, 4, Options{Seed: 1})
+	res, _, _ := kMeansRows(pts, 4, 0, Options{Seed: 1})
 	eng := parallel.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,7 +124,7 @@ func BenchmarkSilhouetteSimplified(b *testing.B) {
 	rows := benchPoints(500, 100, 4, 3)
 	eng := parallel.Default()
 	tab := newRowTable(eng, matrix.FromRows(rows))
-	res, _, _ := kMeansRows(rows, 4, Options{Seed: 1})
+	res, _, _ := kMeansRows(rows, 4, 0, Options{Seed: 1})
 	assign := rowAssign(tab, res.Assign)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -62,9 +62,6 @@ func (o ChooseKOptions) withDefaults() ChooseKOptions {
 	if o.MinScore <= 0 {
 		o.MinScore = 0.20
 	}
-	if o.Workers == 0 {
-		o.Workers = o.KMeans.Workers
-	}
 	return o
 }
 

@@ -17,10 +17,10 @@ import (
 )
 
 // kMeansRows runs the production k-means on rows copied into a Dense,
-// on an engine of opts.Workers, the way phase formation reaches it; the
-// result's Assign is expanded to the points.
-func kMeansRows(rows [][]float64, k int, opts Options) (Result, distStats, error) {
-	eng := parallel.New(opts.Workers)
+// on an engine of workers (0 = GOMAXPROCS), the way phase formation
+// reaches it; the result's Assign is expanded to the points.
+func kMeansRows(rows [][]float64, k, workers int, opts Options) (Result, distStats, error) {
+	eng := parallel.New(workers)
 	tab := newRowTable(eng, matrix.FromRows(rows))
 	res, st, err := kMeansDenseWith(eng, tab, k, opts)
 	if err == nil {
@@ -56,7 +56,7 @@ func threeBlobs(perBlob int, seed uint64) ([][]float64, []int) {
 
 func TestKMeansRecoversBlobs(t *testing.T) {
 	pts, truth := threeBlobs(40, 3)
-	res, _, err := kMeansRows(pts, 3, Options{Seed: 1})
+	res, _, err := kMeansRows(pts, 3, 0, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 
 func TestKMeansInvariants(t *testing.T) {
 	pts, _ := threeBlobs(30, 11)
-	res, _, err := kMeansRows(pts, 4, Options{Seed: 5})
+	res, _, err := kMeansRows(pts, 4, 0, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestKMeansInvariants(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if _, _, err := kMeansRows(nil, 3, Options{}); err == nil {
+	if _, _, err := kMeansRows(nil, 3, 0, Options{}); err == nil {
 		t.Fatal("no points should error")
 	}
-	if _, _, err := kMeansRows([][]float64{{1}}, 0, Options{}); err == nil {
+	if _, _, err := kMeansRows([][]float64{{1}}, 0, 0, Options{}); err == nil {
 		t.Fatal("k=0 should error")
 	}
 	// k > n clamps.
-	res, _, err := kMeansRows([][]float64{{1}, {2}}, 5, Options{Seed: 1})
+	res, _, err := kMeansRows([][]float64{{1}, {2}}, 5, 0, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	}
 	// Identical points: inertia 0, single effective center value.
 	same := [][]float64{{3, 3}, {3, 3}, {3, 3}, {3, 3}}
-	res, _, err = kMeansRows(same, 2, Options{Seed: 1})
+	res, _, err = kMeansRows(same, 2, 0, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func TestKMeansEdgeCases(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	pts, _ := threeBlobs(25, 7)
-	a, _, _ := kMeansRows(pts, 3, Options{Seed: 99})
-	b, _, _ := kMeansRows(pts, 3, Options{Seed: 99})
+	a, _, _ := kMeansRows(pts, 3, 0, Options{Seed: 99})
+	b, _, _ := kMeansRows(pts, 3, 0, Options{Seed: 99})
 	if a.Inertia != b.Inertia {
 		t.Fatal("same seed, different inertia")
 	}
@@ -145,7 +145,7 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	pts, _ := threeBlobs(20, 13)
-	res, _, _ := kMeansRows(pts, 3, Options{Seed: 2})
+	res, _, _ := kMeansRows(pts, 3, 0, Options{Seed: 2})
 	eng := parallel.Default()
 	sep := silhouette(eng, pts, res.Assign, 3)
 	if sep < 0.7 {

@@ -20,12 +20,12 @@ var workerSweep = []int{1, 2, 8}
 
 func TestKMeansBitForBitAcrossWorkers(t *testing.T) {
 	pts := benchPoints(400, 24, 5, 17)
-	base, _, err := kMeansRows(pts, 5, Options{Seed: 9, Workers: 1})
+	base, _, err := kMeansRows(pts, 5, 1, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep[1:] {
-		got, _, err := kMeansRows(pts, 5, Options{Seed: 9, Workers: w})
+		got, _, err := kMeansRows(pts, 5, w, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestChooseKBitForBitAcrossWorkers(t *testing.T) {
 func TestSilhouettesBitForBitAcrossWorkers(t *testing.T) {
 	rows := benchPoints(500, 16, 4, 29)
 	tab := newRowTable(parallel.New(1), matrix.FromRows(rows))
-	res, _, err := kMeansRows(rows, 4, Options{Seed: 3, Workers: 1})
+	res, _, err := kMeansRows(rows, 4, 1, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,8 @@ func TestKMeansWorkerInvarianceProperty(t *testing.T) {
 		k := int(kRaw%6) + 1
 		workers := int(wRaw%7) + 2
 		pts := benchPoints(n, 8, 3, seed)
-		a, _, errA := kMeansRows(pts, k, Options{Seed: seed, Workers: 1})
-		b, _, errB := kMeansRows(pts, k, Options{Seed: seed, Workers: workers})
+		a, _, errA := kMeansRows(pts, k, 1, Options{Seed: seed})
+		b, _, errB := kMeansRows(pts, k, workers, Options{Seed: seed})
 		if (errA == nil) != (errB == nil) {
 			return false
 		}

@@ -23,11 +23,11 @@ import (
 // holds the production kernel's naive-equivalent work count
 // (distStats.equivalent, behind cluster.distances_pruned) to the SqDist
 // calls the oracle actually made.
-func runBoth(t *testing.T, pts [][]float64, k int, opts Options) (naive, pruned Result) {
+func runBoth(t *testing.T, pts [][]float64, k, workers int, opts Options) (naive, pruned Result) {
 	t.Helper()
 	var calls atomic.Int64
-	naive = oracleKMeans(parallel.New(opts.Workers), pts, k, opts, &calls)
-	pruned, st, err := kMeansRows(pts, k, opts)
+	naive = oracleKMeans(parallel.New(workers), pts, k, opts, &calls)
+	pruned, st, err := kMeansRows(pts, k, workers, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPrunedMatchesNaiveBitForBit(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, w := range workerSweep {
-				naive, pruned := runBoth(t, tc.pts, tc.k, Options{Seed: tc.seed, Workers: w})
+				naive, pruned := runBoth(t, tc.pts, tc.k, w, Options{Seed: tc.seed})
 				if !reflect.DeepEqual(naive, pruned) {
 					t.Fatalf("workers=%d: pruned diverged from naive\nnaive:  inertia=%.17g iters=%d sizes=%v\npruned: inertia=%.17g iters=%d sizes=%v",
 						w, naive.Inertia, naive.Iters, naive.Sizes,
@@ -89,10 +89,10 @@ func TestPrunedMatchesNaiveProperty(t *testing.T) {
 		for i := 0; i < n/8; i++ {
 			copy(pts[n-1-i], pts[i])
 		}
-		opts := Options{Seed: seed, Workers: workers}
+		opts := Options{Seed: seed}
 		var calls atomic.Int64
 		naive := oracleKMeans(parallel.New(workers), pts, k, opts, &calls)
-		pruned, st, err := kMeansRows(pts, k, opts)
+		pruned, st, err := kMeansRows(pts, k, workers, opts)
 		return err == nil && reflect.DeepEqual(naive, pruned) && st.equivalent == calls.Load()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -105,10 +105,10 @@ func TestPrunedMatchesNaiveProperty(t *testing.T) {
 // single float of either kernel.
 func TestPrunedMatchesNaiveWithTelemetry(t *testing.T) {
 	pts := benchPoints(300, 16, 4, 19)
-	offNaive, offPruned := runBoth(t, pts, 4, Options{Seed: 7})
+	offNaive, offPruned := runBoth(t, pts, 4, 0, Options{Seed: 7})
 	obs.Enable()
 	defer obs.Disable()
-	onNaive, onPruned := runBoth(t, pts, 4, Options{Seed: 7})
+	onNaive, onPruned := runBoth(t, pts, 4, 0, Options{Seed: 7})
 	if !reflect.DeepEqual(offNaive, onNaive) {
 		t.Fatal("telemetry changed the naive kernel result")
 	}
@@ -462,7 +462,7 @@ func TestSimplifiedSilhouetteDenseMatches(t *testing.T) {
 		rows := benchPoints(n, 10, k, seed)
 		eng := parallel.New(1)
 		tab := newRowTable(eng, matrix.FromRows(rows))
-		res, _, err := kMeansRows(rows, k, Options{Seed: seed})
+		res, _, err := kMeansRows(rows, k, 0, Options{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -114,11 +114,6 @@ type Options struct {
 	MaxIter  int    // maximum Lloyd iterations (default 100)
 	Restarts int    // independent restarts, best inertia wins (default 4)
 	Seed     uint64 // RNG seed (deterministic)
-	Tol      float64
-	// Workers bounds the concurrency of the run (restarts and the
-	// chunked Lloyd passes). 0 selects GOMAXPROCS; 1 runs serially.
-	// The result is identical for every setting.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -127,9 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 4
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
 	}
 	return o
 }
@@ -342,6 +334,10 @@ func lloydPruned(tab *rowTable, k int, rng *rand.Rand,
 	})
 	return res
 }
+
+// convergenceTol is Lloyd's stopping rule: a pass whose inertia moved
+// by at most this fraction of (1 + the previous inertia) ends the run.
+const convergenceTol = 1e-9
 
 // lloydFrom is the production Lloyd kernel on the distinct-row table.
 // It starts from the first k rows of seeds and the seeding's handover
@@ -694,7 +690,7 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 		}
 		centers, next = next, centers
 		centerGeometry(centers)
-		if math.Abs(prev-inertia) <= o.Tol*(1+prev) {
+		if math.Abs(prev-inertia) <= convergenceTol*(1+prev) {
 			break
 		}
 		prev = inertia

@@ -173,7 +173,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 			}
 		}
 		centers, next = next, centers
-		if math.Abs(prev-inertia) <= o.Tol*(1+prev) {
+		if math.Abs(prev-inertia) <= convergenceTol*(1+prev) {
 			break
 		}
 		prev = inertia

@@ -15,7 +15,9 @@ import (
 //
 //	1  spans + metrics + typed pipeline sections
 //	2  adds span GIDs and concurrent timer samples (trace export)
-//	3  adds the request section (retained request traces)
+//	3  adds the request section (retained request traces); the
+//	   section is gone since request tracing was removed, and a v3
+//	   manifest that carries one still decodes with it ignored
 const ManifestVersion = 3
 
 // Manifest is the structured provenance record of one pipeline run:
@@ -34,7 +36,6 @@ type Manifest struct {
 	Faults   *FaultInfo    `json:"faults,omitempty"`
 	Phases   *PhaseInfo    `json:"phases,omitempty"`
 	Sampling *SamplingInfo `json:"sampling,omitempty"`
-	Request  *RequestInfo  `json:"request,omitempty"`
 
 	Metrics []Metric `json:"metrics,omitempty"`
 	Spans   *Span    `json:"spans,omitempty"`
@@ -119,28 +120,6 @@ type StratumInfo struct {
 	Alloc       int     `json:"alloc"`    // n_h
 	SampledMean float64 `json:"sampled_mean"`
 	Imputed     bool    `json:"imputed,omitempty"`
-}
-
-// RequestInfo records one retained request trace: the request's
-// identity, its outcome, and the retention bookkeeping that makes the
-// retained set a weighted sample (which stratum it fell in, whether a
-// forced-keep rule fired, and the inclusion probability at the moment
-// it was persisted — the live value keeps moving as the stratum sees
-// more traffic).
-type RequestInfo struct {
-	ID      string  `json:"id"`
-	Route   string  `json:"route"`
-	Tenant  string  `json:"tenant,omitempty"`
-	Status  int     `json:"status"`
-	Class   string  `json:"class"`
-	Bytes   int64   `json:"bytes,omitempty"`
-	Start   string  `json:"start,omitempty"` // RFC3339Nano
-	Latency float64 `json:"latency_ms"`
-
-	Stratum    string  `json:"stratum"` // route|status class|latency bucket
-	Forced     bool    `json:"forced,omitempty"`
-	InclusionP float64 `json:"inclusion_p"` // π at persist time
-	Weight     float64 `json:"weight"`      // 1/π at persist time
 }
 
 // NewManifest builds a manifest shell with build info filled in.

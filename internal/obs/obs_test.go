@@ -312,40 +312,3 @@ func TestManifestFile(t *testing.T) {
 		t.Fatalf("file round trip: %+v", got)
 	}
 }
-
-func TestSpanSetAttr(t *testing.T) {
-	Enable()
-	defer Disable()
-
-	run := StartRun("run")
-	_, s := StartSpan(context.Background(), "stage")
-	s.SetAttr("batch.size", "4")
-	s.SetAttr("cache", "miss")
-	s.SetAttr("cache", "hit") // last write wins
-	s.End()
-	run.End()
-
-	if got := s.Attrs["batch.size"]; got != "4" {
-		t.Fatalf("batch.size = %q, want 4", got)
-	}
-	if got := s.Attrs["cache"]; got != "hit" {
-		t.Fatalf("cache = %q, want hit (overwrite)", got)
-	}
-
-	var nilSpan *Span
-	nilSpan.SetAttr("k", "v") // disabled-path no-op
-}
-
-func TestSpanSetAttrCollectorOwned(t *testing.T) {
-	Enable()
-	defer Disable()
-
-	ctx, c := AttachCollector(context.Background(), "req")
-	_, s := StartSpan(ctx, "stage")
-	s.SetAttr("source", "coalesced")
-	s.End()
-	root := c.Detach()
-	if len(root.Children) != 1 || root.Children[0].Attrs["source"] != "coalesced" {
-		t.Fatalf("collector-owned attr missing: %+v", root.Children)
-	}
-}

@@ -24,16 +24,12 @@ type Span struct {
 	// GID is the id of the goroutine that opened the span, so trace
 	// viewers can lane spans by executor (0 in pre-v2 manifests).
 	GID int64 `json:"gid,omitempty"`
-	// Attrs are key=value annotations set with SetAttr (queue waits,
-	// execution times, cache verdicts). Maps serialize with sorted keys, so
-	// attributed spans stay deterministic in manifests and diffs.
-	Attrs map[string]string `json:"attrs,omitempty"`
 
 	start time.Time
 	ended bool
 	// col owns the tree the span belongs to; its lock guards the
-	// span's children, duration and attributes.
-	col *Collector
+	// span's children and duration.
+	col *collector
 }
 
 // curGID returns the running goroutine's id by parsing the
@@ -99,7 +95,7 @@ func (s *Span) Walk(fn func(sp *Span, depth int)) {
 // concurrent timer samples.
 var spanState struct {
 	mu             sync.Mutex
-	run            *Collector
+	run            *collector
 	samples        []TimerSample
 	samplesDropped int64
 }
@@ -120,8 +116,8 @@ func StartRun(name string) *Span {
 	return c.root
 }
 
-// spanKey is the context key under which StartSpan and ContextWithSpan
-// carry the enclosing span.
+// spanKey is the context key under which StartSpan carries the
+// enclosing span.
 type spanKey struct{}
 
 // StartSpan opens a child span and returns it with a context carrying
@@ -149,18 +145,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if s == nil {
 		return ctx, nil
 	}
-	return ContextWithSpan(ctx, s), s
-}
-
-// ContextWithSpan returns ctx carrying s as the parent for StartSpan.
-// It hands a span to work that runs on another goroutine under its own
-// context (a dedup flight executing a request's pipeline). A nil span
-// returns ctx unchanged.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
+	return context.WithValue(ctx, spanKey{}, s), s
 }
 
 // End closes the span, recording its monotonic duration. Ending twice
@@ -171,37 +156,10 @@ func (s *Span) End() {
 	}
 	s.col.mu.Lock()
 	defer s.col.mu.Unlock()
-	s.close(time.Now())
-}
-
-// close records the duration of an open span. The caller holds the
-// collector's lock.
-func (s *Span) close(now time.Time) {
-	if s.ended || s.col.done {
-		return
+	if !s.ended {
+		s.DurNS = time.Since(s.start).Nanoseconds()
+		s.ended = true
 	}
-	s.DurNS = now.Sub(s.start).Nanoseconds()
-	s.ended = true
-}
-
-// SetAttr annotates the span with a key=value attribute, shown by
-// inspect and carried into manifests and trace exports. Nil spans (the
-// disabled path) no-op, as do spans of a detached tree. Attributes take
-// the owning collector's lock, so SetAttr is safe while other
-// goroutines open spans in the same tree.
-func (s *Span) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	s.col.mu.Lock()
-	defer s.col.mu.Unlock()
-	if s.col.done {
-		return
-	}
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string)
-	}
-	s.Attrs[key] = value
 }
 
 // SpanTree returns the current run's root span, or nil if no run was

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"simprof/internal/obs"
 )
@@ -22,10 +23,13 @@ var (
 )
 
 // accessEntry is one structured access-log line: who asked for what,
-// how it was classified, and where the time went. Durations are split
-// the way an operator debugs tail latency: enqueue (admission-queue
-// wait), flush (history persist) and handle (whole
-// request). All are milliseconds.
+// how it was classified, and where the time went. All durations are
+// milliseconds. handle_ms is the whole request; enqueue_ms (admission
+// wait) and flush_ms (history persist) are always present. A profile
+// request also carries its stage ledger: read, hash and encode always,
+// and decode, form and sample only on the request whose flight ran the
+// pipeline (a miss), like flush_ms. The stages are disjoint parts of
+// handle_ms; dominant names the largest.
 type accessEntry struct {
 	ID        string  `json:"id"`
 	Route     string  `json:"route"`
@@ -33,9 +37,51 @@ type accessEntry struct {
 	Status    int     `json:"status"`
 	Class     string  `json:"class"`
 	Bytes     int64   `json:"bytes"`
+	ReadMS    float64 `json:"read_ms,omitempty"`
+	HashMS    float64 `json:"hash_ms,omitempty"`
 	EnqueueMS float64 `json:"enqueue_ms"`
+	DecodeMS  float64 `json:"decode_ms,omitempty"`
+	FormMS    float64 `json:"form_ms,omitempty"`
+	SampleMS  float64 `json:"sample_ms,omitempty"`
 	FlushMS   float64 `json:"flush_ms"`
+	EncodeMS  float64 `json:"encode_ms,omitempty"`
 	HandleMS  float64 `json:"handle_ms"`
+	Dominant  string  `json:"dominant,omitempty"`
+}
+
+// entry renders the request's stats as its access-log line.
+func (st *reqStats) entry(status int, handle time.Duration) accessEntry {
+	e := accessEntry{
+		ID:        st.id,
+		Route:     st.route,
+		Tenant:    st.tenant,
+		Status:    status,
+		Class:     st.class.String(),
+		Bytes:     st.bytes,
+		ReadMS:    durMS(st.read),
+		HashMS:    durMS(st.hash),
+		EnqueueMS: durMS(st.enqueue),
+		DecodeMS:  durMS(st.pipe.decode),
+		FormMS:    durMS(st.pipe.form),
+		SampleMS:  durMS(st.pipe.sample),
+		FlushMS:   durMS(st.flush),
+		EncodeMS:  durMS(st.encode),
+		HandleMS:  durMS(handle),
+	}
+	largest := 0.0
+	for _, s := range [...]struct {
+		name string
+		ms   float64
+	}{
+		{"read", e.ReadMS}, {"hash", e.HashMS}, {"enqueue", e.EnqueueMS},
+		{"decode", e.DecodeMS}, {"form", e.FormMS}, {"sample", e.SampleMS},
+		{"flush", e.FlushMS}, {"encode", e.EncodeMS},
+	} {
+		if s.ms > largest {
+			largest, e.Dominant = s.ms, s.name
+		}
+	}
+	return e
 }
 
 // shutdownEntry is the final line an access log emits on Close, so a

@@ -12,9 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"simprof/internal/obs"
-	"simprof/internal/obs/reqtrace"
 )
 
 // stripVolatile decodes a profile response body and removes the
@@ -206,16 +203,13 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 
 // TestCoalescedRequestsShareOneExecution: identical concurrent
 // requests ride one pipeline execution; followers see the coalesced
-// header and the same body. With request tracing on, the pipeline's
-// spans land in the leader's request tree, under its batch.do span,
-// even though the flight runs on its own goroutine.
+// header and the same body. The pipeline's stage times are logged on
+// the leader's access-log line only, even though the flight runs on
+// its own goroutine.
 func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	leakCheck(t)
-	withObs(t)
-	// A 0.001ms tail bound force-keeps every trace.
-	srv, ts := newTestServer(t, Config{
-		Trace: &reqtrace.Config{Budget: 8, BucketBoundsMS: []float64{0.001}, Seed: 5},
-	})
+	buf := &syncBuffer{}
+	srv, ts := newTestServer(t, Config{AccessLog: buf})
 	var execs int
 	var mu sync.Mutex
 	gate := make(chan struct{})
@@ -270,27 +264,18 @@ func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 		t.Fatalf("pipeline ran %d times, want 1", execs)
 	}
 
-	tree := func(id string) string {
-		var tr *reqtrace.Trace
-		waitFor(t, func() bool { tr = srv.tracer.Get(id); return tr != nil })
-		var nodes []string
-		tr.Spans.Walk(func(sp *obs.Span, depth int) {
-			node := strings.Repeat(">", depth) + sp.Name
-			if src := sp.Attrs["source"]; src != "" {
-				node += "[" + src + "]"
+	srv.Close() // drains the access log
+	lines := accessLines(t, buf)
+	for _, id := range []string{"leader", "follower-1", "follower-2"} {
+		line, ok := lines[id]
+		if !ok {
+			t.Fatalf("no access-log line for %s:\n%s", id, buf.String())
+		}
+		for _, stage := range []string{"decode_ms", "form_ms", "sample_ms"} {
+			_, has := line[stage]
+			if want := id == "leader"; has != want {
+				t.Fatalf("%s line has %s = %v, want %v: %v", id, stage, has, want, line)
 			}
-			nodes = append(nodes, node)
-		})
-		return strings.Join(nodes, " ")
-	}
-	want := "request leader >batch.do[miss] >>batch.exec >>>phase.form >>>>phase.vectorize " +
-		">>>>phase.feature_select >>>>phase.cluster >>>sampling.simprof"
-	if got := tree("leader"); got != want {
-		t.Fatalf("leader tree:\n got %s\nwant %s", got, want)
-	}
-	for _, id := range []string{"follower-1", "follower-2"} {
-		if got, want := tree(id), "request "+id+" >batch.do[coalesced]"; got != want {
-			t.Fatalf("%s tree: got %q, want %q", id, got, want)
 		}
 	}
 }

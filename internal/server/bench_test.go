@@ -203,7 +203,8 @@ func BenchmarkAccessLog(b *testing.B) {
 	entry := accessEntry{
 		ID: "0123456789abcdef", Route: "/v1/profile", Tenant: "default",
 		Status: 200, Class: "ok", Bytes: 1 << 20,
-		EnqueueMS: 0.21, FlushMS: 1.73, HandleMS: 42.5,
+		ReadMS: 0.65, HashMS: 0.14, EnqueueMS: 0.21, DecodeMS: 14.8, FormMS: 24.5,
+		SampleMS: 0.08, FlushMS: 1.73, EncodeMS: 0.1, HandleMS: 42.5, Dominant: "form",
 	}
 	b.Run("enqueue", func(b *testing.B) {
 		l := newAccessLogger(io.Discard)

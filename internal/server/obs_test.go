@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -262,6 +263,99 @@ func TestAccessLog(t *testing.T) {
 	}
 	if down.Event != "shutdown" || down.Requests != 3 || down.Dropped != 0 {
 		t.Fatalf("shutdown line wrong: %+v", down)
+	}
+}
+
+// accessLines indexes a drained access log's request lines by id, each
+// as its raw JSON object, so a test can tell an absent field from a
+// zero one.
+func accessLines(t testing.TB, buf *syncBuffer) map[string]map[string]any {
+	t.Helper()
+	lines := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("access-log line %q is not JSON: %v", line, err)
+		}
+		if id, ok := m["id"].(string); ok {
+			lines[id] = m
+		}
+	}
+	return lines
+}
+
+// TestAccessLogStageLedger: a real-pipeline miss logs its stage
+// ledger — read, hash, enqueue, decode, form, sample, flush and encode
+// are disjoint parts of the request, so they sum to at most handle_ms,
+// and they leave at most 10% of it unaccounted; dominant names the
+// largest. A cache hit of the same upload ran no pipeline, so its line
+// carries no pipeline stage.
+func TestAccessLogStageLedger(t *testing.T) {
+	buf := &syncBuffer{}
+	srv, ts := newTestServer(t, Config{AccessLog: buf})
+	data := encodedTrace(t, 600, 12)
+	for _, id := range []string{"miss", "hit"} {
+		resp, body := postTraceWithID(t, ts.URL+"/v1/profile?n=20&seed=3", data, id)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", id, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Simprof-Cache"); got != id {
+			t.Fatalf("X-Simprof-Cache = %q, want %q", got, id)
+		}
+	}
+	srv.Close() // drains the access log
+	lines := accessLines(t, buf)
+
+	stages := []string{"read", "hash", "enqueue", "decode", "form", "sample", "flush", "encode"}
+	miss := lines["miss"]
+	var sum, largest float64
+	var dominant string
+	for _, stage := range stages {
+		ms, ok := miss[stage+"_ms"].(float64)
+		if !ok {
+			t.Fatalf("miss line has no %s_ms: %v", stage, miss)
+		}
+		sum += ms
+		if ms > largest {
+			largest, dominant = ms, stage
+		}
+	}
+	handle := miss["handle_ms"].(float64)
+	if sum > handle || sum < 0.9*handle {
+		t.Fatalf("stages sum to %.3fms, want within [0.9, 1] × handle_ms %.3fms: %v", sum, handle, miss)
+	}
+	if miss["dominant"] != dominant {
+		t.Fatalf("dominant = %v, want %s (%.3fms): %v", miss["dominant"], dominant, largest, miss)
+	}
+
+	hit := lines["hit"]
+	for _, stage := range []string{"decode_ms", "form_ms", "sample_ms"} {
+		if _, ok := hit[stage]; ok {
+			t.Fatalf("hit line carries pipeline stage %s: %v", stage, hit)
+		}
+	}
+	for _, stage := range []string{"read_ms", "hash_ms", "encode_ms", "dominant"} {
+		if _, ok := hit[stage]; !ok {
+			t.Fatalf("hit line lacks %s: %v", stage, hit)
+		}
+	}
+}
+
+// TestAccessLogOnOffDeterminism: the profile response is byte-identical
+// whether the access log is off or on — the ledger observes, never
+// alters. Only elapsed_ms, the request's own wall time, may differ.
+func TestAccessLogOnOffDeterminism(t *testing.T) {
+	data := encodedTrace(t, 150, 9)
+	run := func(log io.Writer) string {
+		_, ts := newTestServer(t, Config{AccessLog: log})
+		resp, body := postTrace(t, ts.URL+"/v1/profile?n=25&seed=11", data)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("access log %v: status %d body %s", log != nil, resp.StatusCode, body)
+		}
+		return stripVolatile(t, body)
+	}
+	if off, on := run(nil), run(&syncBuffer{}); off != on {
+		t.Fatalf("response differs with the access log on:\non:  %s\noff: %s", on, off)
 	}
 }
 

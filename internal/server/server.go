@@ -42,7 +42,6 @@ import (
 	"simprof/internal/batch"
 	"simprof/internal/history"
 	"simprof/internal/obs"
-	"simprof/internal/obs/reqtrace"
 	"simprof/internal/phase"
 	"simprof/internal/resilience"
 	"simprof/internal/sampling"
@@ -105,15 +104,6 @@ type Config struct {
 	// no X-Request-Id header; IDs are deterministic per (seed, arrival
 	// index).
 	RequestIDSeed uint64
-	// Trace, when non-nil, turns on request tracing with stratified
-	// tail-based retention (see internal/obs/reqtrace). nil disables it
-	// entirely: the per-request cost of the disabled path is two nil
-	// checks and zero allocations.
-	Trace *reqtrace.Config
-	// TraceStorePath persists every admitted trace as a durable history
-	// record. Empty keeps the retained set in memory only. Ignored when
-	// Trace is nil.
-	TraceStorePath string
 	// CacheEntries and CacheBytes bound the content-hash result cache
 	// (0 selects 512 entries / 64 MiB). New rejects a negative
 	// CacheEntries.
@@ -140,11 +130,18 @@ func (c Config) withDefaults() Config {
 }
 
 // profileOutcome is what the profile pipeline hands back for one
-// upload.
+// upload, with the time each of its stages took.
 type profileOutcome struct {
 	Trace *trace.Trace
 	Ph    *phase.Phases
 	Sp    sampling.Stratified
+	times pipelineTimes
+}
+
+// pipelineTimes is the pipeline's part of a request's stage ledger:
+// trace decode, phase formation and stratified sampling.
+type pipelineTimes struct {
+	decode, form, sample time.Duration
 }
 
 // profileKey identifies one profile computation for dedup: the strong
@@ -158,23 +155,22 @@ type profileKey struct {
 	opts string   // canonical "n=<n>,seed=<seed>"
 }
 
-// profilePayload carries one upload into its flight, including the
-// leader's batch.do span so pipeline spans executed on the flight's
-// goroutine still land in the originating request's tree.
+// profilePayload carries one upload into its flight.
 type profilePayload struct {
 	data []byte
 	n    int
 	seed uint64
-	span *obs.Span
 }
 
 // profileResult is the cacheable outcome of one executed profile:
 // the response body (ElapsedMS zeroed; each request stamps its own),
 // with Seq/Key referencing the history record the executing flight
 // persisted — cache hits point at the original record instead of
-// appending duplicates.
+// appending duplicates. The stage times belong to the flight that
+// computed it; only that flight's request logs them.
 type profileResult struct {
 	resp  ProfileResponse
+	times pipelineTimes
 	flush time.Duration // history persist time
 	size  int64         // resident-byte estimate for the cache budget
 }
@@ -195,8 +191,7 @@ type Server struct {
 	slo         *sloTracker
 	accessLog   *accessLogger
 	stopRuntime func()
-	tracer      *reqtrace.Engine // nil when request tracing is off
-	reqSeq      atomic.Uint64    // arrival index for generated request IDs
+	reqSeq      atomic.Uint64 // arrival index for generated request IDs
 
 	// Test seams: the chaos harness swaps these to inject pipeline and
 	// store faults without touching the HTTP machinery. nil selects the
@@ -229,18 +224,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: history recovery: %w", err)
 		}
 	}
-	var traceCfg *reqtrace.Config
-	if c.Trace != nil {
-		tc := *c.Trace
-		if c.TraceStorePath != "" {
-			tstore := history.OpenDurable(c.TraceStorePath)
-			if _, err := tstore.RecoverTail(); err != nil {
-				return nil, fmt.Errorf("server: trace store recovery: %w", err)
-			}
-			tc.Store = tstore
-		}
-		traceCfg = &tc
-	}
 	s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
 		Exec:  s.execProfile,
 		Size:  func(v profileResult) int64 { return v.size },
@@ -255,9 +238,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	// Background goroutines start only after every fallible step, so a
 	// failed New never leaks them.
-	if traceCfg != nil {
-		s.tracer = reqtrace.New(*traceCfg)
-	}
 	s.accessLog = newAccessLogger(c.AccessLog)
 	s.stopRuntime = obs.StartRuntimeCollector(c.RuntimeInterval)
 	s.mux = http.NewServeMux()
@@ -267,29 +247,25 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics", s.handlePromMetrics)
 	s.mux.HandleFunc("GET /v1/slo", s.handleSLO)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceOne)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return s, nil
 }
 
 // Close stops the server's background goroutines: the runtime-metrics
-// collector, the trace-retention engine's persister (queue drained)
-// and the access logger (which drains its queue and writes a final
-// shutdown line). Call after Drain. Safe to call more than once.
+// collector and the access logger (which drains its queue and writes a
+// final shutdown line). Call after Drain. Safe to call more than once.
 func (s *Server) Close() {
 	if s.stopRuntime != nil {
 		s.stopRuntime()
 	}
-	s.tracer.Stop()
 	s.accessLog.Close()
 }
 
-// reqStats carries one request's identity and timing breakdown through
+// reqStats carries one request's identity and stage ledger through
 // the context: handlers fill in the pieces (class on error, body bytes,
-// admission wait, persist time) and the Handler middleware emits them
-// as labeled metrics, SLO window samples and one access-log line.
+// stage times) and the Handler middleware emits them as labeled
+// metrics, SLO window samples and one access-log line.
 type reqStats struct {
 	id     string
 	tenant string
@@ -297,8 +273,12 @@ type reqStats struct {
 	class  resilience.Class
 	bytes  int64
 
+	read    time.Duration // upload body read
+	hash    time.Duration // content hash of the upload (the dedup key)
 	enqueue time.Duration // admission-queue wait (until an execution slot)
+	pipe    pipelineTimes // the flight's decode, form and sample
 	flush   time.Duration // history persist
+	encode  time.Duration // response JSON encode and write
 }
 
 type ctxKey int
@@ -336,10 +316,6 @@ func routeOf(path string) string {
 		return "/v1/metrics"
 	case path == "/v1/slo":
 		return "/v1/slo"
-	case path == "/v1/traces":
-		return "/v1/traces"
-	case strings.HasPrefix(path, "/v1/traces/"):
-		return "/v1/traces/{id}"
 	case path == "/metrics":
 		return "/metrics"
 	case path == "/healthz":
@@ -399,34 +375,18 @@ func (s *Server) Handler() http.Handler {
 			route:  routeOf(r.URL.Path),
 		}
 		w.Header().Set("X-Request-Id", st.id)
-		// Request tracing: the collector rides the request context, so
-		// pipeline spans opened under it land in this request's tree.
-		ctx, act := s.tracer.Start(context.WithValue(r.Context(), reqStatsKey, st), st.id, st.route, st.tenant)
 		sr := &statusRecorder{ResponseWriter: w}
-		s.mux.ServeHTTP(sr, r.WithContext(ctx))
+		s.mux.ServeHTTP(sr, r.WithContext(context.WithValue(r.Context(), reqStatsKey, st)))
 		if sr.status == 0 {
 			sr.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		// Finish with the same elapsed the metrics and access log report,
-		// so the retained trace's latency agrees with every other view.
-		s.tracer.Finish(act, sr.status, st.class.String(), st.bytes, elapsed)
 
 		obsRequestsByRoute.With(st.route, strconv.Itoa(sr.status)).Inc()
 		obsRequestsByTenant.With(st.tenant).Inc()
 		obsRequestSeconds.With(st.route).Observe(elapsed.Seconds())
 		s.slo.observe(st.route, st.class, elapsed)
-		s.accessLog.Log(accessEntry{
-			ID:        st.id,
-			Route:     st.route,
-			Tenant:    st.tenant,
-			Status:    sr.status,
-			Class:     st.class.String(),
-			Bytes:     st.bytes,
-			EnqueueMS: durMS(st.enqueue),
-			FlushMS:   durMS(st.flush),
-			HandleMS:  durMS(elapsed),
-		})
+		s.accessLog.Log(st.entry(sr.status, elapsed))
 	})
 }
 
@@ -519,6 +479,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	st := statsFrom(ctx)
+	if st == nil { // called without the middleware: record nowhere
+		st = &reqStats{}
+	}
 
 	n, seed, err := sampleParams(r)
 	if err != nil {
@@ -526,33 +489,27 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
+	t := time.Now()
 	data, err := readBody(ctx, r, s.cfg.MaxBodyBytes)
+	st.read = time.Since(t)
 	if err != nil {
 		obsProfilesErr.Inc()
 		s.writeError(w, r, err)
 		return
 	}
 	obsBodyBytes.Add(int64(len(data)))
-	if st != nil {
-		st.bytes = int64(len(data))
-	}
+	st.bytes = int64(len(data))
 
+	t = time.Now()
 	key := profileKey{sum: sha256.Sum256(data), opts: fmt.Sprintf("n=%d,seed=%d", n, seed)}
-	ctx, span := obs.StartSpan(ctx, "batch.do")
-	payload := profilePayload{data: data, n: n, seed: seed, span: span}
-	v, res, err := s.group.Do(ctx, key, payload)
-	if span != nil {
-		span.SetAttr("source", res.Source.String())
-		span.SetAttr("enqueue_wait_ms", strconv.FormatFloat(durMS(res.EnqueueWait), 'f', 3, 64))
-		span.SetAttr("exec_ms", strconv.FormatFloat(durMS(res.Exec), 'f', 3, 64))
-		span.End()
-	}
+	st.hash = time.Since(t)
+	v, res, err := s.group.Do(ctx, key, profilePayload{data: data, n: n, seed: seed})
 	w.Header().Set("X-Simprof-Cache", res.Source.String())
-	if st != nil {
-		st.enqueue = res.EnqueueWait
-		if res.Source == batch.Miss {
-			st.flush = v.flush
-		}
+	st.enqueue = res.EnqueueWait
+	// Only the request whose flight ran the pipeline logs its stages;
+	// hits and coalesced requests did not pay for them.
+	if res.Source == batch.Miss {
+		st.pipe, st.flush = v.times, v.flush
 	}
 	if err != nil {
 		obsProfilesErr.Inc()
@@ -562,18 +519,15 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	resp := v.resp
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	obsProfilesOK.Inc()
+	t = time.Now()
 	writeJSON(w, http.StatusOK, resp)
+	st.encode = time.Since(t)
 }
 
 // execProfile runs one deduplicated flight on the flight's goroutine:
-// pipeline → fsynced history append. ctx is
-// the flight context (alive until the last waiting request leaves).
-// The leader's batch.do span goes onto it, so the pipeline's spans land
-// in that request's tree.
+// pipeline → fsynced history append. ctx is the flight context (alive
+// until the last waiting request leaves).
 func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePayload) (profileResult, error) {
-	ctx, span := obs.StartSpan(obs.ContextWithSpan(ctx, p.span), "batch.exec")
-	defer span.End()
-
 	out, err := s.runProfile(ctx, p.data, p.n, p.seed)
 	if err != nil {
 		return profileResult{}, err
@@ -602,7 +556,7 @@ func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePaylo
 	// Resident-size estimate for the cache's byte budget: fixed struct
 	// fields plus the allocation slice and key string.
 	size := int64(224 + 8*len(resp.Alloc) + len(resp.Key) + len(key.opts))
-	return profileResult{resp: resp, flush: flush, size: size}, nil
+	return profileResult{resp: resp, times: out.times, flush: flush, size: size}, nil
 }
 
 // sampleParams parses the n/seed query knobs.
@@ -668,19 +622,26 @@ func (s *Server) runProfile(ctx context.Context, data []byte, n int, seed uint64
 // profile is the real pipeline: decode → form phases → sample, all
 // under ctx.
 func (s *Server) profile(ctx context.Context, data []byte, n int, seed uint64) (*profileOutcome, error) {
+	var times pipelineTimes
+	t := time.Now()
 	tr, err := trace.DecodeBytesCtx(ctx, data)
 	if err != nil {
 		return nil, pipelineError("decode", err)
 	}
+	times.decode = time.Since(t)
+	t = time.Now()
 	ph, err := phase.FormCtx(ctx, tr, phase.Options{Seed: seed, Workers: s.cfg.Workers})
 	if err != nil {
 		return nil, pipelineError("phase formation", err)
 	}
+	times.form = time.Since(t)
+	t = time.Now()
 	sp, err := sampling.SimProfCtx(ctx, ph, n, seed)
 	if err != nil {
 		return nil, pipelineError("sampling", err)
 	}
-	return &profileOutcome{Trace: tr, Ph: ph, Sp: sp}, nil
+	times.sample = time.Since(t)
+	return &profileOutcome{Trace: tr, Ph: ph, Sp: sp, times: times}, nil
 }
 
 // pipelineError classifies a pipeline stage failure: context ends pass

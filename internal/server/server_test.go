@@ -64,6 +64,27 @@ func postTrace(t testing.TB, url string, body []byte) (*http.Response, []byte) {
 	return resp, out
 }
 
+// postTraceWithID posts an upload with an explicit X-Request-Id.
+func postTraceWithID(t testing.TB, url string, body []byte, id string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("X-Request-Id", id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
 // decodeError unpacks the JSON error envelope.
 func decodeError(t testing.TB, body []byte) errorBody {
 	t.Helper()

@@ -11,9 +11,7 @@
 # the columnar trace format (DecodeBin vs the
 # legacy DecodeGob on the same 100k-unit trace, plus EndToEnd100k —
 # the decode → Form → allocate → estimate pipeline whose <100ms budget
-# the gate enforces), the request-trace retention engine (ReqTrace:
-# disabled must stay at 0 allocs/op, enabled is the stratify + reservoir
-# + rebalance cost), and the simprofd service under concurrent load
+# the gate enforces), and the simprofd service under concurrent load
 # (SimprofdP99 reports the p99 latency of cold-miss requests as its
 # ns/op metric so the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
 # storm through the batched path and the inline baseline, reporting p99
@@ -30,9 +28,9 @@ BENCHTIME="${BENCHTIME:-1x}"
 BENCHCOUNT="${BENCHCOUNT:-1}"
 
 go test -run '^$' \
-	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$|BenchmarkReqTrace)' \
+	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$)' \
 	-benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
-	./internal/cluster ./internal/phase ./internal/sampling ./internal/obs ./internal/obs/reqtrace ./internal/tracebin ./internal/server \
+	./internal/cluster ./internal/phase ./internal/sampling ./internal/obs ./internal/tracebin ./internal/server \
 	>"$OUT"
 
 echo "wrote $OUT"

@@ -9,8 +9,7 @@
 #                                            race detector)
 #   bench-smoke   telemetry disabled path   (0 allocs/op or the no-op
 #                                            sink contract is broken;
-#                                            covers the obs metrics and
-#                                            the disabled reqtrace path)
+#                                            covers the obs metrics)
 #   fuzz-smoke    trace decoders            (no byte stream may panic
 #                                            the decode path: gob, JSON
 #                                            and the tracebin columns)
@@ -22,11 +21,6 @@
 #   metrics-golden  Prometheus exposition   (golden-pinned /metrics text
 #                                            format, escaping tables, and
 #                                            the label-value fuzz seeds)
-#   reqtrace-golden  retained-trace views   (golden-pinned inspect render
-#                                            of a trace manifest, the
-#                                            /v1/traces endpoints, export
-#                                            validity and the tracing
-#                                            on/off determinism contract)
 #   kernel-equivalence  pruned vs naive     (bound-pruned k-means must be
 #                                            bit-for-bit the naive test
 #                                            oracle, run twice to shake
@@ -61,13 +55,16 @@
 #                                            served vs the pipeline run
 #                                            directly and cached vs
 #                                            computed, coalescing and
-#                                            leader-cancel hand-off,
-#                                            cache bounds/eviction, the
-#                                            logged admission wait, and
-#                                            the batch + two-phase
-#                                            admission unit suites; all
-#                                            under -race; fails if a
-#                                            named test no longer exists)
+#                                            leader-cancel hand-off, a
+#                                            fresh flight after every
+#                                            waiter left, cache
+#                                            bounds/eviction, the logged
+#                                            admission wait and stage
+#                                            ledger, and the batch +
+#                                            two-phase admission unit
+#                                            suites; all under -race;
+#                                            fails if a named test no
+#                                            longer exists)
 #   bench-module  end-to-end benchmark      (bench/ is its own Go module,
 #                                            so ./... never reaches it:
 #                                            vet + short tests keep it
@@ -131,18 +128,6 @@ run_bench_smoke() {
 		}
 		END { exit bad }
 	' || fail bench-smoke
-	# Request tracing carries the same contract: with tracing off, the
-	# per-request middleware cost (a nil engine's Start/Finish) must be
-	# allocation-free.
-	out=$(go test -run '^$' -bench '^BenchmarkReqTraceDisabled$' -benchtime 100x -benchmem ./internal/obs/reqtrace) || fail bench-smoke
-	echo "$out"
-	echo "$out" | awk '
-		/^BenchmarkReqTraceDisabled/ {
-			for (i = 1; i <= NF; i++)
-				if ($i == "allocs/op" && $(i-1) + 0 != 0) bad = 1
-		}
-		END { exit bad }
-	' || fail bench-smoke
 }
 
 run_metrics_golden() {
@@ -167,18 +152,6 @@ run_tracebin_golden() {
 	# hostile re-layout of its section table (reversed entry order,
 	# poisoned reserved words) identically.
 	go test -run 'TestGolden|TestHostileHeaderLayout' ./internal/tracebin || fail tracebin-golden
-}
-
-run_reqtrace_golden() {
-	# The retained-trace surfaces: the inspect rendering of a trace
-	# manifest is golden-pinned (regenerate with UPDATE_GOLDEN=1), the
-	# /v1/traces endpoints list/filter/export with a schema-valid
-	# trace-event file, and the pipeline output must be bit-identical
-	# with tracing on and off.
-	go test -run 'TestInspectReqTraceGolden|TestInspectLabeledVecAlignment' ./cmd/simprof || fail reqtrace-golden
-	go test -run 'TestTraces|TestTraceExportEndpoint|TestTracingOnOffDeterminism|TestTracedProfilePersistsSpans' \
-		./internal/server || fail reqtrace-golden
-	go test -run 'TestTracesRender|TestServeTraceFlags' ./cmd/simprofd || fail reqtrace-golden
 }
 
 run_bench_gate() {
@@ -208,14 +181,11 @@ run_bench_gate() {
 	# statistic of the same construction (mostly cache-hit latency) and
 	# shares that widest band.
 	# The single-digit-ns observability paths (disabled labeled metrics,
-	# the access-log enqueue, the disabled reqtrace Start/Finish) sit at
-	# the timer's resolution floor, so they get the wide microbenchmark
-	# band — their real contract (0 allocs/op) is enforced by
-	# bench-smoke, not by wall time. The enabled reqtrace path is a
-	# sub-microsecond map-and-reservoir loop with the same jitter
-	# profile.
+	# the access-log enqueue) sit at the timer's resolution floor, so
+	# they get the wide microbenchmark band — their real contract
+	# (0 allocs/op) is enforced by bench-smoke, not by wall time.
 	go run ./cmd/simprof history gate -baseline "$baseline" -bench "$cur" \
-		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60,BenchmarkReqTraceDisabled=0.60,BenchmarkReqTraceEnabled=0.60" \
+		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60" \
 		|| fail bench-gate
 }
 
@@ -307,7 +277,6 @@ run_chaos_smoke() {
 	go test -race -count=1 -run 'TestChaos' ./internal/server || fail chaos-smoke
 	named_tests chaos-smoke 1 -race ./internal/server TestChaosStoreDown \
 		TestChaosTornAppendRecovery TestChaosStoreFailureNotRetried || fail chaos-smoke
-	go test -race -count=1 -run 'TestChaos|TestPersist' ./internal/obs/reqtrace || fail chaos-smoke
 	go test -race -count=1 ./internal/resilience ./internal/faults || fail chaos-smoke
 	named_tests chaos-smoke 1 -race ./internal/history \
 		TestRecoverTailEveryTruncation TestRecoverTailCorruptLastLine TestRecoverTailMissingStore \
@@ -324,10 +293,13 @@ run_batch_smoke() {
 	# detector: caching and coalescing may change how often the pipeline
 	# runs, never what a request gets back (the served body and history
 	# record match the pipeline run directly). Covers the batch group +
-	# LRU cache unit suite, the two-phase admission tickets, and the
-	# HTTP-level bit-identity, coalescing, hand-off, eviction and
-	# admission-wait tests, each by exact name.
+	# LRU cache unit suite (the rejoin-after-abandon test by exact
+	# name), the two-phase admission tickets, and the HTTP-level
+	# bit-identity, coalescing, hand-off, eviction, admission-wait and
+	# stage-ledger tests, each by exact name.
 	go test -race -count=1 ./internal/batch || fail batch-smoke
+	named_tests batch-smoke 1 -race ./internal/batch \
+		TestRejoinAfterAllWaitersLeftStartsFreshFlight || fail batch-smoke
 	named_tests batch-smoke 1 -race ./internal/resilience \
 		TestTicketEnqueueOverload TestTicketStartBlocksUntilSlotFrees \
 		TestTicketStartCanceledReleasesQueuePosition \
@@ -337,7 +309,8 @@ run_batch_smoke() {
 		TestBatchedResponsesBitIdentical TestCachedResponseBitIdentical \
 		TestIdenticalBytesDifferentOptionsMiss TestCacheEvictionUnderPressure \
 		TestCoalescedRequestsShareOneExecution TestLeaderCancelHandsOffToFollowerHTTP \
-		TestEnqueueMSIsAdmissionWait TestMaxBodyLimitBadInput TestChaosDuplicateStorm ||
+		TestEnqueueMSIsAdmissionWait TestAccessLogStageLedger TestMaxBodyLimitBadInput \
+		TestChaosDuplicateStorm ||
 		fail batch-smoke
 }
 
@@ -359,7 +332,7 @@ run_fuzz_smoke() {
 	done
 }
 
-stages="${*:-tier1-build tier1-test vet gofmt race bench-smoke kernel-equivalence chaos-smoke batch-smoke bench-module fuzz-smoke trace-golden tracebin-golden metrics-golden reqtrace-golden}"
+stages="${*:-tier1-build tier1-test vet gofmt race bench-smoke kernel-equivalence chaos-smoke batch-smoke bench-module fuzz-smoke trace-golden tracebin-golden metrics-golden}"
 for stage in $stages; do
 	echo "==> $stage"
 	case "$stage" in
@@ -373,7 +346,6 @@ for stage in $stages; do
 	trace-golden) run_trace_golden ;;
 	tracebin-golden) run_tracebin_golden ;;
 	metrics-golden) run_metrics_golden ;;
-	reqtrace-golden) run_reqtrace_golden ;;
 	kernel-equivalence) run_kernel_equivalence ;;
 	chaos-smoke) run_chaos_smoke ;;
 	batch-smoke) run_batch_smoke ;;
