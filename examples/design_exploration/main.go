@@ -2,7 +2,8 @@
 // architectural design-space exploration. The points are selected once
 // on the profiled baseline machine; each candidate design then only
 // "detail-simulates" those 20 units, and the stratified estimate ranks
-// the designs — at a tiny fraction of full-run cost.
+// the designs, each with its 95% confidence interval — at a tiny
+// fraction of full-run cost.
 //
 //	go run ./examples/design_exploration
 package main
@@ -55,7 +56,7 @@ func main() {
 		{"HBM-class memory (90cy)", func(c *core.Config) { c.Machine.Hier.PenaltyMem = 90 }},
 	}
 	t := report.NewTable("Candidate designs, estimated from 20 points vs full-run oracle",
-		"Design", "Oracle CPI", "Estimate", "Error", "Detail budget")
+		"Design", "Oracle CPI", "Estimate", "95% CI half-width", "Error", "Detail budget")
 	for _, d := range designs {
 		dcfg := cfg
 		d.mutate(&dcfg)
@@ -73,6 +74,7 @@ func main() {
 		t.RowS(d.label,
 			fmt.Sprintf("%.3f", target.OracleCPI()),
 			fmt.Sprintf("%.3f", est.EstCPI),
+			fmt.Sprintf("%.3f", est.CI(0.95).Margin),
 			fmt.Sprintf("%.1f%%", 100*est.Err(target)),
 			fmt.Sprintf("%d of %d units", points.Size(), fullUnits))
 	}

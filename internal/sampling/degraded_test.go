@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"reflect"
 	"testing"
 
 	"simprof/internal/phase"
@@ -37,21 +36,13 @@ func TestNeymanCapacityAware(t *testing.T) {
 	if alloc[0] != 0 || alloc[1] != 10 {
 		t.Fatalf("alloc %v want [0 10]", alloc)
 	}
-	// Capacity above the stratum size is a caller bug.
+	// Capacity above the stratum size, or one capacity per stratum
+	// missing, is a caller bug.
 	if _, err := neymanAllocation([]int{5}, []int{6}, []float64{1}, 3); err == nil {
 		t.Fatal("capacity > Nh accepted")
 	}
-	// The public entry point is the capacity==Nh special case.
-	a, err := NeymanAllocation([]int{40, 60}, []float64{1, 2}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := neymanAllocation([]int{40, 60}, []int{40, 60}, []float64{1, 2}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("NeymanAllocation %v != capacity-aware with full capacity %v", a, b)
+	if _, err := neymanAllocation([]int{100, 50, 10}, []int{5, 50}, []float64{2, 1, 0.5}, 30); err == nil {
+		t.Fatal("mismatched capacity length accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"simprof/internal/phase"
+	"simprof/internal/stats"
 	"simprof/internal/trace"
 )
 
@@ -21,64 +22,60 @@ import (
 // is therefore validated on Spark workloads, whose executor threads are
 // fixed.)
 //
+// The estimate and its SE are the sample's estimator (the same strata,
+// weights and imputed strata) on the target CPIs of the chosen points,
+// which are all it reads. A profiled spread Eq. 4 falls back on is scaled
+// by the ratio of the target's to the profile's sample mean, per stratum
+// or over all points; on the profiled trace itself every ratio is 1 and
+// the estimate is the sample's own, bit for bit.
+//
 // A point whose target unit carries no valid CPI (zero instructions or
 // lost counters) is an error: its CPI is unknown, and reading it as 0
-// would fabricate the phase mean the estimate is made of.
+// would fabricate the phase mean the estimate is made of. So is a sample
+// drawn from other phases.
 func EstimateOnTrace(ph *phase.Phases, sp Stratified, target *trace.Trace) (Sample, error) {
 	if len(target.Units) != len(ph.Trace.Units) {
 		return Sample{}, fmt.Errorf(
 			"sampling: target trace has %d units, profiling trace has %d — not the same workload build",
 			len(target.Units), len(ph.Trace.Units))
 	}
-	// Unit ids are dense on every validated trace, making the id→index
-	// map the identity; the map is only built for hand-assembled traces
-	// that renumbered units.
-	units := ph.Trace.Units
-	dense := true
-	for i := range units {
-		if units[i].ID != i {
-			dense = false
-			break
-		}
+	if len(sp.Alloc) != ph.K {
+		return Sample{}, fmt.Errorf("sampling: sample has %d phases but the phases have %d — drawn from other phases",
+			len(sp.Alloc), ph.K)
 	}
-	var byID map[int]int
-	if !dense {
-		byID = make(map[int]int, len(units))
-		for i := range units {
-			byID[units[i].ID] = i
-		}
+	if len(sp.frame.Nh) != ph.K || len(sp.frame.drawn) != len(sp.UnitIDs) {
+		return Sample{}, fmt.Errorf("sampling: sample was not drawn by SimProf")
 	}
-	// Per-phase means of the selected points, evaluated on the target.
-	sums := make([]float64, ph.K)
-	counts := make([]int, ph.K)
-	for _, id := range sp.UnitIDs {
-		var i int
-		if dense {
-			if id < 0 || id >= len(units) {
-				return Sample{}, fmt.Errorf("sampling: point %d not in profiling trace", id)
-			}
-			i = id
-		} else {
-			var ok bool
-			i, ok = byID[id]
-			if !ok {
-				return Sample{}, fmt.Errorf("sampling: point %d not in profiling trace", id)
-			}
-		}
-		u := &target.Units[i]
-		if !u.CPIValid() {
-			return Sample{}, fmt.Errorf("sampling: point %d has no valid CPI on the target trace", id)
-		}
-		h := ph.Assign[i]
-		sums[h] += u.CPI()
-		counts[h]++
-	}
-	out := Sample{Method: "SimProf(design)", UnitIDs: sp.UnitIDs}
-	for h := 0; h < ph.K; h++ {
-		if counts[h] == 0 {
+	// SimProfCtx draws phase by phase: the points of phase h are the
+	// next Alloc[h] drawn units.
+	ys := make([][]float64, ph.K)
+	fr := sp.frame
+	fr.sigma = make([]float64, ph.K)
+	var tAll, pAll float64
+	next := 0
+	for h, nh := range sp.Alloc {
+		if nh == 0 {
 			continue
 		}
-		out.EstCPI += sp.Weights[h] * sums[h] / float64(counts[h])
+		ys[h] = make([]float64, nh)
+		for j := range ys[h] {
+			i := fr.drawn[next]
+			if i >= len(target.Units) {
+				return Sample{}, fmt.Errorf("sampling: point %d not in profiling trace", sp.UnitIDs[next])
+			}
+			u := &target.Units[i]
+			if !u.CPIValid() {
+				return Sample{}, fmt.Errorf("sampling: point %d has no valid CPI on the target trace", sp.UnitIDs[next])
+			}
+			ys[h][j] = u.CPI()
+			next++
+		}
+		mean := stats.Mean(ys[h])
+		fr.sigma[h] = sp.frame.sigma[h] * (mean / sp.PhaseMean[h])
+		tAll += float64(nh) * mean
+		pAll += float64(nh) * sp.PhaseMean[h]
 	}
-	return out, nil
+	fr.flat *= tAll / pAll
+	est, _ := stratify(fr, sp.Alloc, ys)
+	return Sample{Method: "SimProf(design)", UnitIDs: sp.UnitIDs, EstCPI: est.EstCPI, SE: est.SE}, nil
 }

@@ -62,6 +62,14 @@ func oracleSimProf(ctx context.Context, ph *phase.Phases, n int, seed uint64) (S
 		Imputed:      make([]bool, ph.K),
 		DegradedFrac: ph.DegradedFraction(),
 		SEInflation:  1,
+		frame:        frame{Nh: Nh, capacity: capacity, sigma: sigma},
+	}
+	if out.DegradedFrac > 0 {
+		var clean []float64
+		for g := 0; g < ph.K; g++ {
+			clean = append(clean, ph.PhaseCPIs(g)...)
+		}
+		out.frame.flat = stats.StdDev(clean)
 	}
 	N := float64(len(ph.Assign))
 	var variance float64
@@ -78,6 +86,7 @@ func oracleSimProf(ctx context.Context, ph *phase.Phases, n int, seed uint64) (S
 		cpis := make([]float64, 0, alloc[h])
 		for _, j := range pick {
 			u := units[j]
+			out.frame.drawn = append(out.frame.drawn, u)
 			out.UnitIDs = append(out.UnitIDs, ph.Trace.Units[u].ID)
 			cpis = append(cpis, ph.Trace.Units[u].CPI())
 		}

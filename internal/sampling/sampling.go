@@ -35,6 +35,12 @@ func (s Sample) Err(tr *trace.Trace) float64 {
 	return stats.RelErr(s.EstCPI, tr.OracleCPI())
 }
 
+// CI returns the confidence interval of the estimate at the given level
+// (Eq. 2–3); it has zero width where the method defines no SE.
+func (s Sample) CI(level float64) stats.Interval {
+	return stats.ConfidenceInterval(s.EstCPI, s.SE, level)
+}
+
 // ---------------------------------------------------------------------
 // SECOND: one contiguous N-second interval
 // ---------------------------------------------------------------------

@@ -51,7 +51,7 @@ func formed(t *testing.T, tr *trace.Trace) *phase.Phases {
 }
 
 func TestNeymanAllocationBasics(t *testing.T) {
-	alloc, err := NeymanAllocation([]int{100, 100}, []float64{1, 3}, 20)
+	alloc, err := neymanAllocation([]int{100, 100}, []int{100, 100}, []float64{1, 3}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestNeymanAllocationBasics(t *testing.T) {
 func TestNeymanAllocationGuarantees(t *testing.T) {
 	// Every non-empty stratum gets ≥1; capacity respected; zero-σ
 	// strata still covered.
-	alloc, err := NeymanAllocation([]int{5, 1000, 3, 0}, []float64{0, 2, 0.1, 0}, 30)
+	alloc, err := neymanAllocation([]int{5, 1000, 3, 0}, []int{5, 1000, 3, 0}, []float64{0, 2, 0.1, 0}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestNeymanAllocationProperty(t *testing.T) {
 			total += Nh[h]
 		}
 		n := int(nRaw % 500)
-		alloc, err := NeymanAllocation(Nh, sigma, n)
+		alloc, err := neymanAllocation(Nh, Nh, sigma, n)
 		if err != nil {
 			return false
 		}
@@ -128,13 +128,13 @@ func TestNeymanAllocationProperty(t *testing.T) {
 }
 
 func TestNeymanAllocationErrors(t *testing.T) {
-	if _, err := NeymanAllocation(nil, nil, 5); err == nil {
+	if _, err := neymanAllocation(nil, nil, nil, 5); err == nil {
 		t.Fatal("no strata should fail")
 	}
-	if _, err := NeymanAllocation([]int{1}, []float64{1, 2}, 5); err == nil {
+	if _, err := neymanAllocation([]int{1}, []int{1}, []float64{1, 2}, 5); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
-	if _, err := NeymanAllocation([]int{-1}, []float64{1}, 5); err == nil {
+	if _, err := neymanAllocation([]int{-1}, []int{-1}, []float64{1}, 5); err == nil {
 		t.Fatal("negative N should fail")
 	}
 }
@@ -383,49 +383,5 @@ func TestStratifiedBootstrapCIAgreesWithCLT(t *testing.T) {
 	}
 	if !boot.Contains(tr.OracleCPI()) && !clt.Contains(tr.OracleCPI()) {
 		t.Fatal("both intervals miss the oracle")
-	}
-}
-
-// TestNeymanAllocationCapacityExported: the exported capacity-aware
-// entry point matches the uncapped allocator when capacities equal the
-// populations, honors tighter caps, and validates its inputs.
-func TestNeymanAllocationCapacityExported(t *testing.T) {
-	Nh := []int{100, 50, 10}
-	sigma := []float64{2, 1, 0.5}
-
-	uncapped, err := NeymanAllocation(Nh, sigma, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := NeymanAllocationCapacity(Nh, Nh, sigma, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := range uncapped {
-		if same[h] != uncapped[h] {
-			t.Fatalf("capacity=Nh alloc %v != uncapped %v", same, uncapped)
-		}
-	}
-
-	capped, err := NeymanAllocationCapacity(Nh, []int{5, 50, 10}, sigma, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped[0] > 5 {
-		t.Fatalf("stratum 0 alloc %d exceeds capacity 5 (%v)", capped[0], capped)
-	}
-	sum := 0
-	for _, a := range capped {
-		sum += a
-	}
-	if sum != 30 {
-		t.Fatalf("capped alloc sums to %d, want 30: %v", sum, capped)
-	}
-
-	if _, err := NeymanAllocationCapacity(Nh, []int{5, 50}, sigma, 30); err == nil {
-		t.Fatal("mismatched capacity length must error")
-	}
-	if _, err := NeymanAllocationCapacity(Nh, []int{500, 50, 10}, sigma, 30); err == nil {
-		t.Fatal("capacity above stratum size must error")
 	}
 }

@@ -24,34 +24,13 @@ var (
 		"degraded strata whose zero sampled s_h fell back to the pooled spread")
 )
 
-// NeymanAllocation distributes the overall sample size n across strata
-// proportionally to N_h·σ_h (Eq. 1), with two practical guarantees: no
-// stratum is allocated more units than it has, and every non-empty
-// stratum gets at least one unit when n allows (a stratum with zero
-// sample could not contribute its mean to the stratified estimator).
-// Rounding uses largest remainders so that Σ n_h == min(n, ΣN_h).
-func NeymanAllocation(Nh []int, sigma []float64, n int) ([]int, error) {
-	return neymanAllocation(Nh, Nh, sigma, n)
-}
-
-// NeymanAllocationCapacity is NeymanAllocation with a separate
-// per-stratum capacity bound: allocation shares stay proportional to
-// the population N_h·σ_h, but no stratum is given more than capacity[h]
-// units. Beyond degraded-trace sampling (stratum importance from all
-// executed units, the drawable frame only from the measured ones), this
-// is the entry point for reusing the allocator on other stratified
-// budgets — the trace-retention engine splits its keep budget across
-// (route, status, latency) strata with it, capped by what each stratum
-// has actually seen.
-func NeymanAllocationCapacity(Nh, capacity []int, sigma []float64, n int) ([]int, error) {
-	return neymanAllocation(Nh, capacity, sigma, n)
-}
-
-// neymanAllocation is NeymanAllocation with a separate per-stratum
-// capacity: allocation shares stay proportional to the population
-// N_h·σ_h, but no stratum is given more than capacity[h] units. This is
-// how degraded traces sample — stratum importance comes from all
-// executed units, the drawable frame only from the measured ones.
+// neymanAllocation distributes the overall sample size n across strata
+// proportionally to the population N_h·σ_h (Eq. 1), but gives no stratum
+// more than its capacity[h] (measured) units — stratum importance comes
+// from all executed units, the drawable frame only from the measured
+// ones. Every stratum with capacity gets at least one unit when n allows
+// (one with zero sample could not contribute its mean to the estimator),
+// and largest-remainder rounding makes Σ n_h == min(n, Σ capacity[h]).
 func neymanAllocation(Nh, capacity []int, sigma []float64, n int) ([]int, error) {
 	if len(Nh) != len(sigma) {
 		return nil, fmt.Errorf("sampling: %d strata sizes but %d sigmas", len(Nh), len(sigma))
@@ -163,12 +142,104 @@ func neymanAllocation(Nh, capacity []int, sigma []float64, n int) ([]int, error)
 type Stratified struct {
 	Sample
 	Alloc        []int       // sample size per phase
-	PhaseMean    []float64   // sampled mean CPI per phase
-	PhaseSamples [][]float64 // sampled CPIs per phase (for bootstrap CIs)
+	PhaseMean    []float64   // sampled mean CPI per phase; the pooled mean where imputed
+	PhaseSamples [][]float64 // sampled CPIs per phase in draw order; nil where none was drawn
 	Weights      []float64   // N_h/N
 	Imputed      []bool      // phases with no measurable units: mean imputed
 	DegradedFrac float64     // fraction of population units that were degraded
 	SEInflation  float64     // ≥1; how much imputation uncertainty widens the SE
+	frame        frame
+}
+
+// frame is the population side of the stratified estimator: each
+// phase's size and measured units, and the spreads Eq. 4 falls back on
+// where a sample cannot supply its own. A sample keeps its frame and its
+// drawn unit indices, so that EstimateOnTrace reads only the chosen
+// points of a target trace.
+type frame struct {
+	drawn    []int     // a sample's drawn unit indices, aligned with UnitIDs
+	Nh       []int     // population per phase
+	capacity []int     // measured units per phase (the drawable frame)
+	sigma    []float64 // σ_h, for a phase with fewer than two samples
+	flat     float64   // for a degraded phase whose spread comes out 0
+	pool     float64   // the imputation spread of a plan, which has no samples
+}
+
+// stratify is the stratified estimator of Eq. 1–5, shared by the
+// profiled sample (SimProfCtx), the target-design estimate
+// (EstimateOnTrace) and the sample-size plan (planSE, which passes
+// ys == nil: fr.sigma stands in for every sampled spread). Stratum h has
+// the n[h] sampled values ys[h]. It fills EstCPI, SE, Weights,
+// PhaseMean, Imputed and SEInflation, and counts the strata that fell
+// back on fr.flat.
+//
+// The estimate is Σ W_h·ȳ_h, and its variance is Eq. 4's
+// Σ N_h²·(1-n_h/N_h)·s_h²/n_h over N². s_h is undefined for n_h == 1
+// and falls back to fr.sigma[h]. A degraded stratum (capacity < N_h) can
+// leave only a unit or two measurable; when those agree, s_h == 0 would
+// claim certainty about units never observed, so it takes fr.flat. A
+// stratum with no measurable unit is mean-imputed from the sampled
+// strata (renormalizing the weights over them) and charged N_h²·s_pool²,
+// s_pool the spread of all sampled values (fr.pool for a plan).
+func stratify(fr frame, n []int, ys [][]float64) (est Stratified, flats int) {
+	Nh, capacity := fr.Nh, fr.capacity
+	total := 0
+	for _, size := range Nh {
+		total += size
+	}
+	N := float64(total)
+	est.Weights = make([]float64, len(Nh))
+	for h, size := range Nh {
+		est.Weights[h] = float64(size) / N
+	}
+	est.PhaseMean, est.Imputed, est.SEInflation = make([]float64, len(Nh)), make([]bool, len(Nh)), 1
+	var variance, sampledWeight, weightedMean float64
+	var pooled []float64
+	for h, nh := range n {
+		if nh == 0 {
+			continue
+		}
+		sh := fr.sigma[h]
+		if ys != nil {
+			est.PhaseMean[h] = stats.Mean(ys[h])
+			est.EstCPI += est.Weights[h] * est.PhaseMean[h]
+			pooled = append(pooled, ys[h]...)
+			if nh > 1 {
+				sh = stats.StdDev(ys[h])
+			}
+		}
+		if sh == 0 && capacity[h] < Nh[h] {
+			flats++
+			sh = fr.flat
+		}
+		nhF, NhF := float64(nh), float64(Nh[h])
+		variance += NhF * NhF * (1 - nhF/NhF) * sh * sh / nhF
+		sampledWeight += est.Weights[h]
+		weightedMean += est.Weights[h] * est.PhaseMean[h]
+	}
+	measured := variance
+	if sampledWeight > 0 {
+		pooledMean := weightedMean / sampledWeight
+		sPool := fr.pool
+		if ys != nil {
+			sPool = stats.StdDev(pooled)
+		}
+		for h, nh := range n {
+			if nh > 0 || Nh[h] == 0 || capacity[h] > 0 {
+				continue
+			}
+			est.Imputed[h] = true
+			est.PhaseMean[h] = pooledMean
+			est.EstCPI += est.Weights[h] * pooledMean
+			NhF := float64(Nh[h])
+			variance += NhF * NhF * sPool * sPool
+		}
+	}
+	est.SE = math.Sqrt(variance) / N
+	if measured > 0 && variance > measured {
+		est.SEInflation = math.Sqrt(variance / measured)
+	}
+	return est, flats
 }
 
 // SimProf draws the stratified random sample of total size n from the
@@ -205,102 +276,47 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 	if len(st.all) == 0 {
 		return Stratified{}, fmt.Errorf("sampling: no measurable units in any phase")
 	}
-	Nh, capacity, sigma := st.Nh, st.capacity, st.sigma
-	alloc, err := neymanAllocation(Nh, capacity, sigma, n)
+	alloc, err := neymanAllocation(st.Nh, st.capacity, st.sigma, n)
 	if err != nil {
 		return Stratified{}, err
 	}
-	rng := stats.NewRNG(seed)
-	out := Stratified{
-		Sample:       Sample{Method: "SimProf"},
-		Alloc:        alloc,
-		PhaseMean:    make([]float64, ph.K),
-		PhaseSamples: make([][]float64, ph.K),
-		Weights:      ph.Weights(),
-		Imputed:      make([]bool, ph.K),
-		DegradedFrac: float64(len(ph.Assign)-len(st.all)) / float64(len(ph.Assign)),
-		SEInflation:  1,
+	fr := st.frame
+	if len(st.all) < len(ph.Assign) {
+		// Only a degraded stratum takes the flat fallback: the pooled
+		// spread of every measured CPI.
+		fr.flat = stats.StdDev(st.all)
 	}
-	N := float64(len(ph.Assign))
-	var variance float64
-	var pooled []float64 // all sampled CPIs, for imputation fallback
-	for h := 0; h < ph.K; h++ {
+	rng := stats.NewRNG(seed)
+	ys := make([][]float64, ph.K)
+	var ids []int
+	for h, nh := range alloc {
 		if err := ctx.Err(); err != nil {
 			return Stratified{}, err
 		}
-		if alloc[h] == 0 {
+		if nh == 0 {
 			continue
 		}
 		units := st.units[h]
-		pick := stats.SampleWithoutReplacement(rng, len(units), alloc[h])
-		cpis := make([]float64, 0, alloc[h])
-		for _, j := range pick {
-			out.UnitIDs = append(out.UnitIDs, ph.Trace.Units[units[j]].ID)
-			cpis = append(cpis, st.cpis[h][j])
-		}
-		mean := stats.Mean(cpis)
-		out.PhaseMean[h] = mean
-		out.PhaseSamples[h] = cpis
-		out.EstCPI += out.Weights[h] * mean
-		pooled = append(pooled, cpis...)
-		// Eq. 4 term: N_h²·(1-n_h/N_h)·s_h²/n_h. The sampled s_h is
-		// undefined for n_h==1; fall back to the profiled σ_h.
-		sh := sigma[h]
-		if len(cpis) > 1 {
-			sh = stats.StdDev(cpis)
-		}
-		// A degraded stratum can leave only a unit or two measurable;
-		// when those happen to agree, sh==0 would claim certainty about
-		// units whose counters were never observed. Substitute the
-		// pooled clean spread instead. Fully-measured strata (the clean
-		// path) never take this branch.
-		if sh == 0 && capacity[h] < Nh[h] {
-			obsSigmaFallbacks.Inc()
-			sh = stats.StdDev(st.all)
-		}
-		nh := float64(alloc[h])
-		NhF := float64(Nh[h])
-		variance += NhF * NhF * (1 - nh/NhF) * sh * sh / nh
-	}
-	measuredVariance := variance
-
-	// Mean-impute strata that exist in the population but have no
-	// measurable unit to draw from.
-	var sampledWeight, weightedMean float64
-	for h := 0; h < ph.K; h++ {
-		if alloc[h] > 0 {
-			sampledWeight += out.Weights[h]
-			weightedMean += out.Weights[h] * out.PhaseMean[h]
+		ys[h] = make([]float64, 0, nh)
+		for _, j := range stats.SampleWithoutReplacement(rng, len(units), nh) {
+			fr.drawn = append(fr.drawn, units[j])
+			ids = append(ids, ph.Trace.Units[units[j]].ID)
+			ys[h] = append(ys[h], st.cpis[h][j])
 		}
 	}
-	if sampledWeight > 0 {
-		pooledMean := weightedMean / sampledWeight
-		sPool := stats.StdDev(pooled)
-		for h := 0; h < ph.K; h++ {
-			if alloc[h] > 0 || Nh[h] == 0 || capacity[h] > 0 {
-				continue
-			}
-			out.Imputed[h] = true
+	out, flats := stratify(fr, alloc, ys)
+	out.Method, out.UnitIDs = "SimProf", ids
+	out.Alloc, out.PhaseSamples, out.frame = alloc, ys, fr
+	out.DegradedFrac = float64(len(ph.Assign)-len(st.all)) / float64(len(ph.Assign))
+	obsDraws.Add(int64(len(ids)))
+	obsSigmaFallbacks.Add(int64(flats))
+	for _, imputed := range out.Imputed {
+		if imputed {
 			obsImputedStrata.Inc()
-			out.PhaseMean[h] = pooledMean
-			out.EstCPI += out.Weights[h] * pooledMean
-			NhF := float64(Nh[h])
-			variance += NhF * NhF * sPool * sPool
 		}
 	}
-	out.SE = math.Sqrt(variance) / N
-	if measuredVariance > 0 && variance > measuredVariance {
-		out.SEInflation = math.Sqrt(variance / measuredVariance)
-	}
-	obsDraws.Add(int64(len(out.UnitIDs)))
 	obsSEInflation.Set(out.SEInflation)
 	return out, nil
-}
-
-// CI returns the confidence interval of the estimate at the given level
-// (Eq. 2–3).
-func (s Stratified) CI(level float64) stats.Interval {
-	return stats.ConfidenceInterval(s.EstCPI, s.SE, level)
 }
 
 // BootstrapCI returns a distribution-free percentile-bootstrap interval
@@ -348,36 +364,20 @@ func (s Stratified) BootstrapCI(level float64, rounds int, seed uint64) stats.In
 // the hardware counters) — the planning loop of §III-C.
 func PlanSE(ph *phase.Phases, n int) (float64, error) {
 	st := scanStrata(ph)
-	return planSE(st, n, stats.StdDev(st.all))
+	st.pool = stats.StdDev(st.all)
+	return planSE(st, n)
 }
 
-// planSE is PlanSE over a scanned population; sPool is the spread of
-// every measured CPI, charged to strata the plan cannot reach.
-func planSE(st strata, n int, sPool float64) (float64, error) {
+// planSE is PlanSE over a scanned population whose pool is the spread of
+// every measured CPI, charged to strata the plan cannot reach. The plan
+// replaces no zero σ_h of a degraded stratum (its flat spread is 0).
+func planSE(st strata, n int) (float64, error) {
 	alloc, err := neymanAllocation(st.Nh, st.capacity, st.sigma, n)
 	if err != nil {
 		return 0, err
 	}
-	var variance float64
-	total := 0
-	for h, size := range st.Nh {
-		total += size
-		if size == 0 {
-			continue
-		}
-		NhF := float64(size)
-		if alloc[h] == 0 {
-			// A phase the plan cannot reach (no measurable units) will be
-			// imputed at estimation time; budget its uncertainty now.
-			if st.capacity[h] == 0 {
-				variance += NhF * NhF * sPool * sPool
-			}
-			continue
-		}
-		nh := float64(alloc[h])
-		variance += NhF * NhF * (1 - nh/NhF) * st.sigma[h] * st.sigma[h] / nh
-	}
-	return math.Sqrt(variance) / float64(total), nil
+	est, _ := stratify(st.frame, alloc, nil)
+	return est.SE, nil
 }
 
 // RequiredSampleSize returns the smallest overall sample size whose
@@ -399,9 +399,9 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 	if N == 0 {
 		return 0, fmt.Errorf("sampling: no measurable units to size a sample from")
 	}
-	sPool := stats.StdDev(st.all)
+	st.pool = stats.StdDev(st.all)
 	ok := func(n int) bool {
-		se, err := planSE(st, n, sPool)
+		se, err := planSE(st, n)
 		if err != nil {
 			return false
 		}
@@ -430,22 +430,18 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 // fallbacks. Measured status is read afresh on every scan, never cached
 // on the Phases: unit quality may change after formation.
 type strata struct {
-	Nh       []int       // population per phase
-	capacity []int       // measured units per phase (the drawable frame)
-	sigma    []float64   // σ_h of each phase's measured CPIs
-	units    [][]int     // measured unit indices per phase
-	cpis     [][]float64 // their CPIs, aligned with units
-	all      []float64   // every measured CPI, phase-major
+	frame             // σ_h is the spread of each phase's measured CPIs
+	units [][]int     // measured unit indices per phase
+	cpis  [][]float64 // their CPIs, aligned with units
+	all   []float64   // every measured CPI, phase-major
 }
 
 func scanStrata(ph *phase.Phases) strata {
 	K := ph.K
 	st := strata{
-		Nh:       ph.Sizes(),
-		capacity: make([]int, K),
-		sigma:    make([]float64, K),
-		units:    make([][]int, K),
-		cpis:     make([][]float64, K),
+		frame: frame{Nh: ph.Sizes(), capacity: make([]int, K), sigma: make([]float64, K)},
+		units: make([][]int, K),
+		cpis:  make([][]float64, K),
 	}
 	// Phase h fills idx/cpi from the sum of the populations before it;
 	// its own population bounds its measured count, so the regions

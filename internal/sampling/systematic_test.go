@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"simprof/internal/phase"
 	"simprof/internal/trace"
 )
 
@@ -95,30 +96,129 @@ func TestSimProfSystematicTradeoff(t *testing.T) {
 	}
 }
 
+// TestEstimateOnTraceTracksTarget: a design whose every unit runs 1.5×
+// the cycles (unit ids align by construction) gets 1.5× the profile's
+// estimate and SE. The integer cycle counts round each target CPI by at
+// most 0.5/1000 = 5e-4 off 1.5× the profiled one; the estimate, a
+// weighted mean, moves by no more, and the SE, a norm of per-stratum
+// spreads, by at most √2 times that.
 func TestEstimateOnTraceTracksTarget(t *testing.T) {
-	// Profiled machine: mixedTrace(seed A). "Design": same structure
-	// with all CPIs scaled 1.5× (unit ids align by construction).
+	for _, seed := range []uint64{30, 31, 32} {
+		tr := mixedTrace(150, seed)
+		ph := formed(t, tr)
+		sp, err := SimProf(ph, 25, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := mixedTrace(150, seed)
+		for i := range target.Units {
+			target.Units[i].Counters.Cycles = target.Units[i].Counters.Cycles * 3 / 2
+		}
+		est, err := EstimateOnTrace(ph, sp, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const round = 0.5 / 1000
+		if d := math.Abs(est.EstCPI - 1.5*sp.EstCPI); d > round {
+			t.Fatalf("seed %d: design estimate %v, want 1.5 × %v (off by %v)", seed, est.EstCPI, sp.EstCPI, d)
+		}
+		if d := math.Abs(est.SE - 1.5*sp.SE); d > math.Sqrt2*round {
+			t.Fatalf("seed %d: design SE %v, want 1.5 × %v (off by %v)", seed, est.SE, sp.SE, d)
+		}
+	}
+	// Mismatched builds are rejected.
 	tr := mixedTrace(150, 30)
 	ph := formed(t, tr)
 	sp, err := SimProf(ph, 25, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := mixedTrace(150, 30)
-	for i := range target.Units {
-		target.Units[i].Counters.Cycles = target.Units[i].Counters.Cycles * 3 / 2
-	}
-	est, err := EstimateOnTrace(ph, sp, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Err(target) > 0.12 {
-		t.Fatalf("design estimate error %v too high", est.Err(target))
-	}
-	// Mismatched builds are rejected.
 	short := mixedTrace(10, 31)
 	if _, err := EstimateOnTrace(ph, sp, short); err == nil {
 		t.Fatal("mismatched unit counts should fail")
+	}
+}
+
+// TestEstimateOnTraceSelfMatchesSimProf: the target estimate on the
+// profiled trace itself is the sample's own estimate and SE, bit for
+// bit — on a pristine trace, on a degraded one, on one that lost every
+// unit of a phase after formation (that phase is imputed) and on one
+// left with a single measured unit in a phase (its σ falls back to the
+// pooled spread).
+func TestEstimateOnTraceSelfMatchesSimProf(t *testing.T) {
+	cases := []struct {
+		name              string
+		before            func(tr *trace.Trace)
+		after             func(tr *trace.Trace, ph *phase.Phases)
+		imputed, fallback bool
+	}{
+		{name: "pristine"},
+		{name: "degraded", before: func(tr *trace.Trace) {
+			for i := 0; i < len(tr.Units); i += 3 {
+				degradeCounters(tr, i)
+			}
+		}},
+		{name: "phase lost after formation", imputed: true, after: func(tr *trace.Trace, ph *phase.Phases) {
+			degradeCounters(tr, ph.PhaseUnits(0)...)
+		}},
+		{name: "one unit left after formation", fallback: true, after: func(tr *trace.Trace, ph *phase.Phases) {
+			degradeCounters(tr, ph.PhaseUnits(1)[1:]...)
+		}},
+	}
+	for _, c := range cases {
+		for _, seed := range []uint64{1, 2, 3} {
+			tr := mixedTrace(40, seed)
+			if c.before != nil {
+				c.before(tr)
+			}
+			ph := formed(t, tr)
+			if c.after != nil {
+				if ph.K < 2 {
+					t.Fatalf("%s seed %d: %d phase(s), want ≥ 2", c.name, seed, ph.K)
+				}
+				c.after(tr, ph)
+			}
+			sp, err := SimProf(ph, 16, 55)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fallback, imputed := oracleBranches(ph, sp); fallback != c.fallback || imputed != c.imputed {
+				t.Fatalf("%s seed %d: fallback %v imputed %v, want %v %v", c.name, seed, fallback, imputed, c.fallback, c.imputed)
+			}
+			est, err := EstimateOnTrace(ph, sp, ph.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.EstCPI != sp.EstCPI || est.SE != sp.SE {
+				t.Fatalf("%s seed %d: on the profiled trace EstCPI %v SE %v, the sample's own %v %v",
+					c.name, seed, est.EstCPI, est.SE, sp.EstCPI, sp.SE)
+			}
+		}
+	}
+}
+
+// TestEstimateOnTraceRejectsForeignSample: a sample drawn from phases
+// with another phase count is an error naming both counts, not an index
+// out of range.
+func TestEstimateOnTraceRejectsForeignSample(t *testing.T) {
+	tr := mixedTrace(40, 30)
+	ph := formed(t, tr)
+	one, err := phase.Form(tr, phase.Options{Seed: 5, MaxPhases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := SimProf(one, 10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = EstimateOnTrace(ph, sp, tr)
+	want := fmt.Sprintf("sampling: sample has %d phases but the phases have %d — drawn from other phases", one.K, ph.K)
+	if one.K >= ph.K || err == nil || err.Error() != want {
+		t.Fatalf("K=%d from K=%d: got %v, want %s", ph.K, one.K, err, want)
+	}
+	// A sample that SimProf did not draw carries no draw record.
+	if _, err := EstimateOnTrace(ph, Stratified{Alloc: make([]int, ph.K)}, tr); err == nil {
+		t.Fatal("a hand-built sample was accepted")
 	}
 }
 

@@ -39,8 +39,12 @@
 #                                            at GOMAXPROCS 1/2/8 and the
 #                                            serial first error; the
 #                                            stratum scan matches the
-#                                            five-pass oracle; fails if a
-#                                            named test no longer exists)
+#                                            five-pass oracle; the target
+#                                            estimate on the profiled
+#                                            trace is the sample's own and
+#                                            scales with the target;
+#                                            fails if a named test no
+#                                            longer exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
 #                                            torn appends, internal
 #                                            failures, expired deadlines,
@@ -261,8 +265,11 @@ run_kernel_equivalence() {
 	equiv_tests ./internal/tracebin TestCRCCombine TestDecodeBinWorkerInvariant \
 		TestDecodeBinFirstErrorAcrossChunks || fail kernel-equivalence
 	# The one-pass stratum scan behind SimProf, PlanSE and
-	# RequiredSampleSize against the five-pass reference.
-	equiv_tests ./internal/sampling TestStratumScanMatchesOracle || fail kernel-equivalence
+	# RequiredSampleSize against the five-pass reference; the
+	# target-design estimate on the profiled trace against the sample's
+	# own estimate and SE, and on a 1.5x-cycles trace against 1.5x them.
+	equiv_tests ./internal/sampling TestStratumScanMatchesOracle \
+		TestEstimateOnTraceSelfMatchesSimProf TestEstimateOnTraceTracksTarget || fail kernel-equivalence
 }
 
 run_chaos_smoke() {
