@@ -132,15 +132,16 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 }
 
 // sweepMaxK is the largest k the sweep over n points tries, given the
-// requested bound maxK.
+// requested bound maxK ≥ 1. A bound of 1 is kept: the sweep then tries
+// no k ≥ 2 and the selection is the single cluster.
 func sweepMaxK(n, maxK int) int {
 	// Small populations cannot support many clusters: below ~20 points
-	// per cluster the silhouette sweep overfits sampling noise, so the
-	// sweep is capped accordingly.
-	if kCap := n / 20; maxK > kCap {
-		maxK = kCap
+	// per cluster the silhouette sweep overfits sampling noise, so a
+	// bound of 2 or more is capped at n/20, but never below 2.
+	if maxK >= 2 {
+		maxK = min(maxK, max(n/20, 2))
 	}
-	return min(max(maxK, 2), n)
+	return min(maxK, n)
 }
 
 // sweepRestarts runs the sweep's clustering for every k in [2, maxK]

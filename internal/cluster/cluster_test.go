@@ -309,6 +309,27 @@ func TestChooseKCanceledMidSweep(t *testing.T) {
 	}
 }
 
+// TestChooseKMaxKOne: an explicit bound of 1 is honoured — the three
+// blobs still separate, but the selection is the single cluster. The
+// n/20 cap keeps its floor of 2 for bounds of 2 or more.
+func TestChooseKMaxKOne(t *testing.T) {
+	pts, _ := threeBlobs(30, 21)
+	sel, err := ChooseKDense(matrix.FromRows(pts), ChooseKOptions{MaxK: 1, KMeans: Options{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.K != 1 || sel.Best.K != 1 || len(sel.Scores) != 1 || len(sel.Best.Assign) != len(pts) {
+		t.Fatalf("MaxK 1 chose K=%d (best K=%d, scores %v)", sel.K, sel.Best.K, sel.Scores)
+	}
+	for _, c := range []struct{ n, maxK, want int }{
+		{90, 1, 1}, {1, 1, 1}, {1, 20, 1}, {3, 2, 2}, {30, 20, 2}, {90, 8, 4}, {400, 3, 3}, {400, 20, 20},
+	} {
+		if got := sweepMaxK(c.n, c.maxK); got != c.want {
+			t.Errorf("sweepMaxK(%d, %d) = %d, want %d", c.n, c.maxK, got, c.want)
+		}
+	}
+}
+
 func TestChooseKEmpty(t *testing.T) {
 	if _, err := ChooseKDense(matrix.FromRows(nil), ChooseKOptions{}); err == nil {
 		t.Fatal("empty ChooseK should error")

@@ -111,7 +111,11 @@ type Result struct {
 
 // Options controls one k-means run.
 type Options struct {
-	MaxIter  int    // maximum Lloyd iterations (default 100)
+	// MaxIter caps the Lloyd iterations of a restart (default 100). The
+	// cap does not bind: the convergence test passes on the first
+	// iteration (prev = +Inf), so every restart stops after one update
+	// for any MaxIter (DESIGN.md §12 "Known defect").
+	MaxIter  int
 	Restarts int    // independent restarts, best inertia wins (default 4)
 	Seed     uint64 // RNG seed (deterministic)
 }

@@ -121,12 +121,6 @@ func SelectPoints(ph *phase.Phases, n int, cfg Config) (sampling.Stratified, err
 	return sampling.SimProf(ph, n, stats.SplitSeed(cfg.Seed, 0x5e1))
 }
 
-// SelectPointsCtx is SelectPoints under a context (see
-// sampling.SimProfCtx).
-func SelectPointsCtx(ctx context.Context, ph *phase.Phases, n int, cfg Config) (sampling.Stratified, error) {
-	return sampling.SimProfCtx(ctx, ph, n, stats.SplitSeed(cfg.Seed, 0x5e1))
-}
-
 // InputSensitivity profiles each reference input with the same workload
 // and runs the input sensitivity test against the training phases.
 func InputSensitivity(bench, framework string, ph *phase.Phases, refs []synth.InputStats, wopts workloads.Options, cfg Config) (*sensitivity.Report, error) {

@@ -34,25 +34,13 @@ func BenchmarkFormPhases(b *testing.B) {
 }
 
 // BenchmarkVectorizeSparse measures CSR vectorization of the full
-// method space — the path Form runs, which never materializes the
-// n×d dense matrix.
+// method space — the path Form runs when no decoder-attached matrix is
+// adopted: Trace.CountMethods plus the identity-map check.
 func BenchmarkVectorizeSparse(b *testing.B) {
 	tr := synthTrace(300, 2)
 	fs := fullSpace(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs.VectorizeSparse(tr)
-	}
-}
-
-func BenchmarkVectorize(b *testing.B) {
-	tr := synthTrace(300, 2)
-	ph, err := Form(tr, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ph.Space.Vectorize(tr)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"simprof/internal/cluster"
 	"simprof/internal/matrix"
@@ -37,7 +37,7 @@ var (
 	obsVecCells = obs.NewCounter("phase.vectorize_cells",
 		"full-space cells a dense vectorization would have materialized")
 	obsFreqAdopted = obs.NewCounter("phase.freq_adopted",
-		"formations that adopted a decoder-attached frequency matrix instead of vectorizing")
+		"full-space vectorizations that adopted a decoder-attached frequency matrix instead of counting")
 )
 
 // Options controls phase formation. Zero values select the paper's
@@ -47,14 +47,15 @@ type Options struct {
 	MaxPhases           int     // k sweep upper bound (paper: 20)
 	SilhouetteThreshold float64 // fraction of best silhouette accepted (default 0.93)
 	Seed                uint64
-	// Restarts and MaxIter bound the k-means work per swept k. Zero
-	// selects the clustering defaults (4 restarts, 100 iterations),
-	// which reproduce the paper's runs; interactive callers profiling
-	// very large traces can trade refinement for latency here.
+	// Restarts bounds the k-means restarts per swept k; zero selects the
+	// clustering default of 4, which reproduces the paper's runs. MaxIter
+	// is passed on as cluster.Options.MaxIter: a Lloyd iteration cap
+	// (zero selects 100) that does not bind today, because every restart
+	// stops after one update (see cluster.Options and DESIGN.md §12).
 	Restarts int
 	MaxIter  int
 	// Workers bounds the concurrency of the whole formation pipeline
-	// (vectorization, feature scoring, the k sweep and its restarts).
+	// (feature scoring, the projection, the k sweep and its restarts).
 	// 0 selects GOMAXPROCS; 1 runs serially. The formed phases are
 	// bit-for-bit identical for every setting.
 	Workers int
@@ -87,129 +88,70 @@ type FeatureSpace struct {
 // Dim returns the dimensionality.
 func (fs *FeatureSpace) Dim() int { return len(fs.Methods) }
 
-// Vectorize converts every unit of the trace into this feature space:
-// dimension j counts how many snapshot stack frames in the unit refer to
-// method j. Units vectorize independently on the shared worker pool;
-// each unit writes only its own row, so the output is identical for any
-// worker count.
-func (fs *FeatureSpace) Vectorize(tr *trace.Trace) [][]float64 {
-	return fs.vectorizeWith(parallel.Default(), tr)
-}
-
-// unitChunk is the fixed per-chunk unit count of the vectorization and
-// projection loops.
+// unitChunk is the fixed per-chunk unit count of the projection loop.
 const unitChunk = 64
 
-func (fs *FeatureSpace) vectorizeWith(eng *parallel.Engine, tr *trace.Trace) [][]float64 {
-	dimOf := make(map[string]int, len(fs.Methods))
-	for j, fqn := range fs.Methods {
-		dimOf[fqn] = j
-	}
-	// Map the trace's method ids to dims once.
-	idToDim := make([]int, len(tr.Methods))
-	for i, m := range tr.Methods {
-		if j, ok := dimOf[m.FQN()]; ok {
-			idToDim[i] = j
-		} else {
-			idToDim[i] = -1
-		}
-	}
-	out := make([][]float64, len(tr.Units))
-	eng.ForEachChunk(len(tr.Units), unitChunk, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			v := make([]float64, len(fs.Methods))
-			for _, snap := range tr.Units[u].Snapshots {
-				for _, id := range snap {
-					if int(id) < len(idToDim) {
-						if j := idToDim[id]; j >= 0 {
-							v[j]++
-						}
-					}
-				}
-			}
-			out[u] = v
-		}
-	})
-	return out
-}
-
 // VectorizeSparse converts every unit of the trace into this feature
-// space as a CSR matrix: row u holds the same counts Vectorize's row u
-// would, but stores only the methods the unit actually touched — a
-// handful of stack frames out of the whole interned table. Cell values
-// are integer counts accumulated in the same snapshot order as
-// Vectorize, so the stored numbers are bit-identical to the dense
-// vectorization's nonzero cells.
+// space as a CSR matrix: dimension j of row u counts the stack frames in
+// unit u's snapshots that refer to method j. It remaps the columns of
+// the trace's method counts (Trace.CountMethods): methods are matched by
+// FQN, so the trace may intern them in any order, ids that share one
+// FQN sum onto its dimension, and methods outside the space drop out.
+// Every cell is an exact integer count.
+//
+// When the space is the trace's method table in id order (every FQN
+// unique), no remap is needed: the counts are returned as they are, and
+// a frequency matrix a columnar decoder attached is adopted instead of
+// recounting (tracebin stores CountMethods as three file sections, so
+// this vectorization is free on an SPTB trace).
 func (fs *FeatureSpace) VectorizeSparse(tr *trace.Trace) *matrix.Sparse {
-	dimOf := make(map[string]int, len(fs.Methods))
+	dimOf := make(map[string]int32, len(fs.Methods))
 	for j, fqn := range fs.Methods {
-		dimOf[fqn] = j
+		dimOf[fqn] = int32(j)
 	}
-	idToDim := make([]int, len(tr.Methods))
+	idToDim := make([]int32, len(tr.Methods))
+	identity := len(fs.Methods) == len(tr.Methods)
 	for i, m := range tr.Methods {
-		if j, ok := dimOf[m.FQN()]; ok {
-			idToDim[i] = j
-		} else {
-			idToDim[i] = -1
+		j, ok := dimOf[m.FQN()]
+		if !ok {
+			j = -1
 		}
+		idToDim[i] = j
+		identity = identity && j == int32(i)
 	}
+	if identity {
+		if sp := tr.Freq(); sp != nil && sp.Rows() == len(tr.Units) && sp.Cols() == len(tr.Methods) {
+			obsFreqAdopted.Inc()
+			return sp
+		}
+		return tr.CountMethods()
+	}
+	counts := tr.CountMethods()
 	d := len(fs.Methods)
-	b := matrix.NewSparseBuilder(d, len(tr.Units), 8*len(tr.Units))
-	counts := make([]float64, d) // scratch: zero ⇔ untouched this unit
+	b := matrix.NewSparseBuilder(d, counts.Rows(), counts.NNZ())
+	sums := make([]float64, d) // scratch: zero ⇔ untouched this unit
 	touched := make([]int32, 0, 64)
 	vals := make([]float64, 0, 64)
-	for u := range tr.Units {
+	for u := 0; u < counts.Rows(); u++ {
 		touched = touched[:0]
-		for _, snap := range tr.Units[u].Snapshots {
-			for _, id := range snap {
-				if int(id) < len(idToDim) {
-					if j := idToDim[id]; j >= 0 {
-						if counts[j] == 0 {
-							touched = append(touched, int32(j))
-						}
-						counts[j]++
-					}
+		cols, cs := counts.Row(u)
+		for k, id := range cols {
+			if j := idToDim[id]; j >= 0 {
+				if sums[j] == 0 {
+					touched = append(touched, j)
 				}
+				sums[j] += cs[k]
 			}
 		}
-		sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
+		slices.Sort(touched)
 		vals = vals[:0]
 		for _, j := range touched {
-			vals = append(vals, counts[j])
-			counts[j] = 0
+			vals = append(vals, sums[j])
+			sums[j] = 0
 		}
 		b.AppendRow(touched, vals)
 	}
 	return b.Build()
-}
-
-// fullFreqMatrix returns the trace's full-method-space frequency CSR,
-// adopting the matrix a columnar decoder attached (tracebin stores it as
-// three file sections, so "vectorizing" is free) whenever it provably
-// equals what VectorizeSparse(fullSpace) would build: the dimensions
-// must match the trace, and the method FQNs must be unique — the
-// FQN-keyed vectorizer collapses duplicate FQNs onto one dimension,
-// while the decoder's matrix is keyed by method id, so a table with
-// duplicates must take the slow path to stay bit-identical.
-func fullFreqMatrix(full *FeatureSpace, tr *trace.Trace) *matrix.Sparse {
-	if sp := tr.Freq(); sp != nil &&
-		sp.Rows() == len(tr.Units) && sp.Cols() == len(tr.Methods) &&
-		uniqueStrings(full.Methods) {
-		obsFreqAdopted.Inc()
-		return sp
-	}
-	return full.VectorizeSparse(tr)
-}
-
-func uniqueStrings(ss []string) bool {
-	seen := make(map[string]struct{}, len(ss))
-	for _, s := range ss {
-		if _, dup := seen[s]; dup {
-			return false
-		}
-		seen[s] = struct{}{}
-	}
-	return true
 }
 
 // fullSpace builds the all-methods feature space of a trace.
@@ -320,7 +262,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// matrix the pipeline used to materialize here.
 	_, vecSpan := obs.StartSpan(ctx, "phase.vectorize")
 	full := fullSpace(tr)
-	sp := fullFreqMatrix(full, tr)
+	sp := full.VectorizeSparse(tr)
 	obsVecNNZ.Add(int64(sp.NNZ()))
 	obsVecCells.Add(int64(sp.Rows()) * int64(sp.Cols()))
 	vecSpan.End()

@@ -1,10 +1,12 @@
 package phase
 
 import (
+	"fmt"
 	"testing"
 
 	"simprof/internal/model"
 	"simprof/internal/stats"
+	"simprof/internal/synth"
 	"simprof/internal/trace"
 )
 
@@ -170,24 +172,52 @@ func TestVectorizeByFQNAcrossTables(t *testing.T) {
 	}
 	ref.Units = append(ref.Units, u)
 
-	vecs := ph.Space.Vectorize(ref)
-	if len(vecs) != 1 {
-		t.Fatal("wrong vector count")
+	sp := ph.Space.VectorizeSparse(ref)
+	if sp.Rows() != 1 || sp.Cols() != ph.Space.Dim() {
+		t.Fatalf("vectorized %dx%d, want 1x%d", sp.Rows(), sp.Cols(), ph.Space.Dim())
+	}
+	row := make([]float64, sp.Cols())
+	cols, vals := sp.Row(0)
+	for k, j := range cols {
+		row[j] = vals[k]
 	}
 	// The B.sort dimension must hold all 10 counts.
 	found := false
 	for j, name := range ph.Space.Methods {
 		if name == "B.sort" {
-			if vecs[0][j] != 10 {
-				t.Fatalf("B.sort count=%v want 10", vecs[0][j])
+			if row[j] != 10 {
+				t.Fatalf("B.sort count=%v want 10", row[j])
 			}
 			found = true
-		} else if name == "A.map" && vecs[0][j] != 0 {
-			t.Fatalf("A.map count=%v want 0", vecs[0][j])
+		} else if name == "A.map" && row[j] != 0 {
+			t.Fatalf("A.map count=%v want 0", row[j])
 		}
 	}
 	if !found {
 		t.Fatal("B.sort not a training feature")
+	}
+}
+
+// TestMaxPhasesOneFormsOnePhase: MaxPhases bounds the k sweep from
+// above, so a bound of 1 forms one phase even on a trace with several.
+func TestMaxPhasesOneFormsOnePhase(t *testing.T) {
+	tr, err := synth.DefaultTrace(400, 3).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph, err := Form(tr, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph.K < 2 {
+		t.Fatalf("unbounded formation formed K=%d; the trace should split", ph.K)
+	}
+	ph, err = Form(tr, Options{Seed: 5, MaxPhases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph.K != 1 || len(ph.Centers) != 1 || ph.Sizes()[0] != len(tr.Units) {
+		t.Fatalf("MaxPhases 1 formed K=%d (sizes %v)", ph.K, ph.Sizes())
 	}
 }
 
@@ -275,5 +305,58 @@ func TestDominantMethodsOutOfRange(t *testing.T) {
 	ph, _ := Form(tr, Options{Seed: 1})
 	if ph.DominantMethods(-1, 3) != nil || ph.DominantMethods(99, 3) != nil {
 		t.Fatal("out-of-range phase should return nil")
+	}
+}
+
+// TestPhaseIndexAccessors pins the cached per-phase index lists against
+// full scans of the assignment, including out-of-range phases (no
+// units) and a post-formation quality change.
+func TestPhaseIndexAccessors(t *testing.T) {
+	tr := synthTrace(30, 9)
+	p, err := Form(tr, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Degrade a few units after formation: measured status must follow.
+	for i := 0; i < len(tr.Units); i += 7 {
+		tr.Units[i].Quality |= trace.CountersMissing
+	}
+	// Compare through fmt.Sprint, which prints floats exactly and nil
+	// like empty: an out-of-range phase has no units either way.
+	same := func(got, want any) bool { return fmt.Sprint(got) == fmt.Sprint(want) }
+	sizes, measuredSizes := make([]int, p.K+2), make([]int, p.K+2)
+	for h := -1; h <= p.K; h++ {
+		var units, measured []int
+		var cpis []float64
+		for i, a := range p.Assign {
+			if a == h {
+				units = append(units, i)
+				if p.UnitMeasured(i) {
+					measured = append(measured, i)
+					cpis = append(cpis, tr.Units[i].CPI())
+				}
+			}
+		}
+		sizes[h+1], measuredSizes[h+1] = len(units), len(measured)
+		if got := p.PhaseUnits(h); !same(got, units) {
+			t.Fatalf("PhaseUnits(%d): %v, scan %v", h, got, units)
+		}
+		if got := p.PhaseCPIs(h); !same(got, cpis) {
+			t.Fatalf("PhaseCPIs(%d): %v, scan %v", h, got, cpis)
+		}
+	}
+	if got := p.Sizes(); !same(got, sizes[1:p.K+1]) {
+		t.Fatalf("Sizes: %v, scan %v", got, sizes[1:p.K+1])
+	}
+	if got := p.MeasuredSizes(); !same(got, measuredSizes[1:p.K+1]) {
+		t.Fatalf("MeasuredSizes: %v, scan %v", got, measuredSizes[1:p.K+1])
+	}
+	// The cached lists must be insulated from caller mutation.
+	u := p.PhaseUnits(0)
+	if len(u) > 0 {
+		u[0] = -999
+		if p.PhaseUnits(0)[0] == -999 {
+			t.Fatal("PhaseUnits exposed the internal cache")
+		}
 	}
 }

@@ -22,22 +22,35 @@ import (
 // DefaultThreshold is the paper's 10%.
 const DefaultThreshold = 0.10
 
+// classifyChunk is the fixed per-chunk unit count of Classify.
+const classifyChunk = 1024
+
 // Classify assigns every unit of a reference trace to the nearest
 // training phase center, vectorizing the reference units in the
-// training feature space (methods are matched by fully qualified name,
-// so the reference run may intern methods in a different order). The
-// center norms are cached once and shared by every query, and units
-// classify in fixed chunks on the worker pool — each unit writes only
-// its own slot, so the assignment matches a serial nearest-center scan
-// bit-for-bit at every worker count.
+// training feature space (FeatureSpace.VectorizeSparse matches methods
+// by fully qualified name, so the reference run may intern methods in a
+// different order). The center norms are cached once and shared by
+// every query. Units classify in fixed chunks on the worker pool: each
+// chunk vectorizes its own units (a view of the trace's unit slice) and
+// expands each row into its own dense scratch vector, and each unit
+// writes only its own slot, so the assignment matches a serial
+// nearest-center scan bit-for-bit at every worker count.
 func Classify(ph *phase.Phases, ref *trace.Trace) []int {
-	vectors := ph.Space.Vectorize(ref)
 	set := cluster.NewNearestSet(ph.Centers)
-	out := make([]int, len(vectors))
-	parallel.Default().ForEachChunk(len(vectors), 256, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c, _ := set.Nearest(vectors[i])
-			out[i] = c
+	out := make([]int, len(ref.Units))
+	parallel.Default().ForEachChunk(len(out), classifyChunk, func(_, lo, hi int) {
+		part := trace.Trace{Methods: ref.Methods, Units: ref.Units[lo:hi]}
+		sp := ph.Space.VectorizeSparse(&part)
+		v := make([]float64, sp.Cols())
+		for i := range sp.Rows() {
+			cols, vals := sp.Row(i)
+			for k, j := range cols {
+				v[j] = vals[k]
+			}
+			out[lo+i], _ = set.Nearest(v)
+			for _, j := range cols {
+				v[j] = 0
+			}
 		}
 	})
 	return out

@@ -292,15 +292,6 @@ func statsFrom(ctx context.Context) *reqStats {
 	return st
 }
 
-// RequestIDFrom returns the request ID the middleware assigned (empty
-// outside a request).
-func RequestIDFrom(ctx context.Context) string {
-	if st := statsFrom(ctx); st != nil {
-		return st.id
-	}
-	return ""
-}
-
 // routeOf normalizes a request path to a bounded route label, so path
 // parameters (history seq) and unknown paths cannot explode metric
 // cardinality.

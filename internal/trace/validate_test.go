@@ -281,3 +281,62 @@ func TestRepairIdempotent(t *testing.T) {
 		t.Fatalf("second repair changed a repaired trace: %+v", rep)
 	}
 }
+
+// multiTrace builds a trace with units across 2 threads and 2 stages.
+func multiTrace() *Trace {
+	tbl := model.NewTable()
+	m1 := tbl.Intern("A", "map", model.KindMap)
+	m2 := tbl.Intern("B", "reduce", model.KindReduce)
+	tr := &Trace{
+		Benchmark: "x", Framework: "spark", Methods: tbl.Methods(),
+		UnitInstr: 100, SnapshotEvery: 100,
+	}
+	perThread := map[int]int{}
+	add := func(thread, stage int, m model.MethodID) {
+		u := Unit{
+			ID: len(tr.Units), Thread: thread, Index: perThread[thread], Stages: []int{stage},
+			Counters:  Counters{Instructions: 100, Cycles: 150},
+			Snapshots: []model.Stack{{m}},
+		}
+		perThread[thread]++
+		tr.Units = append(tr.Units, u)
+	}
+	add(0, 0, m1)
+	add(0, 0, m1)
+	add(0, 1, m2)
+	add(1, 0, m1)
+	add(1, 1, m2)
+	return tr
+}
+
+func TestValidateCatchesCorruption(t *testing.T) {
+	good := multiTrace()
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	nonDense := multiTrace()
+	nonDense.Units[2].ID = 99
+	if err := nonDense.Validate(); err == nil {
+		t.Fatal("non-dense ids not caught")
+	} else if !strings.Contains(err.Error(), "non-dense") {
+		t.Fatalf("wrong error: %v", err)
+	}
+
+	// Zero instructions is a quality problem, not a structural one: the
+	// unit stays, flagged CountersMissing, and drops out of CPI stats.
+	zeroInstr := multiTrace()
+	zeroInstr.Units[1].Counters.Instructions = 0
+	if err := zeroInstr.Validate(); err != nil {
+		t.Fatalf("zero instructions should validate (quality, not structure): %v", err)
+	}
+	if q := zeroInstr.EffectiveQuality(1); !q.Has(CountersMissing) {
+		t.Fatalf("zero-instruction unit not flagged: %v", q)
+	}
+
+	badMethod := multiTrace()
+	badMethod.Units[0].Snapshots[0] = model.Stack{42}
+	if err := badMethod.Validate(); err == nil {
+		t.Fatal("unknown method not caught")
+	}
+}

@@ -33,7 +33,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"simprof/internal/matrix"
 	"simprof/internal/model"
@@ -158,7 +157,7 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 		return nil, fmt.Errorf("tracebin: encode: %w", err)
 	}
 	n := len(t.Units)
-	m := len(t.Methods)
+	freq := t.CountMethods()
 	var nStages, nStacks, nFrames int
 	for i := range t.Units {
 		u := &t.Units[i]
@@ -192,7 +191,11 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 
 	le := binary.LittleEndian
 	tableEnd := headerSize + numSections*entrySize
-	buf := make([]byte, tableEnd, tableEnd+24*n+8*nFrames+blobLen+1024)
+	// Capacity estimate: the unit columns, the frames and the frequency
+	// sections (8-byte row pointers, 12 bytes per cell). Counting the
+	// frequency cells keeps a million-unit trace from copying its
+	// ~300 MB buffer into a larger one midway.
+	buf := make([]byte, tableEnd, tableEnd+32*n+8*nFrames+12*freq.NNZ()+blobLen+1024)
 
 	type section struct {
 		id       uint32
@@ -340,50 +343,24 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	}
 	end()
 
-	// 21-23: the per-unit method-frequency matrix, in CSR layout with
-	// method id as the column index. Cell values are snapshot frame
-	// counts accumulated exactly like phase formation's sparse
-	// vectorizer (float64 increments, which are exact for counts far
-	// below 2^53), so a decoder-adopted matrix reproduces VectorizeSparse
-	// bit for bit whenever the method table maps ids 1:1 onto feature
-	// dimensions.
-	counts := make([]float64, m)
-	touched := make([]int32, 0, 64)
+	// 21-23: the per-unit method-frequency matrix (Trace.CountMethods),
+	// in CSR layout with method id as the column index, so a decoder can
+	// hand phase formation the counts without re-walking any stacks.
 	begin(secFreqPtr)
-	nnzOff := uint64(0)
-	buf = le.AppendUint64(buf, 0)
-	for i := range t.Units {
-		rowNNZ := 0
-		for _, snap := range t.Units[i].Snapshots {
-			for _, id := range snap {
-				if counts[id] == 0 {
-					rowNNZ++
-				}
-				counts[id]++
-			}
-		}
-		for _, snap := range t.Units[i].Snapshots {
-			for _, id := range snap {
-				counts[id] = 0
-			}
-		}
-		nnzOff += uint64(rowNNZ)
-		buf = le.AppendUint64(buf, nnzOff)
+	for _, p := range freq.RowPtr {
+		buf = le.AppendUint64(buf, uint64(p))
 	}
 	end()
 	begin(secFreqCol)
-	colStart := len(buf)
-	buf = appendFreqCols(buf, t, counts, touched)
-	nnz := (len(buf) - colStart) / 4
+	for _, c := range freq.Col {
+		buf = le.AppendUint32(buf, uint32(c))
+	}
 	end()
 	begin(secFreqVal)
-	buf = appendFreqVals(buf, t, counts, touched)
-	end()
-	if uint64(nnz) != nnzOff {
-		// Impossible unless the two passes disagree; guard the invariant
-		// rather than emit a file the decoder will reject.
-		return nil, fmt.Errorf("tracebin: encode: frequency nnz mismatch (%d != %d)", nnz, nnzOff)
+	for _, v := range freq.Val {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
+	end()
 
 	// Patch the section table and header, then checksum the body.
 	if len(secs) != numSections {
@@ -402,53 +379,6 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	le.PutUint32(buf[8:], crc32.Checksum(buf[headerSize:], crcTable))
 	obsEncodes.Inc()
 	return buf, nil
-}
-
-// appendFreqCols emits, for every unit, the ascending method ids its
-// snapshots touch. counts is a zeroed scratch of len(Methods); it is
-// returned to all-zero.
-func appendFreqCols(buf []byte, t *trace.Trace, counts []float64, touched []int32) []byte {
-	le := binary.LittleEndian
-	for i := range t.Units {
-		touched = touched[:0]
-		for _, snap := range t.Units[i].Snapshots {
-			for _, id := range snap {
-				if counts[id] == 0 {
-					touched = append(touched, int32(id))
-				}
-				counts[id]++
-			}
-		}
-		sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-		for _, c := range touched {
-			buf = le.AppendUint32(buf, uint32(c))
-			counts[c] = 0
-		}
-	}
-	return buf
-}
-
-// appendFreqVals emits the matching frame counts, in the same ascending
-// column order as appendFreqCols.
-func appendFreqVals(buf []byte, t *trace.Trace, counts []float64, touched []int32) []byte {
-	le := binary.LittleEndian
-	for i := range t.Units {
-		touched = touched[:0]
-		for _, snap := range t.Units[i].Snapshots {
-			for _, id := range snap {
-				if counts[id] == 0 {
-					touched = append(touched, int32(id))
-				}
-				counts[id]++
-			}
-		}
-		sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-		for _, c := range touched {
-			buf = le.AppendUint64(buf, math.Float64bits(counts[c]))
-			counts[c] = 0
-		}
-	}
-	return buf
 }
 
 // Decode parses a tracebin buffer into a trace. The returned trace

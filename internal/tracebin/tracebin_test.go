@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"simprof/internal/faults"
-	"simprof/internal/matrix"
-	"simprof/internal/model"
 	"simprof/internal/phase"
 	"simprof/internal/synth"
 	"simprof/internal/trace"
@@ -122,12 +120,16 @@ func TestDecodeBytesSniffsBin(t *testing.T) {
 	}
 }
 
-// TestFreqMatchesVectorizeSparse: the encoded frequency matrix must be
-// cell-for-cell the full-space sparse vectorization, so phase formation
-// can adopt it without changing a single bit of its output.
+// TestFreqMatchesVectorizeSparse: the decoded frequency matrix must be
+// cell for cell a plain per-unit map count of the snapshot frames by
+// method id, so phase formation can adopt it in place of the full-space
+// VectorizeSparse without changing a bit of its output. The map count is
+// the oracle of internal/phase/oracle_test.go keyed by id (a validated
+// table has no shared FQN); a test package cannot import another's.
 func TestFreqMatchesVectorizeSparse(t *testing.T) {
-	for _, units := range []int{1, 37, 200} {
-		tr := testTrace(t, units, uint64(units))
+	for _, tr := range []*trace.Trace{
+		testTrace(t, 1, 1), testTrace(t, 37, 37), testTrace(t, 200, 200), degradedTrace(t, 200, 22),
+	} {
 		bin, err := Marshal(tr)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -137,42 +139,30 @@ func TestFreqMatchesVectorizeSparse(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		got := dec.Freq()
-		fs := &phase.FeatureSpace{
-			Methods: make([]string, len(tr.Methods)),
-			Kinds:   make([]model.Kind, len(tr.Methods)),
+		if got.Rows() != len(tr.Units) || got.Cols() != len(tr.Methods) {
+			t.Fatalf("freq dims %dx%d, want %dx%d", got.Rows(), got.Cols(), len(tr.Units), len(tr.Methods))
 		}
-		for i, m := range tr.Methods {
-			fs.Methods[i] = m.FQN()
-			fs.Kinds[i] = m.Kind
-		}
-		want := fs.VectorizeSparse(tr)
-		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
-			t.Fatalf("units=%d: freq shape %dx%d/%d, want %dx%d/%d", units,
-				got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
-		}
-		if !sparseEqual(got, want) {
-			t.Fatalf("units=%d: freq cells differ from VectorizeSparse", units)
-		}
-	}
-}
-
-func sparseEqual(a, b *matrix.Sparse) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.NNZ() != b.NNZ() {
-		return false
-	}
-	for i := 0; i < a.Rows(); i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		if len(ac) != len(bc) {
-			return false
-		}
-		for k := range ac {
-			if ac[k] != bc[k] || math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
-				return false
+		for u := range tr.Units {
+			byID := map[int32]float64{}
+			for _, snap := range tr.Units[u].Snapshots {
+				for _, id := range snap {
+					byID[int32(id)]++
+				}
+			}
+			cols, vals := got.Row(u)
+			if len(cols) != len(byID) {
+				t.Fatalf("unit %d: %d stored cells, oracle %d", u, len(cols), len(byID))
+			}
+			for k, c := range cols {
+				if k > 0 && c <= cols[k-1] {
+					t.Fatalf("unit %d: columns %v not ascending", u, cols)
+				}
+				if math.Float64bits(vals[k]) != math.Float64bits(byID[c]) {
+					t.Fatalf("unit %d method %d: freq %v, oracle %v", u, c, vals[k], byID[c])
+				}
 			}
 		}
 	}
-	return true
 }
 
 // TestFormBitIdentical is the adoption + parallel-projection contract:

@@ -14,9 +14,9 @@
 # the gate enforces), and the simprofd service under concurrent load
 # (SimprofdP99 reports the p99 latency of cold-miss requests as its
 # ns/op metric so the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
-# storm through the batched path and the inline baseline, reporting p99
-# as ns/op plus req/s and the measured dedup ratio — the duplicate
-# fraction is tunable with SIMPROF_STORM_DUP). Results stream to
+# storm through the batched request path, its only sub-benchmark,
+# reporting p99 as ns/op plus req/s and the measured dedup ratio — the
+# duplicate fraction is tunable with SIMPROF_STORM_DUP). Results stream to
 # BENCH_pipeline.json in `go test -json` (test2json) format so CI can
 # diff runs; the classic benchmark lines echo to stdout for humans.
 set -eu

@@ -253,9 +253,17 @@ run_kernel_equivalence() {
 	equiv_tests ./internal/stats TestFRegressionSparseMatchesDense \
 		TestFRegressionSparseRowSubset || fail kernel-equivalence
 	equiv_tests ./internal/phase TestPhaseIndexAccessors || fail kernel-equivalence
+	# The method counts (Trace.CountMethods), the VectorizeSparse remap
+	# on full and subset spaces and sensitivity.Classify (GOMAXPROCS
+	# 1/2/8) against the per-unit map-count oracle
+	# (internal/phase/oracle_test.go).
+	equiv_tests ./internal/phase TestCountMethodsMatchesOracle \
+		TestVectorizeSparseMatchesDense TestVectorizeSparseSubsetSpace TestVectorizeSparseAdoptsDecodedFreq \
+		TestClassifyMatchesOracle || fail kernel-equivalence
 	# The chunk-parallel TopK projection inside phase.Form must produce
 	# bit-identical phases at any worker count, on both the gob and the
-	# zero-copy tracebin ingest paths.
+	# zero-copy tracebin ingest paths; the decoded frequency matrix
+	# against a per-unit map count.
 	equiv_tests ./internal/tracebin TestFormBitIdentical TestRoundTripGobBinGob \
 		TestFreqMatchesVectorizeSparse || fail kernel-equivalence
 	# The chunk-parallel decode: the combined CRC equals the one-pass
