@@ -298,9 +298,9 @@ func (s *Suite) AblationGC() ([]GCRow, error) {
 		}
 		total, gc := 0, 0
 		for _, u := range tr.Units {
-			for _, snap := range u.Snapshots {
+			for j := 0; j < u.Snapshots.Len(); j++ {
 				total++
-				for _, id := range snap {
+				for _, id := range u.Snapshots.At(j) {
 					if gcFrames[int32(id)] {
 						gc++
 						break

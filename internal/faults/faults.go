@@ -299,14 +299,14 @@ func (r Report) observe() {
 }
 
 // cloneTrace deep-copies the parts Apply may mutate (units and their
-// snapshot lists; stacks themselves are immutable and stay shared).
+// stage lists). Snapshots stay shared: Apply replaces a unit's
+// snapshots with fresh slices and never writes through them.
 func cloneTrace(tr *trace.Trace) *trace.Trace {
 	out := *tr
 	out.SetFreq(nil) // the copied frequency handle would go stale with the mutations
 	out.Methods = append([]model.Method(nil), tr.Methods...)
 	out.Units = append([]trace.Unit(nil), tr.Units...)
 	for i := range out.Units {
-		out.Units[i].Snapshots = append([]model.Stack(nil), out.Units[i].Snapshots...)
 		out.Units[i].Stages = append([]int(nil), out.Units[i].Stages...)
 	}
 	return &out
@@ -394,15 +394,15 @@ func applySnapshotLoss(tr *trace.Trace, cfg Config, rep *Report) {
 	rng := stats.NewRNG(stats.SplitSeed(cfg.Seed, seedSnap))
 	for i := range tr.Units {
 		u := &tr.Units[i]
-		kept := u.Snapshots[:0]
-		for _, s := range u.Snapshots {
+		var kept trace.Snapshots
+		for j := 0; j < u.Snapshots.Len(); j++ {
 			if rng.Float64() < cfg.SnapshotLoss {
 				rep.SnapshotsLost++
 				continue
 			}
-			kept = append(kept, s)
+			kept.Append(u.Snapshots.At(j))
 		}
-		if len(kept) < len(u.Snapshots) {
+		if kept.Len() < u.Snapshots.Len() {
 			u.Snapshots = kept
 			u.Quality |= trace.SnapshotsPartial
 		}
@@ -419,9 +419,7 @@ func applyDuplicates(tr *trace.Trace, cfg Config, rep *Report) {
 	n := len(tr.Units)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < cfg.Duplicate {
-			dup := tr.Units[i]
-			dup.Snapshots = append([]model.Stack(nil), dup.Snapshots...)
-			tr.Units = append(tr.Units, dup)
+			tr.Units = append(tr.Units, tr.Units[i])
 			rep.Duplicated++
 		}
 	}

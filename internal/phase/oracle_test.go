@@ -26,8 +26,9 @@ func oracleCounts(space []string, tr *trace.Trace) [][]float64 {
 	out := make([][]float64, len(tr.Units))
 	for u := range tr.Units {
 		byFQN := map[string]float64{}
-		for _, snap := range tr.Units[u].Snapshots {
-			for _, id := range snap {
+		snaps := tr.Units[u].Snapshots
+		for j := 0; j < snaps.Len(); j++ {
+			for _, id := range snaps.At(j) {
 				if id >= 0 && int(id) < len(tr.Methods) {
 					byFQN[tr.Methods[id].FQN()]++
 				}
@@ -99,12 +100,13 @@ func reinterned(tr *trace.Trace) *trace.Trace {
 	}
 	out.Units = slices.Clone(tr.Units)
 	for u := range out.Units {
-		snaps := make([]model.Stack, len(tr.Units[u].Snapshots))
-		for s, snap := range tr.Units[u].Snapshots {
-			snaps[s] = make(model.Stack, len(snap))
+		var snaps trace.Snapshots
+		for s := 0; s < tr.Units[u].Snapshots.Len(); s++ {
+			snap := slices.Clone(tr.Units[u].Snapshots.At(s))
 			for f, id := range snap {
-				snaps[s][f] = model.MethodID(m-1) - id
+				snap[f] = model.MethodID(m-1) - id
 			}
+			snaps.Append(snap)
 		}
 		out.Units[u].Snapshots = snaps
 	}
@@ -123,15 +125,18 @@ func sharedFQNTrace() *trace.Trace {
 	methods := append(tbl.Methods(), model.Method{ID: b + 1, Class: "B", Name: "sort", Kind: model.KindSort})
 	b2 := b + 1
 	tr := &trace.Trace{Methods: methods}
-	for _, snaps := range [][]model.Stack{
+	for _, stacks := range [][]model.Stack{
 		{{root, a}, {root, b}, {root, b2}},
 		{{root, b2, b2}, {root, a, a}},
 		{{root, b}, {root, b}},
 		{},
 		{{root, 42}, {root, a}},
 	} {
-		tr.Units = append(tr.Units, trace.Unit{ID: len(tr.Units), Snapshots: snaps,
-			Counters: trace.Counters{Instructions: 1000, Cycles: 2000}})
+		u := trace.Unit{ID: len(tr.Units), Counters: trace.Counters{Instructions: 1000, Cycles: 2000}}
+		for _, st := range stacks {
+			u.Snapshots.Append(st)
+		}
+		tr.Units = append(tr.Units, u)
 	}
 	return tr
 }

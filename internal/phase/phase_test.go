@@ -26,7 +26,7 @@ func synthTrace(nPerPhase int, seed uint64) *trace.Trace {
 	add := func(m model.MethodID, cpi float64) {
 		u := trace.Unit{ID: len(tr.Units)}
 		for s := 0; s < 10; s++ {
-			u.Snapshots = append(u.Snapshots, model.Stack{root, m})
+			u.Snapshots.Append(model.Stack{root, m})
 		}
 		u.Counters = trace.Counters{Instructions: 1000, Cycles: uint64(1000 * cpi)}
 		tr.Units = append(tr.Units, u)
@@ -168,7 +168,7 @@ func TestVectorizeByFQNAcrossTables(t *testing.T) {
 	ref := &trace.Trace{Methods: tbl.Methods()}
 	u := trace.Unit{ID: 0, Counters: trace.Counters{Instructions: 1000, Cycles: 3000}}
 	for s := 0; s < 10; s++ {
-		u.Snapshots = append(u.Snapshots, model.Stack{root, b})
+		u.Snapshots.Append(model.Stack{root, b})
 	}
 	ref.Units = append(ref.Units, u)
 
@@ -230,7 +230,7 @@ func TestSinglePhaseTrace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 1000, Cycles: 1500}}
 		for s := 0; s < 10; s++ {
-			u.Snapshots = append(u.Snapshots, model.Stack{root, m})
+			u.Snapshots.Append(model.Stack{root, m})
 		}
 		tr.Units = append(tr.Units, u)
 	}
@@ -253,7 +253,7 @@ func TestFormSurvivesDegenerateUnits(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 100, Cycles: 150}}
 		if i%2 == 0 {
-			u.Snapshots = []model.Stack{{m}}
+			u.Snapshots.Append(model.Stack{m})
 		} // odd units: no snapshots at all
 		tr.Units = append(tr.Units, u)
 	}
@@ -279,9 +279,11 @@ func TestFormConstantIPC(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 100, Cycles: 200}}
 		if i%2 == 0 {
-			u.Snapshots = []model.Stack{{a}, {a}}
+			u.Snapshots.Append(model.Stack{a})
+			u.Snapshots.Append(model.Stack{a})
 		} else {
-			u.Snapshots = []model.Stack{{b}, {b}}
+			u.Snapshots.Append(model.Stack{b})
+			u.Snapshots.Append(model.Stack{b})
 		}
 		tr.Units = append(tr.Units, u)
 	}

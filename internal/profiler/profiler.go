@@ -160,7 +160,7 @@ func sliceUnits(recs []cpu.SegExec, cfg Config) []trace.Unit {
 			// segment's stack.
 			spanEnd := threadInstr + take
 			for nextSnap <= spanEnd {
-				cur.Snapshots = append(cur.Snapshots, rec.Seg.Stack)
+				cur.Snapshots.Append(rec.Seg.Stack)
 				nextSnap += cfg.SnapshotEvery
 			}
 

@@ -64,8 +64,8 @@ func TestUnitsHaveExactSizeAndSnapshotCount(t *testing.T) {
 		if u.Counters.Instructions != 1000 {
 			t.Fatalf("unit %d instr=%d", i, u.Counters.Instructions)
 		}
-		if len(u.Snapshots) != 10 {
-			t.Fatalf("unit %d snapshots=%d want 10", i, len(u.Snapshots))
+		if u.Snapshots.Len() != 10 {
+			t.Fatalf("unit %d snapshots=%d want 10", i, u.Snapshots.Len())
 		}
 		if u.ID != i || u.Index != i || u.Thread != 0 {
 			t.Fatalf("unit %d ids wrong: %+v", i, u)
@@ -190,17 +190,17 @@ func TestSnapshotsObserveActiveStack(t *testing.T) {
 		t.Fatalf("units=%d", len(tr.Units))
 	}
 	snaps := tr.Units[0].Snapshots
-	if len(snaps) != 10 {
-		t.Fatalf("snapshots=%d", len(snaps))
+	if snaps.Len() != 10 {
+		t.Fatalf("snapshots=%d", snaps.Len())
 	}
 	for i := 0; i < 5; i++ {
-		if snaps[i].Leaf() != mapID {
-			t.Fatalf("snapshot %d leaf=%v want map", i, snaps[i].Leaf())
+		if snaps.At(i).Leaf() != mapID {
+			t.Fatalf("snapshot %d leaf=%v want map", i, snaps.At(i).Leaf())
 		}
 	}
 	for i := 5; i < 10; i++ {
-		if snaps[i].Leaf() != sortID {
-			t.Fatalf("snapshot %d leaf=%v want sort", i, snaps[i].Leaf())
+		if snaps.At(i).Leaf() != sortID {
+			t.Fatalf("snapshot %d leaf=%v want sort", i, snaps.At(i).Leaf())
 		}
 	}
 }
@@ -237,7 +237,7 @@ func TestMergeOrderFollowsStartCycles(t *testing.T) {
 	}
 	// First two units belong to the first-run task, last two to the
 	// second (FIFO core scheduling runs them in spawn order).
-	if tr.Units[0].Snapshots[0].Leaf() != first || tr.Units[3].Snapshots[0].Leaf() != second {
+	if tr.Units[0].Snapshots.At(0).Leaf() != first || tr.Units[3].Snapshots.At(0).Leaf() != second {
 		t.Fatal("merged stream not ordered by task start")
 	}
 	// Start cycles are monotone within the merged stream.

@@ -114,7 +114,7 @@ func (s TraceSpec) Generate() (*trace.Trace, error) {
 	perUnit := t.ExpectedSnapshots()
 	nFrames := s.Units * perUnit * s.Depth
 	frames := make([]model.MethodID, 0, nFrames)
-	stacks := make([]model.Stack, 0, s.Units*perUnit)
+	offs := make([]uint32, 1, s.Units*perUnit+1) // frame offsets, SPTB-style
 	stages := make([]int, 0, s.Units)
 
 	t.Units = make([]trace.Unit, s.Units)
@@ -140,18 +140,20 @@ func (s TraceSpec) Generate() (*trace.Trace, error) {
 		// Snapshots: shared prefix + a skewed draw from the phase's hot
 		// set (squaring the uniform biases toward the set's head, giving
 		// each phase a stable dominant method mix).
-		s0 := len(stacks)
+		f0, s0 := len(frames), len(offs)-1
 		hs := hot[phase]
 		for k := 0; k < perUnit; k++ {
-			f0 := len(frames)
 			for d := 0; d < prefix; d++ {
 				frames = append(frames, model.MethodID(d))
 			}
 			r := rng.Float64()
 			frames = append(frames, hs[int(r*r*float64(len(hs)))])
-			stacks = append(stacks, frames[f0:len(frames):len(frames)])
+			offs = append(offs, uint32(len(frames)))
 		}
-		u.Snapshots = stacks[s0:len(stacks):len(stacks)]
+		u.Snapshots = trace.Snapshots{
+			Frames: frames[f0:len(frames):len(frames)],
+			Off:    offs[s0:len(offs):len(offs)],
+		}
 
 		g0 := len(stages)
 		stages = append(stages, phase)

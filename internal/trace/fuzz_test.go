@@ -36,6 +36,37 @@ func fuzzSeedCorpus(f *testing.F, json bool) {
 		flipped[i] ^= 0x40
 	}
 	f.Add(flipped)
+	// Snapshot offsets that do not fit their frames: At would read out of
+	// range if Validate let them through.
+	for _, tr := range brokenOffsetTraces() {
+		f.Add(encode(tr))
+	}
+}
+
+// brokenOffsetTraces returns valid-looking traces whose unit 1 carries
+// snapshot offsets that do not fit its frames: one non-monotone, one
+// ending short of len(Frames), one ending past it.
+func brokenOffsetTraces() []*Trace {
+	var out []*Trace
+	for _, off := range [][]uint32{{0, 2, 1}, {0, 1, 1}, {0, 1, 3}} {
+		tr := threadedTrace()
+		s := &tr.Units[1].Snapshots
+		s.Off = off
+		out = append(out, tr)
+	}
+	return out
+}
+
+// readAll walks every snapshot of a trace through At and counts its
+// methods: on a trace that passed Validate neither may panic.
+func readAll(tr *Trace) {
+	for i := range tr.Units {
+		s := tr.Units[i].Snapshots
+		for j := 0; j < s.Len(); j++ {
+			_ = s.At(j).Leaf()
+		}
+	}
+	tr.CountMethods()
 }
 
 // FuzzDecodeGob asserts the gob decode path never panics: any input
@@ -57,6 +88,7 @@ func FuzzDecodeGob(f *testing.F) {
 		tr.OracleCPI()
 		tr.CPIs()
 		tr.Summarize()
+		readAll(tr)
 	})
 }
 
@@ -77,5 +109,6 @@ func FuzzDecodeJSON(f *testing.F) {
 		tr.OracleCPI()
 		tr.CPIs()
 		tr.Summarize()
+		readAll(tr)
 	})
 }

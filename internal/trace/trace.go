@@ -2,7 +2,19 @@
 // profiling run: the sampling units (the paper's 100M-instruction
 // intervals) with their call-stack snapshots and hardware counters, plus
 // the interned method table needed to interpret them. Traces serialize
-// to gob (compact) and JSON (interoperable).
+// to gob (compact) and JSON (interoperable); binary formats register
+// themselves (see RegisterFormat).
+//
+// A unit's snapshots are one CSR view, Unit.Snapshots: a flat frame
+// slice plus a snapshot-offset slice, read through Len and At, never a
+// slice header per snapshot. The columnar decoder (internal/tracebin)
+// points both slices straight into the file's frame and frame-offset
+// columns, so its offsets start wherever the unit's frames start in the
+// file; every reader subtracts Off[0]. The gob and JSON encoders write
+// the offsets rebased to 0, so a trace's encoding depends only on its
+// content. The wire shape is a {Frames, Off} object per unit: gob and
+// JSON traces written before this representation, which carried one
+// array per snapshot, no longer decode.
 package trace
 
 import (
@@ -10,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"simprof/internal/matrix"
 	"simprof/internal/model"
@@ -69,9 +82,48 @@ type Unit struct {
 	Index      int // position within that thread
 	StartCycle uint64
 	Counters   Counters
-	Snapshots  []model.Stack // one per snapshot interval
-	Stages     []int         // engine stages observed in the unit (sorted, unique)
-	Quality    Quality       // degradation flags (OK for a pristine unit)
+	Snapshots  Snapshots // one per snapshot interval
+	Stages     []int     // engine stages observed in the unit (sorted, unique)
+	Quality    Quality   // degradation flags (OK for a pristine unit)
+}
+
+// Snapshots holds one unit's call-stack snapshots in CSR form: snapshot
+// j is Frames[Off[j]-Off[0] : Off[j+1]-Off[0]], so Frames is the unit's
+// frames in snapshot order and Off has one entry more than there are
+// snapshots (none for a unit without snapshots). Off need not start at
+// 0: a decoded columnar trace's views keep the file's absolute offsets.
+// Validate checks that the offsets fit Frames, so At cannot panic on a
+// validated trace. A decoded trace's slices may alias the input buffer:
+// change a unit's snapshots by building fresh slices (Append does), never
+// by writing through them.
+type Snapshots struct {
+	Frames []model.MethodID
+	Off    []uint32
+}
+
+// Len returns the number of snapshots.
+func (s Snapshots) Len() int {
+	if len(s.Off) == 0 {
+		return 0
+	}
+	return len(s.Off) - 1
+}
+
+// At returns snapshot j as a view into Frames (read-only).
+func (s Snapshots) At(j int) model.Stack {
+	a, b := s.Off[j]-s.Off[0], s.Off[j+1]-s.Off[0]
+	return model.Stack(s.Frames[a:b:b])
+}
+
+// Append adds a copy of stack as the last snapshot. It never writes into
+// the backing arrays of a decoded view: those are capped at their
+// length, so the first append reallocates.
+func (s *Snapshots) Append(stack model.Stack) {
+	if len(s.Off) == 0 {
+		s.Off = append(s.Off, 0)
+	}
+	s.Frames = append(s.Frames, stack...)
+	s.Off = append(s.Off, s.Off[0]+uint32(len(s.Frames)))
 }
 
 // CPI is shorthand for u.Counters.CPI().
@@ -91,7 +143,7 @@ type Trace struct {
 	Units   []Unit
 
 	// freq is the per-unit method-frequency matrix a columnar decoder
-	// attached (see SetFreq/Freq in compact.go). Unexported: it is an
+	// attached (see SetFreq/Freq in counts.go). Unexported: it is an
 	// in-memory acceleration handle, never serialized.
 	freq *matrix.Sparse
 }
@@ -156,7 +208,38 @@ func (t *Trace) OracleCPI() float64 {
 
 // EncodeGob writes the trace in gob format.
 func (t *Trace) EncodeGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(t)
+	return gob.NewEncoder(w).Encode(t.rebased())
+}
+
+// rebased returns t, or when some unit's snapshot offsets do not start
+// at 0 (a decoded columnar view), a shallow copy whose units carry
+// offsets rebased to 0 in one shared arena. Offsets are rebased modulo
+// 2^32, like At reads them, so even an invalid unit keeps its meaning.
+func (t *Trace) rebased() *Trace {
+	n := 0
+	for i := range t.Units {
+		if off := t.Units[i].Snapshots.Off; len(off) > 0 && off[0] != 0 {
+			n += len(off)
+		}
+	}
+	if n == 0 {
+		return t
+	}
+	out := *t
+	out.Units = slices.Clone(t.Units)
+	arena := make([]uint32, 0, n)
+	for i := range out.Units {
+		s := &out.Units[i].Snapshots
+		if len(s.Off) == 0 || s.Off[0] == 0 {
+			continue
+		}
+		a := len(arena)
+		for _, o := range s.Off {
+			arena = append(arena, o-s.Off[0])
+		}
+		s.Off = arena[a:len(arena):len(arena)]
+	}
+	return &out
 }
 
 // DecodeGob reads a gob-encoded trace. The decoded trace is validated:
@@ -174,10 +257,6 @@ func DecodeGob(r io.Reader) (*Trace, error) {
 		obsDecodeErrors.Inc()
 		return nil, fmt.Errorf("trace: decode gob: %w", err)
 	}
-	// Gob hands back one heap object per snapshot per unit; repack them
-	// into contiguous arenas so the downstream hot loops walk linear
-	// memory (contents are bit-identical, see Compact).
-	t.Compact()
 	obsDecodes.Inc()
 	return &t, nil
 }
@@ -186,7 +265,7 @@ func DecodeGob(r io.Reader) (*Trace, error) {
 func (t *Trace) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(t)
+	return enc.Encode(t.rebased())
 }
 
 // DecodeJSON reads a JSON-encoded trace, validating it like DecodeGob.
@@ -200,7 +279,6 @@ func DecodeJSON(r io.Reader) (*Trace, error) {
 		obsDecodeErrors.Inc()
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
-	t.Compact()
 	obsDecodes.Inc()
 	return &t, nil
 }

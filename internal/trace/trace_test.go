@@ -16,8 +16,8 @@ func sampleTrace() *Trace {
 		UnitInstr: 100, SnapshotEvery: 10,
 		Methods: tbl.Methods(),
 		Units: []Unit{
-			{ID: 0, Counters: Counters{Instructions: 100, Cycles: 150}, Snapshots: []model.Stack{{m1}}},
-			{ID: 1, Counters: Counters{Instructions: 100, Cycles: 250}, Snapshots: []model.Stack{{m2}}},
+			{ID: 0, Counters: Counters{Instructions: 100, Cycles: 150}, Snapshots: snaps(model.Stack{m1})},
+			{ID: 1, Counters: Counters{Instructions: 100, Cycles: 250}, Snapshots: snaps(model.Stack{m2})},
 		},
 	}
 }
@@ -97,7 +97,7 @@ func TestGobRoundTrip(t *testing.T) {
 	if got.Name() != tr.Name() || len(got.Units) != 2 || got.Units[1].CPI() != 2.5 {
 		t.Fatalf("gob round trip lost data: %+v", got)
 	}
-	if len(got.Units[0].Snapshots) != 1 {
+	if got.Units[0].Snapshots.Len() != 1 {
 		t.Fatal("snapshots lost")
 	}
 }

@@ -112,7 +112,7 @@ func (t *Trace) EffectiveQuality(i int) Quality {
 	if u.Counters.Instructions == 0 {
 		q |= CountersMissing
 	}
-	if exp := t.ExpectedSnapshots(); len(u.Snapshots) < exp {
+	if exp := t.ExpectedSnapshots(); u.Snapshots.Len() < exp {
 		q |= SnapshotsPartial
 	}
 	return q
@@ -223,21 +223,47 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: unit %d holds %d instructions, more than the unit size %d",
 				i, u.Counters.Instructions, t.UnitInstr)
 		}
-		if len(u.Snapshots) > maxSnaps {
+		if n := u.Snapshots.Len(); n > maxSnaps {
 			return fmt.Errorf("trace: unit %d has %d snapshots, more than the cadence allows (%d)",
-				i, len(u.Snapshots), maxSnaps)
+				i, n, maxSnaps)
+		}
+		if err := u.Snapshots.check(); err != nil {
+			return fmt.Errorf("trace: unit %d %w", i, err)
 		}
 		if u.Quality&^qualityKnown != 0 {
 			return fmt.Errorf("trace: unit %d has unknown quality bits %#x", i, uint8(u.Quality))
 		}
-		for _, snap := range u.Snapshots {
-			for _, id := range snap {
-				if id < 0 || int(id) >= len(t.Methods) {
-					return fmt.Errorf("trace: unit %d snapshot refers to method %d outside the table (%d methods)",
-						i, id, len(t.Methods))
-				}
+		for _, id := range u.Snapshots.Frames {
+			if id < 0 || int(id) >= len(t.Methods) {
+				return fmt.Errorf("trace: unit %d snapshot refers to method %d outside the table (%d methods)",
+					i, id, len(t.Methods))
 			}
 		}
+	}
+	return nil
+}
+
+// check reports whether the offsets fit Frames, which is what At needs:
+// relative to Off[0], they never decrease and the last one is
+// len(Frames). Offsets are compared relative to Off[0] modulo 2^32, as
+// At reads them.
+func (s Snapshots) check() error {
+	if len(s.Off) == 0 {
+		if len(s.Frames) != 0 {
+			return fmt.Errorf("has %d snapshot frames but no snapshot offsets", len(s.Frames))
+		}
+		return nil
+	}
+	prev := uint32(0)
+	for j, o := range s.Off[1:] {
+		d := o - s.Off[0]
+		if d < prev {
+			return fmt.Errorf("snapshot offsets not monotone at %d (%d < %d)", j+1, d, prev)
+		}
+		prev = d
+	}
+	if uint64(prev) != uint64(len(s.Frames)) {
+		return fmt.Errorf("snapshot offsets end at %d, want %d frames", prev, len(s.Frames))
 	}
 	return nil
 }
@@ -319,7 +345,8 @@ func (r RepairReport) String() string {
 // sequence flag the following unit Truncated. Structural damage Repair
 // cannot make sense of (an unusable unit size or snapshot cadence, a
 // method table with colliding ids it cannot re-identify) returns an
-// error and leaves the trace unchanged.
+// error and leaves the trace unchanged; so do snapshot offsets that do
+// not fit their frames.
 func (t *Trace) Repair() (RepairReport, error) {
 	var rep RepairReport
 	if t == nil {
@@ -336,6 +363,14 @@ func (t *Trace) Repair() (RepairReport, error) {
 			t.SnapshotEvery, t.UnitInstr)
 	}
 
+	// Offsets that do not fit their frames leave no way to tell which
+	// snapshots were real.
+	for i := range t.Units {
+		if err := t.Units[i].Snapshots.check(); err != nil {
+			return rep, fmt.Errorf("trace: unit %d %w", i, err)
+		}
+	}
+
 	// Method table: re-sort by declared id, then re-identify densely.
 	// Snapshot frames are remapped through old→new; unmappable frames
 	// are dropped below.
@@ -350,33 +385,11 @@ func (t *Trace) Repair() (RepairReport, error) {
 	maxSnaps := t.ExpectedSnapshots()
 	for i := range t.Units {
 		u := &t.Units[i]
-		// Remap / drop snapshot frames.
-		for si := 0; si < len(u.Snapshots); si++ {
-			snap := u.Snapshots[si]
-			kept := snap[:0:0]
-			dropped := false
-			for _, id := range snap {
-				nid, ok := remapID(remap, id, len(t.Methods))
-				if !ok {
-					dropped = true
-					rep.FramesDropped++
-					continue
-				}
-				kept = append(kept, nid)
+		if t.repairSnapshots(u, remap, maxSnaps+1, &rep) {
+			if !u.Quality.Has(SnapshotsPartial) {
+				rep.FlaggedPartial++
 			}
-			if dropped || remap != nil {
-				u.Snapshots[si] = kept
-			}
-			if dropped {
-				if !u.Quality.Has(SnapshotsPartial) {
-					rep.FlaggedPartial++
-				}
-				u.Quality |= SnapshotsPartial
-			}
-		}
-		if len(u.Snapshots) > maxSnaps+1 {
-			u.Snapshots = u.Snapshots[:maxSnaps+1]
-			rep.SnapshotsClamped++
+			u.Quality |= SnapshotsPartial
 		}
 		// Counters beyond the unit size cannot be a real reading.
 		if u.Counters.Instructions > t.UnitInstr {
@@ -387,7 +400,7 @@ func (t *Trace) Repair() (RepairReport, error) {
 			u.Quality |= CountersMissing
 			rep.FlaggedMissing++
 		}
-		if len(u.Snapshots) < maxSnaps && !u.Quality.Has(SnapshotsPartial) {
+		if u.Snapshots.Len() < maxSnaps && !u.Quality.Has(SnapshotsPartial) {
 			u.Quality |= SnapshotsPartial
 			rep.FlaggedPartial++
 		}
@@ -401,6 +414,41 @@ func (t *Trace) Repair() (RepairReport, error) {
 		obsRepairFlagged.Add(int64(rep.FlaggedMissing + rep.FlaggedPartial + rep.FlaggedTruncated))
 	}
 	return rep, t.Validate()
+}
+
+// repairSnapshots remaps u's snapshot frames through remap, drops frames
+// outside the method table and clamps the list to limit snapshots,
+// counting both in rep. A unit that changes gets fresh Frames and Off;
+// the old slices, possibly views of a decoded buffer, are never written.
+// It reports whether a frame was dropped. The offsets must fit Frames.
+func (t *Trace) repairSnapshots(u *Unit, remap map[model.MethodID]model.MethodID, limit int, rep *RepairReport) bool {
+	s := u.Snapshots
+	dropped := 0
+	for _, id := range s.Frames {
+		if _, ok := remapID(remap, id, len(t.Methods)); !ok {
+			dropped++
+		}
+	}
+	n := min(s.Len(), limit)
+	if n < s.Len() {
+		rep.SnapshotsClamped++
+	} else if dropped == 0 && remap == nil {
+		return false
+	}
+	rep.FramesDropped += dropped
+	var out Snapshots
+	for j := 0; j < n; j++ {
+		snap := s.At(j)
+		kept := make(model.Stack, 0, len(snap))
+		for _, id := range snap {
+			if nid, ok := remapID(remap, id, len(t.Methods)); ok {
+				kept = append(kept, nid)
+			}
+		}
+		out.Append(kept)
+	}
+	u.Snapshots = out
+	return dropped > 0
 }
 
 // repairMethods restores a dense id-ordered method table, returning the

@@ -28,11 +28,20 @@ func threadedTrace() *Trace {
 			tr.Units = append(tr.Units, Unit{
 				ID: len(tr.Units), Thread: th, Index: i,
 				Counters:  Counters{Instructions: 100, Cycles: 150 + uint64(10*i)},
-				Snapshots: []model.Stack{{m}, {m}},
+				Snapshots: snaps(model.Stack{m}, model.Stack{m}),
 			})
 		}
 	}
 	return tr
+}
+
+// snaps builds a unit's snapshots from literal stacks.
+func snaps(stacks ...model.Stack) Snapshots {
+	var s Snapshots
+	for _, st := range stacks {
+		s.Append(st)
+	}
+	return s
 }
 
 func TestValidateAcceptsGoodTrace(t *testing.T) {
@@ -53,10 +62,12 @@ func TestValidateStructuralErrors(t *testing.T) {
 		{"negative thread", func(tr *Trace) { tr.Units[0].Thread = -1 }, "thread"},
 		{"negative index", func(tr *Trace) { tr.Units[0].Index = -2 }, "index"},
 		{"overfull counters", func(tr *Trace) { tr.Units[0].Counters.Instructions = 1000 }, "instructions"},
-		{"unknown method", func(tr *Trace) { tr.Units[1].Snapshots[0] = model.Stack{42} }, "method"},
+		{"unknown method", func(tr *Trace) {
+			tr.Units[1].Snapshots = snaps(model.Stack{42}, tr.Units[1].Snapshots.At(1))
+		}, "method"},
 		{"too many snapshots", func(tr *Trace) {
-			s := tr.Units[0].Snapshots[0]
-			tr.Units[0].Snapshots = []model.Stack{s, s, s, s}
+			s := tr.Units[0].Snapshots.At(0)
+			tr.Units[0].Snapshots = snaps(s, s, s, s)
 		}, "snapshots"},
 		{"unknown quality bits", func(tr *Trace) { tr.Units[0].Quality = 0x80 }, "quality"},
 		{"method ids out of order", func(tr *Trace) {
@@ -85,9 +96,7 @@ func TestValidateStructuralErrors(t *testing.T) {
 func TestRepairDuplicatesAndReorder(t *testing.T) {
 	tr := threadedTrace()
 	// Duplicate unit 2 (append with same id) and swap two units.
-	dup := tr.Units[2]
-	dup.Snapshots = append([]model.Stack(nil), dup.Snapshots...)
-	tr.Units = append(tr.Units, dup)
+	tr.Units = append(tr.Units, tr.Units[2])
 	tr.Units[0], tr.Units[5] = tr.Units[5], tr.Units[0]
 	if err := tr.Validate(); err == nil {
 		t.Fatal("broken trace should not validate")
@@ -149,7 +158,7 @@ func TestRepairFlagsSequenceGaps(t *testing.T) {
 
 func TestRepairDropsForeignFrames(t *testing.T) {
 	tr := threadedTrace()
-	tr.Units[1].Snapshots[0] = model.Stack{model.MethodID(99)}
+	tr.Units[1].Snapshots = snaps(model.Stack{model.MethodID(99)}, tr.Units[1].Snapshots.At(1))
 	rep, err := tr.Repair()
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +177,7 @@ func TestRepairDropsForeignFrames(t *testing.T) {
 func TestEffectiveQualityDerivesFlags(t *testing.T) {
 	tr := threadedTrace()
 	tr.Units[0].Counters = Counters{}
-	tr.Units[1].Snapshots = tr.Units[1].Snapshots[:1]
+	tr.Units[1].Snapshots = snaps(tr.Units[1].Snapshots.At(0))
 	if q := tr.EffectiveQuality(0); !q.Has(CountersMissing) {
 		t.Fatalf("zero counters not derived: %v", q)
 	}
@@ -296,7 +305,7 @@ func multiTrace() *Trace {
 		u := Unit{
 			ID: len(tr.Units), Thread: thread, Index: perThread[thread], Stages: []int{stage},
 			Counters:  Counters{Instructions: 100, Cycles: 150},
-			Snapshots: []model.Stack{{m}},
+			Snapshots: snaps(model.Stack{m}),
 		}
 		perThread[thread]++
 		tr.Units = append(tr.Units, u)
@@ -335,8 +344,84 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 
 	badMethod := multiTrace()
-	badMethod.Units[0].Snapshots[0] = model.Stack{42}
+	badMethod.Units[0].Snapshots = snaps(model.Stack{42})
 	if err := badMethod.Validate(); err == nil {
 		t.Fatal("unknown method not caught")
+	}
+}
+
+// TestValidateRejectsBrokenSnapshotOffsets: offsets that do not fit
+// their frames are a structural error, from Validate, Repair and both
+// decoders, never a panic in At. Offsets that do fit are read relative
+// to Off[0], wherever it starts.
+func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
+	for i, tr := range brokenOffsetTraces() {
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "unit 1 snapshot offsets") {
+			t.Fatalf("case %d: Validate = %v, want a unit 1 snapshot offset error", i, err)
+		}
+		if _, err := tr.Repair(); err == nil {
+			t.Fatalf("case %d: Repair accepted broken offsets", i)
+		}
+		var gob, js bytes.Buffer
+		if err := tr.EncodeGob(&gob); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.EncodeJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeGob(&gob); err == nil {
+			t.Fatalf("case %d: DecodeGob accepted broken offsets", i)
+		}
+		if _, err := DecodeJSON(&js); err == nil {
+			t.Fatalf("case %d: DecodeJSON accepted broken offsets", i)
+		}
+	}
+	tr := threadedTrace()
+	tr.Units[2].Snapshots = Snapshots{Frames: tr.Units[2].Snapshots.Frames}
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "no snapshot offsets") {
+		t.Fatalf("frames without offsets: Validate = %v", err)
+	}
+
+	// An absolute base, as a decoded columnar view has, is valid.
+	tr = threadedTrace()
+	m := tr.Units[0].Snapshots.At(0)[0]
+	tr.Units[0].Snapshots = Snapshots{Frames: []model.MethodID{m, m, m}, Off: []uint32{7, 8, 10}}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("offsets based at 7: %v", err)
+	}
+	if s := tr.Units[0].Snapshots; s.Len() != 2 || len(s.At(0)) != 1 || len(s.At(1)) != 2 {
+		t.Fatalf("offsets based at 7 read as %d snapshots", s.Len())
+	}
+}
+
+// TestEncodeRebasesSnapshotOffsets: the gob and JSON encodings of a trace
+// do not depend on where its snapshot offsets start, and encoding leaves
+// the trace itself untouched.
+func TestEncodeRebasesSnapshotOffsets(t *testing.T) {
+	want := threadedTrace()
+	based := threadedTrace()
+	for i := range based.Units {
+		s := &based.Units[i].Snapshots
+		for j := range s.Off {
+			s.Off[j] += uint32(1000 * i)
+		}
+	}
+	for _, enc := range []func(*Trace, *bytes.Buffer) error{
+		func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeGob(b) },
+		func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeJSON(b) },
+	} {
+		var a, b bytes.Buffer
+		if err := enc(want, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc(based, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("encoding depends on the offsets' base")
+		}
+	}
+	if got := based.Units[3].Snapshots.Off[0]; got != 3000 {
+		t.Fatalf("encoding rebased the trace itself: Off[0] = %d", got)
 	}
 }

@@ -60,8 +60,8 @@ func BenchmarkDecodeBin(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeGob is the legacy path on identical data: gob decode,
-// validation, arena compaction — the baseline DecodeBin replaces.
+// BenchmarkDecodeGob is the legacy path on identical data: gob decode
+// and validation — the baseline DecodeBin replaces.
 func BenchmarkDecodeGob(b *testing.B) {
 	_, gobData := bench100kData(b)
 	b.SetBytes(int64(len(gobData)))

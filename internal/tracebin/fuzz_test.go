@@ -10,9 +10,10 @@ import (
 
 // FuzzDecodeBin mirrors the gob/JSON fuzz contract for the columnar
 // decoder: no input panics it, and any input it accepts yields a trace
-// that passes Validate — plus, for this format, a structurally valid
-// frequency matrix. The seed corpus starts from a real encoding and
-// hand-broken variants so the fuzzer reaches past the header checks.
+// that passes Validate, whose every snapshot At can read — plus, for
+// this format, a structurally valid frequency matrix. The seed corpus
+// starts from a real encoding and hand-broken variants so the fuzzer
+// reaches past the header checks.
 func FuzzDecodeBin(f *testing.F) {
 	spec := synth.DefaultTrace(30, 17)
 	spec.Methods = 32
@@ -66,6 +67,13 @@ func FuzzDecodeBin(f *testing.F) {
 		dec.OracleCPI()
 		dec.CPIs()
 		dec.Summarize()
+		for i := range dec.Units {
+			s := dec.Units[i].Snapshots
+			for j := 0; j < s.Len(); j++ {
+				_ = s.At(j).Leaf()
+			}
+		}
+		dec.CountMethods()
 	})
 }
 

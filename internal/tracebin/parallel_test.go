@@ -86,12 +86,9 @@ func gridBin(t *testing.T) ([]byte, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stacks, frames int
+		var frames int
 		for i := range tr.Units {
-			stacks += len(tr.Units[i].Snapshots)
-			for _, s := range tr.Units[i].Snapshots {
-				frames += len(s)
-			}
+			frames += len(tr.Units[i].Snapshots.Frames)
 		}
 		for _, g := range []struct {
 			what     string
@@ -99,7 +96,6 @@ func gridBin(t *testing.T) ([]byte, int) {
 		}{
 			{"body bytes", len(bin) - headerSize, crcChunk},
 			{"frames", frames, frameChunk},
-			{"stacks", stacks, stackChunk},
 			{"units", len(tr.Units), unitChunk},
 			{"frequency values", dec.Freq().NNZ(), freqChunk},
 		} {
@@ -169,7 +165,9 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 	le := binary.LittleEndian
 	unitA, unitB := unitChunk+3, 2*unitChunk+9
 	frameA, frameB := frameChunk+5, 2*frameChunk+1
-	stackA, stackB := stackChunk+10, 2*stackChunk+4
+	// The unit loop checks each unit's stretch of the frame offsets; the
+	// grid trace has 5 snapshots per unit.
+	stackA, stackB := 5*unitChunk+11, 10*unitChunk+4
 	freqA, freqB := freqChunk+2, 2*freqChunk+8
 	for _, tc := range []struct {
 		name    string
@@ -198,6 +196,30 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 			want: func(b []byte) string {
 				prev := le.Uint32(section(t, b, secFrameOff)[4*(stackA-1):])
 				return fmt.Sprintf("frame offsets not monotone at %d (%d < %d)", stackA, math.MaxUint32/2, prev)
+			},
+		},
+		{
+			name: "snapshot offsets, two chunks",
+			mangle: func(b []byte) {
+				off := section(t, b, secSnapOff)
+				le.PutUint32(off[4*unitA:], 3)
+				le.PutUint32(off[4*unitB:], math.MaxUint32)
+			},
+			want: func(b []byte) string {
+				prev := le.Uint32(section(t, b, secSnapOff)[4*(unitA-1):])
+				return fmt.Sprintf("snapshot offsets not monotone at %d (%d < %d)", unitA, 3, prev)
+			},
+		},
+		{
+			name: "stage offsets, two chunks",
+			mangle: func(b []byte) {
+				off := section(t, b, secStageOff)
+				le.PutUint32(off[4*unitA:], 0)
+				le.PutUint32(off[4*unitB:], math.MaxUint32)
+			},
+			want: func(b []byte) string {
+				prev := le.Uint32(section(t, b, secStageOff)[4*(unitA-1):])
+				return fmt.Sprintf("stage offsets not monotone at %d (%d < %d)", unitA, 0, prev)
 			},
 		},
 		{
@@ -282,7 +304,7 @@ func TestDecodeRejectsDuplicateMethod(t *testing.T) {
 		},
 		Units: []trace.Unit{{
 			Counters:  trace.Counters{Instructions: 100, Cycles: 150},
-			Snapshots: []model.Stack{{0, 1}},
+			Snapshots: trace.Snapshots{Frames: []model.MethodID{0, 1}, Off: []uint32{0, 2}},
 		}},
 	}
 	bin, err := Marshal(tr)

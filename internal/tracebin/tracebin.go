@@ -118,13 +118,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // worker count, and every chunk stops at its first defect, so the lowest
 // failing chunk names the defect a serial scan finds first: a malformed
 // input gets the same error at any worker count. Each grid holds the
-// largest Table I trace in one chunk (868 KB, 118k frames, 16k stacks,
-// 1.6k units, 17k frequency values), so paper-sized inputs decode
-// inline on the caller.
+// largest Table I trace in one chunk (868 KB, 118k frames, 1.6k units,
+// 17k frequency values), so paper-sized inputs decode inline on the
+// caller. The unit loop also checks each unit's stretch of the snapshot,
+// frame and stage offset columns.
 const (
 	crcChunk   = 4 << 20 // bytes per CRC-32C chunk
 	frameChunk = 1 << 18 // frame ids per bounds-check chunk
-	stackChunk = 1 << 16 // stacks per assembly chunk
 	unitChunk  = 1 << 14 // units per unit-loop chunk
 	freqChunk  = 1 << 17 // frequency values per sweep chunk
 )
@@ -162,10 +162,8 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	for i := range t.Units {
 		u := &t.Units[i]
 		nStages += len(u.Stages)
-		nStacks += len(u.Snapshots)
-		for _, snap := range u.Snapshots {
-			nFrames += len(snap)
-		}
+		nStacks += u.Snapshots.Len()
+		nFrames += len(u.Snapshots.Frames)
 	}
 	var blobLen int
 	for _, mm := range t.Methods {
@@ -312,7 +310,7 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	off = 0
 	buf = le.AppendUint32(buf, 0)
 	for i := range t.Units {
-		off += uint32(len(t.Units[i].Snapshots))
+		off += uint32(t.Units[i].Snapshots.Len())
 		buf = le.AppendUint32(buf, off)
 	}
 	end()
@@ -320,18 +318,17 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	off = 0
 	buf = le.AppendUint32(buf, 0)
 	for i := range t.Units {
-		for _, snap := range t.Units[i].Snapshots {
-			off += uint32(len(snap))
+		s := &t.Units[i].Snapshots
+		for j := 1; j < len(s.Off); j++ {
+			off += s.Off[j] - s.Off[j-1]
 			buf = le.AppendUint32(buf, off)
 		}
 	}
 	end()
 	begin(secFrames)
 	for i := range t.Units {
-		for _, snap := range t.Units[i].Snapshots {
-			for _, id := range snap {
-				buf = le.AppendUint32(buf, uint32(id))
-			}
+		for _, id := range t.Units[i].Snapshots.Frames {
+			buf = le.AppendUint32(buf, uint32(id))
 		}
 	}
 	end()
@@ -382,14 +379,15 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 }
 
 // Decode parses a tracebin buffer into a trace. The returned trace
-// aliases data (snapshot frames and the frequency matrix are views into
-// the buffer on little-endian hosts), so the caller must not mutate
-// data while the trace is in use. Decode never panics on malformed
-// input and never returns a trace that fails Validate; foreign bytes
-// come back wrapping ErrFormat, short files ErrTruncated, and corrupt
-// bodies ErrChecksum. A large input is checksummed and validated
-// chunk-parallel on parallel.Default(); the trace, and the error of a
-// malformed input, are those of a serial decode.
+// aliases data (every unit's snapshot frames and frame offsets, and the
+// frequency matrix, are views into the buffer on little-endian hosts),
+// so the caller must not mutate data while the trace is in use. Decode
+// never panics on malformed input and never returns a trace that fails
+// Validate; foreign bytes come back wrapping ErrFormat, short files
+// ErrTruncated, and corrupt bodies ErrChecksum. A large input is
+// checksummed and validated chunk-parallel on parallel.Default(); the
+// trace, and the error of a malformed input, are those of a serial
+// decode.
 func Decode(data []byte) (*trace.Trace, error) {
 	t, err := decode(data, parallel.Default())
 	if err != nil {
@@ -513,8 +511,11 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	methodOff, err := offsetCol(methodOffB, len(blob), "method")
-	if err != nil {
+	methodOff := col32[uint32](methodOffB)
+	if err := offsetEnds(methodOff, len(blob), "method"); err != nil {
+		return nil, err
+	}
+	if err := offsetRun(methodOff, 0, 2*m, len(blob), "method"); err != nil {
 		return nil, err
 	}
 	t.Methods = make([]model.Method, m)
@@ -542,7 +543,7 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err
 	}
 	n := len(threadB) / 4
-	threads := int32Col(threadB)
+	threads := col32[int32](threadB)
 	get64 := func(id uint32) ([]uint64, error) {
 		b, err := secN(id, 8, n)
 		if err != nil {
@@ -558,7 +559,7 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	indexes := int32Col(indexB)
+	indexes := col32[int32](indexB)
 	starts, err := get64(secStart)
 	if err != nil {
 		return nil, err
@@ -591,25 +592,28 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err // derived column: present and sized, content not trusted
 	}
 
-	// Variable-length data: stages, snapshots, frames.
+	// Variable-length data: stages, snapshots, frames. The three offset
+	// columns are read in place: their ends are checked here, and the
+	// unit loop checks each unit's stretch of them before slicing, so
+	// every entry is checked once.
 	stageValB, err := sec(secStageVal, 4)
 	if err != nil {
 		return nil, err
 	}
-	stageVals := int32Col(stageValB)
+	stageVals := col32[int32](stageValB)
 	stageOffB, err := secN(secStageOff, 4, n+1)
 	if err != nil {
 		return nil, err
 	}
-	stageOff, err := offsetCol(stageOffB, len(stageVals), "stage")
-	if err != nil {
+	stageOff := col32[uint32](stageOffB)
+	if err := offsetEnds(stageOff, len(stageVals), "stage"); err != nil {
 		return nil, err
 	}
 	framesB, err := sec(secFrames, 4)
 	if err != nil {
 		return nil, err
 	}
-	frames := methodIDCol(framesB)
+	frames := col32[model.MethodID](framesB)
 	frameOffB, err := sec(secFrameOff, 4)
 	if err != nil {
 		return nil, err
@@ -617,13 +621,14 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if len(frameOffB) < 4 {
 		return nil, fmt.Errorf("frame offset section empty")
 	}
-	nStacks := len(frameOffB)/4 - 1
+	frameOff := col32[uint32](frameOffB)
+	nStacks := len(frameOff) - 1
 	snapOffB, err := secN(secSnapOff, 4, n+1)
 	if err != nil {
 		return nil, err
 	}
-	snapOff, err := offsetCol(snapOffB, nStacks, "snapshot")
-	if err != nil {
+	snapOff := col32[uint32](snapOffB)
+	if err := offsetEnds(snapOff, nStacks, "snapshot"); err != nil {
 		return nil, err
 	}
 	um := uint32(m)
@@ -637,35 +642,13 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	}); err != nil {
 		return nil, err
 	}
-
-	// Assemble the snapshot arena, validating the frame offsets in the
-	// same pass (monotone, anchored at 0, ending exactly at the frame
-	// count) instead of materializing an intermediate offset slice. A
-	// chunk starts from the offset just before its first stack; if that
-	// offset is bad, the chunk before it fails first.
-	if le.Uint32(frameOffB) != 0 {
+	if frameOff[0] != 0 {
 		return nil, fmt.Errorf("frame offsets do not start at 0")
 	}
-	stacks := make([]model.Stack, nStacks)
-	if err := checkChunks(eng, nStacks, stackChunk, func(lo, hi int) error {
-		prevOff := int(le.Uint32(frameOffB[4*lo:]))
-		for s := lo; s < hi; s++ {
-			b := int(le.Uint32(frameOffB[4*s+4:]))
-			if b < prevOff || b > len(frames) {
-				return fmt.Errorf("frame offsets not monotone at %d (%d < %d)", s+1, b, prevOff)
-			}
-			if prevOff < b {
-				stacks[s] = frames[prevOff:b:b]
-			}
-			prevOff = b
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if end := int(le.Uint32(frameOffB[4*nStacks:])); end != len(frames) {
+	if end := frameOff[nStacks]; uint64(end) != uint64(len(frames)) {
 		return nil, fmt.Errorf("frame offsets end at %d, want %d", end, len(frames))
 	}
+
 	stages := make([]int, len(stageVals))
 	for i, v := range stageVals {
 		stages[i] = int(v)
@@ -688,9 +671,19 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 			if quality[i]&^qualityKnown != 0 {
 				return fmt.Errorf("unit %d has unknown quality bits %#x", i, quality[i])
 			}
-			if snapOff[i+1]-snapOff[i] > maxSnaps {
+			if err := offsetRun(snapOff, i, i+1, nStacks, "snapshot"); err != nil {
+				return err
+			}
+			a, b := int(snapOff[i]), int(snapOff[i+1])
+			if b-a > maxSnaps {
 				return fmt.Errorf("unit %d has %d snapshots, more than the cadence allows (%d)",
-					i, snapOff[i+1]-snapOff[i], maxSnaps)
+					i, b-a, maxSnaps)
+			}
+			if err := offsetRun(frameOff, a, b, len(frames), "frame"); err != nil {
+				return err
+			}
+			if err := offsetRun(stageOff, i, i+1, len(stages), "stage"); err != nil {
+				return err
 			}
 			u.ID = i
 			u.Thread = int(threads[i])
@@ -704,8 +697,9 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 				LLCMisses:    llc[i],
 			}
 			u.Quality = trace.Quality(quality[i])
-			if a, b := snapOff[i], snapOff[i+1]; a < b {
-				u.Snapshots = stacks[a:b:b]
+			if a < b {
+				fa, fb := frameOff[a], frameOff[b]
+				u.Snapshots = trace.Snapshots{Frames: frames[fa:fb:fb], Off: frameOff[a : b+1 : b+1]}
 			}
 			if a, b := stageOff[i], stageOff[i+1]; a < b {
 				u.Stages = stages[a:b:b]
@@ -745,7 +739,7 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sp, err := matrix.NewSparseCSR(n, m, intCol(freqPtrB), int32Col(freqColB), freqVal)
+	sp, err := matrix.NewSparseCSR(n, m, intCol(freqPtrB), col32[int32](freqColB), freqVal)
 	if err != nil {
 		return nil, fmt.Errorf("frequency matrix: %w", err)
 	}
@@ -842,24 +836,28 @@ func crcZeros(n int) gf2Op {
 	return out
 }
 
-// offsetCol decodes a u32 offset column, checking the CSR invariants:
-// starts at 0, non-decreasing, ends exactly at bound.
-func offsetCol(b []byte, bound int, what string) ([]int, error) {
-	le := binary.LittleEndian
-	out := make([]int, len(b)/4)
-	for i := range out {
-		out[i] = int(le.Uint32(b[4*i:]))
+// offsetEnds checks the ends of a non-empty u32 offset column read in
+// place: it starts at 0 and ends exactly at bound. Its monotonicity is
+// checked stretch by stretch with offsetRun.
+func offsetEnds(col []uint32, bound int, what string) error {
+	if col[0] != 0 {
+		return fmt.Errorf("%s offsets do not start at 0", what)
 	}
-	if len(out) == 0 || out[0] != 0 {
-		return nil, fmt.Errorf("%s offsets do not start at 0", what)
+	if end := col[len(col)-1]; uint64(end) != uint64(bound) {
+		return fmt.Errorf("%s offsets end at %d, want %d", what, end, bound)
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i] < out[i-1] {
-			return nil, fmt.Errorf("%s offsets not monotone at %d (%d < %d)", what, i, out[i], out[i-1])
+	return nil
+}
+
+// offsetRun checks entries lo+1..hi of an offset column: each is at least
+// its predecessor and at most bound, so col[lo:hi+1] delimits valid
+// ranges when col[lo] does. An entry past bound is reported as the
+// descent it implies, since the column ends at bound.
+func offsetRun(col []uint32, lo, hi, bound int, what string) error {
+	for s := lo; s < hi; s++ {
+		if b := col[s+1]; b < col[s] || uint64(b) > uint64(bound) {
+			return fmt.Errorf("%s offsets not monotone at %d (%d < %d)", what, s+1, b, col[s])
 		}
 	}
-	if out[len(out)-1] != bound {
-		return nil, fmt.Errorf("%s offsets end at %d, want %d", what, out[len(out)-1], bound)
-	}
-	return out, nil
+	return nil
 }

@@ -144,8 +144,9 @@ func TestFreqMatchesVectorizeSparse(t *testing.T) {
 		}
 		for u := range tr.Units {
 			byID := map[int32]float64{}
-			for _, snap := range tr.Units[u].Snapshots {
-				for _, id := range snap {
+			snaps := tr.Units[u].Snapshots
+			for j := 0; j < snaps.Len(); j++ {
+				for _, id := range snaps.At(j) {
 					byID[int32(id)]++
 				}
 			}

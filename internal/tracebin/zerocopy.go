@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"unsafe"
-
-	"simprof/internal/model"
 )
 
 // The zero-copy column views. A tracebin column section is a contiguous
@@ -39,40 +37,21 @@ func viewable(b []byte, size int) bool {
 	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(size) == 0
 }
 
-// int32Col returns the section as []int32, zero-copy when possible.
-// len(b) must already be a multiple of 4.
-func int32Col(b []byte) []int32 {
+// col32 returns a section of 4-byte elements (i32 or u32 on disk) as
+// []T, zero-copy when possible. len(b) must already be a multiple of 4.
+func col32[T ~int32 | ~uint32](b []byte) []T {
 	n := len(b) / 4
 	if n == 0 {
 		return nil
 	}
 	if viewable(b, 4) {
 		obsZeroCopyCols.Inc()
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n)
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 	}
 	obsCopiedCols.Inc()
-	out := make([]int32, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// methodIDCol is int32Col typed as the model's method ids (same
-// underlying representation).
-func methodIDCol(b []byte) []model.MethodID {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if viewable(b, 4) {
-		obsZeroCopyCols.Inc()
-		return unsafe.Slice((*model.MethodID)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	obsCopiedCols.Inc()
-	out := make([]model.MethodID, n)
-	for i := range out {
-		out[i] = model.MethodID(binary.LittleEndian.Uint32(b[4*i:]))
+		out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }

@@ -9,7 +9,9 @@
 #                                            race detector)
 #   bench-smoke   telemetry disabled path   (0 allocs/op or the no-op
 #                                            sink contract is broken;
-#                                            covers the obs metrics)
+#                                            covers the obs metrics;
+#                                            SPTB decode's heap bytes
+#                                            per unit stay bounded)
 #   fuzz-smoke    trace decoders            (no byte stream may panic
 #                                            the decode path: gob, JSON
 #                                            and the tracebin columns)
@@ -132,6 +134,9 @@ run_bench_smoke() {
 		}
 		END { exit bad }
 	' || fail bench-smoke
+	# The zero-copy SPTB decode allocates a bounded number of heap bytes
+	# per unit: a slice header per snapshot would break the bound.
+	named_tests bench-smoke 1 "" ./internal/tracebin TestDecodeHeapPerUnit || fail bench-smoke
 }
 
 run_metrics_golden() {
@@ -263,9 +268,10 @@ run_kernel_equivalence() {
 	# The chunk-parallel TopK projection inside phase.Form must produce
 	# bit-identical phases at any worker count, on both the gob and the
 	# zero-copy tracebin ingest paths; the decoded frequency matrix
-	# against a per-unit map count.
+	# against a per-unit map count; every codec's decode holds the
+	# source trace's snapshots and method counts.
 	equiv_tests ./internal/tracebin TestFormBitIdentical TestRoundTripGobBinGob \
-		TestFreqMatchesVectorizeSparse || fail kernel-equivalence
+		TestFreqMatchesVectorizeSparse TestSnapshotsAgreeAcrossCodecs || fail kernel-equivalence
 	# The chunk-parallel decode: the combined CRC equals the one-pass
 	# CRC, a multi-chunk trace decodes identically at GOMAXPROCS 1/2/8 on
 	# both ingest paths, and a malformed input gets the serial decode's
