@@ -103,7 +103,9 @@ func (t *Trace) Encode(w io.Writer, format string) error {
 // buffer while the trace lives), a leading '{' (after whitespace)
 // selects JSON, and anything else is tried as gob. Like the per-format
 // decoders it never panics on malformed input and never returns a trace
-// that fails Validate.
+// that fails Validate: every format rejects a malformed trace through
+// Validate's one rule (ValidateHeader and ValidateUnit), with its
+// message.
 func DecodeBytes(data []byte) (*Trace, error) {
 	if f, ok := sniffFormat(data); ok {
 		return f.Decode(data)

@@ -180,22 +180,35 @@ func (s QualitySummary) String() string {
 }
 
 // Validate checks the structural invariants every pipeline stage relies
-// on and returns the first violation. It is called by DecodeGob and
-// DecodeJSON so that malformed inputs surface as errors at the trust
-// boundary instead of panics deep in phase formation. Quality problems
-// (lost counters, partial snapshots) are NOT errors — they are per-unit
-// flags; Repair turns a structurally broken trace into a valid, flagged
-// one when possible.
+// on and returns the first violation: ValidateHeader, then ValidateUnit
+// on each unit in order. It is the one validity rule of the trust
+// boundary: DecodeGob and DecodeJSON call it, and the columnar decoder
+// (internal/tracebin) calls its two halves, so a malformed input of any
+// format surfaces as the same error instead of a panic deep in phase
+// formation. Quality problems (lost counters, partial snapshots) are
+// NOT errors — they are per-unit flags; Repair turns a structurally
+// broken trace into a valid, flagged one when possible.
 func (t *Trace) Validate() error {
+	if err := t.ValidateHeader(); err != nil {
+		return err
+	}
+	for i := range t.Units {
+		if err := t.ValidateUnit(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateHeader checks the trace-level invariants: a positive unit
+// size, a snapshot cadence in (0, UnitInstr], and a method table in id
+// order that lists no qualified name twice.
+func (t *Trace) ValidateHeader() error {
 	if t == nil {
 		return fmt.Errorf("trace: nil trace")
 	}
-	if t.UnitInstr == 0 {
-		return fmt.Errorf("trace: UnitInstr must be positive")
-	}
-	if t.SnapshotEvery == 0 || t.SnapshotEvery > t.UnitInstr {
-		return fmt.Errorf("trace: SnapshotEvery=%d must be in (0, UnitInstr=%d]",
-			t.SnapshotEvery, t.UnitInstr)
+	if err := t.checkCadence(); err != nil {
+		return err
 	}
 	// Table re-interns methods by qualified name, so a name listed twice
 	// would collapse two ids into one.
@@ -210,34 +223,54 @@ func (t *Trace) Validate() error {
 		}
 		names[fqn] = true
 	}
-	maxSnaps := t.ExpectedSnapshots() + 1
-	for i := range t.Units {
-		u := &t.Units[i]
-		if u.ID != i {
-			return fmt.Errorf("trace: non-dense unit ids at %d (id %d)", i, u.ID)
-		}
-		if u.Thread < 0 || u.Index < 0 {
-			return fmt.Errorf("trace: unit %d has negative thread/index (%d/%d)", i, u.Thread, u.Index)
-		}
-		if u.Counters.Instructions > t.UnitInstr {
-			return fmt.Errorf("trace: unit %d holds %d instructions, more than the unit size %d",
-				i, u.Counters.Instructions, t.UnitInstr)
-		}
-		if n := u.Snapshots.Len(); n > maxSnaps {
-			return fmt.Errorf("trace: unit %d has %d snapshots, more than the cadence allows (%d)",
-				i, n, maxSnaps)
-		}
-		if err := u.Snapshots.check(); err != nil {
-			return fmt.Errorf("trace: unit %d %w", i, err)
-		}
-		if u.Quality&^qualityKnown != 0 {
-			return fmt.Errorf("trace: unit %d has unknown quality bits %#x", i, uint8(u.Quality))
-		}
-		for _, id := range u.Snapshots.Frames {
-			if id < 0 || int(id) >= len(t.Methods) {
-				return fmt.Errorf("trace: unit %d snapshot refers to method %d outside the table (%d methods)",
-					i, id, len(t.Methods))
-			}
+	return nil
+}
+
+// checkCadence checks the unit size and the snapshot cadence.
+func (t *Trace) checkCadence() error {
+	if t.UnitInstr == 0 {
+		return fmt.Errorf("trace: UnitInstr must be positive")
+	}
+	if t.SnapshotEvery == 0 || t.SnapshotEvery > t.UnitInstr {
+		return fmt.Errorf("trace: SnapshotEvery=%d must be in (0, UnitInstr=%d]",
+			t.SnapshotEvery, t.UnitInstr)
+	}
+	return nil
+}
+
+// ValidateUnit checks unit i's invariants against a header that passed
+// ValidateHeader: its id is i, its thread and index are non-negative,
+// it holds at most UnitInstr instructions and at most one snapshot more
+// than the cadence implies, its snapshot offsets fit its frames, it
+// sets only known quality bits, and every frame is a method of the
+// table. It only reads the trace, so distinct units may be checked
+// concurrently.
+func (t *Trace) ValidateUnit(i int) error {
+	u := &t.Units[i]
+	if u.ID != i {
+		return fmt.Errorf("trace: non-dense unit ids at %d (id %d)", i, u.ID)
+	}
+	if u.Thread < 0 || u.Index < 0 {
+		return fmt.Errorf("trace: unit %d has negative thread/index (%d/%d)", i, u.Thread, u.Index)
+	}
+	if u.Counters.Instructions > t.UnitInstr {
+		return fmt.Errorf("trace: unit %d holds %d instructions, more than the unit size %d",
+			i, u.Counters.Instructions, t.UnitInstr)
+	}
+	if n, maxSnaps := u.Snapshots.Len(), t.ExpectedSnapshots()+1; n > maxSnaps {
+		return fmt.Errorf("trace: unit %d has %d snapshots, more than the cadence allows (%d)",
+			i, n, maxSnaps)
+	}
+	if err := u.Snapshots.check(); err != nil {
+		return fmt.Errorf("trace: unit %d %w", i, err)
+	}
+	if u.Quality&^qualityKnown != 0 {
+		return fmt.Errorf("trace: unit %d has unknown quality bits %#x", i, uint8(u.Quality))
+	}
+	for _, id := range u.Snapshots.Frames {
+		if id < 0 || int(id) >= len(t.Methods) {
+			return fmt.Errorf("trace: unit %d snapshot refers to method %d outside the table (%d methods)",
+				i, id, len(t.Methods))
 		}
 	}
 	return nil
@@ -355,12 +388,8 @@ func (t *Trace) Repair() (RepairReport, error) {
 	// Repair mutates units and snapshots, so any attached frequency
 	// matrix no longer matches the trace.
 	t.freq = nil
-	if t.UnitInstr == 0 {
-		return rep, fmt.Errorf("trace: UnitInstr must be positive")
-	}
-	if t.SnapshotEvery == 0 || t.SnapshotEvery > t.UnitInstr {
-		return rep, fmt.Errorf("trace: SnapshotEvery=%d must be in (0, UnitInstr=%d]",
-			t.SnapshotEvery, t.UnitInstr)
+	if err := t.checkCadence(); err != nil {
+		return rep, err
 	}
 
 	// Offsets that do not fit their frames leave no way to tell which

@@ -1,7 +1,6 @@
 package tracebin
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"runtime"
 	"testing"
 
-	"simprof/internal/model"
 	"simprof/internal/parallel"
 	"simprof/internal/stats"
 	"simprof/internal/synth"
@@ -86,16 +84,11 @@ func gridBin(t *testing.T) ([]byte, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var frames int
-		for i := range tr.Units {
-			frames += len(tr.Units[i].Snapshots.Frames)
-		}
 		for _, g := range []struct {
 			what     string
 			n, chunk int
 		}{
 			{"body bytes", len(bin) - headerSize, crcChunk},
-			{"frames", frames, frameChunk},
 			{"units", len(tr.Units), unitChunk},
 			{"frequency values", dec.Freq().NNZ(), freqChunk},
 		} {
@@ -159,16 +152,20 @@ func section(t *testing.T, data []byte, id uint32) []byte {
 // TestDecodeBinFirstErrorAcrossChunks: with defects in several chunks,
 // the decode reports the one a serial scan meets first — the lowest
 // chunk within a loop, the earlier loop across loops, and a checksum
-// mismatch before any structural defect — at every worker count.
+// mismatch before any structural defect — at every worker count. A unit's
+// frame ids and fields are checked in the one unit loop, so the lower
+// unit chunk wins whichever check fails there.
 func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 	good, m := gridBin(t)
 	le := binary.LittleEndian
 	unitA, unitB := unitChunk+3, 2*unitChunk+9
-	frameA, frameB := frameChunk+5, 2*frameChunk+1
-	// The unit loop checks each unit's stretch of the frame offsets; the
-	// grid trace has 5 snapshots per unit.
-	stackA, stackB := 5*unitChunk+11, 10*unitChunk+4
 	freqA, freqB := freqChunk+2, 2*freqChunk+8
+	u32 := func(b []byte, id uint32, i int) uint32 { return le.Uint32(section(t, b, id)[4*i:]) }
+	put32 := func(b []byte, id uint32, i int, v uint32) { le.PutUint32(section(t, b, id)[4*i:], v) }
+	// stack is the index of unit u's first snapshot in the frame-offset
+	// column, and frame that of its first frame in the frame column.
+	stack := func(b []byte, u int) int { return int(u32(b, secSnapOff, u)) }
+	frame := func(b []byte, u int) int { return int(u32(b, secFrameOff, stack(b, u))) }
 	for _, tc := range []struct {
 		name    string
 		mangle  func(b []byte)
@@ -178,59 +175,79 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 		{
 			name: "frame ids, two chunks",
 			mangle: func(b []byte) {
-				f := section(t, b, secFrames)
-				le.PutUint32(f[4*frameA:], uint32(m+1))
-				le.PutUint32(f[4*frameB:], uint32(m+2))
+				put32(b, secFrames, frame(b, unitA), uint32(m+1))
+				put32(b, secFrames, frame(b, unitB), uint32(m+2))
 			},
 			want: func([]byte) string {
-				return fmt.Sprintf("snapshot frame refers to method %d outside the table (%d methods)", m+1, m)
+				return fmt.Sprintf("trace: unit %d snapshot refers to method %d outside the table (%d methods)", unitA, m+1, m)
 			},
 		},
 		{
 			name: "frame offsets, two chunks",
 			mangle: func(b []byte) {
-				off := section(t, b, secFrameOff)
-				le.PutUint32(off[4*stackA:], math.MaxUint32/2)
-				le.PutUint32(off[4*stackB:], 0)
+				// Unit unitA-1's stretch ends past the frame column; unitB's
+				// starts after its end.
+				put32(b, secFrameOff, stack(b, unitA), math.MaxUint32/2)
+				put32(b, secFrameOff, stack(b, unitB), 0)
 			},
 			want: func(b []byte) string {
-				prev := le.Uint32(section(t, b, secFrameOff)[4*(stackA-1):])
-				return fmt.Sprintf("frame offsets not monotone at %d (%d < %d)", stackA, math.MaxUint32/2, prev)
+				return fmt.Sprintf("frame offset %d at %d exceeds %d",
+					math.MaxUint32/2, stack(b, unitA), len(section(t, b, secFrames))/4)
+			},
+		},
+		{
+			name: "frame offsets inside a unit, two chunks",
+			mangle: func(b []byte) {
+				// Snapshot 2 of unitA ends before snapshot 1 does.
+				s := stack(b, unitA)
+				put32(b, secFrameOff, s+2, u32(b, secFrameOff, s+1)-1)
+				put32(b, secFrameOff, stack(b, unitB)+1, math.MaxUint32)
+			},
+			want: func(b []byte) string {
+				s := stack(b, unitA)
+				d := u32(b, secFrameOff, s+1) - u32(b, secFrameOff, s)
+				return fmt.Sprintf("trace: unit %d snapshot offsets not monotone at 2 (%d < %d)", unitA, d-1, d)
 			},
 		},
 		{
 			name: "snapshot offsets, two chunks",
 			mangle: func(b []byte) {
-				off := section(t, b, secSnapOff)
-				le.PutUint32(off[4*unitA:], 3)
-				le.PutUint32(off[4*unitB:], math.MaxUint32)
+				put32(b, secSnapOff, unitA, 3)
+				put32(b, secSnapOff, unitB, math.MaxUint32)
 			},
 			want: func(b []byte) string {
-				prev := le.Uint32(section(t, b, secSnapOff)[4*(unitA-1):])
-				return fmt.Sprintf("snapshot offsets not monotone at %d (%d < %d)", unitA, 3, prev)
+				return fmt.Sprintf("snapshot offsets not monotone at %d (%d < %d)", unitA, 3, u32(b, secSnapOff, unitA-1))
 			},
 		},
 		{
 			name: "stage offsets, two chunks",
 			mangle: func(b []byte) {
-				off := section(t, b, secStageOff)
-				le.PutUint32(off[4*unitA:], 0)
-				le.PutUint32(off[4*unitB:], math.MaxUint32)
+				put32(b, secStageOff, unitA, 0)
+				put32(b, secStageOff, unitB, math.MaxUint32)
 			},
 			want: func(b []byte) string {
-				prev := le.Uint32(section(t, b, secStageOff)[4*(unitA-1):])
-				return fmt.Sprintf("stage offsets not monotone at %d (%d < %d)", unitA, 0, prev)
+				return fmt.Sprintf("stage offsets not monotone at %d (%d < %d)", unitA, 0, u32(b, secStageOff, unitA-1))
+			},
+		},
+		{
+			name: "stage offset overrun, two chunks",
+			mangle: func(b []byte) {
+				put32(b, secStageOff, unitA, math.MaxUint32)
+				put32(b, secStageOff, unitB, 0)
+			},
+			want: func(b []byte) string {
+				return fmt.Sprintf("stage offset %d at %d exceeds %d",
+					uint32(math.MaxUint32), unitA, len(section(t, b, secStageVal))/4)
 			},
 		},
 		{
 			name: "units, two chunks",
 			mangle: func(b []byte) {
-				le.PutUint32(section(t, b, secThread)[4*unitA:], math.MaxUint32)
+				put32(b, secThread, unitA, math.MaxUint32)
 				section(t, b, secQuality)[unitB] = 0x80
 			},
 			want: func(b []byte) string {
-				index := int32(le.Uint32(section(t, b, secIndex)[4*unitA:]))
-				return fmt.Sprintf("unit %d has negative thread/index (%d/%d)", unitA, -1, index)
+				return fmt.Sprintf("trace: unit %d has negative thread/index (%d/%d)", unitA, -1, int32(u32(b, secIndex, unitA)))
 			},
 		},
 		{
@@ -245,19 +262,19 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 			},
 		},
 		{
-			name: "two loops: the earlier loop wins over a lower chunk",
+			name: "the lower unit chunk wins",
 			mangle: func(b []byte) {
-				le.PutUint64(section(t, b, secUnitID)[8*3:], 7) // unit loop, chunk 0
-				le.PutUint32(section(t, b, secFrames)[4*frameB:], uint32(m+4))
+				put32(b, secFrames, frame(b, 3), uint32(m+4)) // unit chunk 0, its last check
+				put32(b, secThread, unitB, math.MaxUint32)    // unit chunk 2, its first check
 			},
 			want: func([]byte) string {
-				return fmt.Sprintf("snapshot frame refers to method %d outside the table (%d methods)", m+4, m)
+				return fmt.Sprintf("trace: unit 3 snapshot refers to method %d outside the table (%d methods)", m+4, m)
 			},
 		},
 		{
 			name: "checksum before structure",
 			mangle: func(b []byte) {
-				le.PutUint32(section(t, b, secThread)[4*unitA:], math.MaxUint32)
+				put32(b, secThread, unitA, math.MaxUint32)
 			},
 			keepCRC: true,
 			want: func(b []byte) string {
@@ -288,45 +305,5 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDecodeRejectsDuplicateMethod: a method table that lists one
-// qualified name twice is rejected at decode with Validate's wording,
-// instead of yielding a trace that fails Validate.
-func TestDecodeRejectsDuplicateMethod(t *testing.T) {
-	tr := &trace.Trace{
-		UnitInstr:     100,
-		SnapshotEvery: 100,
-		Methods: []model.Method{
-			{ID: 0, Class: "a", Name: "xx"},
-			{ID: 1, Class: "a", Name: "yy"},
-		},
-		Units: []trace.Unit{{
-			Counters:  trace.Counters{Instructions: 100, Cycles: 150},
-			Snapshots: trace.Snapshots{Frames: []model.MethodID{0, 1}, Off: []uint32{0, 2}},
-		}},
-	}
-	bin, err := Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := section(t, bin, secMethodStr)
-	if !bytes.Equal(blob, []byte("axxayy")) {
-		t.Fatalf("method blob %q", blob)
-	}
-	copy(blob[4:], "xx")
-	fixCRC(bin)
-	dec, err := Decode(bin)
-	if err == nil {
-		t.Fatalf("duplicate method decoded; Validate says %v", dec.Validate())
-	}
-	const want = `tracebin: decode: method "a.xx" listed twice (id 1)`
-	if err.Error() != want {
-		t.Fatalf("got %v, want %s", err, want)
-	}
-	tr.Methods[1].Name = "xx"
-	if err := tr.Validate(); err == nil || err.Error() != `trace: method "a.xx" listed twice (id 1)` {
-		t.Fatalf("Validate wording drifted: %v", err)
 	}
 }

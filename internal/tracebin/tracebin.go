@@ -1,15 +1,23 @@
 // Package tracebin implements SimProf's flat columnar binary trace
 // format (magic "SPTB"). A tracebin file is a 16-byte header, a section
 // table, and a sequence of 8-byte-aligned little-endian column
-// sections: one contiguous array per unit attribute (ids, threads,
-// counters, quality flags), length-prefixed blobs for the method table,
-// CSR-style offset arrays for the variable-length snapshot and stage
-// data, and a pre-computed per-unit method-frequency matrix in CSR
-// layout. The decoder slices columns directly out of the input buffer
-// (zero-copy on aligned little-endian hosts, a portable copying
-// fallback elsewhere), so decoding a 100k-unit trace costs a handful of
-// allocations instead of one per snapshot, and phase formation can
-// adopt the frequency matrix without re-walking any stacks.
+// sections: one contiguous array per unit attribute (threads, indexes,
+// start cycles, counters, quality flags; a unit's id is its position),
+// length-prefixed blobs for the method table, CSR-style offset arrays
+// for the variable-length snapshot and stage data, and a pre-computed
+// per-unit method-frequency matrix in CSR layout. The decoder slices
+// columns directly out of the input buffer (zero-copy on aligned
+// little-endian hosts, a portable copying fallback elsewhere), so
+// decoding a 100k-unit trace costs a handful of allocations instead of
+// one per snapshot, and phase formation can adopt the frequency matrix
+// without re-walking any stacks.
+//
+// Decode checks only what guards its own reads and slices (section
+// presence and sizes, the CRC, the ends of each unit's offset stretches,
+// the frequency matrix's CSR structure and values) and leaves every
+// trace invariant to trace.ValidateHeader and trace.ValidateUnit, the
+// two halves of trace.Validate, so the rule is stated once for all
+// three decoders.
 //
 // Layout, from byte 0:
 //
@@ -20,6 +28,10 @@
 //	[16:..) section table: per section u32 id, u32 reserved(0),
 //	        u64 absolute offset, u64 byte length
 //	then the sections, each padded to 8-byte alignment.
+//
+// Section ids 5 (unit ids) and 20 (a derived CPI column) are retired
+// and never reused: the encoder no longer writes them, and the decoder
+// ignores them in files that still carry them.
 //
 // The package registers itself with the trace format registry at init
 // time, so importing it (the CLIs do) teaches trace.DecodeBytes and
@@ -52,14 +64,17 @@ const (
 	entrySize  = 24 // section table entry
 )
 
-// Section ids. New sections get new ids; readers reject files missing a
-// section they need, which is how version 1 stays simple.
+// Section ids. New sections get new ids; readers look sections up by
+// id, reject files missing a section they need and ignore the rest,
+// which is how version 1 stays simple. Ids 5 (u64[n] unit ids, which
+// could only be 0..n-1) and 20 (f64[n] derived CPI, never read on
+// decode) are retired: never reuse them, since files that still carry
+// those sections decode by ignoring them.
 const (
 	secMeta      = 1  // u64 UnitInstr, u64 SnapshotEvery, u64 Seed, 3 length-prefixed strings
 	secKind      = 2  // u8[m] method kinds
 	secMethodOff = 3  // u32[2m+1] offsets into the method blob (class, name per method)
 	secMethodStr = 4  // method blob bytes
-	secUnitID    = 5  // u64[n] unit ids (must be dense)
 	secThread    = 6  // i32[n]
 	secIndex     = 7  // i32[n]
 	secStart     = 8  // u64[n] start cycles
@@ -74,12 +89,11 @@ const (
 	secSnapOff   = 17 // u32[n+1] offsets into secFrameOff's stacks
 	secFrameOff  = 18 // u32[S+1] offsets into secFrames
 	secFrames    = 19 // i32[F] method ids, the frame arena
-	secCPI       = 20 // f64[n] derived CPI column (for external tools; ignored on decode)
 	secFreqPtr   = 21 // u64[n+1] CSR row pointers of the frequency matrix
 	secFreqCol   = 22 // i32[nnz] CSR column indices (method ids)
 	secFreqVal   = 23 // f64[nnz] CSR values (frame counts)
 
-	numSections = 23
+	numSections = 21
 )
 
 // Sentinel errors for the two ways an input can be wrong before the
@@ -118,15 +132,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // worker count, and every chunk stops at its first defect, so the lowest
 // failing chunk names the defect a serial scan finds first: a malformed
 // input gets the same error at any worker count. Each grid holds the
-// largest Table I trace in one chunk (868 KB, 118k frames, 1.6k units,
-// 17k frequency values), so paper-sized inputs decode inline on the
-// caller. The unit loop also checks each unit's stretch of the snapshot,
-// frame and stage offset columns.
+// largest Table I trace in one chunk (under 1 MB, 1.6k units, 17k
+// frequency values), so paper-sized inputs decode inline on the caller.
+// The unit loop checks the ends of each unit's stretch of the snapshot,
+// frame and stage offset columns, fills the unit and runs
+// trace.ValidateUnit on it.
 const (
-	crcChunk   = 4 << 20 // bytes per CRC-32C chunk
-	frameChunk = 1 << 18 // frame ids per bounds-check chunk
-	unitChunk  = 1 << 14 // units per unit-loop chunk
-	freqChunk  = 1 << 17 // frequency values per sweep chunk
+	crcChunk  = 4 << 20 // bytes per CRC-32C chunk
+	unitChunk = 1 << 14 // units per unit-loop chunk
+	freqChunk = 1 << 17 // frequency values per sweep chunk
 )
 
 func init() {
@@ -245,12 +259,7 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	}
 	end()
 
-	// 5-14: fixed-width unit columns.
-	begin(secUnitID)
-	for i := range t.Units {
-		buf = le.AppendUint64(buf, uint64(t.Units[i].ID))
-	}
-	end()
+	// 6-14: fixed-width unit columns.
 	begin(secThread)
 	for i := range t.Units {
 		buf = le.AppendUint32(buf, uint32(int32(t.Units[i].Thread)))
@@ -333,13 +342,6 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	}
 	end()
 
-	// 20: derived CPI column.
-	begin(secCPI)
-	for i := range t.Units {
-		buf = le.AppendUint64(buf, math.Float64bits(t.Units[i].CPI()))
-	}
-	end()
-
 	// 21-23: the per-unit method-frequency matrix (Trace.CountMethods),
 	// in CSR layout with method id as the column index, so a decoder can
 	// hand phase formation the counts without re-walking any stacks.
@@ -383,8 +385,9 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 // frequency matrix, are views into the buffer on little-endian hosts),
 // so the caller must not mutate data while the trace is in use. Decode
 // never panics on malformed input and never returns a trace that fails
-// Validate; foreign bytes come back wrapping ErrFormat, short files
-// ErrTruncated, and corrupt bodies ErrChecksum. A large input is
+// Validate, whose two halves it runs on the trace it builds; foreign
+// bytes come back wrapping ErrFormat, short files ErrTruncated, and
+// corrupt bodies ErrChecksum. A large input is
 // checksummed and validated chunk-parallel on parallel.Default(); the
 // trace, and the error of a malformed input, are those of a serial
 // decode.
@@ -487,12 +490,6 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		*dst = string(rest[:sl])
 		rest = rest[sl:]
 	}
-	if t.UnitInstr == 0 {
-		return nil, fmt.Errorf("UnitInstr must be positive")
-	}
-	if t.SnapshotEvery == 0 || t.SnapshotEvery > t.UnitInstr {
-		return nil, fmt.Errorf("SnapshotEvery=%d must be in (0, UnitInstr=%d]", t.SnapshotEvery, t.UnitInstr)
-	}
 
 	// Method table.
 	kinds, err := sec(secKind, 1)
@@ -515,26 +512,22 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err := offsetEnds(methodOff, len(blob), "method"); err != nil {
 		return nil, err
 	}
-	if err := offsetRun(methodOff, 0, 2*m, len(blob), "method"); err != nil {
-		return nil, err
+	for s := 0; s < 2*m; s++ {
+		if err := offsetSpan(methodOff, s, s+1, len(blob), "method"); err != nil {
+			return nil, err
+		}
 	}
 	t.Methods = make([]model.Method, m)
-	names := make(map[string]bool, m)
-	for i := 0; i < m; i++ {
-		mm := model.Method{
+	for i := range t.Methods {
+		t.Methods[i] = model.Method{
 			ID:    model.MethodID(i),
 			Class: string(blob[methodOff[2*i]:methodOff[2*i+1]]),
 			Name:  string(blob[methodOff[2*i+1]:methodOff[2*i+2]]),
 			Kind:  model.Kind(kinds[i]),
 		}
-		// Trace.Table re-interns by qualified name, so a name listed
-		// twice would collapse two ids into one (Validate's rule).
-		fqn := mm.FQN()
-		if names[fqn] {
-			return nil, fmt.Errorf("method %q listed twice (id %d)", fqn, mm.ID)
-		}
-		names[fqn] = true
-		t.Methods[i] = mm
+	}
+	if err := t.ValidateHeader(); err != nil {
+		return nil, err
 	}
 
 	// Fixed-width unit columns. The thread column defines n.
@@ -550,10 +543,6 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 			return nil, err
 		}
 		return uint64Col(b), nil
-	}
-	ids, err := get64(secUnitID)
-	if err != nil {
-		return nil, err
 	}
 	indexB, err := secN(secIndex, 4, n)
 	if err != nil {
@@ -588,14 +577,12 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := secN(secCPI, 8, n); err != nil {
-		return nil, err // derived column: present and sized, content not trusted
-	}
 
 	// Variable-length data: stages, snapshots, frames. The three offset
 	// columns are read in place: their ends are checked here, and the
-	// unit loop checks each unit's stretch of them before slicing, so
-	// every entry is checked once.
+	// unit loop checks the ends of each unit's stretch of them before
+	// slicing; the frame offsets inside a stretch are the unit's snapshot
+	// offsets, which ValidateUnit checks.
 	stageValB, err := sec(secStageVal, 4)
 	if err != nil {
 		return nil, err
@@ -631,60 +618,28 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err := offsetEnds(snapOff, nStacks, "snapshot"); err != nil {
 		return nil, err
 	}
-	um := uint32(m)
-	if err := checkChunks(eng, len(frames), frameChunk, func(lo, hi int) error {
-		for _, id := range frames[lo:hi] {
-			if uint32(id) >= um {
-				return fmt.Errorf("snapshot frame refers to method %d outside the table (%d methods)", id, m)
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := offsetEnds(frameOff, len(frames), "frame"); err != nil {
 		return nil, err
-	}
-	if frameOff[0] != 0 {
-		return nil, fmt.Errorf("frame offsets do not start at 0")
-	}
-	if end := frameOff[nStacks]; uint64(end) != uint64(len(frames)) {
-		return nil, fmt.Errorf("frame offsets end at %d, want %d", end, len(frames))
 	}
 
 	stages := make([]int, len(stageVals))
 	for i, v := range stageVals {
 		stages[i] = int(v)
 	}
-	maxSnaps := t.ExpectedSnapshots() + 1
-	qualityKnown := byte(trace.CountersMissing | trace.SnapshotsPartial | trace.Truncated)
 	t.Units = make([]trace.Unit, n)
 	if err := checkChunks(eng, n, unitChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			u := &t.Units[i]
-			if ids[i] != uint64(i) {
-				return fmt.Errorf("non-dense unit ids at %d (id %d)", i, ids[i])
-			}
-			if threads[i] < 0 || indexes[i] < 0 {
-				return fmt.Errorf("unit %d has negative thread/index (%d/%d)", i, threads[i], indexes[i])
-			}
-			if instr[i] > t.UnitInstr {
-				return fmt.Errorf("unit %d holds %d instructions, more than the unit size %d", i, instr[i], t.UnitInstr)
-			}
-			if quality[i]&^qualityKnown != 0 {
-				return fmt.Errorf("unit %d has unknown quality bits %#x", i, quality[i])
-			}
-			if err := offsetRun(snapOff, i, i+1, nStacks, "snapshot"); err != nil {
+			if err := offsetSpan(snapOff, i, i+1, nStacks, "snapshot"); err != nil {
 				return err
 			}
 			a, b := int(snapOff[i]), int(snapOff[i+1])
-			if b-a > maxSnaps {
-				return fmt.Errorf("unit %d has %d snapshots, more than the cadence allows (%d)",
-					i, b-a, maxSnaps)
-			}
-			if err := offsetRun(frameOff, a, b, len(frames), "frame"); err != nil {
+			if err := offsetSpan(frameOff, a, b, len(frames), "frame"); err != nil {
 				return err
 			}
-			if err := offsetRun(stageOff, i, i+1, len(stages), "stage"); err != nil {
+			if err := offsetSpan(stageOff, i, i+1, len(stages), "stage"); err != nil {
 				return err
 			}
+			u := &t.Units[i]
 			u.ID = i
 			u.Thread = int(threads[i])
 			u.Index = int(indexes[i])
@@ -703,6 +658,9 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 			}
 			if a, b := stageOff[i], stageOff[i+1]; a < b {
 				u.Stages = stages[a:b:b]
+			}
+			if err := t.ValidateUnit(i); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -837,8 +795,8 @@ func crcZeros(n int) gf2Op {
 }
 
 // offsetEnds checks the ends of a non-empty u32 offset column read in
-// place: it starts at 0 and ends exactly at bound. Its monotonicity is
-// checked stretch by stretch with offsetRun.
+// place: it starts at 0 and ends exactly at bound. Its stretches are
+// checked with offsetSpan.
 func offsetEnds(col []uint32, bound int, what string) error {
 	if col[0] != 0 {
 		return fmt.Errorf("%s offsets do not start at 0", what)
@@ -849,15 +807,14 @@ func offsetEnds(col []uint32, bound int, what string) error {
 	return nil
 }
 
-// offsetRun checks entries lo+1..hi of an offset column: each is at least
-// its predecessor and at most bound, so col[lo:hi+1] delimits valid
-// ranges when col[lo] does. An entry past bound is reported as the
-// descent it implies, since the column ends at bound.
-func offsetRun(col []uint32, lo, hi, bound int, what string) error {
-	for s := lo; s < hi; s++ {
-		if b := col[s+1]; b < col[s] || uint64(b) > uint64(bound) {
-			return fmt.Errorf("%s offsets not monotone at %d (%d < %d)", what, s+1, b, col[s])
-		}
+// offsetSpan checks the ends of the stretch col[a:b+1] of an offset
+// column: col[a] <= col[b] <= bound, so a column of bound elements
+// sliced at col[a] and col[b] stays in range.
+func offsetSpan(col []uint32, a, b, bound int, what string) error {
+	if e := col[b]; uint64(e) > uint64(bound) {
+		return fmt.Errorf("%s offset %d at %d exceeds %d", what, e, b, bound)
+	} else if e < col[a] {
+		return fmt.Errorf("%s offsets not monotone at %d (%d < %d)", what, b, e, col[a])
 	}
 	return nil
 }

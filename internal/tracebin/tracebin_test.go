@@ -2,11 +2,14 @@ package tracebin
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"simprof/internal/faults"
+	"simprof/internal/model"
 	"simprof/internal/phase"
 	"simprof/internal/synth"
 	"simprof/internal/trace"
@@ -312,5 +315,114 @@ func TestMarshalRejectsInvalid(t *testing.T) {
 	tr.Units[3].ID = 99
 	if _, err := Marshal(tr); err == nil {
 		t.Fatalf("marshal accepted a non-dense unit id")
+	}
+}
+
+// invariantTrace is a small valid trace whose columns the invariant
+// tests patch: two methods with equal-length names, four units of two
+// snapshots (frames {0,1} and {1}) at a cadence that allows three.
+func invariantTrace() *trace.Trace {
+	tr := &trace.Trace{
+		UnitInstr:     100,
+		SnapshotEvery: 50,
+		Methods: []model.Method{
+			{ID: 0, Class: "a", Name: "xx", Kind: model.KindMap},
+			{ID: 1, Class: "a", Name: "yy", Kind: model.KindReduce},
+		},
+	}
+	for i := 0; i < 4; i++ {
+		u := trace.Unit{ID: i, Thread: i / 2, Index: i % 2,
+			Counters: trace.Counters{Instructions: 100, Cycles: 150}}
+		u.Snapshots.Append(model.Stack{0, 1})
+		u.Snapshots.Append(model.Stack{1})
+		tr.Units = append(tr.Units, u)
+	}
+	return tr
+}
+
+// TestDecodersShareInvariants: for every structural defect, SPTB, gob
+// and JSON decoding reject it with Validate's message for it. The
+// defect is made twice from invariantTrace: on the trace, whose
+// Validate error is the message and whose gob and JSON encodings are
+// decoded, and as a patch of its SPTB columns. Unit and method ids are
+// positions in SPTB, so it cannot express the two id defects; gob and
+// JSON still must reject those.
+func TestDecodersShareInvariants(t *testing.T) {
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name   string
+		break_ func(tr *trace.Trace)
+		patch  func(t *testing.T, bin []byte) // nil: SPTB cannot express it
+	}{
+		{"zero unit size", func(tr *trace.Trace) { tr.UnitInstr = 0 },
+			func(t *testing.T, bin []byte) { le.PutUint64(section(t, bin, secMeta)[0:], 0) }},
+		{"cadence above unit", func(tr *trace.Trace) { tr.SnapshotEvery = 1000 },
+			func(t *testing.T, bin []byte) { le.PutUint64(section(t, bin, secMeta)[8:], 1000) }},
+		{"repeated FQN", func(tr *trace.Trace) { tr.Methods[1].Name = "xx" },
+			func(t *testing.T, bin []byte) { copy(section(t, bin, secMethodStr)[4:], "xx") }},
+		{"method ids out of order", func(tr *trace.Trace) {
+			tr.Methods[0], tr.Methods[1] = tr.Methods[1], tr.Methods[0]
+		}, nil},
+		{"non-dense ids", func(tr *trace.Trace) { tr.Units[2].ID = 7 }, nil},
+		{"negative thread", func(tr *trace.Trace) { tr.Units[1].Thread = -1 },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secThread)[4*1:], math.MaxUint32) }},
+		{"negative index", func(tr *trace.Trace) { tr.Units[1].Index = -2 },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secIndex)[4*1:], math.MaxUint32-1) }},
+		{"overfull counters", func(tr *trace.Trace) { tr.Units[1].Counters.Instructions = 1000 },
+			func(t *testing.T, bin []byte) { le.PutUint64(section(t, bin, secInstr)[8*1:], 1000) }},
+		{"unknown method", func(tr *trace.Trace) { tr.Units[1].Snapshots.Frames[0] = 42 },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secFrames)[4*3:], 42) }},
+		{"too many snapshots", func(tr *trace.Trace) {
+			// Unit 0 takes unit 1's snapshots.
+			u0, u1 := &tr.Units[0].Snapshots, &tr.Units[1].Snapshots
+			u0.Append(u1.At(0))
+			u0.Append(u1.At(1))
+			*u1 = trace.Snapshots{}
+		}, func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secSnapOff)[4*1:], 4) }},
+		{"broken snapshot offsets", func(tr *trace.Trace) { tr.Units[1].Snapshots.Off = []uint32{0, 4, 3} },
+			func(t *testing.T, bin []byte) {
+				// Unit 1's frame offsets are entries 2..4, at frames 3, 5, 6.
+				le.PutUint32(section(t, bin, secFrameOff)[4*3:], 7)
+			}},
+		{"unknown quality bits", func(tr *trace.Trace) { tr.Units[1].Quality = 0x80 },
+			func(t *testing.T, bin []byte) { section(t, bin, secQuality)[1] = 0x80 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := invariantTrace()
+			tc.break_(broken)
+			verr := broken.Validate()
+			if verr == nil {
+				t.Fatalf("Validate accepts the defect")
+			}
+			want := verr.Error()
+			check := func(codec string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: got %v, want an error containing %q", codec, err, want)
+				}
+			}
+			var gobBuf, jsonBuf bytes.Buffer
+			if err := broken.EncodeGob(&gobBuf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := trace.DecodeGob(&gobBuf)
+			check("gob", err)
+			if err := broken.EncodeJSON(&jsonBuf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = trace.DecodeJSON(&jsonBuf)
+			check("json", err)
+			if tc.patch == nil {
+				return
+			}
+			bin, err := Marshal(invariantTrace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.patch(t, bin)
+			fixCRC(bin)
+			_, err = Decode(bin)
+			check("SPTB", err)
+		})
 	}
 }

@@ -159,8 +159,11 @@ run_tracebin_golden() {
 	# must reproduce it byte-for-byte (any drift requires a Version bump;
 	# regenerate with UPDATE_GOLDEN=1), decode must accept it and a
 	# hostile re-layout of its section table (reversed entry order,
-	# poisoned reserved words) identically.
+	# poisoned reserved words) identically, and a file that still carries
+	# the retired sections 5 and 20 decodes as if it did not.
 	go test -run 'TestGolden|TestHostileHeaderLayout' ./internal/tracebin || fail tracebin-golden
+	named_tests tracebin-golden 1 "" ./internal/tracebin \
+		TestDecodeIgnoresRetiredSections || fail tracebin-golden
 }
 
 run_bench_gate() {
@@ -275,9 +278,10 @@ run_kernel_equivalence() {
 	# The chunk-parallel decode: the combined CRC equals the one-pass
 	# CRC, a multi-chunk trace decodes identically at GOMAXPROCS 1/2/8 on
 	# both ingest paths, and a malformed input gets the serial decode's
-	# first error whichever chunk holds it.
+	# first error whichever chunk holds it. SPTB, gob and JSON reject
+	# every structural defect with trace.Validate's message for it.
 	equiv_tests ./internal/tracebin TestCRCCombine TestDecodeBinWorkerInvariant \
-		TestDecodeBinFirstErrorAcrossChunks || fail kernel-equivalence
+		TestDecodeBinFirstErrorAcrossChunks TestDecodersShareInvariants || fail kernel-equivalence
 	# The one-pass stratum scan behind SimProf, PlanSE and
 	# RequiredSampleSize against the five-pass reference; the
 	# target-design estimate on the profiled trace against the sample's
