@@ -101,7 +101,7 @@ func BenchmarkChooseKDistinctRows_200kx6(b *testing.B) {
 	pts := matrix.FromRows(countPoints(200000, 6, 200, 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := ChooseKOptions{MaxK: 4, KMeans: Options{Seed: uint64(i), Restarts: 1, MaxIter: 25}}
+		opts := ChooseKOptions{MaxK: 4, KMeans: Options{Seed: uint64(i), Restarts: 1}}
 		if _, err := ChooseKDense(pts, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func sweepRestarts(eng *parallel.Engine, tab *rowTable,
 				// Once canceled, no loop does any work: skip the runs
 				// the caller discards anyway.
 				if k >= 2 && eng.Err() == nil {
-					keep(k, r, lloydFrom(tab, seeds, k, hs, o, eng, &rstats[r]))
+					keep(k, r, lloydFrom(tab, seeds, k, hs, eng, &rstats[r]))
 				}
 			})
 		obsSweepSeconds.ObserveTimer(t)

@@ -176,14 +176,14 @@ func TestBestByKMatchesIndexScan(t *testing.T) {
 		restarts := 1 + int(nRaw%6)
 		runs := make([]Result, restarts)
 		for r := range runs {
-			// Iters tags the restart; 0 is left for "none picked".
-			runs[r] = Result{Inertia: values[rng.IntN(len(values))], Iters: r + 1}
+			// K tags the restart; 0 is left for "none picked".
+			runs[r] = Result{Inertia: values[rng.IntN(len(values))], K: r + 1}
 		}
 		b := newBestByK(2)
 		for _, r := range rng.Perm(restarts) {
 			b.keep(2, r, runs[r])
 		}
-		return b.results[2].Iters == bestRestart(runs).Iters
+		return b.results[2].K == bestRestart(runs).K
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -65,9 +65,8 @@ func TestPrunedMatchesNaiveBitForBit(t *testing.T) {
 			for _, w := range workerSweep {
 				naive, pruned := runBoth(t, tc.pts, tc.k, w, Options{Seed: tc.seed})
 				if !reflect.DeepEqual(naive, pruned) {
-					t.Fatalf("workers=%d: pruned diverged from naive\nnaive:  inertia=%.17g iters=%d sizes=%v\npruned: inertia=%.17g iters=%d sizes=%v",
-						w, naive.Inertia, naive.Iters, naive.Sizes,
-						pruned.Inertia, pruned.Iters, pruned.Sizes)
+					t.Fatalf("workers=%d: pruned diverged from naive\nnaive:  inertia=%.17g sizes=%v\npruned: inertia=%.17g sizes=%v",
+						w, naive.Inertia, naive.Sizes, pruned.Inertia, pruned.Sizes)
 				}
 			}
 		})
@@ -285,7 +284,7 @@ func TestSweepPrefixMatchesIndependentSeeding(t *testing.T) {
 						for r := range got {
 							var rst distStats
 							rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-							want := lloydPruned(tab, min(k, pts.Rows()), rng, o, eng, &rst)
+							want := lloydPruned(tab, min(k, pts.Rows()), rng, eng, &rst)
 							if !reflect.DeepEqual(want, got[r]) {
 								t.Fatalf("workers=%d pool=%s k=%d restart=%d: stream diverged from an independent run\nwant inertia=%.17g sizes=%v\ngot  inertia=%.17g sizes=%v",
 									w, pool, k, r, want.Inertia, want.Sizes, got[r].Inertia, got[r].Sizes)

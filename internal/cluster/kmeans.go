@@ -1,21 +1,27 @@
 // Package cluster implements the clustering layer of SimProf's phase
-// formation: k-means with k-means++ seeding, centroid-based (simplified)
-// silhouette scoring, and the paper's k-selection rule (smallest k
-// within 90% of the best silhouette among k ∈ [1, 20]).
+// formation: k-means as k-means++ seeding plus one Lloyd update (the
+// centroids of the seeding's clusters, then one assignment pass; a
+// departure from the paper, DESIGN.md §12), centroid-based (simplified)
+// silhouette scoring, and the paper's k-selection rule: the smallest
+// k ∈ [1, 20] whose silhouette is at least a fraction of the best. The
+// paper's fraction is 90%; ChooseKOptions.Threshold defaults to 93%,
+// because the simplified silhouette scores saturate on coarse splits,
+// and 93% recovers the phase granularity the paper reports.
 //
 // The production kernels run on flat matrix.Dense inputs with a
-// Hamerly-style bound-pruned Lloyd pass: per-row lower bounds on the
-// second-closest center plus per-center drift skip most SqDist calls,
-// and cached squared norms prune the full scans that remain. Every
-// distance that is computed uses the same SqDist kernel in the same
-// order as a plain Lloyd pass, and every pruning test carries a
-// float-safety margin that only ever forces extra work, so results are
-// bit-for-bit identical to the naive reference kernel the equivalence
-// tests run against (oracle_test.go; see DESIGN.md §12). Everything that
-// is a pure function of one point's vector — distances, assignments,
-// bounds, D² weights, silhouette terms — is computed once per distinct
-// row of the input (rows.go), while every sum over points still adds
-// the points in order, so the memoization cannot move a bit either.
+// Hamerly-style bound-pruned assignment pass: per-row lower bounds on
+// the second-closest center, handed over by the seeding and decayed by
+// the update's per-center drift, skip most SqDist calls, and cached
+// squared norms prune the full scans that remain. Every distance that
+// is computed uses the same SqDist kernel in the same order as a plain
+// Lloyd pass, and every pruning test carries a float-safety margin that
+// only ever forces extra work, so results are bit-for-bit identical to
+// the naive reference kernel the equivalence tests run against
+// (oracle_test.go; see DESIGN.md §12). Everything that is a pure
+// function of one point's vector — distances, assignments, bounds, D²
+// weights, silhouette terms — is computed once per distinct row of the
+// input (rows.go), while every sum over points still adds the points in
+// order, so the memoization cannot move a bit either.
 //
 // Every kernel runs on the shared internal/parallel engine. Results are
 // bit-for-bit identical for any worker count: point loops run over a
@@ -37,18 +43,12 @@ import (
 	"simprof/internal/stats"
 )
 
-// Clustering telemetry: per-restart convergence behaviour, the cost of
-// the k sweep, and how much work the bound-pruned kernel avoided.
-// Recorded only while obs is enabled.
+// Clustering telemetry: restarts run, empty clusters re-seeded, and how
+// much work the bound-pruned kernel avoided. Recorded only while obs is
+// enabled.
 var (
 	obsRestarts = obs.NewCounter("cluster.restarts",
 		"independent k-means restarts run")
-	obsLloydIters = obs.NewHistogram("cluster.lloyd_iters",
-		"Lloyd iterations per restart until convergence",
-		1, 2, 4, 8, 16, 32, 64)
-	obsConvergenceDelta = obs.NewHistogram("cluster.convergence_delta",
-		"final |Δinertia| of each restart (absolute, pre-tolerance scale)",
-		1e-12, 1e-9, 1e-6, 1e-3, 1, 1e3)
 	obsEmptyReseeds = obs.NewCounter("cluster.empty_reseeds",
 		"empty clusters re-seeded at the farthest point")
 	obsDistComputed = obs.NewCounter("cluster.distances_computed",
@@ -106,24 +106,19 @@ type Result struct {
 	Assign  []int       // per-point cluster index (per distinct row inside the sweep)
 	Sizes   []int       // points per cluster
 	Inertia float64     // Σ squared distance to assigned center
-	Iters   int
 }
 
 // Options controls one k-means run.
 type Options struct {
-	// MaxIter caps the Lloyd iterations of a restart (default 100). The
-	// cap does not bind: the convergence test passes on the first
-	// iteration (prev = +Inf), so every restart stops after one update
-	// for any MaxIter (DESIGN.md §12 "Known defect").
+	// Deprecated: ignored. Every restart runs one Lloyd update from its
+	// k-means++ seeding (DESIGN.md §12); the field stays only while the
+	// benchmark module still sets it, and goes with ROADMAP item 5a.
 	MaxIter  int
 	Restarts int    // independent restarts, best inertia wins (default 4)
 	Seed     uint64 // RNG seed (deterministic)
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
 	if o.Restarts <= 0 {
 		o.Restarts = 4
 	}
@@ -199,7 +194,7 @@ func kMeansDenseWith(eng *parallel.Engine, tab *rowTable, k int, opts Options) (
 	rstats := make([]distStats, o.Restarts)
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-		results[r] = lloydPruned(tab, k, rng, o, eng, &rstats[r])
+		results[r] = lloydPruned(tab, k, rng, eng, &rstats[r])
 	})
 	return bestRestart(results), sumStats(rstats), nil
 }
@@ -229,21 +224,17 @@ type lloydScratch struct {
 	sumBuf   []float64   // backing array of sums
 	inertia  []float64   // point chunk → partial inertia
 	computed []int64     // row chunk → SqDist calls executed (pruned kernel)
-	lb2      []float64   // row → squared lower bound on dist to 2nd-closest center
-	dist2    []float64   // row → squared dist to assigned center (this pass)
+	dist2    []float64   // row → squared dist to assigned center
 	cn2      []float64   // center → squared norm
 	cnr      []float64   // center → norm
 	ccd      []float64   // k×k inter-center distances (Elkan skip)
 	qcc      []float64   // k×k squared half inter-center distances (compare-means skip)
-	dup      []int32     // center → first earlier identical center (class root), or −1
 	reps     []int32     // distinct-center representatives (class roots), in index order
-	mult     []int32     // class root → number of identical centers in its class
 }
 
 // ensure (re)sizes the scratch for n points in u distinct rows with k
-// clusters in d dims, reusing existing capacity. Every per-row entry is
-// written before it is read: a run's first pass takes them over from
-// the seeding's handover.
+// clusters in d dims, reusing existing capacity. Every entry is written
+// before it is read.
 func (s *lloydScratch) ensure(n, u, k, d int) {
 	chunks := parallel.Chunks(n, pointChunk)
 	s.chunks = chunks
@@ -261,13 +252,10 @@ func (s *lloydScratch) ensure(n, u, k, d int) {
 		s.sizes[c] = s.sizeBuf[c*sizeStride : c*sizeStride+k]
 		s.sums[c] = s.sumBuf[c*sumStride : c*sumStride+k*d]
 	}
-	s.lb2 = resize(s.lb2, u)
 	s.dist2 = resize(s.dist2, u)
 	s.cn2 = resize(s.cn2, k)
 	s.cnr = resize(s.cnr, k)
-	s.dup = resize(s.dup, k)
 	s.reps = resize(s.reps, k)
-	s.mult = resize(s.mult, k)
 	s.ccd = resize(s.ccd, k*k)
 	s.qcc = resize(s.qcc, k*k)
 }
@@ -329,115 +317,169 @@ func putScratch(s *lloydScratch) { scratchPool.Put(s) }
 // lloydPruned is one restart of kMeansDenseWith: the k-means++ seeding
 // of k centers, then the pruned Lloyd kernel from its handover.
 func lloydPruned(tab *rowTable, k int, rng *rand.Rand,
-	o Options, eng *parallel.Engine, st *distStats) Result {
+	eng *parallel.Engine, st *distStats) Result {
 	var res Result
 	seedPlusPlusDense(tab, k, rng, eng, st, func(m int, seeds *matrix.Dense, sc *seedScratch) {
 		if m == k {
-			res = lloydFrom(tab, seeds, k, sc, o, eng, st)
+			res = lloydFrom(tab, seeds, k, sc, eng, st)
 		}
 	})
 	return res
 }
 
-// convergenceTol is Lloyd's stopping rule: a pass whose inertia moved
-// by at most this fraction of (1 + the previous inertia) ends the run.
-const convergenceTol = 1e-9
-
-// lloydFrom is the production Lloyd kernel on the distinct-row table.
-// It starts from the first k rows of seeds and the seeding's handover
-// state in hs, as left by relaxing the k-th center; it only reads them,
-// so the seeding can go on to pick more centers afterwards. It
-// maintains, per distinct row, a squared lower bound lb2 on the
-// distance to the second-closest center. Each pass computes the one
-// distance to the row's current center (which the naive kernel needs
-// for the inertia anyway); when that distance is strictly below the
-// bound — tested in the squared domain, paying a sqrt only for rows the
-// cheap prefilter deems plausibly prunable — the other k−1 distances
-// are skipped: the assignment provably cannot change, and strictness
-// means the naive scan would have kept the same index even under ties.
-// Otherwise it falls back to a full scan that replicates the plain
-// nearest-center scan's order and lowest-index tie-breaking exactly.
-// The scan skips candidates the compare-means test excludes (d2a <
-// (d(a,cc)/2)² proves cc strictly farther than the assigned center; the
-// threshold then folds into lb2 so the bound stays valid) and, above
-// the dimensionality gate, candidates excluded by the Elkan triangle
-// inequality or the cached-norm bound. Bounds decay by the per-center
-// drift between passes (triangle inequality), with boundSlack margins
-// absorbing float rounding. After the rows, each pass accumulates
-// sizes, centroid sums and inertia over the points in order, reading
-// each point's row through rowOf, so every float sum has the naive
-// kernel's addends in the naive kernel's order. The returned Assign is
-// per row. See DESIGN.md §12 for the invariant and the equivalence
-// argument.
+// lloydFrom is the production k-means kernel on the distinct-row table:
+// one Lloyd update from a k-means++ seeding, then one assignment pass
+// against the updated centers. It starts from the first k rows of seeds
+// and the seeding's handover in hs, as left by relaxing the k-th
+// center; it only reads them, so the seeding can go on to pick more
+// centers afterwards.
+//
+// The handover holds each row's nearest seeded center (seedArg, with the
+// plain scan's lowest-index tie-breaking), the squared distance to it
+// (d2) and a squared lower bound on the distance to the second-nearest
+// (sq2). The update step reads seedArg directly: sizes and centroid sums
+// add up over the points in order, reading each point's row through
+// rowOf, and the per-chunk partials merge in chunk index order, so every
+// float sum has the naive kernel's addends in the naive kernel's order,
+// for zero distance computations. An empty cluster is re-seeded at the
+// first point farthest from its seeded center, read from d2.
+//
+// The assignment pass computes, per distinct row, the one distance to
+// the row's seeded center. When it is strictly below the handover bound
+// decayed by the update's per-center drift (triangle inequality, with
+// boundSlack margins absorbing float rounding) — tested in the squared
+// domain, paying a sqrt only for rows the cheap prefilter deems
+// plausibly prunable — the other k−1 distances are skipped: the row
+// provably keeps its center, and strictness means the naive scan would
+// have kept the same index even under ties. Otherwise a full scan
+// replicates the plain nearest-center scan's order and lowest-index
+// tie-breaking exactly. The scan skips candidates the compare-means test
+// excludes (d2a < (d(a,cc)/2)² proves cc strictly farther than the
+// seeded center) and, above the dimensionality gate, candidates
+// excluded by the Elkan triangle inequality or the cached-norm bound.
+// Sizes and inertia then add up over the points in order. The returned
+// Assign is per row. See DESIGN.md §12 for the equivalence argument.
 func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
-	hs *seedScratch, o Options, eng *parallel.Engine, st *distStats) Result {
+	hs *seedScratch, eng *parallel.Engine, st *distStats) Result {
 	n, u, d := tab.points(), tab.distinct(), tab.rows.Cols()
 	// The naive kernel seeds each run on its own, relaxing its first
-	// max(k−1, 1) centers at n SqDist calls each; whatever the shared
-	// seeding actually computed is already in st.computed.
-	st.equivalent += int64(n) * int64(max(k-1, 1))
+	// max(k−1, 1) centers at n SqDist calls each, then assigns every
+	// point twice at n·k calls each: to the seeds (the handover here),
+	// then to the updated centers. Whatever the shared seeding and the
+	// pass below actually compute goes into st.computed.
+	st.equivalent += int64(n) * int64(max(k-1, 1)+2*k)
 	sc := getScratch(n, u, k, d)
 	defer putScratch(sc)
-	centers := matrix.NewDense(k, d)
-	copy(centers.Data(), seeds.Data()[:k*d])
-	next := matrix.NewDense(k, d)
-	assign := make([]int, u)
-	sizes := make([]int, k)
 	rowOf, rdata, pn2, pnr := tab.rowOf, tab.rows.Data(), tab.pn2, tab.pnr
-	lb2, dist2 := sc.lb2, sc.dist2
-	cn2, cnr, ccd, qcc := sc.cn2, sc.cnr, sc.ccd, sc.qcc
-	useScanSkips := d >= scanSkipMinDim
-	// centerGeometry refreshes the k×k compare-means threshold table
-	// qcc[a·k+cc] = (d(a,cc)/2)² (with margin, sqrt-free — it is a
-	// quarter of the squared distance) and, above the dimensionality
-	// gate, the per-center norm cache and inter-center distance table
-	// for the Elkan-style scan skip. O(k²·d), negligible next to the
-	// O(n·k·d) pass it prunes.
-	dup, reps, mult := sc.dup, sc.reps, sc.mult
-	nreps := 0
-	centerGeometry := func(ctr *matrix.Dense) {
-		cd := ctr.Data()
-		for a := 0; a < k; a++ {
-			dup[a] = -1
-			qcc[a*k+a] = 0
-			ra := cd[a*d : a*d+d]
-			for b := a + 1; b < k; b++ {
-				q := SqDist(ra, cd[b*d:b*d+d]) * 0.25 * (1 - 1e-7)
-				qcc[a*k+b] = q
-				qcc[b*k+a] = q
+	seedArg, seedD2, seedSq2 := hs.seedArg, hs.d2, hs.sq2
+
+	// Update step: the seeded clusters' sizes and centroid partial sums
+	// per point chunk, merged in chunk index order, then normalized —
+	// identical arithmetic to the naive kernel.
+	eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
+		szs, sums := sc.sizes[c], sc.sums[c]
+		clear(szs)
+		clear(sums)
+		for _, r := range rowOf[lo:hi] {
+			ci := int(seedArg[r])
+			szs[ci]++
+			p := rdata[int(r)*d : int(r)*d+d]
+			row := sums[ci*d:][:len(p)] // one length for both: no bounds checks
+			for j, v := range p {
+				row[j] += v
 			}
 		}
-		// Duplicate centers (exactly equal coordinate vectors — frequent
-		// when k exceeds the number of distinct behaviours) yield
-		// bit-identical SqDist results, so the scan visits only one
-		// representative per identity class: the class root (lowest
-		// index), which under strict-< is exactly the index the naive
-		// lowest-index tie-break would keep. SqDist(a,b) == 0 iff every
-		// coordinate is numerically equal, and the first identical
-		// earlier center is transitively the root.
-		nreps = 0
-		for b := 0; b < k; b++ {
-			dup[b] = -1
-			for a := 0; a < b; a++ {
-				if qcc[a*k+b] == 0 {
-					dup[b] = int32(a)
-					break
+	})
+	centers := matrix.NewDense(k, d)
+	cdata := centers.Data()
+	sizes := make([]int, k)
+	for c := 0; c < sc.chunks; c++ {
+		for i, s := range sc.sizes[c] {
+			sizes[i] += s
+		}
+		for j, v := range sc.sums[c] {
+			cdata[j] += v
+		}
+	}
+	for c := 0; c < k; c++ {
+		row := centers.Row(c)
+		if sizes[c] == 0 {
+			obsEmptyReseeds.Inc()
+			// Re-seed an empty cluster at the point farthest from its
+			// seeded center. seedD2 holds exactly the n SqDist calls the
+			// naive kernel recomputes here, so they count as pruned.
+			// Rows are in first-occurrence order, so the first farthest
+			// row holds the first farthest point.
+			far, farD := 0, -1.0
+			for r, dd := range seedD2 {
+				if dd > farD {
+					far, farD = r, dd
 				}
 			}
-			if dup[b] < 0 {
-				mult[b] = 1
-				reps[nreps] = int32(b)
-				nreps++
-			} else {
-				mult[dup[b]]++
-			}
+			copy(row, tab.rows.Row(far))
+			st.equivalent += int64(n)
+			continue
 		}
-		if !useScanSkips {
-			return
+		inv := 1 / float64(sizes[c])
+		for j := range row {
+			row[j] *= inv
 		}
+	}
+
+	// Per-center drift of the update, which decays the handover's
+	// second-nearest bounds. driftArg is the center that moved farthest;
+	// rows seeded to it decay by the second-largest drift instead (their
+	// own center's motion cannot bring other centers closer).
+	driftMax, driftSecond, driftArg := 0.0, 0.0, -1
+	for c := 0; c < k; c++ {
+		dd := Dist(seeds.Row(c), centers.Row(c))
+		if dd > driftMax {
+			driftSecond = driftMax
+			driftMax, driftArg = dd, c
+		} else if dd > driftSecond {
+			driftSecond = dd
+		}
+	}
+
+	// Center geometry of the scan's skips: the k×k compare-means
+	// threshold table qcc[a·k+cc] = (d(a,cc)/2)² (with margin, sqrt-free
+	// — it is a quarter of the squared distance) and, above the
+	// dimensionality gate, the center norms and inter-center distances
+	// of the cached-norm and Elkan skips. O(k²·d), negligible next to the
+	// O(u·k·d) pass it prunes.
+	cn2, cnr, ccd, qcc, reps := sc.cn2, sc.cnr, sc.ccd, sc.qcc, sc.reps
+	useScanSkips := d >= scanSkipMinDim
+	for a := 0; a < k; a++ {
+		qcc[a*k+a] = 0
+		ra := cdata[a*d : a*d+d]
+		for b := a + 1; b < k; b++ {
+			q := SqDist(ra, cdata[b*d:b*d+d]) * 0.25 * (1 - 1e-7)
+			qcc[a*k+b] = q
+			qcc[b*k+a] = q
+		}
+	}
+	// Duplicate centers (exactly equal coordinate vectors — frequent when
+	// k exceeds the number of distinct behaviours) yield bit-identical
+	// SqDist results, so the scan visits only one representative per
+	// identity class: the class root (lowest index), which under
+	// strict-< is exactly the index the naive lowest-index tie-break
+	// would keep. SqDist(a,b) == 0 iff every coordinate is numerically
+	// equal.
+	nreps := 0
+	for b := 0; b < k; b++ {
+		root := true
+		for a := 0; a < b && root; a++ {
+			root = qcc[a*k+b] != 0
+		}
+		if root {
+			reps[nreps] = int32(b)
+			nreps++
+		}
+	}
+	if useScanSkips {
 		for c := 0; c < k; c++ {
 			var s2 float64
-			for _, v := range ctr.Row(c) {
+			for _, v := range centers.Row(c) {
 				s2 += v * v
 			}
 			cn2[c] = s2
@@ -446,269 +488,119 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 		for a := 0; a < k; a++ {
 			ccd[a*k+a] = 0
 			for b := a + 1; b < k; b++ {
-				dd := Dist(ctr.Row(a), ctr.Row(b))
+				dd := Dist(centers.Row(a), centers.Row(b))
 				ccd[a*k+b] = dd
 				ccd[b*k+a] = dd
 			}
 		}
 	}
-	centerGeometry(centers)
 
-	// Handover from seeding: the relax passes already computed every
-	// row's nearest seeded center (with the plain scan's exact
-	// lowest-index tie-breaking), its squared distance, and a valid
-	// lower bound on the second-nearest. The first Lloyd pass therefore
-	// runs in reuse mode — it takes them over as assign, dist2 and lb2,
-	// pure bookkeeping with zero distance computations — and still
-	// produces bit-identical assignment, sizes, partial sums and inertia.
-	seedArg, seedD2, seedSq2 := hs.seedArg, hs.d2, hs.sq2
-
-	// Pending center drift from the previous update step, folded into
-	// every lb exactly once at the start of the next pass. driftArg is
-	// the center that moved farthest; rows assigned to it decay by the
-	// second-largest drift instead (their own center's motion cannot
-	// bring other centers closer).
-	driftMax, driftSecond := 0.0, 0.0
-	driftArg := -1
-
-	// assignRows brings every row's assign, dist2 and lb2 up to date
-	// with the current centers.
-	assignRows := func(reuse bool) {
-		dMax, dSec, dArg := driftMax, driftSecond, driftArg
-		cdata := centers.Data()
-		eng.ForEachChunk(u, pointChunk, func(c, lo, hi int) {
-			var comp int64
-			for r := lo; r < hi; r++ {
-				if reuse {
-					assign[r] = int(seedArg[r])
-					dist2[r] = seedD2[r]
-					lb2[r] = seedSq2[r] * ((1 - boundSlack) * (1 - boundSlack))
+	// The assignment pass, one distinct row at a time.
+	assign := make([]int, u)
+	dist2 := sc.dist2
+	eng.ForEachChunk(u, pointChunk, func(c, lo, hi int) {
+		var comp int64
+		for r := lo; r < hi; r++ {
+			p := rdata[r*d : r*d+d]
+			a := int(seedArg[r])
+			d2a := SqDist(p, cdata[a*d:a*d+d])
+			comp++
+			// Prune prefilter in the squared domain: drift decay only
+			// shrinks the bound, so d2a ≥ bq already rules the prune out
+			// without a sqrt. Only plausible candidates pay the sqrt for
+			// the exact drift-decayed test.
+			if bq := seedSq2[r] * ((1 - boundSlack) * (1 - boundSlack)); bq > 0 && d2a < bq {
+				delta := driftMax
+				if a == driftArg {
+					delta = driftSecond
+				}
+				bv := (math.Sqrt(bq)-delta)*(1-boundSlack) - delta*boundSlack
+				if bv > 0 && d2a < bv*bv*(1-boundSlack) {
+					// The seeded center is strictly closer than any
+					// other can be: the row keeps it, scan skipped.
+					assign[r], dist2[r] = a, d2a
 					continue
 				}
-				p := rdata[r*d : r*d+d]
-				a := assign[r]
-				d2a := SqDist(p, cdata[a*d:a*d+d])
-				comp++
-				// Prune prefilter in the squared domain: the stored
-				// (undecayed) bound only shrinks under drift decay, so
-				// d2a ≥ lb2 already rules the prune out without a sqrt.
-				// Only plausible candidates pay the sqrt for the exact
-				// drift-decayed test; either way the decay is folded
-				// exactly once, because a failed prune falls through to
-				// the scan, which rewrites lb2 against the current
-				// (post-drift) centers.
-				if bq := lb2[r]; bq > 0 && d2a < bq {
-					delta := dMax
-					if a == dArg {
-						delta = dSec
-					}
-					bv := (math.Sqrt(bq)-delta)*(1-boundSlack) - delta*boundSlack
-					if bv > 0 && d2a < bv*bv*(1-boundSlack) {
-						// The current center is strictly closer than any
-						// other can be: assignment unchanged, scan
-						// skipped; the decayed bound persists.
-						dist2[r] = d2a
-						lb2[r] = bv * bv
+			}
+			// The scan visits only representative centers: a duplicate
+			// can never win under strict <.
+			best, bestD, secD := -1, math.Inf(1), math.Inf(1)
+			bestR := -1.0 // √bestD, computed lazily per best
+			qrow := qcc[a*k : a*k+k]
+			for ri := 0; ri < nreps; ri++ {
+				cc := int(reps[ri])
+				var dd float64
+				if cc == a {
+					dd = d2a
+				} else {
+					if d2a < qrow[cc] {
+						// Compare-means: d(p,a) < d(a,cc)/2 puts cc
+						// strictly farther than a, so cc cannot be the
+						// best.
 						continue
 					}
-				}
-				// The scan visits only representative centers: a
-				// duplicate can never win under strict <, and its
-				// contribution to the second-best is folded back in
-				// below via the class multiplicity.
-				best, bestD, secD := -1, math.Inf(1), math.Inf(1)
-				bestR := -1.0 // √bestD, computed lazily per best
-				minSkipQ := math.Inf(1)
-				qrow := qcc[a*k : a*k+k]
-				for ri := 0; ri < nreps; ri++ {
-					cc := int(reps[ri])
-					var dd float64
-					if cc == a {
-						dd = d2a
-					} else {
-						if q := qrow[cc]; d2a < q {
-							// Compare-means: d(p,a) < d(a,cc)/2 puts
-							// cc strictly farther than a, so cc can
-							// affect neither the best nor the bound
-							// — provided its threshold, itself a
-							// valid lower bound on d(p,cc)², is
-							// folded into lb2 below.
-							if q < minSkipQ {
-								minSkipQ = q
+					if useScanSkips {
+						if best >= 0 {
+							// Triangle inequality against the current
+							// best: d(p,cc) ≥ d(best,cc) − d(p,best).
+							if bestR < 0 {
+								bestR = math.Sqrt(bestD)
 							}
+							cb := ccd[best*k+cc]
+							if g := cb - bestR; g > elkanGuard*(cb+bestR) {
+								if gg := g * g; gg-secD > elkanSlack*(gg+secD) {
+									// Provably ≥ the current second-
+									// best: cannot affect best, bestD
+									// or secD.
+									continue
+								}
+							}
+						}
+						df := pnr[r] - cnr[cc]
+						if nb := df * df; nb > secD && nb-secD > normSlack*(nb+pn2[r]+cn2[cc]) {
 							continue
 						}
-						if useScanSkips {
-							if best >= 0 {
-								// Triangle inequality against the current
-								// best: d(p,cc) ≥ d(best,cc) − d(p,best).
-								if bestR < 0 {
-									bestR = math.Sqrt(bestD)
-								}
-								cb := ccd[best*k+cc]
-								if g := cb - bestR; g > elkanGuard*(cb+bestR) {
-									if gg := g * g; gg-secD > elkanSlack*(gg+secD) {
-										// Provably ≥ the current second-
-										// best: cannot affect best, bestD
-										// or secD.
-										continue
-									}
-								}
-							}
-							df := pnr[r] - cnr[cc]
-							if nb := df * df; nb > secD && nb-secD > normSlack*(nb+pn2[r]+cn2[cc]) {
-								continue
-							}
-						}
-						dd = SqDist(p, cdata[cc*d:cc*d+d])
-						comp++
 					}
-					if dd < bestD {
-						secD = bestD
-						best, bestD = cc, dd
-						bestR = -1
-					} else if dd < secD {
-						secD = dd
-					}
+					dd = SqDist(p, cdata[cc*d:cc*d+d])
+					comp++
 				}
-				if mult[best] > 1 {
-					// A duplicate of the winner sits at exactly
-					// bestD, so the true second-best distance is
-					// bestD itself.
+				if dd < bestD {
 					secD = bestD
+					best, bestD = cc, dd
+					bestR = -1
+				} else if dd < secD {
+					secD = dd
 				}
-				assign[r] = best
-				dist2[r] = bestD
-				l2 := secD * ((1 - boundSlack) * (1 - boundSlack))
-				if minSkipQ < l2 {
-					l2 = minSkipQ
-				}
-				lb2[r] = l2
 			}
-			sc.computed[c] = comp
-		})
-		for _, comp := range sc.computed {
-			st.computed += comp
+			assign[r], dist2[r] = best, bestD
 		}
+		sc.computed[c] = comp
+	})
+	for _, comp := range sc.computed {
+		st.computed += comp
 	}
 
-	// pass is one Lloyd assignment pass: the rows, then the point-order
-	// reduction of sizes, inertia and (when accumulate) the per-chunk
-	// centroid partial sums.
-	pass := func(accumulate, reuse bool) float64 {
-		assignRows(reuse)
-		eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
-			szs := sc.sizes[c]
-			for i := range szs {
-				szs[i] = 0
-			}
-			var sums []float64
-			if accumulate {
-				sums = sc.sums[c]
-				for i := range sums {
-					sums[i] = 0
-				}
-			}
-			var inertia float64
-			for i := lo; i < hi; i++ {
-				r := int(rowOf[i])
-				ci := assign[r]
-				szs[ci]++
-				inertia += dist2[r]
-				if accumulate {
-					p := rdata[r*d : r*d+d]
-					row := sums[ci*d:][:len(p)] // one length for both: no bounds checks
-					for j, v := range p {
-						row[j] += v
-					}
-				}
-			}
-			sc.inertia[c] = inertia
-		})
-		for i := range sizes {
-			sizes[i] = 0
-		}
+	// Sizes and inertia of the assignment, over the points in order.
+	eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
+		szs := sc.sizes[c]
+		clear(szs)
 		var inertia float64
-		for c := 0; c < sc.chunks; c++ {
-			for i, s := range sc.sizes[c] {
-				sizes[i] += s
-			}
-			inertia += sc.inertia[c]
+		for _, r := range rowOf[lo:hi] {
+			szs[assign[r]]++
+			inertia += dist2[r]
 		}
-		st.equivalent += int64(n) * int64(k)
-		return inertia
-	}
-
-	prev := math.Inf(1)
+		sc.inertia[c] = inertia
+	})
+	clear(sizes)
 	var inertia float64
-	var iter int
-	for iter = 0; iter < o.MaxIter; iter++ {
-		inertia = pass(true, iter == 0)
-		// Update step: merge the per-chunk partial sums in chunk index
-		// order, then normalize — identical arithmetic to the naive
-		// kernel.
-		nd := next.Data()
-		for j := range nd {
-			nd[j] = 0
+	for c := 0; c < sc.chunks; c++ {
+		for i, s := range sc.sizes[c] {
+			sizes[i] += s
 		}
-		for c := 0; c < sc.chunks; c++ {
-			sums := sc.sums[c]
-			for j, v := range sums {
-				nd[j] += v
-			}
-		}
-		for c := 0; c < k; c++ {
-			if sizes[c] == 0 {
-				obsEmptyReseeds.Inc()
-				// Re-seed an empty cluster at the point farthest from
-				// its center. dist2 caches exactly the n SqDist calls the
-				// naive kernel recomputes here, so they count as pruned.
-				// Rows are in first-occurrence order, so the first
-				// farthest row holds the first farthest point.
-				far, farD := 0, -1.0
-				for r := 0; r < u; r++ {
-					if dist2[r] > farD {
-						far, farD = r, dist2[r]
-					}
-				}
-				copy(next.Row(c), tab.rows.Row(far))
-				st.equivalent += int64(n)
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			row := next.Row(c)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-		// Per-center drift for the next pass's bound decay.
-		driftMax, driftSecond, driftArg = 0, 0, -1
-		for c := 0; c < k; c++ {
-			dd := Dist(centers.Row(c), next.Row(c))
-			if dd > driftMax {
-				driftSecond = driftMax
-				driftMax, driftArg = dd, c
-			} else if dd > driftSecond {
-				driftSecond = dd
-			}
-		}
-		centers, next = next, centers
-		centerGeometry(centers)
-		if math.Abs(prev-inertia) <= convergenceTol*(1+prev) {
-			break
-		}
-		prev = inertia
+		inertia += sc.inertia[c]
 	}
-	// Final assignment pass so Assign/Sizes/Inertia are consistent with
-	// the returned (post-update) centers.
-	inertia = pass(false, false)
 	obsRestarts.Inc()
-	obsLloydIters.Observe(float64(iter + 1))
-	if !math.IsInf(prev, 1) {
-		obsConvergenceDelta.Observe(math.Abs(prev - inertia))
-	}
-	return Result{K: k, Centers: centers.RowViews(), Assign: assign, Sizes: sizes,
-		Inertia: inertia, Iters: iter + 1}
+	return Result{K: k, Centers: centers.RowViews(), Assign: assign, Sizes: sizes, Inertia: inertia}
 }
 
 // seedPlusPlusDense is the production k-means++ seeding on the
@@ -769,8 +661,9 @@ func seedPlusPlusDense(tab *rowTable, k int, rng *rand.Rand,
 	// chosen center (exact distances when they were computed, the skip
 	// bounds shrunk by a safety factor when they were not; qB[a] is the
 	// fast path's bound d(cₐ,cₘ)²/4). After the last center is relaxed,
-	// (seedArg, d2, sq2) hand the first Lloyd pass its assignment,
-	// inertia and Hamerly bounds for free.
+	// (seedArg, d2, sq2) hand Lloyd's update step its assignment and
+	// the empty-cluster re-seed its distances, and the assignment pass
+	// its Hamerly bounds, for free.
 	relax := func(m int, prev float64) float64 {
 		center := centers.Row(m)
 		var cs float64

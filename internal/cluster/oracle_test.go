@@ -50,7 +50,7 @@ func oracleKMeans(eng *parallel.Engine, points [][]float64, k int, opts Options,
 	results := make([]Result, o.Restarts)
 	eng.ForEachIndex(o.Restarts, func(r int) {
 		rng := stats.NewRNG(stats.SplitSeed(o.Seed, uint64(r)))
-		results[r] = lloyd(points, k, rng, o, eng, calls)
+		results[r] = lloyd(points, k, rng, eng, calls)
 	})
 	best := Result{Inertia: math.Inf(1)}
 	for _, res := range results {
@@ -112,76 +112,58 @@ func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
 	return inertia
 }
 
-// lloyd is one naive k-means restart: k-means++ seeding, then Lloyd
-// passes that compute every point–center distance, until the inertia
-// change is within tolerance or MaxIter passes ran. The convergence
-// test is the production kernel's, unchanged.
-func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.Engine, calls *atomic.Int64) Result {
+// lloyd is one naive k-means restart: k-means++ seeding, an assignment
+// pass to the seeds that computes every point–center distance, one
+// centroid update, and a final assignment pass to the updated centers.
+func lloyd(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine, calls *atomic.Int64) Result {
 	n, d := len(points), len(points[0])
-	centers := seedPlusPlus(points, k, rng, eng, calls)
+	seeds := seedPlusPlus(points, k, rng, eng, calls)
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	sc := new(lloydScratch)
 	sc.ensure(n, n, k, d)
-	// Double-buffered centroids: next is rebuilt from the merged chunk
-	// sums every iteration, then swapped with centers.
-	next := make([][]float64, k)
-	for c := range next {
-		next[c] = make([]float64, d)
+	// Fused assignment + partial-sum pass against the seeds.
+	assignPoints(eng, points, seeds, assign, sizes, sc, true, calls)
+	// Update step: merge the per-chunk partial sums in chunk index
+	// order, then normalize.
+	centers := make([][]float64, k)
+	for c := range centers {
+		centers[c] = make([]float64, d)
 	}
-	prev := math.Inf(1)
-	var iter int
-	for iter = 0; iter < o.MaxIter; iter++ {
-		// Fused assignment + partial-sum pass.
-		inertia := assignPoints(eng, points, centers, assign, sizes, sc, true, calls)
-		// Update step: merge the per-chunk partial sums in chunk index
-		// order, then normalize.
-		for c := range next {
-			row := next[c]
-			for j := range row {
-				row[j] = 0
+	for c := 0; c < sc.chunks; c++ {
+		sums := sc.sums[c]
+		for cl := 0; cl < k; cl++ {
+			row := centers[cl]
+			part := sums[cl*d : cl*d+d]
+			for j, v := range part {
+				row[j] += v
 			}
 		}
-		for c := 0; c < sc.chunks; c++ {
-			sums := sc.sums[c]
-			for cl := 0; cl < k; cl++ {
-				row := next[cl]
-				part := sums[cl*d : cl*d+d]
-				for j, v := range part {
-					row[j] += v
+	}
+	for c := range centers {
+		if sizes[c] == 0 {
+			// Re-seed an empty cluster at the point farthest from its
+			// seed.
+			far, farD := 0, -1.0
+			var dc distCount
+			for i, p := range points {
+				if dd := dc.sqDist(p, seeds[assign[i]]); dd > farD {
+					far, farD = i, dd
 				}
 			}
+			calls.Add(int64(dc))
+			copy(centers[c], points[far])
+			continue
 		}
-		for c := range next {
-			if sizes[c] == 0 {
-				// Re-seed an empty cluster at the point farthest from
-				// its center.
-				far, farD := 0, -1.0
-				var dc distCount
-				for i, p := range points {
-					if dd := dc.sqDist(p, centers[assign[i]]); dd > farD {
-						far, farD = i, dd
-					}
-				}
-				calls.Add(int64(dc))
-				copy(next[c], points[far])
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			for j := range next[c] {
-				next[c][j] *= inv
-			}
+		inv := 1 / float64(sizes[c])
+		for j := range centers[c] {
+			centers[c][j] *= inv
 		}
-		centers, next = next, centers
-		if math.Abs(prev-inertia) <= convergenceTol*(1+prev) {
-			break
-		}
-		prev = inertia
 	}
 	// Final assignment pass so Assign/Sizes/Inertia are consistent with
-	// the returned (post-update) centers.
+	// the returned (updated) centers.
 	inertia := assignPoints(eng, points, centers, assign, sizes, sc, false, calls)
-	return Result{K: k, Centers: centers, Assign: assign, Sizes: sizes, Inertia: inertia, Iters: iter + 1}
+	return Result{K: k, Centers: centers, Assign: assign, Sizes: sizes, Inertia: inertia}
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting.

@@ -48,12 +48,13 @@ type Options struct {
 	SilhouetteThreshold float64 // fraction of best silhouette accepted (default 0.93)
 	Seed                uint64
 	// Restarts bounds the k-means restarts per swept k; zero selects the
-	// clustering default of 4, which reproduces the paper's runs. MaxIter
-	// is passed on as cluster.Options.MaxIter: a Lloyd iteration cap
-	// (zero selects 100) that does not bind today, because every restart
-	// stops after one update (see cluster.Options and DESIGN.md §12).
+	// clustering default of 4, which reproduces the paper's runs.
 	Restarts int
-	MaxIter  int
+	// Deprecated: ignored. Every k-means restart runs one Lloyd update
+	// from its k-means++ seeding (DESIGN.md §12); the field stays only
+	// while the benchmark module still sets it, and goes with ROADMAP
+	// item 5a.
+	MaxIter int
 	// Workers bounds the concurrency of the whole formation pipeline
 	// (feature scoring, the projection, the k sweep and its restarts).
 	// 0 selects GOMAXPROCS; 1 runs serially. The formed phases are
@@ -315,7 +316,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	sel, err := cluster.ChooseKDense(cleanSelected, cluster.ChooseKOptions{
 		MaxK:      o.MaxPhases,
 		Threshold: o.SilhouetteThreshold,
-		KMeans:    cluster.Options{Seed: o.Seed, Restarts: o.Restarts, MaxIter: o.MaxIter},
+		KMeans:    cluster.Options{Seed: o.Seed, Restarts: o.Restarts},
 		Workers:   o.Workers,
 		Ctx:       ctx,
 	})

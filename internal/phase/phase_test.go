@@ -2,6 +2,7 @@ package phase
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"simprof/internal/model"
@@ -218,6 +219,30 @@ func TestMaxPhasesOneFormsOnePhase(t *testing.T) {
 	}
 	if ph.K != 1 || len(ph.Centers) != 1 || ph.Sizes()[0] != len(tr.Units) {
 		t.Fatalf("MaxPhases 1 formed K=%d (sizes %v)", ph.K, ph.Sizes())
+	}
+}
+
+// TestMaxIterIgnored pins the deprecated Options.MaxIter as inert: k-means
+// runs one Lloyd update whatever the field says, so every setting forms
+// the phases the zero value forms.
+func TestMaxIterIgnored(t *testing.T) {
+	tr, err := synth.DefaultTrace(400, 3).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Form(tr, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{0, 1, 25, 1000} {
+		got, err := Form(tr, Options{Seed: 5, MaxIter: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("MaxIter %d formed K=%d (sizes %v), the zero value K=%d (sizes %v)",
+				m, got.K, got.Sizes(), want.K, want.Sizes())
+		}
 	}
 }
 

@@ -36,9 +36,40 @@ func (s Sample) Err(tr *trace.Trace) float64 {
 }
 
 // CI returns the confidence interval of the estimate at the given level
-// (Eq. 2–3); it has zero width where the method defines no SE.
+// (Eq. 2–3): EstCPI ± z·SE, its margin floored at roundingMargin. Where
+// the method defines no SE, only that floor remains.
 func (s Sample) CI(level float64) stats.Interval {
-	return stats.ConfidenceInterval(s.EstCPI, s.SE, level)
+	ci := stats.ConfidenceInterval(s.EstCPI, s.SE, level)
+	ci.Margin = math.Max(ci.Margin, roundingMargin(len(s.UnitIDs), s.EstCPI))
+	return ci
+}
+
+// roundingMargin bounds how far an estimate from n sampled CPIs can sit
+// from the population mean by float rounding alone. It matters in a
+// census: every unit is drawn, so the stratified estimate is the
+// population mean μ in exact arithmetic and its SE is 0, and a
+// zero-width interval misses the oracle (trace.OracleCPI, the same n
+// values summed in unit order) whenever the two sums round apart.
+//
+// With u = 2⁻⁵³ and γ_m = m·u/(1−m·u), adding m values in any order
+// errs by at most γ_{m−1}·Σ|y|, and each multiply or divide adds one
+// factor (1+δ), |δ| ≤ u (Higham, Accuracy and Stability of Numerical
+// Algorithms, §3). Let A = Σ|y|/n.
+//   - The oracle fl(fl(Σ y)/n) is within γ_n·A of μ.
+//   - The stratified estimate Σ_h fl(fl(N_h/N)·fl(fl(Σ_{y∈h} y)/N_h))
+//     has per-stratum terms within a factor (1+θ), |θ| ≤ γ_{N_h+2}, of
+//     their exact values, and adding the K ≤ n terms multiplies in
+//     γ_{K−1} more: it is within γ_{2n+1}·A of μ.
+//
+// So |est − oracle| ≤ (γ_n + γ_{2n+1})·A ≤ γ_{3n+1}·A. CPIs are
+// positive, so A = μ ≤ |est|/(1−γ_{2n+1}) ≤ 2·|est|. Forming est ∓ margin
+// rounds by at most u·|est| more, so 2·γ_{3n+2}·|est| covers all of it.
+// That is about 6n ulps of the estimate, far below the z·SE of any
+// sample with spread, whose interval it leaves bit-identical.
+func roundingMargin(n int, est float64) float64 {
+	const u = 0x1p-53
+	m := float64(3*n+2) * u
+	return 2 * m / (1 - m) * math.Abs(est)
 }
 
 // ---------------------------------------------------------------------

@@ -385,3 +385,56 @@ func TestStratifiedBootstrapCIAgreesWithCLT(t *testing.T) {
 		t.Fatal("both intervals miss the oracle")
 	}
 }
+
+// TestCensusCIContainsOracle: a sample as large as the trace draws every
+// unit, so the estimate is the population mean up to rounding and its SE
+// is 0. The stratified sum and the oracle add the same CPIs in different
+// orders and can differ in the last bits; the interval must still
+// contain the oracle.
+func TestCensusCIContainsOracle(t *testing.T) {
+	differ := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		tr := mixedTrace(30, seed)
+		ph := formed(t, tr)
+		sp, err := SimProf(ph, len(tr.Units)+5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Size() != len(tr.Units) || sp.SE != 0 {
+			t.Fatalf("seed %d: census drew %d of %d units, SE %v", seed, sp.Size(), len(tr.Units), sp.SE)
+		}
+		oracle := tr.OracleCPI()
+		if sp.EstCPI != oracle {
+			differ++
+		}
+		for _, level := range []float64{0.95, 0.997} {
+			if ci := sp.CI(level); !ci.Contains(oracle) {
+				t.Fatalf("seed %d: census CI %.17g ± %g misses the oracle %.17g", seed, ci.Mean, ci.Margin, oracle)
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every census estimate equals its oracle bit for bit: the test no longer exercises rounding")
+	}
+}
+
+// TestCIMarginIsZSEAboveRounding: an interval with spread keeps the
+// plain z·SE margin bit for bit; the rounding floor only lifts an
+// interval whose z·SE is smaller than it, as SE = 0 is.
+func TestCIMarginIsZSEAboveRounding(t *testing.T) {
+	ids := make([]int, 100)
+	for _, se := range []float64{1e-3, 0.05, 2} {
+		s := Sample{UnitIDs: ids, EstCPI: 1.7, SE: se}
+		if got, want := s.CI(0.997).Margin, stats.ZForConfidence(0.997)*se; got != want {
+			t.Fatalf("SE %v: margin %v, want z·SE = %v", se, got, want)
+		}
+	}
+	s := Sample{UnitIDs: ids, EstCPI: 1.7}
+	floor := s.CI(0.997).Margin
+	if floor <= 0 || floor > 1e-12 {
+		t.Fatalf("SE 0: margin %v, want a rounding-sized floor", floor)
+	}
+	if s.CI(0.95).Margin != floor {
+		t.Fatal("the rounding floor depends on the confidence level")
+	}
+}

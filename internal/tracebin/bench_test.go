@@ -92,7 +92,6 @@ func BenchmarkEndToEnd100k(b *testing.B) {
 			TopK:      6,
 			MaxPhases: 4,
 			Restarts:  1,
-			MaxIter:   25,
 			Seed:      7,
 		})
 		if err != nil {

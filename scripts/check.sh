@@ -45,8 +45,12 @@
 #                                            estimate on the profiled
 #                                            trace is the sample's own and
 #                                            scales with the target;
-#                                            fails if a named test no
-#                                            longer exists)
+#                                            phase answers match their
+#                                            golden record and ignore
+#                                            MaxIter; census intervals
+#                                            contain the oracle; fails if
+#                                            a named test no longer
+#                                            exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
 #                                            torn appends, internal
 #                                            failures, expired deadlines,
@@ -288,6 +292,20 @@ run_kernel_equivalence() {
 	# own estimate and SE, and on a 1.5x-cycles trace against 1.5x them.
 	equiv_tests ./internal/sampling TestStratumScanMatchesOracle \
 		TestEstimateOnTraceSelfMatchesSimProf TestEstimateOnTraceTracksTarget || fail kernel-equivalence
+	# The k-means kernel and its oracle can change together and still
+	# agree, so the answers are also pinned against a record: k, the
+	# silhouette sweep, the assignment, the centers and a SimProf
+	# estimate on the 12 Quick Table I traces and a trace whose sweep
+	# re-seeds empty clusters. The deprecated MaxIter must not move a
+	# phase.
+	equiv_tests ./internal/experiments TestFormAnswersGolden || fail kernel-equivalence
+	equiv_tests ./internal/phase TestMaxIterIgnored || fail kernel-equivalence
+	# A census (every unit drawn, SE 0) gets an interval no narrower than
+	# its rounding error, so it contains the oracle; every interval with
+	# SE > 0 keeps its z·SE margin bit for bit.
+	equiv_tests ./internal/sampling TestCensusCIContainsOracle \
+		TestCIMarginIsZSEAboveRounding || fail kernel-equivalence
+	equiv_tests ./internal/experiments TestQuickCensusCoverage || fail kernel-equivalence
 }
 
 run_chaos_smoke() {
