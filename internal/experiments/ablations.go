@@ -297,10 +297,11 @@ func (s *Suite) AblationGC() ([]GCRow, error) {
 			}
 		}
 		total, gc := 0, 0
-		for _, u := range tr.Units {
-			for j := 0; j < u.Snapshots.Len(); j++ {
+		for i := range tr.Units {
+			s := tr.Snapshots(i)
+			for j := 0; j < s.Len(); j++ {
 				total++
-				for _, id := range u.Snapshots.At(j) {
+				for _, id := range s.At(j) {
 					if gcFrames[int32(id)] {
 						gc++
 						break

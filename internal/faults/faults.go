@@ -298,17 +298,14 @@ func (r Report) observe() {
 	obsDisplaced.Add(int64(r.Displaced))
 }
 
-// cloneTrace deep-copies the parts Apply may mutate (units and their
-// stage lists). Snapshots stay shared: Apply replaces a unit's
-// snapshots with fresh slices and never writes through them.
+// cloneTrace copies the parts Apply may mutate: the method table and the
+// pointer-free unit rows. The columns stay shared: Apply replaces the
+// frame columns with rebuilt ones and never writes through them.
 func cloneTrace(tr *trace.Trace) *trace.Trace {
 	out := *tr
 	out.SetFreq(nil) // the copied frequency handle would go stale with the mutations
 	out.Methods = append([]model.Method(nil), tr.Methods...)
 	out.Units = append([]trace.Unit(nil), tr.Units...)
-	for i := range out.Units {
-		out.Units[i].Stages = append([]int(nil), out.Units[i].Stages...)
-	}
 	return &out
 }
 
@@ -386,27 +383,30 @@ func applyCounterFaults(tr *trace.Trace, cfg Config, rep *Report) {
 }
 
 // applySnapshotLoss drops individual call-stack snapshots (lost JVMTI
-// requests) and flags the affected units.
+// requests) and flags the affected units, rebuilding the frame columns
+// in one pass in unit order.
 func applySnapshotLoss(tr *trace.Trace, cfg Config, rep *Report) {
 	if cfg.SnapshotLoss <= 0 {
 		return
 	}
 	rng := stats.NewRNG(stats.SplitSeed(cfg.Seed, seedSnap))
+	var cols trace.Trace // the rebuilt frame columns
 	for i := range tr.Units {
 		u := &tr.Units[i]
-		var kept trace.Snapshots
-		for j := 0; j < u.Snapshots.Len(); j++ {
+		s := tr.Snapshots(i)
+		u.Snapshots = trace.Span{}
+		for j := 0; j < s.Len(); j++ {
 			if rng.Float64() < cfg.SnapshotLoss {
 				rep.SnapshotsLost++
 				continue
 			}
-			kept.Append(u.Snapshots.At(j))
+			cols.AppendSnapshot(u, s.At(j))
 		}
-		if kept.Len() < u.Snapshots.Len() {
-			u.Snapshots = kept
+		if u.Snapshots.Len() < s.Len() {
 			u.Quality |= trace.SnapshotsPartial
 		}
 	}
+	tr.Frames, tr.FrameOff = cols.Frames, cols.FrameOff
 }
 
 // applyDuplicates re-uploads units (ack timeout → retry), appending

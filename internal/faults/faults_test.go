@@ -38,7 +38,7 @@ func buildTrace(nThreads, perThread int, seed uint64) *trace.Trace {
 				ID: len(tr.Units), Thread: th, Index: i, StartCycle: cycle,
 			}
 			for s := 0; s < 10; s++ {
-				u.Snapshots.Append(model.Stack{root, m})
+				tr.AppendSnapshot(&u, model.Stack{root, m})
 			}
 			u.Counters = trace.Counters{Instructions: 1000, Cycles: uint64(1000 * cpi)}
 			cycle += u.Counters.Cycles

@@ -15,7 +15,7 @@ func TestCounterProfile(t *testing.T) {
 	add := func(m model.MethodID, cyc, llc uint64) {
 		u := trace.Unit{ID: len(tr.Units)}
 		for s := 0; s < 10; s++ {
-			u.Snapshots.Append(model.Stack{m})
+			tr.AppendSnapshot(&u, model.Stack{m})
 		}
 		u.Counters = trace.Counters{Instructions: 1000, Cycles: cyc, L1Misses: llc * 3, L2Misses: llc * 2, LLCMisses: llc}
 		tr.Units = append(tr.Units, u)

@@ -26,7 +26,7 @@ func oracleCounts(space []string, tr *trace.Trace) [][]float64 {
 	out := make([][]float64, len(tr.Units))
 	for u := range tr.Units {
 		byFQN := map[string]float64{}
-		snaps := tr.Units[u].Snapshots
+		snaps := tr.Snapshots(u)
 		for j := 0; j < snaps.Len(); j++ {
 			for _, id := range snaps.At(j) {
 				if id >= 0 && int(id) < len(tr.Methods) {
@@ -99,16 +99,9 @@ func reinterned(tr *trace.Trace) *trace.Trace {
 		out.Methods[mm.ID] = mm
 	}
 	out.Units = slices.Clone(tr.Units)
-	for u := range out.Units {
-		var snaps trace.Snapshots
-		for s := 0; s < tr.Units[u].Snapshots.Len(); s++ {
-			snap := slices.Clone(tr.Units[u].Snapshots.At(s))
-			for f, id := range snap {
-				snap[f] = model.MethodID(m-1) - id
-			}
-			snaps.Append(snap)
-		}
-		out.Units[u].Snapshots = snaps
+	out.Frames = make([]model.MethodID, len(tr.Frames))
+	for f, id := range tr.Frames {
+		out.Frames[f] = model.MethodID(m-1) - id
 	}
 	out.SetFreq(nil)
 	return &out
@@ -134,7 +127,7 @@ func sharedFQNTrace() *trace.Trace {
 	} {
 		u := trace.Unit{ID: len(tr.Units), Counters: trace.Counters{Instructions: 1000, Cycles: 2000}}
 		for _, st := range stacks {
-			u.Snapshots.Append(st)
+			tr.AppendSnapshot(&u, st)
 		}
 		tr.Units = append(tr.Units, u)
 	}

@@ -244,14 +244,18 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	obsFormUnits.Add(int64(len(tr.Units)))
 	eng := parallel.New(o.Workers).WithContext(ctx)
 
+	// One pass over the units flags the degraded ones and lists the
+	// fully observed ones with their IPC, the feature-selection target.
 	degraded := make([]bool, len(tr.Units))
 	clean := make([]int, 0, len(tr.Units))
+	cleanIPC := make([]float64, 0, len(tr.Units))
 	for i := range tr.Units {
 		if tr.EffectiveQuality(i).Degraded() {
 			degraded[i] = true
-		} else {
-			clean = append(clean, i)
+			continue
 		}
+		clean = append(clean, i)
+		cleanIPC = append(cleanIPC, tr.Units[i].Counters.IPC())
 	}
 	if len(clean) == 0 {
 		return nil, fmt.Errorf("phase: no fully observed sampling units (all %d degraded)", len(tr.Units))
@@ -271,10 +275,6 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// fully observed units only (a dropped counter is not IPC 0). The
 	// sparse scorer walks stored nonzeros, never the full method space.
 	_, selSpan := obs.StartSpan(ctx, "phase.feature_select")
-	cleanIPC := make([]float64, len(clean))
-	for k, i := range clean {
-		cleanIPC[k] = tr.Units[i].Counters.IPC()
-	}
 	scores := stats.FRegressionSparseWith(eng, sp, clean, cleanIPC)
 	if err := eng.Err(); err != nil {
 		return nil, fmt.Errorf("phase: feature selection: %w", err)

@@ -27,7 +27,7 @@ func synthTrace(nPerPhase int, seed uint64) *trace.Trace {
 	add := func(m model.MethodID, cpi float64) {
 		u := trace.Unit{ID: len(tr.Units)}
 		for s := 0; s < 10; s++ {
-			u.Snapshots.Append(model.Stack{root, m})
+			tr.AppendSnapshot(&u, model.Stack{root, m})
 		}
 		u.Counters = trace.Counters{Instructions: 1000, Cycles: uint64(1000 * cpi)}
 		tr.Units = append(tr.Units, u)
@@ -169,7 +169,7 @@ func TestVectorizeByFQNAcrossTables(t *testing.T) {
 	ref := &trace.Trace{Methods: tbl.Methods()}
 	u := trace.Unit{ID: 0, Counters: trace.Counters{Instructions: 1000, Cycles: 3000}}
 	for s := 0; s < 10; s++ {
-		u.Snapshots.Append(model.Stack{root, b})
+		ref.AppendSnapshot(&u, model.Stack{root, b})
 	}
 	ref.Units = append(ref.Units, u)
 
@@ -255,7 +255,7 @@ func TestSinglePhaseTrace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 1000, Cycles: 1500}}
 		for s := 0; s < 10; s++ {
-			u.Snapshots.Append(model.Stack{root, m})
+			tr.AppendSnapshot(&u, model.Stack{root, m})
 		}
 		tr.Units = append(tr.Units, u)
 	}
@@ -278,7 +278,7 @@ func TestFormSurvivesDegenerateUnits(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 100, Cycles: 150}}
 		if i%2 == 0 {
-			u.Snapshots.Append(model.Stack{m})
+			tr.AppendSnapshot(&u, model.Stack{m})
 		} // odd units: no snapshots at all
 		tr.Units = append(tr.Units, u)
 	}
@@ -304,11 +304,11 @@ func TestFormConstantIPC(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		u := trace.Unit{ID: i, Counters: trace.Counters{Instructions: 100, Cycles: 200}}
 		if i%2 == 0 {
-			u.Snapshots.Append(model.Stack{a})
-			u.Snapshots.Append(model.Stack{a})
+			tr.AppendSnapshot(&u, model.Stack{a})
+			tr.AppendSnapshot(&u, model.Stack{a})
 		} else {
-			u.Snapshots.Append(model.Stack{b})
-			u.Snapshots.Append(model.Stack{b})
+			tr.AppendSnapshot(&u, model.Stack{b})
+			tr.AppendSnapshot(&u, model.Stack{b})
 		}
 		tr.Units = append(tr.Units, u)
 	}

@@ -9,6 +9,7 @@ package profiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"simprof/internal/cpu"
@@ -53,13 +54,7 @@ func Collect(res cpu.Result, table *model.Table, cfg Config) (*trace.Trace, erro
 		Methods:       table.Methods(),
 	}
 	for ti, recs := range streams {
-		units := sliceUnits(recs, cfg)
-		for i := range units {
-			units[i].Thread = ti
-			units[i].Index = i
-			units[i].ID = len(t.Units)
-			t.Units = append(t.Units, units[i])
-		}
+		sliceUnits(t, ti, recs, cfg)
 	}
 	return t, nil
 }
@@ -106,20 +101,24 @@ func firstStart(te cpu.ThreadExec) uint64 {
 	return te.Exec[0].StartCycle
 }
 
-// sliceUnits carves one execution stream into sampling units. Counters
-// of segments spanning a unit boundary are prorated by instruction
-// count; the trailing partial unit is discarded (the paper uses
-// fixed-size units only).
-func sliceUnits(recs []cpu.SegExec, cfg Config) []trace.Unit {
-	var units []trace.Unit
-	var cur trace.Unit
+// sliceUnits carves one execution stream into sampling units and
+// appends them to t as thread thread, with their snapshots and stages
+// appended to t's columns. Counters of segments spanning a unit boundary
+// are prorated by instruction count; the trailing partial unit is
+// discarded with its column entries (the paper uses fixed-size units
+// only).
+func sliceUnits(t *trace.Trace, thread int, recs []cpu.SegExec, cfg Config) {
+	cur := trace.Unit{Thread: thread}
 	var curInstr uint64                 // instructions in the current unit
 	var fCycles, fL1, fL2, fLLC float64 // prorated counter accumulators
 	var threadInstr uint64              // absolute instructions on this stream
 	nextSnap := cfg.SnapshotEvery       // absolute instr position of next snapshot
 	started := false
+	// The column lengths at the current unit's start.
+	nFrames, nStacks, nStages := len(t.Frames), len(t.FrameOff), len(t.StageIDs)
 
 	flush := func() {
+		cur.ID = len(t.Units)
 		cur.Counters = trace.Counters{
 			Instructions: curInstr,
 			Cycles:       uint64(fCycles),
@@ -127,12 +126,13 @@ func sliceUnits(recs []cpu.SegExec, cfg Config) []trace.Unit {
 			L2Misses:     uint64(fL2),
 			LLCMisses:    uint64(fLLC),
 		}
-		sort.Ints(cur.Stages)
-		cur.Stages = dedupInts(cur.Stages)
-		units = append(units, cur)
-		cur = trace.Unit{}
+		slices.Sort(t.StageIDs[nStages:])
+		cur.Stages = trace.Span{Lo: uint32(nStages), Hi: uint32(len(t.StageIDs))}
+		t.Units = append(t.Units, cur)
+		cur = trace.Unit{Thread: thread, Index: cur.Index + 1}
 		curInstr, fCycles, fL1, fL2, fLLC = 0, 0, 0, 0, 0
 		started = false
+		nFrames, nStacks, nStages = len(t.Frames), len(t.FrameOff), len(t.StageIDs)
 	}
 
 	for _, rec := range recs {
@@ -152,15 +152,15 @@ func sliceUnits(recs []cpu.SegExec, cfg Config) []trace.Unit {
 			fL1 += frac * float64(rec.L1Misses)
 			fL2 += frac * float64(rec.L2Misses)
 			fLLC += frac * float64(rec.LLCMisses)
-			if !containsInt(cur.Stages, rec.Seg.StageID) {
-				cur.Stages = append(cur.Stages, rec.Seg.StageID)
+			if stage := int32(rec.Seg.StageID); !slices.Contains(t.StageIDs[nStages:], stage) {
+				t.StageIDs = append(t.StageIDs, stage)
 			}
 
 			// Snapshots that land inside this span observe this
 			// segment's stack.
 			spanEnd := threadInstr + take
 			for nextSnap <= spanEnd {
-				cur.Snapshots.Append(rec.Seg.Stack)
+				t.AppendSnapshot(&cur, rec.Seg.Stack)
 				nextSnap += cfg.SnapshotEvery
 			}
 
@@ -172,27 +172,5 @@ func sliceUnits(recs []cpu.SegExec, cfg Config) []trace.Unit {
 			}
 		}
 	}
-	return units
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func dedupInts(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	t.Frames, t.FrameOff, t.StageIDs = t.Frames[:nFrames], t.FrameOff[:nStacks], t.StageIDs[:nStages]
 }

@@ -64,8 +64,8 @@ func TestUnitsHaveExactSizeAndSnapshotCount(t *testing.T) {
 		if u.Counters.Instructions != 1000 {
 			t.Fatalf("unit %d instr=%d", i, u.Counters.Instructions)
 		}
-		if u.Snapshots.Len() != 10 {
-			t.Fatalf("unit %d snapshots=%d want 10", i, u.Snapshots.Len())
+		if n := tr.Snapshots(i).Len(); n != 10 {
+			t.Fatalf("unit %d snapshots=%d want 10", i, n)
 		}
 		if u.ID != i || u.Index != i || u.Thread != 0 {
 			t.Fatalf("unit %d ids wrong: %+v", i, u)
@@ -122,15 +122,39 @@ func TestStagesRecorded(t *testing.T) {
 	cfg := Config{UnitInstr: 1000, SnapshotEvery: 100}
 	vm, res, _ := runSimple(t, 25, 200, cfg)
 	tr, _ := Collect(*res, vm.Table, cfg)
-	for _, u := range tr.Units {
-		if len(u.Stages) == 0 {
+	for u := range tr.Units {
+		stages := tr.Stages(u)
+		if len(stages) == 0 {
 			t.Fatal("unit lost stage tags")
 		}
-		for i := 1; i < len(u.Stages); i++ {
-			if u.Stages[i] <= u.Stages[i-1] {
-				t.Fatalf("stages not sorted/unique: %v", u.Stages)
+		for i := 1; i < len(stages); i++ {
+			if stages[i] <= stages[i-1] {
+				t.Fatalf("stages not sorted/unique: %v", stages)
 			}
 		}
+	}
+}
+
+// TestPartialUnitLeavesNoColumns: the trailing partial unit of a stream
+// is discarded with its snapshots and stages, so the columns hold
+// exactly the kept units' entries, in unit order.
+func TestPartialUnitLeavesNoColumns(t *testing.T) {
+	cfg := Config{UnitInstr: 1000, SnapshotEvery: 100}
+	vm, res, _ := runSimple(t, 27, 200, cfg) // 5400 instr → 5 units + a partial one
+	tr, err := Collect(*res, vm.Table, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Units) != 5 || len(tr.FrameOff) != 5*10+1 {
+		t.Fatalf("%d units, %d stacks; want 5 units, 50 stacks", len(tr.Units), len(tr.FrameOff)-1)
+	}
+	last := tr.Units[4]
+	if int(last.Snapshots.Hi) != len(tr.FrameOff)-1 || int(last.Stages.Hi) != len(tr.StageIDs) ||
+		int(tr.FrameOff[last.Snapshots.Hi]) != len(tr.Frames) {
+		t.Fatalf("columns run past the last unit: %+v", last)
 	}
 }
 
@@ -189,7 +213,7 @@ func TestSnapshotsObserveActiveStack(t *testing.T) {
 	if len(tr.Units) != 1 {
 		t.Fatalf("units=%d", len(tr.Units))
 	}
-	snaps := tr.Units[0].Snapshots
+	snaps := tr.Snapshots(0)
 	if snaps.Len() != 10 {
 		t.Fatalf("snapshots=%d", snaps.Len())
 	}
@@ -237,7 +261,7 @@ func TestMergeOrderFollowsStartCycles(t *testing.T) {
 	}
 	// First two units belong to the first-run task, last two to the
 	// second (FIFO core scheduling runs them in spawn order).
-	if tr.Units[0].Snapshots.At(0).Leaf() != first || tr.Units[3].Snapshots.At(0).Leaf() != second {
+	if tr.Snapshots(0).At(0).Leaf() != first || tr.Snapshots(3).At(0).Leaf() != second {
 		t.Fatal("merged stream not ordered by task start")
 	}
 	// Start cycles are monotone within the merged stream.

@@ -25,7 +25,7 @@ func mixedTrace(n int, seed uint64) *trace.Trace {
 	add := func(m model.MethodID, cpi float64) {
 		u := trace.Unit{ID: len(tr.Units), StartCycle: cycle}
 		for s := 0; s < 10; s++ {
-			u.Snapshots.Append(model.Stack{root, m})
+			tr.AppendSnapshot(&u, model.Stack{root, m})
 		}
 		u.Counters = trace.Counters{Instructions: 1000, Cycles: uint64(1000 * cpi)}
 		cycle += u.Counters.Cycles

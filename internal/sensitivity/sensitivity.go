@@ -39,8 +39,7 @@ func Classify(ph *phase.Phases, ref *trace.Trace) []int {
 	set := cluster.NewNearestSet(ph.Centers)
 	out := make([]int, len(ref.Units))
 	parallel.Default().ForEachChunk(len(out), classifyChunk, func(_, lo, hi int) {
-		part := trace.Trace{Methods: ref.Methods, Units: ref.Units[lo:hi]}
-		sp := ph.Space.VectorizeSparse(&part)
+		sp := ph.Space.VectorizeSparse(ref.UnitRange(lo, hi))
 		v := make([]float64, sp.Cols())
 		for i := range sp.Rows() {
 			cols, vals := sp.Row(i)

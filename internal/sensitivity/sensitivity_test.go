@@ -21,7 +21,7 @@ func twoPhaseTrace(n int, scanCPI, aggCPI, aggStd float64, seed uint64) *trace.T
 	add := func(m model.MethodID, cpi float64) {
 		u := trace.Unit{ID: len(tr.Units)}
 		for s := 0; s < 10; s++ {
-			u.Snapshots.Append(model.Stack{root, m})
+			tr.AppendSnapshot(&u, model.Stack{root, m})
 		}
 		if cpi < 0.1 {
 			cpi = 0.1

@@ -115,7 +115,7 @@ func (s TraceSpec) Generate() (*trace.Trace, error) {
 	nFrames := s.Units * perUnit * s.Depth
 	frames := make([]model.MethodID, 0, nFrames)
 	offs := make([]uint32, 1, s.Units*perUnit+1) // frame offsets, SPTB-style
-	stages := make([]int, 0, s.Units)
+	stages := make([]int32, 0, s.Units)
 
 	t.Units = make([]trace.Unit, s.Units)
 	var startCycle uint64
@@ -140,7 +140,7 @@ func (s TraceSpec) Generate() (*trace.Trace, error) {
 		// Snapshots: shared prefix + a skewed draw from the phase's hot
 		// set (squaring the uniform biases toward the set's head, giving
 		// each phase a stable dominant method mix).
-		f0, s0 := len(frames), len(offs)-1
+		s0 := uint32(len(offs) - 1)
 		hs := hot[phase]
 		for k := 0; k < perUnit; k++ {
 			for d := 0; d < prefix; d++ {
@@ -150,15 +150,11 @@ func (s TraceSpec) Generate() (*trace.Trace, error) {
 			frames = append(frames, hs[int(r*r*float64(len(hs)))])
 			offs = append(offs, uint32(len(frames)))
 		}
-		u.Snapshots = trace.Snapshots{
-			Frames: frames[f0:len(frames):len(frames)],
-			Off:    offs[s0:len(offs):len(offs)],
-		}
-
-		g0 := len(stages)
-		stages = append(stages, phase)
-		u.Stages = stages[g0:len(stages):len(stages)]
+		u.Snapshots = trace.Span{Lo: s0, Hi: uint32(len(offs) - 1)}
+		u.Stages = trace.Span{Lo: uint32(len(stages)), Hi: uint32(len(stages) + 1)}
+		stages = append(stages, int32(phase))
 	}
+	t.Frames, t.FrameOff, t.StageIDs = frames, offs, stages
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated trace invalid: %w", err)
 	}

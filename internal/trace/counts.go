@@ -26,7 +26,7 @@ func (t *Trace) CountMethods() *matrix.Sparse {
 	vals := make([]float64, 0, 64)
 	for i := range t.Units {
 		touched = touched[:0]
-		for _, id := range t.Units[i].Snapshots.Frames {
+		for _, id := range t.Snapshots(i).Frames {
 			if id < 0 || int(id) >= m {
 				continue
 			}

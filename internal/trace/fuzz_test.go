@@ -36,35 +36,45 @@ func fuzzSeedCorpus(f *testing.F, json bool) {
 		flipped[i] ^= 0x40
 	}
 	f.Add(flipped)
-	// Snapshot offsets that do not fit their frames: At would read out of
-	// range if Validate let them through.
-	for _, tr := range brokenOffsetTraces() {
+	// Spans that do not fit the columns: Snapshots, At or Stages would
+	// read out of range if Validate let them through.
+	for _, tr := range brokenSpanTraces() {
 		f.Add(encode(tr))
 	}
 }
 
-// brokenOffsetTraces returns valid-looking traces whose unit 1 carries
-// snapshot offsets that do not fit its frames: one non-monotone, one
-// ending short of len(Frames), one ending past it.
-func brokenOffsetTraces() []*Trace {
+// brokenSpanTraces returns valid-looking traces whose unit 1 has spans
+// that do not fit the columns: stack offsets that decrease inside its
+// snapshot span, a last offset past Frames, a snapshot span past
+// FrameOff, an inverted snapshot span, an inverted stage span and a
+// stage span past StageIDs. Unit 1's snapshots are stacks 2 and 3.
+func brokenSpanTraces() []*Trace {
 	var out []*Trace
-	for _, off := range [][]uint32{{0, 2, 1}, {0, 1, 1}, {0, 1, 3}} {
+	for _, break_ := range []func(tr *Trace){
+		func(tr *Trace) { tr.FrameOff[3] = 5 },
+		func(tr *Trace) { tr.FrameOff[4] = 99 },
+		func(tr *Trace) { tr.Units[1].Snapshots.Hi = 40 },
+		func(tr *Trace) { tr.Units[1].Snapshots = Span{Lo: 4, Hi: 2} },
+		func(tr *Trace) { tr.Units[1].Stages = Span{Lo: 1, Hi: 0} },
+		func(tr *Trace) { tr.Units[1].Stages = Span{Lo: 0, Hi: 3} },
+	} {
 		tr := threadedTrace()
-		s := &tr.Units[1].Snapshots
-		s.Off = off
+		break_(tr)
 		out = append(out, tr)
 	}
 	return out
 }
 
-// readAll walks every snapshot of a trace through At and counts its
-// methods: on a trace that passed Validate neither may panic.
+// readAll walks every snapshot and stage list of a trace through
+// Snapshots, At and Stages and counts its methods: on a trace that
+// passed Validate none may panic.
 func readAll(tr *Trace) {
 	for i := range tr.Units {
-		s := tr.Units[i].Snapshots
+		s := tr.Snapshots(i)
 		for j := 0; j < s.Len(); j++ {
 			_ = s.At(j).Leaf()
 		}
+		_ = tr.Stages(i)
 	}
 	tr.CountMethods()
 }

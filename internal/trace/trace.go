@@ -5,16 +5,35 @@
 // to gob (compact) and JSON (interoperable); binary formats register
 // themselves (see RegisterFormat).
 //
-// A unit's snapshots are one CSR view, Unit.Snapshots: a flat frame
-// slice plus a snapshot-offset slice, read through Len and At, never a
-// slice header per snapshot. The columnar decoder (internal/tracebin)
-// points both slices straight into the file's frame and frame-offset
-// columns, so its offsets start wherever the unit's frames start in the
-// file; every reader subtracts Off[0]. The gob and JSON encoders write
-// the offsets rebased to 0, so a trace's encoding depends only on its
-// content. The wire shape is a {Frames, Off} object per unit: gob and
-// JSON traces written before this representation, which carried one
-// array per snapshot, no longer decode.
+// A trace is a table of rows plus three columns that mirror the
+// columnar format's sections. Each Unit is a pointer-free row (ids,
+// counters, quality) whose snapshots and stages are index spans into
+// trace-level columns:
+//
+//   - Frames holds every snapshot's method ids back to back;
+//   - FrameOff holds the stack offsets: stack k is
+//     Frames[FrameOff[k]:FrameOff[k+1]];
+//   - StageIDs holds the engine stage ids.
+//
+// Unit i's snapshots are stacks [Snapshots.Lo, Snapshots.Hi), read
+// through t.Snapshots(i) as one CSR view (Len, At); its stages are
+// StageIDs[Stages.Lo:Stages.Hi], read through t.Stages(i). A million-unit
+// trace's rows are then one flat allocation the garbage collector never
+// scans, and code that moves rows (Repair's reorder and dedup, the fault
+// injector's crash, duplicate and displace) moves the spans with them.
+// Spans need not follow unit order, may share stacks and may leave
+// column entries unreferenced. Validate checks the span invariants: a
+// span is not inverted and ends inside its column; a snapshot span's
+// stack offsets never decrease and end inside Frames.
+//
+// The producers (profiler, synth) append rows and columns in unit order;
+// AppendSnapshot adds one snapshot to the unit being built. Edits of the
+// snapshots rebuild the frame columns in one pass. The columnar decoder (internal/tracebin)
+// adopts its frame, frame-offset and stage sections as the columns
+// without copying, so they may alias the input buffer: never write
+// through them. Gob and JSON encode the columns as plain arrays; gob and
+// JSON traces written before this layout, which carried slices per
+// unit, no longer decode.
 package trace
 
 import (
@@ -74,28 +93,34 @@ func (c *Counters) Add(o Counters) {
 }
 
 // Unit is one sampling unit: a fixed-length instruction interval within
-// one (possibly merged) executor thread, carrying the call-stack
-// snapshots taken inside it and its counters.
+// one (possibly merged) executor thread, carrying its counters and the
+// spans of its call-stack snapshots and engine stages in the trace's
+// columns. It holds no pointer.
 type Unit struct {
 	ID         int // dense id within the trace
 	Thread     int // profiled (merged) thread index
 	Index      int // position within that thread
 	StartCycle uint64
 	Counters   Counters
-	Snapshots  Snapshots // one per snapshot interval
-	Stages     []int     // engine stages observed in the unit (sorted, unique)
-	Quality    Quality   // degradation flags (OK for a pristine unit)
+	Snapshots  Span    // stacks of Trace.FrameOff, one per snapshot interval
+	Stages     Span    // entries of Trace.StageIDs (sorted, unique)
+	Quality    Quality // degradation flags (OK for a pristine unit)
 }
 
-// Snapshots holds one unit's call-stack snapshots in CSR form: snapshot
-// j is Frames[Off[j]-Off[0] : Off[j+1]-Off[0]], so Frames is the unit's
-// frames in snapshot order and Off has one entry more than there are
-// snapshots (none for a unit without snapshots). Off need not start at
-// 0: a decoded columnar trace's views keep the file's absolute offsets.
-// Validate checks that the offsets fit Frames, so At cannot panic on a
-// validated trace. A decoded trace's slices may alias the input buffer:
-// change a unit's snapshots by building fresh slices (Append does), never
-// by writing through them.
+// Span is the half-open index range [Lo, Hi) of a unit's entries in one
+// of its trace's columns.
+type Span struct{ Lo, Hi uint32 }
+
+// Len returns the number of entries (negative for an inverted span,
+// which Validate rejects).
+func (s Span) Len() int { return int(s.Hi) - int(s.Lo) }
+
+// Snapshots is one unit's call-stack snapshots as a CSR view of the
+// trace's columns: snapshot j is Frames[Off[j]-Off[0] : Off[j+1]-Off[0]],
+// so Frames is the unit's frames in snapshot order and Off has one entry
+// more than there are snapshots (none for a unit without snapshots). Off
+// keeps the column's absolute offsets, so every reader subtracts Off[0].
+// Both slices are read-only views (see Trace.Snapshots).
 type Snapshots struct {
 	Frames []model.MethodID
 	Off    []uint32
@@ -115,17 +140,6 @@ func (s Snapshots) At(j int) model.Stack {
 	return model.Stack(s.Frames[a:b:b])
 }
 
-// Append adds a copy of stack as the last snapshot. It never writes into
-// the backing arrays of a decoded view: those are capped at their
-// length, so the first append reallocates.
-func (s *Snapshots) Append(stack model.Stack) {
-	if len(s.Off) == 0 {
-		s.Off = append(s.Off, 0)
-	}
-	s.Frames = append(s.Frames, stack...)
-	s.Off = append(s.Off, s.Off[0]+uint32(len(s.Frames)))
-}
-
 // CPI is shorthand for u.Counters.CPI().
 func (u *Unit) CPI() float64 { return u.Counters.CPI() }
 
@@ -142,10 +156,72 @@ type Trace struct {
 	Methods []model.Method // interned table, id-ordered
 	Units   []Unit
 
+	// The columns the units' spans index (see the package doc).
+	Frames   []model.MethodID // snapshot frames, stack after stack
+	FrameOff []uint32         // stack k is Frames[FrameOff[k]:FrameOff[k+1]]
+	StageIDs []int32          // engine stage ids
+
 	// freq is the per-unit method-frequency matrix a columnar decoder
 	// attached (see SetFreq/Freq in counts.go). Unexported: it is an
 	// in-memory acceleration handle, never serialized.
 	freq *matrix.Sparse
+}
+
+// Snapshots returns unit i's snapshots as a CSR view of the frame
+// columns. The view is read-only: it may alias a decoded input buffer.
+// On a trace that skipped Validate it may panic.
+func (t *Trace) Snapshots(i int) Snapshots {
+	s := t.Units[i].Snapshots
+	if s.Lo >= s.Hi {
+		return Snapshots{}
+	}
+	a, b := t.FrameOff[s.Lo], t.FrameOff[s.Hi]
+	return Snapshots{Frames: t.Frames[a:b:b], Off: t.FrameOff[s.Lo : s.Hi+1 : s.Hi+1]}
+}
+
+// Stages returns unit i's engine stage ids, a read-only view of StageIDs.
+func (t *Trace) Stages(i int) []int32 {
+	s := t.Units[i].Stages
+	return t.StageIDs[s.Lo:s.Hi:s.Hi]
+}
+
+// AppendSnapshot appends a copy of stack to the frame columns as the
+// next snapshot of u, the unit being built: rows and columns are
+// appended in unit order, so u's snapshot span must be empty (it then
+// starts at the columns' end) or end at the last stack. A decoded
+// column is capped at its length, so the append never writes into the
+// input buffer.
+func (t *Trace) AppendSnapshot(u *Unit, stack model.Stack) {
+	if len(t.FrameOff) == 0 {
+		t.FrameOff = append(t.FrameOff, 0)
+	}
+	end := uint32(len(t.FrameOff) - 1)
+	if u.Snapshots.Len() <= 0 {
+		u.Snapshots = Span{end, end}
+	} else if u.Snapshots.Hi != end {
+		panic("trace: AppendSnapshot to a unit whose snapshots do not end the columns")
+	}
+	t.Frames = append(t.Frames, stack...)
+	t.FrameOff = append(t.FrameOff, uint32(len(t.Frames)))
+	u.Snapshots.Hi++
+}
+
+// UnitRange returns a read-only view of units [lo, hi): a trace that
+// shares t's header, method table and columns and whose Units is
+// t.Units[lo:hi]. The shared slices are capped, so an append to the view
+// never writes into t. The units keep their ids in t, so the view is no
+// valid trace on its own; it serves the per-unit readers (Snapshots,
+// CountMethods, FeatureSpace.VectorizeSparse) on a chunk of t. It
+// carries no frequency matrix.
+func (t *Trace) UnitRange(lo, hi int) *Trace {
+	v := *t
+	v.Units = t.Units[lo:hi:hi]
+	v.Methods = slices.Clip(t.Methods)
+	v.Frames = slices.Clip(t.Frames)
+	v.FrameOff = slices.Clip(t.FrameOff)
+	v.StageIDs = slices.Clip(t.StageIDs)
+	v.freq = nil
+	return &v
 }
 
 // Name returns "benchmark_fw" in the paper's abbreviation style
@@ -208,38 +284,7 @@ func (t *Trace) OracleCPI() float64 {
 
 // EncodeGob writes the trace in gob format.
 func (t *Trace) EncodeGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(t.rebased())
-}
-
-// rebased returns t, or when some unit's snapshot offsets do not start
-// at 0 (a decoded columnar view), a shallow copy whose units carry
-// offsets rebased to 0 in one shared arena. Offsets are rebased modulo
-// 2^32, like At reads them, so even an invalid unit keeps its meaning.
-func (t *Trace) rebased() *Trace {
-	n := 0
-	for i := range t.Units {
-		if off := t.Units[i].Snapshots.Off; len(off) > 0 && off[0] != 0 {
-			n += len(off)
-		}
-	}
-	if n == 0 {
-		return t
-	}
-	out := *t
-	out.Units = slices.Clone(t.Units)
-	arena := make([]uint32, 0, n)
-	for i := range out.Units {
-		s := &out.Units[i].Snapshots
-		if len(s.Off) == 0 || s.Off[0] == 0 {
-			continue
-		}
-		a := len(arena)
-		for _, o := range s.Off {
-			arena = append(arena, o-s.Off[0])
-		}
-		s.Off = arena[a:len(arena):len(arena)]
-	}
-	return &out
+	return gob.NewEncoder(w).Encode(t)
 }
 
 // DecodeGob reads a gob-encoded trace. The decoded trace is validated:
@@ -265,13 +310,17 @@ func DecodeGob(r io.Reader) (*Trace, error) {
 func (t *Trace) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(t.rebased())
+	return enc.Encode(t)
 }
 
-// DecodeJSON reads a JSON-encoded trace, validating it like DecodeGob.
+// DecodeJSON reads a JSON-encoded trace, validating it like DecodeGob. A
+// field the trace does not have is an error, so a trace in an older
+// layout is rejected instead of read as one without snapshots.
 func DecodeJSON(r io.Reader) (*Trace, error) {
 	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
 		obsDecodeErrors.Inc()
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}

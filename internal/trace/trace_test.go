@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"simprof/internal/model"
 )
@@ -11,15 +13,18 @@ func sampleTrace() *Trace {
 	tbl := model.NewTable()
 	m1 := tbl.Intern("A", "map", model.KindMap)
 	m2 := tbl.Intern("B", "reduce", model.KindReduce)
-	return &Trace{
+	tr := &Trace{
 		Benchmark: "wc", Framework: "spark", Input: "text-10g", Seed: 1,
 		UnitInstr: 100, SnapshotEvery: 10,
 		Methods: tbl.Methods(),
 		Units: []Unit{
-			{ID: 0, Counters: Counters{Instructions: 100, Cycles: 150}, Snapshots: snaps(model.Stack{m1})},
-			{ID: 1, Counters: Counters{Instructions: 100, Cycles: 250}, Snapshots: snaps(model.Stack{m2})},
+			{ID: 0, Counters: Counters{Instructions: 100, Cycles: 150}},
+			{ID: 1, Counters: Counters{Instructions: 100, Cycles: 250}},
 		},
 	}
+	setSnaps(tr, 0, model.Stack{m1})
+	setSnaps(tr, 1, model.Stack{m2})
+	return tr
 }
 
 func TestCountersCPIAndIPC(t *testing.T) {
@@ -124,4 +129,30 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodeJSON(bytes.NewReader([]byte("{"))); err == nil {
 		t.Fatal("garbage json should fail")
 	}
+}
+
+// TestUnitIsPointerFree guards the row layout: a Unit holds no
+// pointer-bearing field (slice, map, pointer, string, interface, chan or
+// func, at any depth), so a trace's unit array is one allocation the
+// garbage collector never scans, and a row stays at most 96 B.
+func TestUnitIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(Unit{}); size > 96 {
+		t.Errorf("trace.Unit is %d B, want at most 96", size)
+	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.String, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: a unit row must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Unit{}), "Unit")
 }

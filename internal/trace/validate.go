@@ -240,11 +240,11 @@ func (t *Trace) checkCadence() error {
 
 // ValidateUnit checks unit i's invariants against a header that passed
 // ValidateHeader: its id is i, its thread and index are non-negative,
-// it holds at most UnitInstr instructions and at most one snapshot more
-// than the cadence implies, its snapshot offsets fit its frames, it
-// sets only known quality bits, and every frame is a method of the
-// table. It only reads the trace, so distinct units may be checked
-// concurrently.
+// it holds at most UnitInstr instructions, its spans fit the columns
+// (checkSpans), it has at most one snapshot more than the cadence
+// implies, it sets only known quality bits, and every frame is a method
+// of the table. It only reads the trace, so distinct units may be
+// checked concurrently.
 func (t *Trace) ValidateUnit(i int) error {
 	u := &t.Units[i]
 	if u.ID != i {
@@ -257,21 +257,55 @@ func (t *Trace) ValidateUnit(i int) error {
 		return fmt.Errorf("trace: unit %d holds %d instructions, more than the unit size %d",
 			i, u.Counters.Instructions, t.UnitInstr)
 	}
+	if err := t.checkSpans(i); err != nil {
+		return err
+	}
 	if n, maxSnaps := u.Snapshots.Len(), t.ExpectedSnapshots()+1; n > maxSnaps {
 		return fmt.Errorf("trace: unit %d has %d snapshots, more than the cadence allows (%d)",
 			i, n, maxSnaps)
 	}
-	if err := u.Snapshots.check(); err != nil {
-		return fmt.Errorf("trace: unit %d %w", i, err)
-	}
 	if u.Quality&^qualityKnown != 0 {
 		return fmt.Errorf("trace: unit %d has unknown quality bits %#x", i, uint8(u.Quality))
 	}
-	for _, id := range u.Snapshots.Frames {
+	for _, id := range t.Snapshots(i).Frames {
 		if id < 0 || int(id) >= len(t.Methods) {
 			return fmt.Errorf("trace: unit %d snapshot refers to method %d outside the table (%d methods)",
 				i, id, len(t.Methods))
 		}
+	}
+	return nil
+}
+
+// checkSpans checks what Snapshots(i) and Stages(i) need: unit i's
+// snapshot span fits the stacks of FrameOff, the stack offsets it spans
+// fit Frames (Snapshots.check), and its stage span fits StageIDs.
+func (t *Trace) checkSpans(i int) error {
+	u := &t.Units[i]
+	if err := u.Snapshots.check(max(len(t.FrameOff)-1, 0), "snapshot", "stacks"); err != nil {
+		return fmt.Errorf("trace: unit %d %w", i, err)
+	}
+	if s := u.Snapshots; s.Lo < s.Hi {
+		if a, b := t.FrameOff[s.Lo], t.FrameOff[s.Hi]; b < a || uint64(b) > uint64(len(t.Frames)) {
+			return fmt.Errorf("trace: unit %d snapshot frames [%d, %d) do not fit the %d frames",
+				i, a, b, len(t.Frames))
+		}
+	}
+	if err := t.Snapshots(i).check(); err != nil {
+		return fmt.Errorf("trace: unit %d %w", i, err)
+	}
+	if err := u.Stages.check(len(t.StageIDs), "stage", "stage ids"); err != nil {
+		return fmt.Errorf("trace: unit %d %w", i, err)
+	}
+	return nil
+}
+
+// check reports whether s is an ordered span of a column of n entries.
+func (s Span) check(n int, what, column string) error {
+	if s.Lo > s.Hi {
+		return fmt.Errorf("%s span [%d, %d) is inverted", what, s.Lo, s.Hi)
+	}
+	if uint64(s.Hi) > uint64(n) {
+		return fmt.Errorf("%s span [%d, %d) runs past the %d %s", what, s.Lo, s.Hi, n, column)
 	}
 	return nil
 }
@@ -378,8 +412,8 @@ func (r RepairReport) String() string {
 // sequence flag the following unit Truncated. Structural damage Repair
 // cannot make sense of (an unusable unit size or snapshot cadence, a
 // method table with colliding ids it cannot re-identify) returns an
-// error and leaves the trace unchanged; so do snapshot offsets that do
-// not fit their frames.
+// error and leaves the trace unchanged; so do spans that do not fit
+// their columns. A repaired trace's frame columns follow unit order.
 func (t *Trace) Repair() (RepairReport, error) {
 	var rep RepairReport
 	if t == nil {
@@ -392,11 +426,11 @@ func (t *Trace) Repair() (RepairReport, error) {
 		return rep, err
 	}
 
-	// Offsets that do not fit their frames leave no way to tell which
+	// Spans that do not fit their columns leave no way to tell which
 	// snapshots were real.
 	for i := range t.Units {
-		if err := t.Units[i].Snapshots.check(); err != nil {
-			return rep, fmt.Errorf("trace: unit %d %w", i, err)
+		if err := t.checkSpans(i); err != nil {
+			return rep, err
 		}
 	}
 
@@ -408,18 +442,14 @@ func (t *Trace) Repair() (RepairReport, error) {
 		return rep, err
 	}
 
-	// Units: drop duplicates, restore stream order, re-identify.
+	// Units: drop duplicates, restore stream order, re-identify. The
+	// moved rows carry their spans.
 	t.repairUnits(&rep)
 
 	maxSnaps := t.ExpectedSnapshots()
+	t.repairSnapshots(remap, maxSnaps+1, &rep)
 	for i := range t.Units {
 		u := &t.Units[i]
-		if t.repairSnapshots(u, remap, maxSnaps+1, &rep) {
-			if !u.Quality.Has(SnapshotsPartial) {
-				rep.FlaggedPartial++
-			}
-			u.Quality |= SnapshotsPartial
-		}
 		// Counters beyond the unit size cannot be a real reading.
 		if u.Counters.Instructions > t.UnitInstr {
 			u.Counters = Counters{}
@@ -445,39 +475,47 @@ func (t *Trace) Repair() (RepairReport, error) {
 	return rep, t.Validate()
 }
 
-// repairSnapshots remaps u's snapshot frames through remap, drops frames
-// outside the method table and clamps the list to limit snapshots,
-// counting both in rep. A unit that changes gets fresh Frames and Off;
-// the old slices, possibly views of a decoded buffer, are never written.
-// It reports whether a frame was dropped. The offsets must fit Frames.
-func (t *Trace) repairSnapshots(u *Unit, remap map[model.MethodID]model.MethodID, limit int, rep *RepairReport) bool {
-	s := u.Snapshots
-	dropped := 0
-	for _, id := range s.Frames {
-		if _, ok := remapID(remap, id, len(t.Methods)); !ok {
-			dropped++
-		}
-	}
-	n := min(s.Len(), limit)
-	if n < s.Len() {
-		rep.SnapshotsClamped++
-	} else if dropped == 0 && remap == nil {
-		return false
-	}
-	rep.FramesDropped += dropped
-	var out Snapshots
-	for j := 0; j < n; j++ {
-		snap := s.At(j)
-		kept := make(model.Stack, 0, len(snap))
-		for _, id := range snap {
-			if nid, ok := remapID(remap, id, len(t.Methods)); ok {
-				kept = append(kept, nid)
+// repairSnapshots rebuilds the frame columns in one pass in unit order:
+// it remaps every unit's snapshot frames through remap, drops frames
+// outside the method table and clamps each unit to limit snapshots,
+// counting both in rep and flagging SnapshotsPartial on a unit that lost
+// a frame. The old columns, possibly views of a decoded buffer, are never
+// written. The spans must fit the columns.
+func (t *Trace) repairSnapshots(remap map[model.MethodID]model.MethodID, limit int, rep *RepairReport) {
+	var cols Trace // the rebuilt frame columns
+	var kept model.Stack
+	for i := range t.Units {
+		u := &t.Units[i]
+		s := t.Snapshots(i)
+		dropped := 0
+		for _, id := range s.Frames {
+			if _, ok := remapID(remap, id, len(t.Methods)); !ok {
+				dropped++
 			}
 		}
-		out.Append(kept)
+		n := min(s.Len(), limit)
+		if n < s.Len() {
+			rep.SnapshotsClamped++
+		}
+		rep.FramesDropped += dropped
+		u.Snapshots = Span{}
+		for j := 0; j < n; j++ {
+			kept = kept[:0]
+			for _, id := range s.At(j) {
+				if nid, ok := remapID(remap, id, len(t.Methods)); ok {
+					kept = append(kept, nid)
+				}
+			}
+			cols.AppendSnapshot(u, kept)
+		}
+		if dropped > 0 {
+			if !u.Quality.Has(SnapshotsPartial) {
+				rep.FlaggedPartial++
+			}
+			u.Quality |= SnapshotsPartial
+		}
 	}
-	u.Snapshots = out
-	return dropped > 0
+	t.Frames, t.FrameOff = cols.Frames, cols.FrameOff
 }
 
 // repairMethods restores a dense id-ordered method table, returning the

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,23 +26,26 @@ func threadedTrace() *Trace {
 			if i%2 == 1 {
 				m = m2
 			}
-			tr.Units = append(tr.Units, Unit{
+			u := Unit{
 				ID: len(tr.Units), Thread: th, Index: i,
-				Counters:  Counters{Instructions: 100, Cycles: 150 + uint64(10*i)},
-				Snapshots: snaps(model.Stack{m}, model.Stack{m}),
-			})
+				Counters: Counters{Instructions: 100, Cycles: 150 + uint64(10*i)},
+			}
+			tr.AppendSnapshot(&u, model.Stack{m})
+			tr.AppendSnapshot(&u, model.Stack{m})
+			tr.Units = append(tr.Units, u)
 		}
 	}
 	return tr
 }
 
-// snaps builds a unit's snapshots from literal stacks.
-func snaps(stacks ...model.Stack) Snapshots {
-	var s Snapshots
+// setSnaps gives unit i the literal stacks as its snapshots, appended at
+// the end of the frame columns (its old stacks stay, unreferenced).
+func setSnaps(tr *Trace, i int, stacks ...model.Stack) {
+	u := &tr.Units[i]
+	u.Snapshots = Span{}
 	for _, st := range stacks {
-		s.Append(st)
+		tr.AppendSnapshot(u, st)
 	}
-	return s
 }
 
 func TestValidateAcceptsGoodTrace(t *testing.T) {
@@ -63,11 +67,11 @@ func TestValidateStructuralErrors(t *testing.T) {
 		{"negative index", func(tr *Trace) { tr.Units[0].Index = -2 }, "index"},
 		{"overfull counters", func(tr *Trace) { tr.Units[0].Counters.Instructions = 1000 }, "instructions"},
 		{"unknown method", func(tr *Trace) {
-			tr.Units[1].Snapshots = snaps(model.Stack{42}, tr.Units[1].Snapshots.At(1))
+			setSnaps(tr, 1, model.Stack{42}, tr.Snapshots(1).At(1))
 		}, "method"},
 		{"too many snapshots", func(tr *Trace) {
-			s := tr.Units[0].Snapshots.At(0)
-			tr.Units[0].Snapshots = snaps(s, s, s, s)
+			s := tr.Snapshots(0).At(0)
+			setSnaps(tr, 0, s, s, s, s)
 		}, "snapshots"},
 		{"unknown quality bits", func(tr *Trace) { tr.Units[0].Quality = 0x80 }, "quality"},
 		{"method ids out of order", func(tr *Trace) {
@@ -158,7 +162,7 @@ func TestRepairFlagsSequenceGaps(t *testing.T) {
 
 func TestRepairDropsForeignFrames(t *testing.T) {
 	tr := threadedTrace()
-	tr.Units[1].Snapshots = snaps(model.Stack{model.MethodID(99)}, tr.Units[1].Snapshots.At(1))
+	setSnaps(tr, 1, model.Stack{model.MethodID(99)}, tr.Snapshots(1).At(1))
 	rep, err := tr.Repair()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +181,7 @@ func TestRepairDropsForeignFrames(t *testing.T) {
 func TestEffectiveQualityDerivesFlags(t *testing.T) {
 	tr := threadedTrace()
 	tr.Units[0].Counters = Counters{}
-	tr.Units[1].Snapshots = snaps(tr.Units[1].Snapshots.At(0))
+	setSnaps(tr, 1, tr.Snapshots(1).At(0))
 	if q := tr.EffectiveQuality(0); !q.Has(CountersMissing) {
 		t.Fatalf("zero counters not derived: %v", q)
 	}
@@ -301,12 +305,14 @@ func multiTrace() *Trace {
 		UnitInstr: 100, SnapshotEvery: 100,
 	}
 	perThread := map[int]int{}
-	add := func(thread, stage int, m model.MethodID) {
+	add := func(thread int, stage int32, m model.MethodID) {
 		u := Unit{
-			ID: len(tr.Units), Thread: thread, Index: perThread[thread], Stages: []int{stage},
-			Counters:  Counters{Instructions: 100, Cycles: 150},
-			Snapshots: snaps(model.Stack{m}),
+			ID: len(tr.Units), Thread: thread, Index: perThread[thread],
+			Counters: Counters{Instructions: 100, Cycles: 150},
 		}
+		u.Stages = Span{Lo: uint32(len(tr.StageIDs)), Hi: uint32(len(tr.StageIDs) + 1)}
+		tr.StageIDs = append(tr.StageIDs, stage)
+		tr.AppendSnapshot(&u, model.Stack{m})
 		perThread[thread]++
 		tr.Units = append(tr.Units, u)
 	}
@@ -344,23 +350,24 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 
 	badMethod := multiTrace()
-	badMethod.Units[0].Snapshots = snaps(model.Stack{42})
+	setSnaps(badMethod, 0, model.Stack{42})
 	if err := badMethod.Validate(); err == nil {
 		t.Fatal("unknown method not caught")
 	}
 }
 
-// TestValidateRejectsBrokenSnapshotOffsets: offsets that do not fit
-// their frames are a structural error, from Validate, Repair and both
-// decoders, never a panic in At. Offsets that do fit are read relative
-// to Off[0], wherever it starts.
+// TestValidateRejectsBrokenSnapshotOffsets: spans that do not fit the
+// columns, and stack offsets that do not fit the frames, are a
+// structural error, from Validate, Repair and both decoders, never a
+// panic in Snapshots, At or Stages. Offsets that do fit are read
+// relative to a unit's first offset, wherever the column starts.
 func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
-	for i, tr := range brokenOffsetTraces() {
-		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "unit 1 snapshot offsets") {
-			t.Fatalf("case %d: Validate = %v, want a unit 1 snapshot offset error", i, err)
+	for i, tr := range brokenSpanTraces() {
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "trace: unit 1 s") {
+			t.Fatalf("case %d: Validate = %v, want a unit 1 span or offset error", i, err)
 		}
 		if _, err := tr.Repair(); err == nil {
-			t.Fatalf("case %d: Repair accepted broken offsets", i)
+			t.Fatalf("case %d: Repair accepted broken spans", i)
 		}
 		var gob, js bytes.Buffer
 		if err := tr.EncodeGob(&gob); err != nil {
@@ -370,58 +377,96 @@ func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := DecodeGob(&gob); err == nil {
-			t.Fatalf("case %d: DecodeGob accepted broken offsets", i)
+			t.Fatalf("case %d: DecodeGob accepted broken spans", i)
 		}
 		if _, err := DecodeJSON(&js); err == nil {
-			t.Fatalf("case %d: DecodeJSON accepted broken offsets", i)
+			t.Fatalf("case %d: DecodeJSON accepted broken spans", i)
 		}
 	}
-	tr := threadedTrace()
-	tr.Units[2].Snapshots = Snapshots{Frames: tr.Units[2].Snapshots.Frames}
-	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "no snapshot offsets") {
-		t.Fatalf("frames without offsets: Validate = %v", err)
-	}
 
-	// An absolute base, as a decoded columnar view has, is valid.
-	tr = threadedTrace()
-	m := tr.Units[0].Snapshots.At(0)[0]
-	tr.Units[0].Snapshots = Snapshots{Frames: []model.MethodID{m, m, m}, Off: []uint32{7, 8, 10}}
+	// An absolute base, as a decoded columnar trace's spans have, is
+	// valid and reads the same snapshots.
+	want, tr := threadedTrace(), threadedTrace()
+	tr.Frames = append(make([]model.MethodID, 7), tr.Frames...)
+	for k := range tr.FrameOff {
+		tr.FrameOff[k] += 7
+	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("offsets based at 7: %v", err)
 	}
-	if s := tr.Units[0].Snapshots; s.Len() != 2 || len(s.At(0)) != 1 || len(s.At(1)) != 2 {
-		t.Fatalf("offsets based at 7 read as %d snapshots", s.Len())
+	for i := range tr.Units {
+		g, w := tr.Snapshots(i), want.Snapshots(i)
+		if g.Len() != w.Len() || g.Off[0] != w.Off[0]+7 {
+			t.Fatalf("unit %d: offsets based at 7 read as %d snapshots from %d", i, g.Len(), g.Off[0])
+		}
+		for j := 0; j < w.Len(); j++ {
+			if !slices.Equal(g.At(j), w.At(j)) {
+				t.Fatalf("unit %d snapshot %d: %v, want %v", i, j, g.At(j), w.At(j))
+			}
+		}
 	}
 }
 
-// TestEncodeRebasesSnapshotOffsets: the gob and JSON encodings of a trace
-// do not depend on where its snapshot offsets start, and encoding leaves
-// the trace itself untouched.
-func TestEncodeRebasesSnapshotOffsets(t *testing.T) {
-	want := threadedTrace()
-	based := threadedTrace()
-	for i := range based.Units {
-		s := &based.Units[i].Snapshots
-		for j := range s.Off {
-			s.Off[j] += uint32(1000 * i)
+// TestCodecsKeepSpans: gob and JSON carry the columns and every unit's
+// spans as they are, so a trace whose spans leave unit order (here unit
+// 0's snapshots moved to the end of the columns, and a stage list shared
+// by two units) decodes to the same rows, columns and snapshots.
+func TestCodecsKeepSpans(t *testing.T) {
+	tr := multiTrace()
+	setSnaps(tr, 0, model.Stack{1, 0}, model.Stack{0})
+	tr.Units[4].Stages = tr.Units[1].Stages
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var gob, js bytes.Buffer
+	if err := tr.EncodeGob(&gob); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	viaGob, err := DecodeGob(&gob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSON, err := DecodeJSON(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*Trace{viaGob, viaJSON} {
+		if !slices.Equal(got.Units, tr.Units) || !slices.Equal(got.Frames, tr.Frames) ||
+			!slices.Equal(got.FrameOff, tr.FrameOff) || !slices.Equal(got.StageIDs, tr.StageIDs) {
+			t.Fatalf("decoded rows or columns differ")
+		}
+		if got.Snapshots(0).Len() != 2 || !slices.Equal(got.Snapshots(0).At(0), model.Stack{1, 0}) {
+			t.Fatalf("moved snapshots read as %v", got.Snapshots(0))
+		}
+		if !slices.Equal(got.Stages(4), []int32{0}) {
+			t.Fatalf("shared stage span reads %v", got.Stages(4))
 		}
 	}
-	for _, enc := range []func(*Trace, *bytes.Buffer) error{
-		func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeGob(b) },
-		func(tr *Trace, b *bytes.Buffer) error { return tr.EncodeJSON(b) },
-	} {
-		var a, b bytes.Buffer
-		if err := enc(want, &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc(based, &b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("encoding depends on the offsets' base")
+}
+
+// TestUnitRangeSharesColumns: a unit-range view reads the same snapshots
+// and stages as the trace it views, and an append to the view never
+// writes into the trace's columns.
+func TestUnitRangeSharesColumns(t *testing.T) {
+	tr := multiTrace()
+	tr.Frames = slices.Grow(tr.Frames, 16) // spare capacity an append could reuse
+	v := tr.UnitRange(2, 5)
+	if len(v.Units) != 3 || v.Freq() != nil {
+		t.Fatalf("view holds %d units", len(v.Units))
+	}
+	for i := range v.Units {
+		if !slices.Equal(v.Snapshots(i).Frames, tr.Snapshots(2+i).Frames) ||
+			!slices.Equal(v.Stages(i), tr.Stages(2+i)) {
+			t.Fatalf("view unit %d differs from unit %d", i, 2+i)
 		}
 	}
-	if got := based.Units[3].Snapshots.Off[0]; got != 3000 {
-		t.Fatalf("encoding rebased the trace itself: Off[0] = %d", got)
+	before := slices.Clone(tr.Frames[:cap(tr.Frames)])
+	u := Unit{}
+	v.AppendSnapshot(&u, model.Stack{1, 1, 1})
+	if !slices.Equal(tr.Frames[:cap(tr.Frames)], before) {
+		t.Fatalf("an append to the view wrote into the trace's frames")
 	}
 }

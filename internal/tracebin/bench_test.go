@@ -2,7 +2,9 @@ package tracebin
 
 import (
 	"bytes"
+	"math"
 	"testing"
+	"time"
 
 	"simprof/internal/phase"
 	"simprof/internal/sampling"
@@ -80,14 +82,23 @@ func BenchmarkDecodeGob(b *testing.B) {
 // interactive profile of a long run: a focused feature space and a
 // small k sweep — the pipeline a `simprof profile` of a pre-recorded
 // trace executes.
+//
+// It reports its stage ledger from the same iterations as the total:
+// decode-ms/op, form-ms/op, simprof-ms/op and estimate-ms/op. The
+// stages cover the whole loop body, so their sum must be within
+// ledgerSlack of the total; a wider gap fails the benchmark.
 func BenchmarkEndToEnd100k(b *testing.B) {
+	const ledgerSlack = 0.05
 	bin, _ := bench100kData(b)
+	var decode, form, simprof, estimate time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		tr, err := Decode(bin)
 		if err != nil {
 			b.Fatal(err)
 		}
+		t1 := time.Now()
 		ph, err := phase.Form(tr, phase.Options{
 			TopK:      6,
 			MaxPhases: 4,
@@ -97,12 +108,31 @@ func BenchmarkEndToEnd100k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		t2 := time.Now()
 		sp, err := sampling.SimProf(ph, 40, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
+		t3 := time.Now()
 		if _, err := sampling.EstimateOnTrace(ph, sp, tr); err != nil {
 			b.Fatal(err)
 		}
+		t4 := time.Now()
+		decode += t1.Sub(t0)
+		form += t2.Sub(t1)
+		simprof += t3.Sub(t2)
+		estimate += t4.Sub(t3)
+	}
+	total := b.Elapsed()
+	b.StopTimer()
+	perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(decode), "decode-ms/op")
+	b.ReportMetric(perOp(form), "form-ms/op")
+	b.ReportMetric(perOp(simprof), "simprof-ms/op")
+	b.ReportMetric(perOp(estimate), "estimate-ms/op")
+	sum := decode + form + simprof + estimate
+	if gap := math.Abs(sum.Seconds()/total.Seconds() - 1); gap > ledgerSlack {
+		b.Fatalf("stage ledger sums to %v of a %v total (%.1f%% apart, slack %.0f%%)",
+			sum, total, 100*gap, 100*ledgerSlack)
 	}
 }

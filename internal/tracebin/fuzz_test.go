@@ -10,7 +10,8 @@ import (
 
 // FuzzDecodeBin mirrors the gob/JSON fuzz contract for the columnar
 // decoder: no input panics it, and any input it accepts yields a trace
-// that passes Validate, whose every snapshot At can read — plus, for
+// that passes Validate, whose every snapshot At and every stage list
+// Stages can read — plus, for
 // this format, a structurally valid frequency matrix. The seed corpus
 // starts from a real encoding and hand-broken variants so the fuzzer
 // reaches past the header checks.
@@ -68,10 +69,11 @@ func FuzzDecodeBin(f *testing.F) {
 		dec.CPIs()
 		dec.Summarize()
 		for i := range dec.Units {
-			s := dec.Units[i].Snapshots
+			s := dec.Snapshots(i)
 			for j := 0; j < s.Len(); j++ {
 				_ = s.At(j).Leaf()
 			}
+			_ = dec.Stages(i)
 		}
 		dec.CountMethods()
 	})

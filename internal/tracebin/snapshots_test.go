@@ -44,9 +44,9 @@ func decodeVia(t *testing.T, tr *trace.Trace, codec string) *trace.Trace {
 // TestSnapshotsAgreeAcrossCodecs: SPTB (zero-copy and copying), gob and
 // JSON decodes of synthetic, degraded and Table I traces hold, unit by
 // unit, the snapshots of the trace they were encoded from, read through
-// Len and At, and count the same methods. The SPTB views keep the
-// file's absolute offsets and the others start at 0, so Len and At are
-// what "the same snapshots" means across codecs.
+// Len and At, and count the same methods. A decoded trace's spans index
+// the columns as its codec laid them out, so Len and At are what "the
+// same snapshots" means across codecs.
 func TestSnapshotsAgreeAcrossCodecs(t *testing.T) {
 	traces := []struct {
 		name string
@@ -74,7 +74,7 @@ func TestSnapshotsAgreeAcrossCodecs(t *testing.T) {
 				t.Fatalf("%s/%s: %d units, want %d", tc.name, codec, len(got.Units), len(tc.tr.Units))
 			}
 			for i := range got.Units {
-				g, w := got.Units[i].Snapshots, tc.tr.Units[i].Snapshots
+				g, w := got.Snapshots(i), tc.tr.Snapshots(i)
 				if g.Len() != w.Len() {
 					t.Fatalf("%s/%s: unit %d has %d snapshots, want %d", tc.name, codec, i, g.Len(), w.Len())
 				}
@@ -92,15 +92,15 @@ func TestSnapshotsAgreeAcrossCodecs(t *testing.T) {
 }
 
 // TestDecodeHeapPerUnit bounds the heap bytes Decode allocates per unit
-// on the zero-copy path. A unit costs its trace.Unit (152 B) and its
-// stage list; the snapshot frames and offsets are views of the input.
-// One slice header per snapshot would add 24 B × 5 here and fail the
-// bound.
+// on the zero-copy path. A unit costs its pointer-free trace.Unit row
+// (96 B); the frame, frame-offset and stage columns are views of the
+// input. A per-unit stage copy (8 B) or slice header (24 B) would fail
+// the bound.
 func TestDecodeHeapPerUnit(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("zero-copy views need a little-endian host")
 	}
-	const units, perUnit = 20_000, 200
+	const units, perUnit = 20_000, 104
 	spec := synth.DefaultTrace(units, 3)
 	spec.Depth, spec.Snapshots = 5, 5
 	tr, err := spec.Generate()

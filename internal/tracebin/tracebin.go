@@ -7,10 +7,12 @@
 // for the variable-length snapshot and stage data, and a pre-computed
 // per-unit method-frequency matrix in CSR layout. The decoder slices
 // columns directly out of the input buffer (zero-copy on aligned
-// little-endian hosts, a portable copying fallback elsewhere), so
-// decoding a 100k-unit trace costs a handful of allocations instead of
-// one per snapshot, and phase formation can adopt the frequency matrix
-// without re-walking any stacks.
+// little-endian hosts, a portable copying fallback elsewhere): the
+// frame, frame-offset and stage sections become the trace's columns and
+// each unit row gets only its spans of them, so decoding a 100k-unit
+// trace costs a handful of allocations plus the pointer-free unit array,
+// and phase formation can adopt the frequency matrix without re-walking
+// any stacks.
 //
 // Decode checks only what guards its own reads and slices (section
 // presence and sizes, the CRC, the ends of each unit's offset stretches,
@@ -174,10 +176,9 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	freq := t.CountMethods()
 	var nStages, nStacks, nFrames int
 	for i := range t.Units {
-		u := &t.Units[i]
-		nStages += len(u.Stages)
-		nStacks += u.Snapshots.Len()
-		nFrames += len(u.Snapshots.Frames)
+		nStages += t.Units[i].Stages.Len()
+		nStacks += t.Units[i].Snapshots.Len()
+		nFrames += len(t.Snapshots(i).Frames)
 	}
 	var blobLen int
 	for _, mm := range t.Methods {
@@ -193,11 +194,6 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 		u := &t.Units[i]
 		if u.Thread > math.MaxInt32 || u.Index > math.MaxInt32 {
 			return nil, fmt.Errorf("tracebin: encode: unit %d thread/index overflow int32", i)
-		}
-		for _, s := range u.Stages {
-			if s < math.MinInt32 || s > math.MaxInt32 {
-				return nil, fmt.Errorf("tracebin: encode: unit %d stage %d overflows int32", i, s)
-			}
 		}
 	}
 
@@ -302,14 +298,14 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	off = 0
 	buf = le.AppendUint32(buf, 0)
 	for i := range t.Units {
-		off += uint32(len(t.Units[i].Stages))
+		off += uint32(t.Units[i].Stages.Len())
 		buf = le.AppendUint32(buf, off)
 	}
 	end()
 	begin(secStageVal)
 	for i := range t.Units {
-		for _, s := range t.Units[i].Stages {
-			buf = le.AppendUint32(buf, uint32(int32(s)))
+		for _, s := range t.Stages(i) {
+			buf = le.AppendUint32(buf, uint32(s))
 		}
 	}
 	end()
@@ -327,7 +323,7 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	off = 0
 	buf = le.AppendUint32(buf, 0)
 	for i := range t.Units {
-		s := &t.Units[i].Snapshots
+		s := t.Snapshots(i)
 		for j := 1; j < len(s.Off); j++ {
 			off += s.Off[j] - s.Off[j-1]
 			buf = le.AppendUint32(buf, off)
@@ -336,7 +332,7 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 	end()
 	begin(secFrames)
 	for i := range t.Units {
-		for _, id := range t.Units[i].Snapshots.Frames {
+		for _, id := range t.Snapshots(i).Frames {
 			buf = le.AppendUint32(buf, uint32(id))
 		}
 	}
@@ -381,8 +377,8 @@ func Marshal(t *trace.Trace) ([]byte, error) {
 }
 
 // Decode parses a tracebin buffer into a trace. The returned trace
-// aliases data (every unit's snapshot frames and frame offsets, and the
-// frequency matrix, are views into the buffer on little-endian hosts),
+// aliases data (its frame, frame-offset and stage columns and the
+// frequency matrix are views into the buffer on little-endian hosts),
 // so the caller must not mutate data while the trace is in use. Decode
 // never panics on malformed input and never returns a trace that fails
 // Validate, whose two halves it runs on the trace it builds; foreign
@@ -581,8 +577,8 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	// Variable-length data: stages, snapshots, frames. The three offset
 	// columns are read in place: their ends are checked here, and the
 	// unit loop checks the ends of each unit's stretch of them before
-	// slicing; the frame offsets inside a stretch are the unit's snapshot
-	// offsets, which ValidateUnit checks.
+	// setting its spans; the frame offsets inside a stretch are the
+	// unit's snapshot offsets, which ValidateUnit checks.
 	stageValB, err := sec(secStageVal, 4)
 	if err != nil {
 		return nil, err
@@ -622,10 +618,13 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err
 	}
 
-	stages := make([]int, len(stageVals))
-	for i, v := range stageVals {
-		stages[i] = int(v)
+	// The three sections are the trace's columns. As in a trace built by
+	// appending, a trace without stacks has no frame columns and an
+	// empty span stays zero, so gob sees one trace however it was made.
+	if nStacks > 0 {
+		t.Frames, t.FrameOff = frames, frameOff
 	}
+	t.StageIDs = stageVals
 	t.Units = make([]trace.Unit, n)
 	if err := checkChunks(eng, n, unitChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -636,7 +635,7 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 			if err := offsetSpan(frameOff, a, b, len(frames), "frame"); err != nil {
 				return err
 			}
-			if err := offsetSpan(stageOff, i, i+1, len(stages), "stage"); err != nil {
+			if err := offsetSpan(stageOff, i, i+1, len(stageVals), "stage"); err != nil {
 				return err
 			}
 			u := &t.Units[i]
@@ -653,11 +652,10 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 			}
 			u.Quality = trace.Quality(quality[i])
 			if a < b {
-				fa, fb := frameOff[a], frameOff[b]
-				u.Snapshots = trace.Snapshots{Frames: frames[fa:fb:fb], Off: frameOff[a : b+1 : b+1]}
+				u.Snapshots = trace.Span{Lo: uint32(a), Hi: uint32(b)}
 			}
 			if a, b := stageOff[i], stageOff[i+1]; a < b {
-				u.Stages = stages[a:b:b]
+				u.Stages = trace.Span{Lo: a, Hi: b}
 			}
 			if err := t.ValidateUnit(i); err != nil {
 				return err

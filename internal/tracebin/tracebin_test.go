@@ -147,7 +147,7 @@ func TestFreqMatchesVectorizeSparse(t *testing.T) {
 		}
 		for u := range tr.Units {
 			byID := map[int32]float64{}
-			snaps := tr.Units[u].Snapshots
+			snaps := tr.Snapshots(u)
 			for j := 0; j < snaps.Len(); j++ {
 				for _, id := range snaps.At(j) {
 					byID[int32(id)]++
@@ -333,8 +333,8 @@ func invariantTrace() *trace.Trace {
 	for i := 0; i < 4; i++ {
 		u := trace.Unit{ID: i, Thread: i / 2, Index: i % 2,
 			Counters: trace.Counters{Instructions: 100, Cycles: 150}}
-		u.Snapshots.Append(model.Stack{0, 1})
-		u.Snapshots.Append(model.Stack{1})
+		tr.AppendSnapshot(&u, model.Stack{0, 1})
+		tr.AppendSnapshot(&u, model.Stack{1})
 		tr.Units = append(tr.Units, u)
 	}
 	return tr
@@ -345,8 +345,9 @@ func invariantTrace() *trace.Trace {
 // defect is made twice from invariantTrace: on the trace, whose
 // Validate error is the message and whose gob and JSON encodings are
 // decoded, and as a patch of its SPTB columns. Unit and method ids are
-// positions in SPTB, so it cannot express the two id defects; gob and
-// JSON still must reject those.
+// positions in SPTB, so it cannot express the two id defects, and its
+// decoder rejects a span that leaves an offset column with its own
+// message; gob and JSON still must reject those with Validate's.
 func TestDecodersShareInvariants(t *testing.T) {
 	le := binary.LittleEndian
 	for _, tc := range []struct {
@@ -370,20 +371,23 @@ func TestDecodersShareInvariants(t *testing.T) {
 			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secIndex)[4*1:], math.MaxUint32-1) }},
 		{"overfull counters", func(tr *trace.Trace) { tr.Units[1].Counters.Instructions = 1000 },
 			func(t *testing.T, bin []byte) { le.PutUint64(section(t, bin, secInstr)[8*1:], 1000) }},
-		{"unknown method", func(tr *trace.Trace) { tr.Units[1].Snapshots.Frames[0] = 42 },
+		{"unknown method", func(tr *trace.Trace) { tr.Frames[3] = 42 },
 			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secFrames)[4*3:], 42) }},
 		{"too many snapshots", func(tr *trace.Trace) {
 			// Unit 0 takes unit 1's snapshots.
-			u0, u1 := &tr.Units[0].Snapshots, &tr.Units[1].Snapshots
-			u0.Append(u1.At(0))
-			u0.Append(u1.At(1))
-			*u1 = trace.Snapshots{}
+			tr.Units[0].Snapshots.Hi = 4
+			tr.Units[1].Snapshots = trace.Span{}
 		}, func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secSnapOff)[4*1:], 4) }},
-		{"broken snapshot offsets", func(tr *trace.Trace) { tr.Units[1].Snapshots.Off = []uint32{0, 4, 3} },
+		{"broken snapshot offsets", func(tr *trace.Trace) { tr.FrameOff[3] = 7 },
 			func(t *testing.T, bin []byte) {
 				// Unit 1's frame offsets are entries 2..4, at frames 3, 5, 6.
 				le.PutUint32(section(t, bin, secFrameOff)[4*3:], 7)
 			}},
+		// SPTB decode checks its offset columns itself, with its own
+		// messages (TestDecodeErrors), so it cannot express these three.
+		{"snapshot span past frame offsets", func(tr *trace.Trace) { tr.Units[1].Snapshots.Hi = 40 }, nil},
+		{"inverted snapshot span", func(tr *trace.Trace) { tr.Units[1].Snapshots = trace.Span{Lo: 4, Hi: 2} }, nil},
+		{"stage span past stage ids", func(tr *trace.Trace) { tr.Units[1].Stages = trace.Span{Lo: 0, Hi: 3} }, nil},
 		{"unknown quality bits", func(tr *trace.Trace) { tr.Units[1].Quality = 0x80 },
 			func(t *testing.T, bin []byte) { section(t, bin, secQuality)[1] = 0x80 }},
 	} {
