@@ -43,7 +43,6 @@ chaos:
 # the failure model in DESIGN.md §9). Raise -fuzztime for a deep run.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeGob$$' -fuzztime=10s ./internal/trace
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBin$$' -fuzztime=10s ./internal/tracebin
 
 # The fast must-stay-green core of the CI gate.

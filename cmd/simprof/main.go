@@ -223,7 +223,7 @@ func cmdProfile(args []string) error {
 
 // loadTrace reads a trace file in any known format: the format is
 // detected from the bytes themselves (magic prefix for binary codecs,
-// then JSON, then gob), so a .bin file renamed to .gob still loads.
+// else gob), so a .bin file renamed to .gob still loads.
 func loadTrace(path string) (*trace.Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -239,12 +239,14 @@ func loadTrace(path string) (*trace.Trace, error) {
 }
 
 // formatForOut picks the trace output format: an explicit -format wins,
-// otherwise the extension decides (.json → json, .bin → bin, else gob).
+// otherwise the extension decides (.bin → bin, else gob). A .json
+// output is a usage error rather than a gob file under a JSON name.
 func formatForOut(fs *flag.FlagSet, out, format string) (string, error) {
+	have := strings.Join(trace.FormatNames(), " ")
 	if format == "" {
 		switch {
 		case strings.HasSuffix(out, ".json"):
-			return "json", nil
+			return "", cli.UsageErr(fs, "-out %q: traces are not written as JSON (have: %s)", out, have)
 		case strings.HasSuffix(out, ".bin"):
 			return "bin", nil
 		default:
@@ -256,7 +258,7 @@ func formatForOut(fs *flag.FlagSet, out, format string) (string, error) {
 			return format, nil
 		}
 	}
-	return "", cli.UsageErr(fs, "unknown -format %q (have: %s)", format, strings.Join(trace.FormatNames(), " "))
+	return "", cli.UsageErr(fs, "unknown -format %q (have: %s)", format, have)
 }
 
 // workersFlag registers the shared -workers knob: how many goroutines
@@ -447,7 +449,9 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	sp, err := sampling.SimProf(ph, *n, *seed)
+	cfg := core.DefaultConfig()
+	cfg.Seed = *seed
+	sp, err := core.SelectPoints(ph, *n, cfg)
 	if err != nil {
 		return err
 	}
@@ -461,7 +465,7 @@ func cmdCompare(args []string) error {
 	if tel.manifest != nil {
 		tel.manifest.Workload = workloadInfo(tr, *seed, *workers)
 		tel.manifest.Phases = phaseInfo(ph)
-		tel.manifest.Sampling = samplingInfo(ph, sp, *n, core.DefaultConfig().Confidence)
+		tel.manifest.Sampling = samplingInfo(ph, sp, *n, cfg.Confidence)
 	}
 	return tel.finish()
 }

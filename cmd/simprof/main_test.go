@@ -11,6 +11,7 @@ import (
 	"simprof/internal/core"
 	"simprof/internal/obs"
 	"simprof/internal/obs/traceevent"
+	"simprof/internal/trace"
 	"simprof/internal/workloads"
 )
 
@@ -98,20 +99,24 @@ func smallTrace(t *testing.T) string {
 
 // TestProfileFormats checks the -format flag and the extension defaults
 // on 'simprof profile', and that every written file loads back through
-// loadTrace's magic-byte detection regardless of its extension.
+// loadTrace's magic-byte detection regardless of its extension. JSON is
+// not a trace format: asking for it, by flag or by a .json output, is a
+// usage error naming the formats, and writes no file.
 func TestProfileFormats(t *testing.T) {
 	dir := t.TempDir()
+	have := "(have: " + strings.Join(trace.FormatNames(), " ") + ")"
 	cases := []struct {
 		name      string
 		out       string
 		format    string
 		wantMagic string
+		wantUsage string // non-empty: a usage error containing this
 	}{
-		{"ext-bin", "wc.bin", "", "SPTB"},
-		{"ext-json", "wc.json", "", "{"},
-		{"ext-gob", "wc.gob", "", ""},
-		{"explicit-bin-odd-ext", "wc2.gob", "bin", "SPTB"},
-		{"explicit-json-odd-ext", "wc2.trace", "json", "{"},
+		{"ext-bin", "wc.bin", "", "SPTB", ""},
+		{"ext-json", "wc.json", "", "", "traces are not written as JSON " + have},
+		{"ext-gob", "wc.gob", "", "", ""},
+		{"explicit-bin-odd-ext", "wc2.gob", "bin", "SPTB", ""},
+		{"explicit-json-odd-ext", "wc2.trace", "json", "", `unknown -format "json" ` + have},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,7 +126,18 @@ func TestProfileFormats(t *testing.T) {
 			if tc.format != "" {
 				args = append(args, "-format", tc.format)
 			}
-			if err := cmdProfile(args); err != nil {
+			err := cmdProfile(args)
+			if tc.wantUsage != "" {
+				if err == nil || !strings.HasPrefix(err.Error(), "usage: simprof profile") ||
+					!strings.Contains(err.Error(), tc.wantUsage) {
+					t.Fatalf("profile: got %v, want a usage error containing %q", err, tc.wantUsage)
+				}
+				if _, err := os.Stat(out); !os.IsNotExist(err) {
+					t.Fatalf("a rejected -out was written (stat: %v)", err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("profile: %v", err)
 			}
 			data, err := os.ReadFile(out)
@@ -183,9 +199,9 @@ func TestCompareTelemetryInspectRoundTrip(t *testing.T) {
 		t.Fatalf("compare: %v", err)
 	}
 
-	m, err := obs.ReadManifestFile(mPath)
-	if err != nil {
-		t.Fatalf("read manifest: %v", err)
+	m, note, err := obs.ReadManifestFileLenient(mPath)
+	if err != nil || note != "" {
+		t.Fatalf("read manifest: %v (version note %q)", err, note)
 	}
 	if m.Tool != "simprof compare" {
 		t.Errorf("tool = %q", m.Tool)
@@ -271,6 +287,33 @@ func TestCompareTelemetryInspectRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesSample: on the same -trace, -n and -seed, the
+// SimProf row of 'simprof compare' is the sample 'simprof sample'
+// draws, so both report the same estimate (read from their manifests).
+func TestCompareMatchesSample(t *testing.T) {
+	defer obs.Disable()
+	trPath := smallTrace(t)
+	dir := t.TempDir()
+	est := map[string]float64{}
+	for name, run := range map[string]func([]string) error{"compare": cmdCompare, "sample": cmdSample} {
+		mPath := filepath.Join(dir, name+".json")
+		if err := run([]string{"-trace", trPath, "-n", "20", "-seed", "42", "-telemetry", mPath}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, _, err := obs.ReadManifestFileLenient(mPath)
+		if err != nil {
+			t.Fatalf("%s manifest: %v", name, err)
+		}
+		if m.Sampling == nil || m.Sampling.Method != "SimProf" || m.Sampling.N != 20 {
+			t.Fatalf("%s: sampling section %+v", name, m.Sampling)
+		}
+		est[name] = m.Sampling.EstCPI
+	}
+	if est["compare"] != est["sample"] {
+		t.Fatalf("compare estimates CPI %v, sample %v", est["compare"], est["sample"])
+	}
+}
+
 // TestProfileTraceExport checks 'simprof profile -trace' writes a
 // loadable trace-event file alongside the workload trace.
 func TestProfileTraceExport(t *testing.T) {
@@ -318,9 +361,9 @@ func TestProfileFaultManifest(t *testing.T) {
 	if err := cmdProfile(args); err != nil {
 		t.Fatalf("profile: %v", err)
 	}
-	m, err := obs.ReadManifestFile(mPath)
-	if err != nil {
-		t.Fatalf("read manifest: %v", err)
+	m, note, err := obs.ReadManifestFileLenient(mPath)
+	if err != nil || note != "" {
+		t.Fatalf("read manifest: %v (version note %q)", err, note)
 	}
 	if m.Faults == nil {
 		t.Fatal("manifest has no fault section")

@@ -14,7 +14,6 @@ import (
 	"simprof/internal/core"
 	"simprof/internal/model"
 	"simprof/internal/report"
-	"simprof/internal/sampling"
 	"simprof/internal/workloads"
 )
 
@@ -43,7 +42,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sp, err := sampling.SimProf(ph, 20, cfg.Seed)
+			sp, err := core.SelectPoints(ph, 20, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

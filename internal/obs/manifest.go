@@ -198,25 +198,11 @@ func (m *Manifest) WriteFile(path string) error {
 	return nil
 }
 
-// DecodeManifest reads a manifest and checks its version. Older
-// versions decode fine (the schema only grows fields); manifests from a
-// newer binary are rejected — use DecodeManifestLenient to render them
-// best-effort.
-func DecodeManifest(r io.Reader) (*Manifest, error) {
-	m, note, err := DecodeManifestLenient(r)
-	if err != nil {
-		return nil, err
-	}
-	if note != "" {
-		return nil, fmt.Errorf("obs: %s", note)
-	}
-	return m, nil
-}
-
-// DecodeManifestLenient reads a manifest tolerating version skew: a
-// manifest written by a newer binary decodes with a non-empty note
-// describing the skew instead of an error, so renderers can degrade
-// gracefully. Malformed JSON and nonsensical versions still error.
+// DecodeManifestLenient reads a manifest tolerating version skew. Older
+// versions decode fine (the schema only grows fields); a manifest
+// written by a newer binary decodes with a non-empty note describing
+// the skew instead of an error, so renderers can degrade gracefully.
+// Malformed JSON and nonsensical versions still error.
 func DecodeManifestLenient(r io.Reader) (m *Manifest, note string, err error) {
 	m = &Manifest{}
 	if err := json.NewDecoder(r).Decode(m); err != nil {
@@ -229,16 +215,6 @@ func DecodeManifestLenient(r io.Reader) (m *Manifest, note string, err error) {
 		note = fmt.Sprintf("manifest version %d is newer than this binary reads (%d); unknown fields were dropped", m.Version, ManifestVersion)
 	}
 	return m, note, nil
-}
-
-// ReadManifestFile reads and decodes the manifest at path.
-func ReadManifestFile(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: read manifest: %w", err)
-	}
-	defer f.Close()
-	return DecodeManifest(f)
 }
 
 // ReadManifestFileLenient reads the manifest at path tolerating version

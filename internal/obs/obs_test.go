@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -274,9 +275,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeManifest(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got, note, err := DecodeManifestLenient(&buf)
+	if err != nil || note != "" {
+		t.Fatalf("decode: %v (version note %q)", err, note)
 	}
 	if got.Tool != m.Tool || got.Workload.Benchmark != "wc" || got.Phases.K != 4 ||
 		got.Sampling.Strata[0].Alloc != 12 || got.Faults.CountersDropped != 3 {
@@ -286,15 +287,31 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal("build info missing go version")
 	}
 
-	// Unsupported versions are rejected, not misread.
-	var buf2 bytes.Buffer
-	m2 := *m
-	m2.Version = ManifestVersion + 1
-	if err := m2.Encode(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeManifest(&buf2); err == nil {
-		t.Fatal("future manifest version decoded without error")
+	// A newer version decodes with a note naming the skew; a version
+	// below 1 is not a manifest.
+	for _, tc := range []struct {
+		version int
+		note    string
+	}{
+		{ManifestVersion + 1, fmt.Sprintf("manifest version %d is newer than this binary reads (%d)", ManifestVersion+1, ManifestVersion)},
+		{0, ""},
+	} {
+		var buf2 bytes.Buffer
+		m2 := *m
+		m2.Version = tc.version
+		if err := m2.Encode(&buf2); err != nil {
+			t.Fatal(err)
+		}
+		got, note, err := DecodeManifestLenient(&buf2)
+		if tc.note == "" {
+			if err == nil {
+				t.Fatalf("manifest version %d decoded without error", tc.version)
+			}
+			continue
+		}
+		if err != nil || !strings.HasPrefix(note, tc.note) || got.Tool != m.Tool {
+			t.Fatalf("manifest version %d: note %q, err %v, want a decoded manifest and note %q", tc.version, note, err, tc.note)
+		}
 	}
 }
 
@@ -304,9 +321,9 @@ func TestManifestFile(t *testing.T) {
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifestFile(path)
-	if err != nil {
-		t.Fatal(err)
+	got, note, err := ReadManifestFileLenient(path)
+	if err != nil || note != "" {
+		t.Fatalf("read: %v (version note %q)", err, note)
 	}
 	if got.Tool != "simprof sample" || got.Version != ManifestVersion {
 		t.Fatalf("file round trip: %+v", got)

@@ -302,22 +302,28 @@ func ctxTimeout(t testing.TB) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 10*time.Second)
 }
 
-// sanity: keep the formats the CLI writes decodable by the server.
-func TestServerAcceptsJSONTrace(t *testing.T) {
+// TestServerRejectsJSONTrace: JSON is not a trace format, so a trace
+// marshalled to JSON is an unrecognized upload: 400 bad_input, with an
+// error naming the formats that are.
+func TestServerRejectsJSONTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr, err := synth.DefaultTrace(100, 4).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf, "json"); err != nil {
+	js, err := json.Marshal(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postTrace(t, ts.URL+"/v1/profile?n=10", buf.Bytes())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("json trace: status %d, body %s", resp.StatusCode, body)
+	resp, body := postTrace(t, ts.URL+"/v1/profile?n=10", js)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("json trace: status %d, want 400; body %s", resp.StatusCode, body)
 	}
-	_ = trace.FormatNames()
+	e := decodeError(t, body)
+	if want := fmt.Sprintf("unrecognized trace format (tried %v)", trace.FormatNames()); e.Class != "bad_input" ||
+		!strings.Contains(e.Error, want) {
+		t.Fatalf("json trace: class %q, error %q; want bad_input naming %q", e.Class, e.Error, want)
+	}
 }
 
 // TestServerAcceptsBinTrace: an SPTB (tracebin) upload profiles exactly

@@ -48,7 +48,7 @@ func (t *Trace) CountMethods() *matrix.Sparse {
 
 // freq is the per-unit method-frequency matrix attached by a columnar
 // decoder: CountMethods as the encoder computed it. It is unexported so
-// the gob/JSON codecs never serialize it; it rides along in memory only.
+// the gob codec never serializes it; it rides along in memory only.
 
 // SetFreq attaches a pre-computed method-frequency matrix (rows =
 // units, cols = methods). Decoders that materialize or adopt the matrix

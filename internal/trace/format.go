@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// Format is a registered trace serialization. The gob and JSON codecs
-// are built in; binary codecs (internal/tracebin) register themselves at
+// Format is a registered trace serialization. The gob codec is built
+// in; binary codecs (internal/tracebin) register themselves at
 // init time, image.RegisterFormat-style, which keeps this package free
 // of a dependency on their implementation. Magic is the byte prefix that
 // identifies the format on disk; Decode receives the whole input so
@@ -45,12 +45,12 @@ func RegisterFormat(f Format) {
 	formats = append(formats, f)
 }
 
-// FormatNames lists the encodable formats: the built-in gob and json
-// plus everything registered, sorted.
+// FormatNames lists the encodable formats: the built-in gob plus
+// everything registered, sorted.
 func FormatNames() []string {
 	formatMu.RLock()
 	defer formatMu.RUnlock()
-	names := []string{"gob", "json"}
+	names := []string{"gob"}
 	for _, f := range formats {
 		names = append(names, f.Name)
 	}
@@ -82,14 +82,11 @@ func sniffFormat(data []byte) (Format, bool) {
 	return Format{}, false
 }
 
-// Encode writes the trace in the named format ("gob", "json", or any
-// registered binary format such as "bin").
+// Encode writes the trace in the named format ("gob", or any registered
+// binary format such as "bin").
 func (t *Trace) Encode(w io.Writer, format string) error {
-	switch format {
-	case "gob":
+	if format == "gob" {
 		return t.EncodeGob(w)
-	case "json":
-		return t.EncodeJSON(w)
 	}
 	if f, ok := lookupFormat(format); ok {
 		return f.Encode(t, w)
@@ -100,22 +97,18 @@ func (t *Trace) Encode(w io.Writer, format string) error {
 // DecodeBytes decodes a trace of any known format, detecting the format
 // from the bytes themselves: a registered magic prefix selects that
 // binary codec (which may alias data — the caller must not mutate the
-// buffer while the trace lives), a leading '{' (after whitespace)
-// selects JSON, and anything else is tried as gob. Like the per-format
-// decoders it never panics on malformed input and never returns a trace
-// that fails Validate: every format rejects a malformed trace through
-// Validate's one rule (ValidateHeader and ValidateUnit), with its
-// message.
+// buffer while the trace lives), and anything else is tried as gob.
+// Like the per-format decoders it never panics on malformed input and
+// never returns a trace that fails Validate: every format rejects a
+// malformed trace through Validate's one rule (ValidateHeader and
+// ValidateUnit), with its message.
 func DecodeBytes(data []byte) (*Trace, error) {
 	if f, ok := sniffFormat(data); ok {
 		return f.Decode(data)
 	}
-	if looksLikeJSON(data) {
-		return DecodeJSON(bytes.NewReader(data))
-	}
 	t, err := DecodeGob(bytes.NewReader(data))
 	if err != nil {
-		// No known magic, not JSON, not gob: most likely a foreign file.
+		// No known magic, not gob: most likely a foreign file.
 		return nil, fmt.Errorf("unrecognized trace format (tried %v): %w", FormatNames(), err)
 	}
 	return t, nil
@@ -139,31 +132,4 @@ func DecodeBytesCtx(ctx context.Context, data []byte) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// Decode reads a whole stream and decodes it with DecodeBytes. Binary
-// formats need the full input in memory anyway (their decoders slice
-// it), so buffering the reader here costs nothing extra.
-func Decode(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	return DecodeBytes(data)
-}
-
-// looksLikeJSON reports whether the first non-whitespace byte opens a
-// JSON object — the only shape EncodeJSON emits.
-func looksLikeJSON(data []byte) bool {
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
 }

@@ -8,17 +8,11 @@ import (
 // fuzzSeedCorpus returns encodings of a valid trace plus hand-broken
 // variants, so the fuzzers start from inputs that reach deep into the
 // decoder instead of failing at the first byte.
-func fuzzSeedCorpus(f *testing.F, json bool) {
+func fuzzSeedCorpus(f *testing.F) {
 	f.Helper()
 	encode := func(tr *Trace) []byte {
 		var buf bytes.Buffer
-		var err error
-		if json {
-			err = tr.EncodeJSON(&buf)
-		} else {
-			err = tr.EncodeGob(&buf)
-		}
-		if err != nil {
+		if err := tr.EncodeGob(&buf); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -82,7 +76,7 @@ func readAll(tr *Trace) {
 // FuzzDecodeGob asserts the gob decode path never panics: any input
 // either yields a trace that passes Validate or returns an error.
 func FuzzDecodeGob(f *testing.F) {
-	fuzzSeedCorpus(f, false)
+	fuzzSeedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeGob(bytes.NewReader(data))
 		if err != nil {
@@ -92,27 +86,6 @@ func FuzzDecodeGob(f *testing.F) {
 			t.Fatalf("DecodeGob returned an invalid trace: %v", err)
 		}
 		// Exercise the paths that used to panic on malformed traces.
-		if _, err := tr.Table(); err != nil {
-			t.Fatalf("valid trace but Table failed: %v", err)
-		}
-		tr.OracleCPI()
-		tr.CPIs()
-		tr.Summarize()
-		readAll(tr)
-	})
-}
-
-// FuzzDecodeJSON is the same contract for the JSON decoder.
-func FuzzDecodeJSON(f *testing.F) {
-	fuzzSeedCorpus(f, true)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeJSON(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("DecodeJSON returned an invalid trace: %v", err)
-		}
 		if _, err := tr.Table(); err != nil {
 			t.Fatalf("valid trace but Table failed: %v", err)
 		}

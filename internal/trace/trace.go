@@ -2,8 +2,7 @@
 // profiling run: the sampling units (the paper's 100M-instruction
 // intervals) with their call-stack snapshots and hardware counters, plus
 // the interned method table needed to interpret them. Traces serialize
-// to gob (compact) and JSON (interoperable); binary formats register
-// themselves (see RegisterFormat).
+// to gob; binary formats register themselves (see RegisterFormat).
 //
 // A trace is a table of rows plus three columns that mirror the
 // columnar format's sections. Each Unit is a pointer-free row (ids,
@@ -31,14 +30,13 @@
 // snapshots rebuild the frame columns in one pass. The columnar decoder (internal/tracebin)
 // adopts its frame, frame-offset and stage sections as the columns
 // without copying, so they may alias the input buffer: never write
-// through them. Gob and JSON encode the columns as plain arrays; gob and
-// JSON traces written before this layout, which carried slices per
-// unit, no longer decode.
+// through them. Gob encodes the columns as plain arrays; gob traces
+// written before this layout, which carried slices per unit, no longer
+// decode.
 package trace
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -52,7 +50,7 @@ import (
 // and how many were rejected there.
 var (
 	obsDecodes = obs.NewCounter("trace.decodes",
-		"traces decoded successfully (gob + json)")
+		"traces decoded successfully from gob")
 	obsDecodeErrors = obs.NewCounter("trace.decode_errors",
 		"trace decodes rejected (malformed bytes or failed validation)")
 )
@@ -301,32 +299,6 @@ func DecodeGob(r io.Reader) (*Trace, error) {
 	if err := t.Validate(); err != nil {
 		obsDecodeErrors.Inc()
 		return nil, fmt.Errorf("trace: decode gob: %w", err)
-	}
-	obsDecodes.Inc()
-	return &t, nil
-}
-
-// EncodeJSON writes the trace as indented JSON.
-func (t *Trace) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t)
-}
-
-// DecodeJSON reads a JSON-encoded trace, validating it like DecodeGob. A
-// field the trace does not have is an error, so a trace in an older
-// layout is rejected instead of read as one without snapshots.
-func DecodeJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
-		obsDecodeErrors.Inc()
-		return nil, fmt.Errorf("trace: decode json: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		obsDecodeErrors.Inc()
-		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
 	obsDecodes.Inc()
 	return &t, nil

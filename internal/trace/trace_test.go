@@ -107,27 +107,9 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "wc_sp" || len(got.Methods) != 2 {
-		t.Fatalf("json round trip lost data")
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodeGob(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage gob should fail")
-	}
-	if _, err := DecodeJSON(bytes.NewReader([]byte("{"))); err == nil {
-		t.Fatal("garbage json should fail")
 	}
 }
 

@@ -182,10 +182,10 @@ func (s QualitySummary) String() string {
 // Validate checks the structural invariants every pipeline stage relies
 // on and returns the first violation: ValidateHeader, then ValidateUnit
 // on each unit in order. It is the one validity rule of the trust
-// boundary: DecodeGob and DecodeJSON call it, and the columnar decoder
-// (internal/tracebin) calls its two halves, so a malformed input of any
-// format surfaces as the same error instead of a panic deep in phase
-// formation. Quality problems (lost counters, partial snapshots) are
+// boundary: DecodeGob calls it, and the columnar decoder
+// (internal/tracebin) calls its two halves, so a malformed input of
+// either format surfaces as the same error instead of a panic deep in
+// phase formation. Quality problems (lost counters, partial snapshots) are
 // NOT errors — they are per-unit flags; Repair turns a structurally
 // broken trace into a valid, flagged one when possible.
 func (t *Trace) Validate() error {
@@ -310,27 +310,18 @@ func (s Span) check(n int, what, column string) error {
 	return nil
 }
 
-// check reports whether the offsets fit Frames, which is what At needs:
-// relative to Off[0], they never decrease and the last one is
-// len(Frames). Offsets are compared relative to Off[0] modulo 2^32, as
-// At reads them.
+// check reports whether the stack offsets never decrease, which is what
+// At needs: Snapshots builds s from a span whose frames run exactly from
+// its first offset to its last, and checkSpans has checked those two.
+// Offsets are compared relative to Off[0] modulo 2^32, as At reads them.
 func (s Snapshots) check() error {
-	if len(s.Off) == 0 {
-		if len(s.Frames) != 0 {
-			return fmt.Errorf("has %d snapshot frames but no snapshot offsets", len(s.Frames))
-		}
-		return nil
-	}
 	prev := uint32(0)
-	for j, o := range s.Off[1:] {
-		d := o - s.Off[0]
+	for j := 1; j < len(s.Off); j++ {
+		d := s.Off[j] - s.Off[0]
 		if d < prev {
-			return fmt.Errorf("snapshot offsets not monotone at %d (%d < %d)", j+1, d, prev)
+			return fmt.Errorf("snapshot offsets not monotone at %d (%d < %d)", j, d, prev)
 		}
 		prev = d
-	}
-	if uint64(prev) != uint64(len(s.Frames)) {
-		return fmt.Errorf("snapshot offsets end at %d, want %d frames", prev, len(s.Frames))
 	}
 	return nil
 }

@@ -241,11 +241,8 @@ func TestOracleCPIExcludesInvalidUnits(t *testing.T) {
 func TestDecodeRejectsStructurallyInvalid(t *testing.T) {
 	tr := threadedTrace()
 	tr.Units[2].ID = 99 // non-dense
-	var gob, js bytes.Buffer
+	var gob bytes.Buffer
 	if err := tr.EncodeGob(&gob); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeGob(&gob); err == nil {
@@ -253,28 +250,17 @@ func TestDecodeRejectsStructurallyInvalid(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "non-dense") {
 		t.Fatalf("error does not surface the Validate failure: %v", err)
 	}
-	if _, err := DecodeJSON(&js); err == nil {
-		t.Fatal("invalid json decoded without error")
-	}
 }
 
 func TestDecodeTruncatedStream(t *testing.T) {
 	tr := threadedTrace()
-	var gob, js bytes.Buffer
+	var gob bytes.Buffer
 	if err := tr.EncodeGob(&gob); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{1, 7, gob.Len() / 2, gob.Len() - 1} {
 		if _, err := DecodeGob(bytes.NewReader(gob.Bytes()[:cut])); err == nil {
 			t.Fatalf("gob truncated at %d decoded without error", cut)
-		}
-	}
-	for _, cut := range []int{1, 7, js.Len() / 2, js.Len() - 2} {
-		if _, err := DecodeJSON(bytes.NewReader(js.Bytes()[:cut])); err == nil {
-			t.Fatalf("json truncated at %d decoded without error", cut)
 		}
 	}
 }
@@ -358,7 +344,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // TestValidateRejectsBrokenSnapshotOffsets: spans that do not fit the
 // columns, and stack offsets that do not fit the frames, are a
-// structural error, from Validate, Repair and both decoders, never a
+// structural error, from Validate, Repair and the gob decoder, never a
 // panic in Snapshots, At or Stages. Offsets that do fit are read
 // relative to a unit's first offset, wherever the column starts.
 func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
@@ -369,18 +355,12 @@ func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
 		if _, err := tr.Repair(); err == nil {
 			t.Fatalf("case %d: Repair accepted broken spans", i)
 		}
-		var gob, js bytes.Buffer
+		var gob bytes.Buffer
 		if err := tr.EncodeGob(&gob); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.EncodeJSON(&js); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DecodeGob(&gob); err == nil {
 			t.Fatalf("case %d: DecodeGob accepted broken spans", i)
-		}
-		if _, err := DecodeJSON(&js); err == nil {
-			t.Fatalf("case %d: DecodeJSON accepted broken spans", i)
 		}
 	}
 
@@ -407,7 +387,7 @@ func TestValidateRejectsBrokenSnapshotOffsets(t *testing.T) {
 	}
 }
 
-// TestCodecsKeepSpans: gob and JSON carry the columns and every unit's
+// TestCodecsKeepSpans: gob carries the columns and every unit's
 // spans as they are, so a trace whose spans leave unit order (here unit
 // 0's snapshots moved to the end of the columns, and a stage list shared
 // by two units) decodes to the same rows, columns and snapshots.
@@ -418,32 +398,23 @@ func TestCodecsKeepSpans(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var gob, js bytes.Buffer
+	var gob bytes.Buffer
 	if err := tr.EncodeGob(&gob); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EncodeJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	viaGob, err := DecodeGob(&gob)
+	got, err := DecodeGob(&gob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaJSON, err := DecodeJSON(&js)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(got.Units, tr.Units) || !slices.Equal(got.Frames, tr.Frames) ||
+		!slices.Equal(got.FrameOff, tr.FrameOff) || !slices.Equal(got.StageIDs, tr.StageIDs) {
+		t.Fatalf("decoded rows or columns differ")
 	}
-	for _, got := range []*Trace{viaGob, viaJSON} {
-		if !slices.Equal(got.Units, tr.Units) || !slices.Equal(got.Frames, tr.Frames) ||
-			!slices.Equal(got.FrameOff, tr.FrameOff) || !slices.Equal(got.StageIDs, tr.StageIDs) {
-			t.Fatalf("decoded rows or columns differ")
-		}
-		if got.Snapshots(0).Len() != 2 || !slices.Equal(got.Snapshots(0).At(0), model.Stack{1, 0}) {
-			t.Fatalf("moved snapshots read as %v", got.Snapshots(0))
-		}
-		if !slices.Equal(got.Stages(4), []int32{0}) {
-			t.Fatalf("shared stage span reads %v", got.Stages(4))
-		}
+	if got.Snapshots(0).Len() != 2 || !slices.Equal(got.Snapshots(0).At(0), model.Stack{1, 0}) {
+		t.Fatalf("moved snapshots read as %v", got.Snapshots(0))
+	}
+	if !slices.Equal(got.Stages(4), []int32{0}) {
+		t.Fatalf("shared stage span reads %v", got.Stages(4))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"simprof/internal/synth"
 )
 
-// FuzzDecodeBin mirrors the gob/JSON fuzz contract for the columnar
+// FuzzDecodeBin mirrors the gob fuzz contract for the columnar
 // decoder: no input panics it, and any input it accepts yields a trace
 // that passes Validate, whose every snapshot At and every stage list
 // Stages can read — plus, for
@@ -47,6 +47,23 @@ func FuzzDecodeBin(f *testing.F) {
 	}
 	fixCRC(refixed)
 	f.Add(refixed)
+	// Spans that leave their columns, with a recomputed CRC: decode sets
+	// the spans from the offset sections as they are, and only the trace
+	// rule stands between them and an out-of-range read.
+	for _, patch := range []struct {
+		id  uint32
+		at  int
+		val uint32
+	}{
+		{secSnapOff, 2, 1 << 20}, {secSnapOff, 2, 0},
+		{secFrameOff, 3, 1 << 20}, {secFrameOff, 3, 0},
+		{secStageOff, 2, 1 << 20}, {secStageOff, len(tr.Units), 0},
+	} {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(section(f, bad, patch.id)[4*patch.at:], patch.val)
+		fixCRC(bad)
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)

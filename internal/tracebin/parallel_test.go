@@ -134,7 +134,7 @@ func TestDecodeBinWorkerInvariant(t *testing.T) {
 
 // section returns the bytes of section id inside data (aliased, so
 // writes through it mutate data).
-func section(t *testing.T, data []byte, id uint32) []byte {
+func section(t testing.TB, data []byte, id uint32) []byte {
 	t.Helper()
 	le := binary.LittleEndian
 	nsec := int(le.Uint32(data[12:]))
@@ -153,8 +153,9 @@ func section(t *testing.T, data []byte, id uint32) []byte {
 // the decode reports the one a serial scan meets first — the lowest
 // chunk within a loop, the earlier loop across loops, and a checksum
 // mismatch before any structural defect — at every worker count. A unit's
-// frame ids and fields are checked in the one unit loop, so the lower
-// unit chunk wins whichever check fails there.
+// spans, frame ids and fields are checked in the one unit loop, so the
+// lower unit chunk wins whichever check fails there. A patch of offset
+// entry u breaks the span of unit u-1 first.
 func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 	good, m := gridBin(t)
 	le := binary.LittleEndian
@@ -185,14 +186,14 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 		{
 			name: "frame offsets, two chunks",
 			mangle: func(b []byte) {
-				// Unit unitA-1's stretch ends past the frame column; unitB's
-				// starts after its end.
+				// Unit unitA-1's frames end past the frame column; unitB-1's
+				// end before they start.
 				put32(b, secFrameOff, stack(b, unitA), math.MaxUint32/2)
 				put32(b, secFrameOff, stack(b, unitB), 0)
 			},
 			want: func(b []byte) string {
-				return fmt.Sprintf("frame offset %d at %d exceeds %d",
-					math.MaxUint32/2, stack(b, unitA), len(section(t, b, secFrames))/4)
+				return fmt.Sprintf("trace: unit %d snapshot frames [%d, %d) do not fit the %d frames",
+					unitA-1, frame(b, unitA-1), math.MaxUint32/2, len(section(t, b, secFrames))/4)
 			},
 		},
 		{
@@ -212,11 +213,13 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 		{
 			name: "snapshot offsets, two chunks",
 			mangle: func(b []byte) {
+				// Unit unitA-1's snapshot span is inverted; unitB-1's runs
+				// past the stacks.
 				put32(b, secSnapOff, unitA, 3)
 				put32(b, secSnapOff, unitB, math.MaxUint32)
 			},
 			want: func(b []byte) string {
-				return fmt.Sprintf("snapshot offsets not monotone at %d (%d < %d)", unitA, 3, u32(b, secSnapOff, unitA-1))
+				return fmt.Sprintf("trace: unit %d snapshot span [%d, %d) is inverted", unitA-1, stack(b, unitA-1), 3)
 			},
 		},
 		{
@@ -226,7 +229,7 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 				put32(b, secStageOff, unitB, math.MaxUint32)
 			},
 			want: func(b []byte) string {
-				return fmt.Sprintf("stage offsets not monotone at %d (%d < %d)", unitA, 0, u32(b, secStageOff, unitA-1))
+				return fmt.Sprintf("trace: unit %d stage span [%d, %d) is inverted", unitA-1, u32(b, secStageOff, unitA-1), 0)
 			},
 		},
 		{
@@ -236,8 +239,8 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 				put32(b, secStageOff, unitB, 0)
 			},
 			want: func(b []byte) string {
-				return fmt.Sprintf("stage offset %d at %d exceeds %d",
-					uint32(math.MaxUint32), unitA, len(section(t, b, secStageVal))/4)
+				return fmt.Sprintf("trace: unit %d stage span [%d, %d) runs past the %d stage ids",
+					unitA-1, u32(b, secStageOff, unitA-1), uint32(math.MaxUint32), len(section(t, b, secStageVal))/4)
 			},
 		},
 		{

@@ -12,9 +12,9 @@ import (
 	"simprof/internal/trace"
 )
 
-// decodeVia encodes tr with codec ("bin", "bin-copied", "gob" or
-// "json") and decodes it again; "bin-copied" takes the portable copying
-// path instead of the zero-copy views.
+// decodeVia encodes tr with codec ("bin", "bin-copied" or "gob") and
+// decodes it again; "bin-copied" takes the portable copying path instead
+// of the zero-copy views.
 func decodeVia(t *testing.T, tr *trace.Trace, codec string) *trace.Trace {
 	t.Helper()
 	if codec == "bin" || codec == "bin-copied" {
@@ -41,8 +41,8 @@ func decodeVia(t *testing.T, tr *trace.Trace, codec string) *trace.Trace {
 	return got
 }
 
-// TestSnapshotsAgreeAcrossCodecs: SPTB (zero-copy and copying), gob and
-// JSON decodes of synthetic, degraded and Table I traces hold, unit by
+// TestSnapshotsAgreeAcrossCodecs: SPTB (zero-copy and copying) and gob
+// decodes of synthetic, degraded and Table I traces hold, unit by
 // unit, the snapshots of the trace they were encoded from, read through
 // Len and At, and count the same methods. A decoded trace's spans index
 // the columns as its codec laid them out, so Len and At are what "the
@@ -68,7 +68,7 @@ func TestSnapshotsAgreeAcrossCodecs(t *testing.T) {
 	}
 	for _, tc := range traces {
 		want := tc.tr.CountMethods()
-		for _, codec := range []string{"bin", "bin-copied", "gob", "json"} {
+		for _, codec := range []string{"bin", "bin-copied", "gob"} {
 			got := decodeVia(t, tc.tr, codec)
 			if len(got.Units) != len(tc.tr.Units) {
 				t.Fatalf("%s/%s: %d units, want %d", tc.name, codec, len(got.Units), len(tc.tr.Units))

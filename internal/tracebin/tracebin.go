@@ -15,11 +15,11 @@
 // any stacks.
 //
 // Decode checks only what guards its own reads and slices (section
-// presence and sizes, the CRC, the ends of each unit's offset stretches,
-// the frequency matrix's CSR structure and values) and leaves every
-// trace invariant to trace.ValidateHeader and trace.ValidateUnit, the
-// two halves of trace.Validate, so the rule is stated once for all
-// three decoders.
+// presence and sizes, the CRC, the method-name offsets, the frequency
+// matrix's CSR structure and values) and leaves every trace invariant,
+// the units' snapshot and stage spans included, to
+// trace.ValidateHeader and trace.ValidateUnit, the two halves of
+// trace.Validate, so the rule is stated once for both decoders.
 //
 // Layout, from byte 0:
 //
@@ -136,8 +136,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // input gets the same error at any worker count. Each grid holds the
 // largest Table I trace in one chunk (under 1 MB, 1.6k units, 17k
 // frequency values), so paper-sized inputs decode inline on the caller.
-// The unit loop checks the ends of each unit's stretch of the snapshot,
-// frame and stage offset columns, fills the unit and runs
+// The unit loop fills each unit, its spans included, and runs
 // trace.ValidateUnit on it.
 const (
 	crcChunk  = 4 << 20 // bytes per CRC-32C chunk
@@ -505,13 +504,8 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err
 	}
 	methodOff := col32[uint32](methodOffB)
-	if err := offsetEnds(methodOff, len(blob), "method"); err != nil {
+	if err := checkMethodOffsets(methodOff, len(blob)); err != nil {
 		return nil, err
-	}
-	for s := 0; s < 2*m; s++ {
-		if err := offsetSpan(methodOff, s, s+1, len(blob), "method"); err != nil {
-			return nil, err
-		}
 	}
 	t.Methods = make([]model.Method, m)
 	for i := range t.Methods {
@@ -574,70 +568,42 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err
 	}
 
-	// Variable-length data: stages, snapshots, frames. The three offset
-	// columns are read in place: their ends are checked here, and the
-	// unit loop checks the ends of each unit's stretch of them before
-	// setting its spans; the frame offsets inside a stretch are the
-	// unit's snapshot offsets, which ValidateUnit checks.
+	// Variable-length data: stages, snapshots, frames. The frame,
+	// frame-offset and stage sections are the trace's columns, and each
+	// unit's spans come straight from the snapshot and stage offset
+	// sections: ValidateUnit checks them, and the stack offsets they
+	// span, before anything reads through them. As in a trace built by
+	// appending, a trace without stacks has no frame columns and an
+	// empty span stays zero, so gob sees one trace however it was made.
 	stageValB, err := sec(secStageVal, 4)
 	if err != nil {
 		return nil, err
 	}
-	stageVals := col32[int32](stageValB)
 	stageOffB, err := secN(secStageOff, 4, n+1)
 	if err != nil {
 		return nil, err
 	}
 	stageOff := col32[uint32](stageOffB)
-	if err := offsetEnds(stageOff, len(stageVals), "stage"); err != nil {
-		return nil, err
-	}
 	framesB, err := sec(secFrames, 4)
 	if err != nil {
 		return nil, err
 	}
-	frames := col32[model.MethodID](framesB)
 	frameOffB, err := sec(secFrameOff, 4)
 	if err != nil {
 		return nil, err
 	}
-	if len(frameOffB) < 4 {
-		return nil, fmt.Errorf("frame offset section empty")
-	}
-	frameOff := col32[uint32](frameOffB)
-	nStacks := len(frameOff) - 1
 	snapOffB, err := secN(secSnapOff, 4, n+1)
 	if err != nil {
 		return nil, err
 	}
 	snapOff := col32[uint32](snapOffB)
-	if err := offsetEnds(snapOff, nStacks, "snapshot"); err != nil {
-		return nil, err
+	if len(frameOffB) > 4 {
+		t.Frames, t.FrameOff = col32[model.MethodID](framesB), col32[uint32](frameOffB)
 	}
-	if err := offsetEnds(frameOff, len(frames), "frame"); err != nil {
-		return nil, err
-	}
-
-	// The three sections are the trace's columns. As in a trace built by
-	// appending, a trace without stacks has no frame columns and an
-	// empty span stays zero, so gob sees one trace however it was made.
-	if nStacks > 0 {
-		t.Frames, t.FrameOff = frames, frameOff
-	}
-	t.StageIDs = stageVals
+	t.StageIDs = col32[int32](stageValB)
 	t.Units = make([]trace.Unit, n)
 	if err := checkChunks(eng, n, unitChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if err := offsetSpan(snapOff, i, i+1, nStacks, "snapshot"); err != nil {
-				return err
-			}
-			a, b := int(snapOff[i]), int(snapOff[i+1])
-			if err := offsetSpan(frameOff, a, b, len(frames), "frame"); err != nil {
-				return err
-			}
-			if err := offsetSpan(stageOff, i, i+1, len(stageVals), "stage"); err != nil {
-				return err
-			}
 			u := &t.Units[i]
 			u.ID = i
 			u.Thread = int(threads[i])
@@ -651,10 +617,10 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 				LLCMisses:    llc[i],
 			}
 			u.Quality = trace.Quality(quality[i])
-			if a < b {
-				u.Snapshots = trace.Span{Lo: uint32(a), Hi: uint32(b)}
+			if a, b := snapOff[i], snapOff[i+1]; a != b {
+				u.Snapshots = trace.Span{Lo: a, Hi: b}
 			}
-			if a, b := stageOff[i], stageOff[i+1]; a < b {
+			if a, b := stageOff[i], stageOff[i+1]; a != b {
 				u.Stages = trace.Span{Lo: a, Hi: b}
 			}
 			if err := t.ValidateUnit(i); err != nil {
@@ -792,27 +758,21 @@ func crcZeros(n int) gf2Op {
 	return out
 }
 
-// offsetEnds checks the ends of a non-empty u32 offset column read in
-// place: it starts at 0 and ends exactly at bound. Its stretches are
-// checked with offsetSpan.
-func offsetEnds(col []uint32, bound int, what string) error {
-	if col[0] != 0 {
-		return fmt.Errorf("%s offsets do not start at 0", what)
+// checkMethodOffsets checks the method-name offset column, read in
+// place: it starts at 0, never decreases and ends exactly at bound, the
+// blob's length, so a name sliced at two adjacent offsets stays in
+// range. No trace invariant covers it: the names are strings by then.
+func checkMethodOffsets(off []uint32, bound int) error {
+	if off[0] != 0 {
+		return fmt.Errorf("method offsets do not start at 0")
 	}
-	if end := col[len(col)-1]; uint64(end) != uint64(bound) {
-		return fmt.Errorf("%s offsets end at %d, want %d", what, end, bound)
+	if end := off[len(off)-1]; uint64(end) != uint64(bound) {
+		return fmt.Errorf("method offsets end at %d, want %d", end, bound)
 	}
-	return nil
-}
-
-// offsetSpan checks the ends of the stretch col[a:b+1] of an offset
-// column: col[a] <= col[b] <= bound, so a column of bound elements
-// sliced at col[a] and col[b] stays in range.
-func offsetSpan(col []uint32, a, b, bound int, what string) error {
-	if e := col[b]; uint64(e) > uint64(bound) {
-		return fmt.Errorf("%s offset %d at %d exceeds %d", what, e, b, bound)
-	} else if e < col[a] {
-		return fmt.Errorf("%s offsets not monotone at %d (%d < %d)", what, b, e, col[a])
+	for s := 1; s < len(off); s++ {
+		if off[s] < off[s-1] {
+			return fmt.Errorf("method offsets not monotone at %d (%d < %d)", s, off[s], off[s-1])
+		}
 	}
 	return nil
 }

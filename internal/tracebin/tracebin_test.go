@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -280,6 +281,32 @@ func TestDecodeErrors(t *testing.T) {
 			t.Fatalf("corrupted file decoded cleanly")
 		}
 	})
+	t.Run("spans", func(t *testing.T) {
+		// Decode reads the offset sections as spans and leaves them to the
+		// trace rule, so a span that leaves its column gets its message.
+		le := binary.LittleEndian
+		stacks := len(section(t, good, secFrameOff))/4 - 1
+		for _, tc := range []struct {
+			id   uint32
+			at   int
+			want string
+		}{
+			{secSnapOff, 5, fmt.Sprintf("trace: unit 4 snapshot span [%d, %d) runs past the %d stacks",
+				le.Uint32(section(t, good, secSnapOff)[4*4:]), 1<<30, stacks)},
+			{secStageOff, 5, fmt.Sprintf("trace: unit 4 stage span [%d, %d) runs past the %d stage ids",
+				le.Uint32(section(t, good, secStageOff)[4*4:]), 1<<30, len(section(t, good, secStageVal))/4)},
+			{secFrameOff, stacks, fmt.Sprintf("trace: unit 39 snapshot frames [%d, %d) do not fit the %d frames",
+				le.Uint32(section(t, good, secFrameOff)[4*(stacks-tr.Units[39].Snapshots.Len()):]), 1<<30,
+				len(section(t, good, secFrames))/4)},
+		} {
+			bad := append([]byte(nil), good...)
+			le.PutUint32(section(t, bad, tc.id)[4*tc.at:], 1<<30)
+			fixCRC(bad)
+			if _, err := Decode(bad); err == nil || err.Error() != "tracebin: decode: "+tc.want {
+				t.Fatalf("section %d entry %d: got %v, want %q", tc.id, tc.at, err, tc.want)
+			}
+		}
+	})
 	t.Run("bad-version", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[4] = 99
@@ -290,7 +317,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 // TestDecodeValidates: every decoded trace passes trace.Validate — the
-// same trust-boundary guarantee the gob and JSON decoders give.
+// same trust-boundary guarantee the gob decoder gives.
 func TestDecodeValidates(t *testing.T) {
 	for _, units := range []int{1, 64, 333} {
 		tr := degradedTrace(t, units, uint64(units)*3)
@@ -340,14 +367,14 @@ func invariantTrace() *trace.Trace {
 	return tr
 }
 
-// TestDecodersShareInvariants: for every structural defect, SPTB, gob
-// and JSON decoding reject it with Validate's message for it. The
-// defect is made twice from invariantTrace: on the trace, whose
-// Validate error is the message and whose gob and JSON encodings are
-// decoded, and as a patch of its SPTB columns. Unit and method ids are
-// positions in SPTB, so it cannot express the two id defects, and its
-// decoder rejects a span that leaves an offset column with its own
-// message; gob and JSON still must reject those with Validate's.
+// TestDecodersShareInvariants: for every structural defect, SPTB and
+// gob decoding reject it with Validate's message for it. The defect is
+// made twice from invariantTrace: on the trace, whose Validate error is
+// the message and whose gob encoding is decoded, and as a patch of its
+// SPTB columns. Unit and method ids are positions in SPTB, so it cannot
+// express the two id defects. A unit's spans are two adjacent entries of
+// an offset section, so a patch of entry i+1 also moves unit i+1's span:
+// each span patch breaks the earlier unit, which fails first.
 func TestDecodersShareInvariants(t *testing.T) {
 	le := binary.LittleEndian
 	for _, tc := range []struct {
@@ -383,11 +410,13 @@ func TestDecodersShareInvariants(t *testing.T) {
 				// Unit 1's frame offsets are entries 2..4, at frames 3, 5, 6.
 				le.PutUint32(section(t, bin, secFrameOff)[4*3:], 7)
 			}},
-		// SPTB decode checks its offset columns itself, with its own
-		// messages (TestDecodeErrors), so it cannot express these three.
-		{"snapshot span past frame offsets", func(tr *trace.Trace) { tr.Units[1].Snapshots.Hi = 40 }, nil},
-		{"inverted snapshot span", func(tr *trace.Trace) { tr.Units[1].Snapshots = trace.Span{Lo: 4, Hi: 2} }, nil},
-		{"stage span past stage ids", func(tr *trace.Trace) { tr.Units[1].Stages = trace.Span{Lo: 0, Hi: 3} }, nil},
+		// Unit 1's snapshots are stacks [2, 4) and it has no stages.
+		{"snapshot span past frame offsets", func(tr *trace.Trace) { tr.Units[1].Snapshots.Hi = 40 },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secSnapOff)[4*2:], 40) }},
+		{"inverted snapshot span", func(tr *trace.Trace) { tr.Units[1].Snapshots = trace.Span{Lo: 2, Hi: 1} },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secSnapOff)[4*2:], 1) }},
+		{"stage span past stage ids", func(tr *trace.Trace) { tr.Units[1].Stages = trace.Span{Lo: 0, Hi: 3} },
+			func(t *testing.T, bin []byte) { le.PutUint32(section(t, bin, secStageOff)[4*2:], 3) }},
 		{"unknown quality bits", func(tr *trace.Trace) { tr.Units[1].Quality = 0x80 },
 			func(t *testing.T, bin []byte) { section(t, bin, secQuality)[1] = 0x80 }},
 	} {
@@ -405,17 +434,12 @@ func TestDecodersShareInvariants(t *testing.T) {
 					t.Fatalf("%s: got %v, want an error containing %q", codec, err, want)
 				}
 			}
-			var gobBuf, jsonBuf bytes.Buffer
+			var gobBuf bytes.Buffer
 			if err := broken.EncodeGob(&gobBuf); err != nil {
 				t.Fatal(err)
 			}
 			_, err := trace.DecodeGob(&gobBuf)
 			check("gob", err)
-			if err := broken.EncodeJSON(&jsonBuf); err != nil {
-				t.Fatal(err)
-			}
-			_, err = trace.DecodeJSON(&jsonBuf)
-			check("json", err)
 			if tc.patch == nil {
 				return
 			}

@@ -13,8 +13,8 @@
 #                                            SPTB decode's heap bytes
 #                                            per unit stay bounded)
 #   fuzz-smoke    trace decoders            (no byte stream may panic
-#                                            the decode path: gob, JSON
-#                                            and the tracebin columns)
+#                                            the decode path: gob and
+#                                            the tracebin columns)
 #   trace-golden  trace-event export        (byte-stable golden + schema
 #                                            tests for the Perfetto export)
 #   tracebin-golden  columnar trace format  (byte-exact encode golden +
@@ -282,8 +282,8 @@ run_kernel_equivalence() {
 	# The chunk-parallel decode: the combined CRC equals the one-pass
 	# CRC, a multi-chunk trace decodes identically at GOMAXPROCS 1/2/8 on
 	# both ingest paths, and a malformed input gets the serial decode's
-	# first error whichever chunk holds it. SPTB, gob and JSON reject
-	# every structural defect with trace.Validate's message for it.
+	# first error whichever chunk holds it. SPTB and gob reject every
+	# structural defect with trace.Validate's message for it.
 	equiv_tests ./internal/tracebin TestCRCCombine TestDecodeBinWorkerInvariant \
 		TestDecodeBinFirstErrorAcrossChunks TestDecodersShareInvariants || fail kernel-equivalence
 	# The one-pass stratum scan behind SimProf, PlanSE and
@@ -367,7 +367,6 @@ run_fuzz_smoke() {
 	# plain `go test` runs from then on.
 	for spec in \
 		"FuzzDecodeGob ./internal/trace" \
-		"FuzzDecodeJSON ./internal/trace" \
 		"FuzzDecodeBin ./internal/tracebin"; do
 		target=${spec% *}
 		pkg=${spec#* }
