@@ -13,44 +13,52 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
+	"simprof/internal/cli"
 	"simprof/internal/synth"
 	"simprof/internal/trace"
 	_ "simprof/internal/tracebin" // registers the "bin" trace format
 )
 
-func main() {
-	if len(os.Args) < 2 {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes one datagen command and returns its exit code: 0 on
+// success, 2 on a usage mistake, 1 when generating or writing failed.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	var err error
-	switch os.Args[1] {
+	switch args[0] {
 	case "text":
-		err = cmdText(os.Args[2:])
+		err = cmdText(args[1:])
 	case "kv":
-		err = cmdKV(os.Args[2:])
+		err = cmdKV(args[1:])
 	case "graph":
-		err = cmdGraph(os.Args[2:])
+		err = cmdGraph(args[1:])
 	case "tableII":
-		err = cmdTableII(os.Args[2:])
+		err = cmdTableII(args[1:])
 	case "trace":
-		err = cmdTrace(os.Args[2:])
+		err = cmdTrace(args[1:])
 	case "help", "-h", "--help":
 		usage()
 	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown command %q\n", os.Args[1])
+		fmt.Fprintf(os.Stderr, "datagen: unknown command %q\n", args[0])
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
-		os.Exit(1)
+		return cli.ExitCode(err)
 	}
+	return 0
 }
 
 func usage() {
@@ -77,7 +85,7 @@ func parseSize(s string) (int64, error) {
 }
 
 func cmdText(args []string) error {
-	fs := flag.NewFlagSet("text", flag.ExitOnError)
+	fs := flag.NewFlagSet("datagen text", flag.ExitOnError)
 	size := fs.String("size", "16MB", "corpus size")
 	vocab := fs.Int("vocab", 600_000, "vocabulary size")
 	zipf := fs.Float64("zipf", 1.1, "Zipf exponent")
@@ -89,13 +97,11 @@ func cmdText(args []string) error {
 		return err
 	}
 	spec := synth.TextSpec{Name: "text", SizeBytes: bytes, Vocab: *vocab, ZipfS: *zipf, AvgWordLen: 6, Seed: *seed}
-	w, closer, err := output(*out)
-	if err != nil {
+	var n, words int64
+	if err := writeOut(*out, func(w io.Writer) (err error) {
+		n, words, err = spec.Generate(w)
 		return err
-	}
-	defer closer()
-	n, words, err := spec.Generate(w)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d bytes, %d words\n", n, words)
@@ -103,7 +109,7 @@ func cmdText(args []string) error {
 }
 
 func cmdKV(args []string) error {
-	fs := flag.NewFlagSet("kv", flag.ExitOnError)
+	fs := flag.NewFlagSet("datagen kv", flag.ExitOnError)
 	records := fs.Int64("records", 100_000, "number of records")
 	keyBytes := fs.Int("key", 10, "key bytes")
 	valBytes := fs.Int("val", 90, "value bytes")
@@ -111,13 +117,11 @@ func cmdKV(args []string) error {
 	out := fs.String("out", "", "output file (default stdout)")
 	fs.Parse(args)
 	spec := synth.KVSpec{Name: "kv", Records: *records, KeyBytes: *keyBytes, ValBytes: *valBytes, Seed: *seed}
-	w, closer, err := output(*out)
-	if err != nil {
+	var n int64
+	if err := writeOut(*out, func(w io.Writer) (err error) {
+		n, err = spec.Generate(w)
 		return err
-	}
-	defer closer()
-	n, err := spec.Generate(w)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d bytes\n", n)
@@ -125,7 +129,7 @@ func cmdKV(args []string) error {
 }
 
 func cmdGraph(args []string) error {
-	fs := flag.NewFlagSet("graph", flag.ExitOnError)
+	fs := flag.NewFlagSet("datagen graph", flag.ExitOnError)
 	name := fs.String("name", "google", "Table II input name, or 'custom'")
 	scale := fs.Int("scale", 14, "Kronecker scale (2^scale vertices)")
 	edgeFactor := fs.Float64("edgefactor", 16, "edges per vertex (custom only)")
@@ -155,13 +159,8 @@ func cmdGraph(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closer, err := output(*out)
-	if err != nil {
+	if err := writeOut(*out, func(w io.Writer) error { return writeEdges(w, g.Edges) }); err != nil {
 		return err
-	}
-	defer closer()
-	for _, e := range g.Edges {
-		fmt.Fprintf(w, "%d\t%d\n", e[0], e[1])
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d vertices, %d edges, max out-degree %d, degree CoV %.2f\n",
 		g.Name, g.N, len(g.Edges), g.MaxDeg, g.DegreeCoV())
@@ -169,7 +168,7 @@ func cmdGraph(args []string) error {
 }
 
 func cmdTableII(args []string) error {
-	fs := flag.NewFlagSet("tableII", flag.ExitOnError)
+	fs := flag.NewFlagSet("datagen tableII", flag.ExitOnError)
 	scale := fs.Int("scale", 14, "Kronecker scale")
 	seed := fs.Uint64("seed", 1, "random seed")
 	dir := fs.String("dir", "", "write each input to <dir>/<name>.txt (default: list only)")
@@ -187,16 +186,9 @@ func cmdTableII(args []string) error {
 				return err
 			}
 			path := filepath.Join(*dir, in.Spec.Name+".txt")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := writeOut(path, func(w io.Writer) error { return writeEdges(w, g.Edges) }); err != nil {
 				return err
 			}
-			w := bufio.NewWriter(f)
-			for _, e := range g.Edges {
-				fmt.Fprintf(w, "%d\t%d\n", e[0], e[1])
-			}
-			w.Flush()
-			f.Close()
 		}
 	}
 	return nil
@@ -206,7 +198,7 @@ func cmdTableII(args []string) error {
 // any registered trace format — the fixture generator for format
 // conversions, decoder tests and large-scale ingest benchmarks.
 func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("datagen trace", flag.ExitOnError)
 	units := fs.Int("units", 10_000, "sampling units")
 	methods := fs.Int("methods", 256, "interned method table size")
 	phases := fs.Int("phases", 4, "planted phases")
@@ -216,6 +208,9 @@ func cmdTrace(args []string) error {
 	format := fs.String("format", "bin", fmt.Sprintf("output format %v", trace.FormatNames()))
 	out := fs.String("out", "", "output file (default stdout)")
 	fs.Parse(args)
+	if !slices.Contains(trace.FormatNames(), *format) {
+		return cli.UsageErr(fs, "unknown -format %q (have: %s)", *format, strings.Join(trace.FormatNames(), " "))
+	}
 	spec := synth.DefaultTrace(*units, *seed)
 	spec.Methods = *methods
 	spec.Phases = *phases
@@ -225,12 +220,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closer, err := output(*out)
-	if err != nil {
-		return err
-	}
-	defer closer()
-	if err := tr.Encode(w, *format); err != nil {
+	if err := writeOut(*out, func(w io.Writer) error { return tr.Encode(w, *format) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d units, %d methods, %d planted phases (%s)\n",
@@ -238,16 +228,37 @@ func cmdTrace(args []string) error {
 	return nil
 }
 
-// output opens the destination (buffered) or wires stdout.
-func output(path string) (w *bufio.Writer, closer func(), err error) {
-	if path == "" {
-		w = bufio.NewWriter(os.Stdout)
-		return w, func() { w.Flush() }, nil
+// writeOut runs write on the destination file, or stdout when path is
+// empty, through a buffer, then flushes the buffer and closes the file.
+// The first error of the three is returned, so a failed write fails the
+// command.
+func writeOut(path string, write func(w io.Writer) error) error {
+	f := os.Stdout
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
+	w := bufio.NewWriter(f)
+	err := write(w)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
 	}
-	w = bufio.NewWriter(f)
-	return w, func() { w.Flush(); f.Close() }, nil
+	if path != "" {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// writeEdges writes one tab-separated edge per line.
+func writeEdges(w io.Writer, edges [][2]int32) error {
+	for _, e := range edges {
+		if _, err := fmt.Fprintf(w, "%d\t%d\n", e[0], e[1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"simprof/internal/cli"
@@ -146,14 +149,25 @@ func cmdHistoryShow(args []string) error {
 	}
 	if len(r.Bench) > 0 {
 		t := report.NewTable(fmt.Sprintf("bench results (%d)", len(r.Bench)),
-			"Benchmark", "Iters", "ns/op", "B/op", "allocs/op")
+			"Benchmark", "Iters", "ns/op", "B/op", "allocs/op", "Other")
 		for _, b := range r.Bench {
 			t.RowS(b.Name, fmt.Sprint(b.Iters), fmtNs(b.NsPerOp),
-				fmt.Sprintf("%.0f", b.BytesPerOp), fmt.Sprintf("%.0f", b.AllocsPerOp))
+				fmt.Sprintf("%.0f", b.BytesPerOp), fmt.Sprintf("%.0f", b.AllocsPerOp), fmtMetrics(b.Metrics))
 		}
 		t.Render(os.Stdout)
 	}
 	return nil
+}
+
+// fmtMetrics renders a result's custom per-op metrics as "unit=value"
+// pairs in unit order.
+func fmtMetrics(m map[string]float64) string {
+	units := slices.Sorted(maps.Keys(m))
+	pairs := make([]string, len(units))
+	for i, u := range units {
+		pairs[i] = fmt.Sprintf("%s=%.4g", u, m[u])
+	}
+	return strings.Join(pairs, " ")
 }
 
 func cmdHistoryDiff(args []string) error {

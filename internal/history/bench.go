@@ -20,6 +20,9 @@ type BenchResult struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
+	// Metrics holds every other per-op pair the line reports, keyed by
+	// its unit: b.ReportMetric stage times such as "decode-ms/op".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // BaseName strips the trailing GOMAXPROCS suffix ("-8") so results
@@ -117,9 +120,10 @@ func scanBenchLines(pkg, text string) []BenchResult {
 //
 //	BenchmarkForm-8   100   13055718 ns/op   1197135 B/op   6180 allocs/op
 //
-// The grammar is: name, iteration count, then (value, unit) pairs.
-// Lines without an ns/op pair are not results (e.g. "BenchmarkX" name
-// echoes from -v runs) and are skipped.
+// The grammar is: name, iteration count, then (value, unit) pairs. Any
+// other "<name>/op" unit lands in Metrics. Lines without an ns/op pair
+// are not results (e.g. "BenchmarkX" name echoes from -v runs) and are
+// skipped.
 func parseBenchLine(pkg, line string) (BenchResult, bool) {
 	fields := strings.Fields(strings.TrimSpace(line))
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || len(fields[0]) <= len("Benchmark") {
@@ -146,6 +150,13 @@ func parseBenchLine(pkg, line string) (BenchResult, bool) {
 			r.AllocsPerOp = v
 		case "MB/s":
 			r.MBPerS = v
+		default:
+			if strings.HasSuffix(fields[i+1], "/op") {
+				if r.Metrics == nil {
+					r.Metrics = map[string]float64{}
+				}
+				r.Metrics[fields[i+1]] = v
+			}
 		}
 	}
 	return r, sawNs

@@ -3,6 +3,7 @@ package history
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,38 @@ BenchmarkBadIters	abc	5 ns/op
 	}
 	if rs[1].MBPerS != 512 || rs[1].NsPerOp != 200.5 {
 		t.Errorf("MB/s pair parsed wrong: %+v", rs[1])
+	}
+}
+
+// TestParseCustomMetrics: the b.ReportMetric pairs of a result line are
+// kept beside the standard ones. The input is a BenchmarkEndToEnd100k
+// event as BENCH_pipeline.json records it, split across two output
+// events the way test2json splits it.
+func TestParseCustomMetrics(t *testing.T) {
+	stream := `{"Action":"output","Package":"simprof/internal/tracebin","Test":"BenchmarkEndToEnd100k","Output":"BenchmarkEndToEnd100k-2   \t"}
+{"Action":"output","Package":"simprof/internal/tracebin","Test":"BenchmarkEndToEnd100k","Output":"      18\t  31077874 ns/op\t        12.01 decode-ms/op\t         0.004079 estimate-ms/op\t        16.62 form-ms/op\t         2.452 simprof-ms/op\t24007545 B/op\t    1609 allocs/op\n"}
+`
+	rs, err := ParseTestJSON(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("parsed %d results, want 1: %+v", len(rs), rs)
+	}
+	r := rs[0]
+	if r.Name != "BenchmarkEndToEnd100k-2" || r.Iters != 18 || r.NsPerOp != 31077874 ||
+		r.BytesPerOp != 24007545 || r.AllocsPerOp != 1609 {
+		t.Errorf("standard pairs parsed wrong: %+v", r)
+	}
+	want := map[string]float64{
+		"decode-ms/op": 12.01, "estimate-ms/op": 0.004079, "form-ms/op": 16.62, "simprof-ms/op": 2.452,
+	}
+	if !reflect.DeepEqual(r.Metrics, want) {
+		t.Errorf("metrics = %v, want %v", r.Metrics, want)
+	}
+	raw, err := ParseTestJSON(strings.NewReader("BenchmarkForm-8   100   13055718 ns/op   6180 allocs/op\n"))
+	if err != nil || len(raw) != 1 || raw[0].Metrics != nil {
+		t.Errorf("a line without custom pairs: %+v, %v; want nil Metrics", raw, err)
 	}
 }
 

@@ -180,6 +180,13 @@ func (b *SparseBuilder) Build() *Sparse {
 	}
 }
 
+// RowCheck checks rows [lo, hi) of CSR arrays whose shape NewSparseCSR
+// has accepted: each row's pointers are monotone and inside the column
+// array, and its columns strictly ascending and in range. It returns the
+// first row that breaks the rule with its error, or hi and nil. A row's
+// check reads only that row, so disjoint ranges may run concurrently.
+type RowCheck func(lo, hi int) (int, error)
+
 // NewSparseCSR adopts pre-built CSR arrays without copying them — the
 // zero-copy entry used by the tracebin decoder, whose column sections
 // already hold exactly this layout. The arrays are validated (monotone
@@ -187,7 +194,13 @@ func (b *SparseBuilder) Build() *Sparse {
 // columns per row) so that adopted data upholds the same invariants
 // SparseBuilder enforces; the caller keeps ownership of the slices and
 // must not mutate them afterwards.
-func NewSparseCSR(rows, cols int, rowPtr []int, col []int32, val []float64) (*Sparse, error) {
+//
+// The shape is checked here; the per-row rule is the RowCheck handed to
+// checkRows, which must run it over ranges covering [0, rows) and
+// return the error a row-order scan meets first. A caller runs it
+// chunk-parallel this way, and checks more of each row (its values)
+// once the RowCheck has cleared the row's pointers.
+func NewSparseCSR(rows, cols int, rowPtr []int, col []int32, val []float64, checkRows func(RowCheck) error) (*Sparse, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("matrix: NewSparseCSR(%d, %d)", rows, cols)
 	}
@@ -201,18 +214,26 @@ func NewSparseCSR(rows, cols int, rowPtr []int, col []int32, val []float64) (*Sp
 		return nil, fmt.Errorf("matrix: NewSparseCSR row pointers span [%d, %d], want [0, %d]",
 			rowPtr[0], rowPtr[rows], len(col))
 	}
-	for i := 0; i < rows; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		if lo > hi || hi > len(col) {
-			return nil, fmt.Errorf("matrix: NewSparseCSR row %d pointers not monotone (%d > %d)", i, lo, hi)
-		}
-		prev := int32(-1)
-		for _, c := range col[lo:hi] {
-			if c <= prev || int(c) >= cols {
-				return nil, fmt.Errorf("matrix: NewSparseCSR row %d column %d out of order or range (cols=%d)", i, c, cols)
+	check := func(lo, hi int) (int, error) {
+		for i := lo; i < hi; i++ {
+			a, b := rowPtr[i], rowPtr[i+1]
+			// a < 0 fails an earlier row first in a row-order scan; it is
+			// checked here so a range starting past that row stays in bounds.
+			if a < 0 || a > b || b > len(col) {
+				return i, fmt.Errorf("matrix: NewSparseCSR row %d pointers not monotone (%d > %d)", i, a, b)
 			}
-			prev = c
+			prev := int32(-1)
+			for _, c := range col[a:b] {
+				if c <= prev || int(c) >= cols {
+					return i, fmt.Errorf("matrix: NewSparseCSR row %d column %d out of order or range (cols=%d)", i, c, cols)
+				}
+				prev = c
+			}
 		}
+		return hi, nil
+	}
+	if err := checkRows(check); err != nil {
+		return nil, err
 	}
 	return &Sparse{rows: rows, cols: cols, RowPtr: rowPtr, Col: col, Val: val}, nil
 }

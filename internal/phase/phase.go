@@ -92,6 +92,9 @@ func (fs *FeatureSpace) Dim() int { return len(fs.Methods) }
 // unitChunk is the fixed per-chunk unit count of the projection loop.
 const unitChunk = 64
 
+// scanChunk is the fixed per-chunk unit count of the unit scan.
+const scanChunk = 1 << 14
+
 // VectorizeSparse converts every unit of the trace into this feature
 // space as a CSR matrix: dimension j of row u counts the stack frames in
 // unit u's snapshots that refer to method j. It remaps the columns of
@@ -244,18 +247,13 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	obsFormUnits.Add(int64(len(tr.Units)))
 	eng := parallel.New(o.Workers).WithContext(ctx)
 
-	// One pass over the units flags the degraded ones and lists the
-	// fully observed ones with their IPC, the feature-selection target.
-	degraded := make([]bool, len(tr.Units))
-	clean := make([]int, 0, len(tr.Units))
-	cleanIPC := make([]float64, 0, len(tr.Units))
-	for i := range tr.Units {
-		if tr.EffectiveQuality(i).Degraded() {
-			degraded[i] = true
-			continue
-		}
-		clean = append(clean, i)
-		cleanIPC = append(cleanIPC, tr.Units[i].Counters.IPC())
+	// The unit scan flags the degraded units and lists the fully
+	// observed ones with their IPC, the feature-selection target.
+	_, scanSpan := obs.StartSpan(ctx, "phase.scan")
+	degraded, clean, cleanIPC, err := scanUnits(eng, tr)
+	scanSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("phase: unit scan: %w", err)
 	}
 	if len(clean) == 0 {
 		return nil, fmt.Errorf("phase: no fully observed sampling units (all %d degraded)", len(tr.Units))
@@ -274,7 +272,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// Univariate linear-regression feature selection against IPC, on
 	// fully observed units only (a dropped counter is not IPC 0). The
 	// sparse scorer walks stored nonzeros, never the full method space.
-	_, selSpan := obs.StartSpan(ctx, "phase.feature_select")
+	_, fregSpan := obs.StartSpan(ctx, "phase.fregression")
 	scores := stats.FRegressionSparseWith(eng, sp, clean, cleanIPC)
 	if err := eng.Err(); err != nil {
 		return nil, fmt.Errorf("phase: feature selection: %w", err)
@@ -290,11 +288,13 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 		space.Kinds[j] = full.Kinds[dim]
 		fscores[j] = scores[dim]
 	}
+	fregSpan.End()
 	// Projection onto the selected dimensions goes straight from CSR to
 	// a flat Dense the clustering kernels run on. Chunks of rows project
 	// independently (each cell is written by exactly one chunk, no
 	// reductions), so the result is bit-for-bit GatherColumnsDense at
 	// every worker count.
+	_, projSpan := obs.StartSpan(ctx, "phase.project")
 	selected := matrix.NewDense(sp.Rows(), len(top))
 	if len(top) > 0 {
 		colMap := sp.ColMap(top)
@@ -311,7 +311,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	if len(clean) < len(tr.Units) {
 		cleanSelected = selected.GatherRows(clean)
 	}
-	selSpan.End()
+	projSpan.End()
 	_, clusterSpan := obs.StartSpan(ctx, "phase.cluster")
 	sel, err := cluster.ChooseKDense(cleanSelected, cluster.ChooseKOptions{
 		MaxK:      o.MaxPhases,
@@ -359,6 +359,47 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	}
 	p.buildIndex()
 	return p, nil
+}
+
+// scanUnits flags the degraded units of tr and lists the fully observed
+// ones, in ascending order, with their IPC. It reads each unit row once,
+// over the fixed scanChunk grid on eng: chunk [lo, hi) lists its clean
+// units from position lo of clean and cleanIPC, so every chunk's region
+// is known before the scan, and the gaps its degraded units leave are
+// closed afterwards in chunk order. On a pristine trace nothing moves.
+// The lists are the same for every worker count; a canceled eng
+// returns its error.
+func scanUnits(eng *parallel.Engine, tr *trace.Trace) (degraded []bool, clean []int, cleanIPC []float64, err error) {
+	n := len(tr.Units)
+	degraded = make([]bool, n)
+	clean = make([]int, n)
+	cleanIPC = make([]float64, n)
+	kept := make([]int, parallel.Chunks(n, scanChunk))
+	eng.ForEachChunk(n, scanChunk, func(c, lo, hi int) {
+		k := lo
+		for i := lo; i < hi; i++ {
+			if tr.EffectiveQuality(i).Degraded() {
+				degraded[i] = true
+				continue
+			}
+			clean[k] = i
+			cleanIPC[k] = tr.Units[i].Counters.IPC()
+			k++
+		}
+		kept[c] = k - lo
+	})
+	if err := eng.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	m := 0
+	for c, k := range kept {
+		if lo := c * scanChunk; lo != m {
+			copy(clean[m:], clean[lo:lo+k])
+			copy(cleanIPC[m:], cleanIPC[lo:lo+k])
+		}
+		m += k
+	}
+	return degraded, clean[:m], cleanIPC[:m], nil
 }
 
 // members returns the cached unit list of phase h; an out-of-range h

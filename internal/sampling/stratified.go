@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"simprof/internal/obs"
+	"simprof/internal/parallel"
 	"simprof/internal/phase"
 	"simprof/internal/stats"
 )
@@ -272,7 +273,10 @@ func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stra
 	if ph.K == 0 || len(ph.Assign) == 0 {
 		return Stratified{}, fmt.Errorf("sampling: no phases")
 	}
-	st := scanStrata(ph)
+	st, err := scanStrata(parallel.Default().WithContext(ctx), ph)
+	if err != nil {
+		return Stratified{}, err
+	}
 	if len(st.all) == 0 {
 		return Stratified{}, fmt.Errorf("sampling: no measurable units in any phase")
 	}
@@ -363,7 +367,10 @@ func (s Stratified) BootstrapCI(level float64, rounds int, seed uint64) stats.In
 // would achieve, using the profiled per-phase σ (available for free from
 // the hardware counters) — the planning loop of §III-C.
 func PlanSE(ph *phase.Phases, n int) (float64, error) {
-	st := scanStrata(ph)
+	st, err := scanStrata(parallel.Default(), ph)
+	if err != nil {
+		return 0, err
+	}
 	st.pool = stats.StdDev(st.all)
 	return planSE(st, n)
 }
@@ -394,7 +401,10 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 	// The drawable population is the measured units; asking for more
 	// cannot shrink the SE further (degraded strata keep their
 	// imputation-variance floor no matter the budget).
-	st := scanStrata(ph)
+	st, err := scanStrata(parallel.Default(), ph)
+	if err != nil {
+		return 0, err
+	}
 	N := len(st.all)
 	if N == 0 {
 		return 0, fmt.Errorf("sampling: no measurable units to size a sample from")
@@ -423,12 +433,12 @@ func RequiredSampleSize(ph *phase.Phases, relErr, level float64) (int, error) {
 }
 
 // strata is the measured population of every phase, collected in one
-// pass over the assignment: units[h] holds phase h's measured unit
-// indices in ascending order and cpis[h] their CPIs. The per-phase
-// windows sit back to back in one phase-major array, so all is every
-// measured CPI in phase order — the pooled population of the σ
-// fallbacks. Measured status is read afresh on every scan, never cached
-// on the Phases: unit quality may change after formation.
+// read of the unit rows: units[h] holds phase h's measured unit indices
+// in ascending order and cpis[h] their CPIs. The per-phase windows sit
+// back to back in one phase-major array, so all is every measured CPI in
+// phase order — the pooled population of the σ fallbacks. Measured
+// status is read afresh on every scan, never cached on the Phases: unit
+// quality may change after formation.
 type strata struct {
 	frame             // σ_h is the spread of each phase's measured CPIs
 	units [][]int     // measured unit indices per phase
@@ -436,45 +446,77 @@ type strata struct {
 	all   []float64   // every measured CPI, phase-major
 }
 
-func scanStrata(ph *phase.Phases) strata {
-	K := ph.K
+// strataChunk is the fixed per-chunk unit count of the stratum scan, a
+// constant of its determinism contract.
+const strataChunk = 1 << 14
+
+// scanStrata collects the strata over the fixed strataChunk grid of the
+// units on eng, in three passes. Count: each chunk counts its members of
+// every phase, from Assign alone. Offset: phase h's region of one
+// phase-major array starts after the populations of the phases before
+// it, and chunk c's part of that region after the members earlier
+// chunks hold. Fill: each chunk reads its unit rows once, writing its
+// measured units into its parts. The gaps unmeasured units leave are
+// closed afterwards, so the windows are contiguous and the result is the
+// same for every worker count. A canceled eng returns its error.
+func scanStrata(eng *parallel.Engine, ph *phase.Phases) (strata, error) {
+	K, n := ph.K, len(ph.Assign)
 	st := strata{
 		frame: frame{Nh: ph.Sizes(), capacity: make([]int, K), sigma: make([]float64, K)},
 		units: make([][]int, K),
 		cpis:  make([][]float64, K),
 	}
-	// Phase h fills idx/cpi from the sum of the populations before it;
-	// its own population bounds its measured count, so the regions
-	// cannot overlap.
-	fill := make([]int, K)
-	n := 0
-	for h, size := range st.Nh {
-		fill[h] = n
-		n += size
+	chunks := parallel.Chunks(n, strataChunk)
+	// start[c*K+h] counts, then locates, chunk c's part of phase h.
+	start := make([]int, chunks*K)
+	eng.ForEachChunk(n, strataChunk, func(c, lo, hi int) {
+		count := start[c*K : (c+1)*K]
+		for _, h := range ph.Assign[lo:hi] {
+			count[h]++
+		}
+	})
+	if err := eng.Err(); err != nil {
+		return strata{}, err
+	}
+	off := 0
+	for h := 0; h < K; h++ {
+		for j := h; j < len(start); j += K {
+			start[j], off = off, off+start[j]
+		}
 	}
 	idx := make([]int, n)
 	cpi := make([]float64, n)
+	filled := make([]int, chunks*K) // measured units each part holds
 	tr := ph.Trace
-	for i, h := range ph.Assign {
-		if ph.UnitMeasured(i) {
-			idx[fill[h]] = i
-			cpi[fill[h]] = tr.Units[i].CPI()
-			fill[h]++
+	eng.ForEachChunk(n, strataChunk, func(c, lo, hi int) {
+		at, fill := start[c*K:(c+1)*K], filled[c*K:(c+1)*K]
+		for i := lo; i < hi; i++ {
+			if h := ph.Assign[i]; ph.UnitMeasured(i) {
+				p := at[h] + fill[h]
+				idx[p] = i
+				cpi[p] = tr.Units[i].CPI()
+				fill[h]++
+			}
 		}
+	})
+	if err := eng.Err(); err != nil {
+		return strata{}, err
 	}
-	// Close the gaps degraded units left, so the windows are contiguous.
-	start, pos := 0, 0
-	for h, size := range st.Nh {
-		c := fill[h] - start
-		copy(idx[pos:], idx[start:fill[h]])
-		copy(cpi[pos:], cpi[start:fill[h]])
-		st.units[h] = idx[pos : pos+c : pos+c]
-		st.cpis[h] = cpi[pos : pos+c : pos+c]
-		st.capacity[h] = c
+	pos := 0
+	for h := 0; h < K; h++ {
+		first := pos
+		for j := h; j < len(start); j += K {
+			if s, k := start[j], filled[j]; s != pos {
+				copy(idx[pos:], idx[s:s+k])
+				copy(cpi[pos:], cpi[s:s+k])
+			}
+			pos += filled[j]
+		}
+		st.units[h] = idx[first:pos:pos]
+		st.cpis[h] = cpi[first:pos:pos]
+		st.capacity[h] = pos - first
 		st.sigma[h] = stats.StdDev(st.cpis[h])
-		start += size
-		pos += c
 	}
 	st.all = cpi[:pos]
-	return st
+	return st, nil
 }

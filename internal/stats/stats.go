@@ -175,6 +175,12 @@ func FScore(r float64, n int) float64 {
 // scoring fan-out.
 const featureChunk = 32
 
+// rowChunk is the fixed per-chunk row count of F-regression's two
+// nonzero passes. Like featureChunk it is part of the determinism
+// contract, never a knob: the summation order of every column follows
+// this grid.
+const rowChunk = 1 << 14
+
 // FRegressionSparseWith scores each feature column of a CSR matrix
 // against the target without ever materializing the dense feature
 // space. X holds one row per observation over the full feature space;
@@ -184,13 +190,22 @@ const featureChunk = 32
 // column's zero entries contribute their closed form: a zero deviates
 // from the column mean by exactly −mx, so the n−nnz zero terms add
 // (n−nnz)·mx² to Σ(x−mx)² and −mx·Σ_{zeros}(y−my) to Σ(x−mx)(y−my).
-// The column sum Σx (and so the mean) is bit-identical to a dense
-// column scan's: skipped zeros add exactly nothing to a non-negative
-// accumulator. The centered second-order sums accumulate in a different
-// order than the dense scan (FScore of each column's Pearson r against
-// the target), so scores agree with it to float rounding, not
+//
+// Both nonzero passes (column sums and counts, then the centered
+// second-order sums) run over a fixed grid of rowChunk entries of rows
+// on eng: each chunk sums its rows in the given order into its own
+// column partials, and the partials are added in chunk order. Scores are
+// therefore the same bits for every worker count, and bit-identical to
+// a serial scan of rows whenever rows fits one chunk. Across chunks the
+// sums are regrouped, so scores agree with the dense oracle (FScore of
+// each column's Pearson r against the target) to float rounding, not
 // bit-for-bit; columns with identical content still get identical
 // scores, keeping TopK ties deterministic.
+//
+// The extra memory is the per-chunk partials, 36 bytes per column per
+// chunk: ⌈len(rows)/rowChunk⌉·d·36 bytes (2.2 MB for a million rows of
+// 1000 columns), never an n×d array. On a context-bound eng that ends
+// mid-pass the scores are incomplete; callers check eng.Err.
 func FRegressionSparseWith(eng *parallel.Engine, X *matrix.Sparse, rows []int, target []float64) []float64 {
 	n := len(rows)
 	if n != len(target) {
@@ -210,42 +225,73 @@ func FRegressionSparseWith(eng *parallel.Engine, X *matrix.Sparse, rows []int, t
 		syy += dy * dy
 		sydev += dy
 	}
-	// Pass 1: column sums and nonzero counts, rows in the given order
-	// (matching a dense column scan's row order over its nonzeros).
-	sx := make([]float64, d)
-	nnz := make([]int32, d)
-	for _, r := range rows {
-		cs, vs := X.Row(r)
-		for k, c := range cs {
-			sx[c] += vs[k]
-			nnz[c]++
+	chunks := parallel.Chunks(n, rowChunk)
+	// Pass 1: column sums and nonzero counts. Chunk c owns
+	// sx[c*d:(c+1)*d] and nnz[c*d:(c+1)*d]; the merge folds them into
+	// the first d entries.
+	sx := make([]float64, chunks*d)
+	nnz := make([]int32, chunks*d)
+	eng.ForEachChunk(n, rowChunk, func(c, lo, hi int) {
+		csx, cnnz := sx[c*d:(c+1)*d], nnz[c*d:(c+1)*d]
+		for _, r := range rows[lo:hi] {
+			cs, vs := X.Row(r)
+			for k, col := range cs {
+				csx[col] += vs[k]
+				cnnz[col]++
+			}
+		}
+	})
+	if eng.Err() != nil {
+		return scores
+	}
+	for c := 1; c < chunks; c++ {
+		for j, v := range sx[c*d : (c+1)*d] {
+			sx[j] += v
+		}
+		for j, k := range nnz[c*d : (c+1)*d] {
+			nnz[j] += k
 		}
 	}
 	mx := make([]float64, d)
 	for j := range mx {
 		mx[j] = sx[j] / float64(n)
 	}
-	// Pass 2: centered second-order sums over the nonzeros.
-	sxx := make([]float64, d)
-	sxy := make([]float64, d)
-	synz := make([]float64, d) // Σ ydev over rows where the column is nonzero
-	for i, r := range rows {
-		cs, vs := X.Row(r)
-		dy := ydev[i]
-		for k, c := range cs {
-			dx := vs[k] - mx[c]
-			sxx[c] += dx * dx
-			sxy[c] += dx * dy
-			synz[c] += dy
+	// Pass 2: centered second-order sums over the nonzeros. Chunk c owns
+	// the three d-column runs at second[3*c*d:]: Σ dx², Σ dx·dy and
+	// Σ ydev over the rows where the column is nonzero.
+	second := make([]float64, 3*chunks*d)
+	eng.ForEachChunk(n, rowChunk, func(c, lo, hi int) {
+		part := second[3*c*d : 3*(c+1)*d]
+		sxx, sxy, synz := part[:d], part[d:2*d], part[2*d:]
+		for i := lo; i < hi; i++ {
+			cs, vs := X.Row(rows[i])
+			dy := ydev[i]
+			for k, col := range cs {
+				dx := vs[k] - mx[col]
+				sxx[col] += dx * dx
+				sxy[col] += dx * dy
+				synz[col] += dy
+			}
 		}
+	})
+	if eng.Err() != nil {
+		return scores
 	}
-	// Fold the zero entries' closed form and score; columns are
-	// independent, so each lands in its own slot for any worker count.
+	// Merge the partials in chunk order, fold the zero entries' closed
+	// form and score; columns are independent, so each lands in its own
+	// slot for any worker count.
 	eng.ForEachChunk(d, featureChunk, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
+			sxx, sxy, synz := second[j], second[d+j], second[2*d+j]
+			for c := 1; c < chunks; c++ {
+				part := second[3*c*d:]
+				sxx += part[j]
+				sxy += part[d+j]
+				synz += part[2*d+j]
+			}
 			zeros := float64(n - int(nnz[j]))
-			vxx := sxx[j] + zeros*mx[j]*mx[j]
-			vxy := sxy[j] - mx[j]*(sydev-synz[j])
+			vxx := sxx + zeros*mx[j]*mx[j]
+			vxy := sxy - mx[j]*(sydev-synz)
 			if vxx == 0 || syy == 0 {
 				scores[j] = 0 // constant column or constant target
 				continue

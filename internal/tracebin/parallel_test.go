@@ -80,8 +80,7 @@ func gridBin(t *testing.T) ([]byte, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decode(bin)
-		if err != nil {
+		if _, err := Decode(bin); err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range []struct {
@@ -90,7 +89,6 @@ func gridBin(t *testing.T) ([]byte, int) {
 		}{
 			{"body bytes", len(bin) - headerSize, crcChunk},
 			{"units", len(tr.Units), unitChunk},
-			{"frequency values", dec.Freq().NNZ(), freqChunk},
 		} {
 			if got := parallel.Chunks(g.n, g.chunk); got < 3 {
 				t.Fatalf("grid trace: %d %s fill %d chunks of %d, want at least 3", g.n, g.what, got, g.chunk)
@@ -160,9 +158,17 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 	good, m := gridBin(t)
 	le := binary.LittleEndian
 	unitA, unitB := unitChunk+3, 2*unitChunk+9
-	freqA, freqB := freqChunk+2, 2*freqChunk+8
 	u32 := func(b []byte, id uint32, i int) uint32 { return le.Uint32(section(t, b, id)[4*i:]) }
 	put32 := func(b []byte, id uint32, i int, v uint32) { le.PutUint32(section(t, b, id)[4*i:], v) }
+	// row is the index of frequency row u's first entry, and putVal
+	// stores v there.
+	row := func(b []byte, u int) int { return int(le.Uint64(section(t, b, secFreqPtr)[8*u:])) }
+	putVal := func(b []byte, u int, v float64) {
+		le.PutUint64(section(t, b, secFreqVal)[8*row(b, u):], math.Float64bits(v))
+	}
+	colErr := func(u int) string {
+		return fmt.Sprintf("frequency matrix: matrix: NewSparseCSR row %d column %d out of order or range (cols=%d)", u, m+5, m)
+	}
 	// stack is the index of unit u's first snapshot in the frame-offset
 	// column, and frame that of its first frame in the frame column.
 	stack := func(b []byte, u int) int { return int(u32(b, secSnapOff, u)) }
@@ -256,13 +262,63 @@ func TestDecodeBinFirstErrorAcrossChunks(t *testing.T) {
 		{
 			name: "frequency values, two chunks",
 			mangle: func(b []byte) {
-				v := section(t, b, secFreqVal)
-				le.PutUint64(v[8*freqA:], math.Float64bits(-2))
-				le.PutUint64(v[8*freqB:], math.Float64bits(math.NaN()))
+				putVal(b, unitA, -2)
+				putVal(b, unitB, math.NaN())
 			},
 			want: func([]byte) string {
 				return "frequency matrix holds non-positive or non-finite value -2"
 			},
+		},
+		{
+			name: "frequency structure, two chunks",
+			mangle: func(b []byte) {
+				// Row unitA holds an out-of-range column; row unitB-1 ends
+				// before it starts.
+				put32(b, secFreqCol, row(b, unitA), uint32(m+5))
+				le.PutUint64(section(t, b, secFreqPtr)[8*unitB:], 0)
+			},
+			want: func([]byte) string { return colErr(unitA) },
+		},
+		{
+			name: "frequency structure before a later value",
+			mangle: func(b []byte) {
+				put32(b, secFreqCol, row(b, unitA), uint32(m+5))
+				putVal(b, unitB, 0)
+			},
+			want: func([]byte) string { return colErr(unitA) },
+		},
+		{
+			name: "frequency value before a later structure defect",
+			mangle: func(b []byte) {
+				putVal(b, unitA, math.Inf(1))
+				put32(b, secFreqCol, row(b, unitB), uint32(m+5))
+			},
+			want: func([]byte) string {
+				return "frequency matrix holds non-positive or non-finite value +Inf"
+			},
+		},
+		{
+			name: "frequency rows in row order inside a chunk",
+			mangle: func(b []byte) {
+				// Both rows sit in unit chunk 1: the value defect's row
+				// comes first, so a row-order scan meets it before the
+				// structure defect; then the reverse.
+				putVal(b, unitA, -1)
+				put32(b, secFreqCol, row(b, unitA+5), uint32(m+5))
+				put32(b, secFreqCol, row(b, unitB), uint32(m+5))
+				putVal(b, unitB+5, -1)
+			},
+			want: func([]byte) string {
+				return "frequency matrix holds non-positive or non-finite value -1"
+			},
+		},
+		{
+			name: "frequency structure in row order inside a chunk",
+			mangle: func(b []byte) {
+				put32(b, secFreqCol, row(b, unitA), uint32(m+5))
+				putVal(b, unitA+5, -1)
+			},
+			want: func([]byte) string { return colErr(unitA) },
 		},
 		{
 			name: "the lower unit chunk wins",

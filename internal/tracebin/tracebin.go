@@ -134,14 +134,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // worker count, and every chunk stops at its first defect, so the lowest
 // failing chunk names the defect a serial scan finds first: a malformed
 // input gets the same error at any worker count. Each grid holds the
-// largest Table I trace in one chunk (under 1 MB, 1.6k units, 17k
-// frequency values), so paper-sized inputs decode inline on the caller.
-// The unit loop fills each unit, its spans included, and runs
-// trace.ValidateUnit on it.
+// largest Table I trace in one chunk (under 1 MB, 1.6k units), so
+// paper-sized inputs decode inline on the caller. The unit loop fills
+// each unit, its spans included, and runs trace.ValidateUnit on it; the
+// frequency-matrix check runs over the same unit grid, one matrix row
+// per unit.
 const (
 	crcChunk  = 4 << 20 // bytes per CRC-32C chunk
 	unitChunk = 1 << 14 // units per unit-loop chunk
-	freqChunk = 1 << 17 // frequency values per sweep chunk
 )
 
 func init() {
@@ -632,12 +632,15 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 		return nil, err
 	}
 
-	// The frequency matrix: structural validation via NewSparseCSR plus a
-	// finite-positive sweep over the values (a NaN would poison the
-	// clustering distances downstream). Content consistency with the
-	// snapshot columns is the encoder's contract, enforced by the
-	// round-trip property tests and the golden fixture, not re-derived
-	// here — that recomputation is exactly the cost this format removes.
+	// The frequency matrix, checked in one pass over the unit grid: each
+	// row's pointers and columns by NewSparseCSR's rule, then its values
+	// finite and positive (a NaN would poison the clustering distances
+	// downstream). A chunk checks the values of the rows before its first
+	// structural defect, so the lowest failing chunk reports the defect a
+	// row-order scan meets first. Content consistency with the snapshot
+	// columns is the encoder's contract, enforced by the round-trip
+	// property tests and the golden fixture, not re-derived here — that
+	// recomputation is exactly the cost this format removes.
 	freqPtrB, err := secN(secFreqPtr, 8, n+1)
 	if err != nil {
 		return nil, err
@@ -650,23 +653,36 @@ func decode(data []byte, eng *parallel.Engine) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	freqVal := float64Col(freqValB)
-	if err := checkChunks(eng, len(freqVal), freqChunk, func(lo, hi int) error {
-		for _, v := range freqVal[lo:hi] {
-			if !(v > 0) || math.IsInf(v, 0) {
-				return fmt.Errorf("frequency matrix holds non-positive or non-finite value %v", v)
+	freqPtr, freqVal := intCol(freqPtrB), float64Col(freqValB)
+	sp, err := matrix.NewSparseCSR(n, m, freqPtr, col32[int32](freqColB), freqVal, func(rows matrix.RowCheck) error {
+		return checkChunks(eng, n, unitChunk, func(lo, hi int) error {
+			bad, err := rows(lo, hi)
+			if bad > lo {
+				for _, v := range freqVal[freqPtr[lo]:freqPtr[bad]] {
+					if !(v > 0) || math.IsInf(v, 0) {
+						return badFreqValue(v)
+					}
+				}
 			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	sp, err := matrix.NewSparseCSR(n, m, intCol(freqPtrB), col32[int32](freqColB), freqVal)
+			return err
+		})
+	})
 	if err != nil {
-		return nil, fmt.Errorf("frequency matrix: %w", err)
+		if !errors.As(err, new(badFreqValue)) {
+			err = fmt.Errorf("frequency matrix: %w", err)
+		}
+		return nil, err
 	}
 	t.SetFreq(sp)
 	return t, nil
+}
+
+// badFreqValue is the error of a frequency value that is not finite and
+// positive.
+type badFreqValue float64
+
+func (v badFreqValue) Error() string {
+	return fmt.Sprintf("frequency matrix holds non-positive or non-finite value %v", float64(v))
 }
 
 // checkChunks runs check over the fixed grid [0,n) of size-element

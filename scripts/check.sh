@@ -260,11 +260,17 @@ run_kernel_equivalence() {
 		TestDrawWeightedMatchesLinear \
 		TestNearestSetMatchesNearestCenter TestSimplifiedSilhouetteDenseMatches \
 		TestPruningEffectiveness || fail kernel-equivalence
-	# Sparse F-regression against the dense oracle, and the cached
-	# Phases accessors against full assignment scans.
+	# Sparse F-regression against the dense oracle, also on row sets of
+	# several row chunks (tall and wide, the same bits at workers 1/2/8)
+	# and bit for bit against one serial scan while the rows fit one
+	# chunk; the cached Phases accessors against full assignment scans;
+	# Form's chunked unit scan against one serial pass with degraded
+	# units on chunk edges, and its cancellation between chunks.
 	equiv_tests ./internal/stats TestFRegressionSparseMatchesDense \
-		TestFRegressionSparseRowSubset || fail kernel-equivalence
-	equiv_tests ./internal/phase TestPhaseIndexAccessors || fail kernel-equivalence
+		TestFRegressionSparseRowSubset TestFRegressionChunkedMatchesDense \
+		TestFRegressionOneChunkMatchesSerial || fail kernel-equivalence
+	equiv_tests ./internal/phase TestPhaseIndexAccessors TestScanUnitsChunkEdges \
+		TestFormCtxCanceledMidScan || fail kernel-equivalence
 	# The method counts (Trace.CountMethods), the VectorizeSparse remap
 	# on full and subset spaces and sensitivity.Classify (GOMAXPROCS
 	# 1/2/8) against the per-unit map-count oracle
@@ -282,15 +288,19 @@ run_kernel_equivalence() {
 	# The chunk-parallel decode: the combined CRC equals the one-pass
 	# CRC, a multi-chunk trace decodes identically at GOMAXPROCS 1/2/8 on
 	# both ingest paths, and a malformed input gets the serial decode's
-	# first error whichever chunk holds it. SPTB and gob reject every
+	# first error whichever chunk holds it, frequency-matrix structure
+	# and value defects included. SPTB and gob reject every
 	# structural defect with trace.Validate's message for it.
 	equiv_tests ./internal/tracebin TestCRCCombine TestDecodeBinWorkerInvariant \
 		TestDecodeBinFirstErrorAcrossChunks TestDecodersShareInvariants || fail kernel-equivalence
-	# The one-pass stratum scan behind SimProf, PlanSE and
-	# RequiredSampleSize against the five-pass reference; the
-	# target-design estimate on the profiled trace against the sample's
-	# own estimate and SE, and on a 1.5x-cycles trace against 1.5x them.
+	# The chunked stratum scan behind SimProf, PlanSE and
+	# RequiredSampleSize against the five-pass reference, also with
+	# degraded and unmeasured units on chunk edges (the same at workers
+	# 1/2/8), and its cancellation mid-scan; the target-design estimate
+	# on the profiled trace against the sample's own estimate and SE, and
+	# on a 1.5x-cycles trace against 1.5x them.
 	equiv_tests ./internal/sampling TestStratumScanMatchesOracle \
+		TestScanStrataChunkEdges TestSimProfCtxCanceledMidScan \
 		TestEstimateOnTraceSelfMatchesSimProf TestEstimateOnTraceTracksTarget || fail kernel-equivalence
 	# The k-means kernel and its oracle can change together and still
 	# agree, so the answers are also pinned against a record: k, the
