@@ -87,28 +87,44 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	}
 	maxK := sweepMaxK(n, o.MaxK)
 	eng := parallel.New(o.Workers).WithContext(o.Ctx)
+	// The four stages get spans here, on the calling goroutine; inside
+	// their parallel loops timings go to histograms.
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	_, span := obs.StartSpan(ctx, "cluster.table")
 	tab := newRowTable(eng, pts)
+	span.End()
 	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
 	obsSweeps.Inc()
+	_, span = obs.StartSpan(ctx, "cluster.sweep")
 	best := newBestByK(maxK)
 	st := sweepRestarts(eng, tab, maxK, o.KMeans, best.keep)
+	span.End()
 	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
 	st.record()
 	results := best.results
 	// k = 1 scores 0 by definition (silhouette undefined).
+	_, span = obs.StartSpan(ctx, "cluster.silhouette")
 	scores := make([]float64, maxK)
 	eng.ForEachIndex(maxK-1, func(i int) {
 		k := i + 2
 		scores[k-1] = simplifiedSilhouetteDense(eng, tab, results[k].Centers, results[k].Assign)
 		obsSweepK.Inc()
 	})
+	span.End()
 	if err := eng.Err(); err != nil {
 		return KSelection{}, err
 	}
+	// Selecting k (with the k = 1 clustering when nothing separates)
+	// and expanding the chosen clustering from rows to points.
+	_, span = obs.StartSpan(ctx, "cluster.expand")
+	defer span.End()
 	sel, err := selectK(scores, results, o, func() (Result, error) {
 		one, st1, err := kMeansDenseWith(eng, tab, 1, o.KMeans)
 		if err != nil {

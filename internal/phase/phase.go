@@ -312,18 +312,22 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 		cleanSelected = selected.GatherRows(clean)
 	}
 	projSpan.End()
-	_, clusterSpan := obs.StartSpan(ctx, "phase.cluster")
+	clusterCtx, clusterSpan := obs.StartSpan(ctx, "phase.cluster")
 	sel, err := cluster.ChooseKDense(cleanSelected, cluster.ChooseKOptions{
 		MaxK:      o.MaxPhases,
 		Threshold: o.SilhouetteThreshold,
 		KMeans:    cluster.Options{Seed: o.Seed, Restarts: o.Restarts},
 		Workers:   o.Workers,
-		Ctx:       ctx,
+		Ctx:       clusterCtx,
 	})
 	clusterSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("phase: clustering: %w", err)
 	}
+	// Assembly: degraded units onto the formed centers, the row views
+	// and the per-phase unit index.
+	_, assembleSpan := obs.StartSpan(ctx, "phase.assemble")
+	defer assembleSpan.End()
 	// On a pristine trace the clustering's assignment already covers
 	// every unit in order: adopt it as is.
 	assign := sel.Best.Assign

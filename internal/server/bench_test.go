@@ -194,6 +194,48 @@ func BenchmarkSimprofdStorm(b *testing.B) {
 	})
 }
 
+// BenchmarkSimprofdHit times the cache-hit path a repeated upload
+// takes — body read, sha256, cache probe, JSON encode — on one ~200 KB
+// gob upload, warmed once and then sent sequentially. It reports the
+// p50 request latency as ns/op (the hit path sets serve-mixed's
+// median) and the allocations per request.
+func BenchmarkSimprofdHit(b *testing.B) {
+	srv, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	data := encodedTrace(b, 1100, 1)
+	url := ts.URL + "/v1/profile?n=20&seed=1"
+	post := func(want string) {
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Simprof-Cache") != want {
+			b.Fatalf("status %d, X-Simprof-Cache %q, want 200 %s",
+				resp.StatusCode, resp.Header.Get("X-Simprof-Cache"), want)
+		}
+	}
+	post("miss")
+
+	lat := make([]float64, 0, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		post("hit")
+		lat = append(lat, float64(time.Since(start)))
+	}
+	b.StopTimer()
+	sort.Float64s(lat)
+	b.ReportMetric(lat[len(lat)/2], "ns/op") // p50, gated
+}
+
 // BenchmarkAccessLog measures what the access log adds to the request
 // path. "enqueue" is the handler-side cost with a live logger (a
 // non-blocking channel send; the JSON encode happens on the writer

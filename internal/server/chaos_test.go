@@ -146,8 +146,8 @@ func (b *stalledBody) Read(p []byte) (int, error) {
 }
 
 // TestChaosStalledClient: a client that sends headers and then stalls
-// its body past the request deadline gets 504 timeout — the handler
-// does not hang and does not leak its reader.
+// its body past the request deadline gets 504 timeout — the body read
+// fails at the deadline instead of hanging the handler.
 func TestChaosStalledClient(t *testing.T) {
 	leakCheck(t)
 	_, ts := newTestServer(t, Config{Timeout: 100 * time.Millisecond})

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -337,6 +339,9 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection beneath.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 // requestID returns the caller-provided X-Request-Id, or generates a
 // deterministic one from the configured seed and the arrival index.
 func (s *Server) requestID(r *http.Request) string {
@@ -481,7 +486,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := time.Now()
-	data, err := readBody(ctx, r, s.cfg.MaxBodyBytes)
+	data, err := readBody(ctx, w, r, s.cfg.MaxBodyBytes)
 	st.read = time.Since(t)
 	if err != nil {
 		obsProfilesErr.Inc()
@@ -568,38 +573,85 @@ func sampleParams(r *http.Request) (n int, seed uint64, err error) {
 	return n, seed, nil
 }
 
-// readBody reads the upload under the request context: a client that
-// stalls past the deadline (or disconnects) yields the context error,
-// not a hung handler. The reader goroutine never outlives the
-// request — the server closes the body when the handler returns, which
-// unblocks the pending Read.
-func readBody(ctx context.Context, r *http.Request, maxBytes int64) ([]byte, error) {
-	body := http.MaxBytesReader(nil, r.Body, maxBytes)
-	type result struct {
-		data []byte
-		err  error
+// uploadPresize is the most capacity an upload buffer gets before its
+// bytes arrive. A declared Content-Length is trusted up to here and no
+// further, so a header alone never makes the server allocate
+// MaxBodyBytes; 1 MiB holds every Table I upload (55–263 KB).
+const uploadPresize = 1 << 20
+
+// readBody reads the upload under the request deadline, which it sets
+// as the connection's read deadline: a client that stalls past it
+// fails the Read, and the request gets 504 instead of a hung handler.
+// A body that ends before its declared length is the caller's bad
+// input; any other failed Read after the client left is a
+// cancellation. A declared Content-Length above maxBytes is refused
+// before a byte is read, and the connection closes after the reply so
+// the server does not drain the unread body first.
+func readBody(ctx context.Context, w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	if r.ContentLength > maxBytes {
+		w.Header().Set("Connection", "close")
+		return nil, uploadTooLarge(maxBytes)
 	}
-	ch := make(chan result, 1)
-	go func() {
-		data, err := io.ReadAll(body)
-		ch <- result{data, err}
-	}()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(res.err, &tooBig) {
-				return nil, resilience.BadInput(fmt.Errorf("trace upload exceeds %d bytes", tooBig.Limit))
-			}
-			return nil, resilience.BadInput(fmt.Errorf("reading trace upload: %w", res.err))
-		}
-		if len(res.data) == 0 {
-			return nil, resilience.BadInput(errors.New("empty trace upload"))
-		}
-		return res.data, nil
-	case <-ctx.Done():
+	if d, ok := ctx.Deadline(); ok {
+		// Writers that are not a server connection (tests' recorders)
+		// cannot take a deadline; their bodies are in memory.
+		_ = http.NewResponseController(w).SetReadDeadline(d)
+	}
+	data, err := readUpload(r.Body, r.ContentLength, maxBytes)
+	switch {
+	case err == nil && len(data) == 0:
+		return nil, resilience.BadInput(errors.New("empty trace upload"))
+	case err == nil, errors.Is(err, resilience.ErrBadInput):
+		return data, err
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return nil, fmt.Errorf("reading trace upload: %w", context.DeadlineExceeded)
+	case errors.Is(err, io.ErrUnexpectedEOF), ctx.Err() == nil:
+		return nil, resilience.BadInput(fmt.Errorf("reading trace upload: %w", err))
+	default:
 		return nil, fmt.Errorf("reading trace upload: %w", ctx.Err())
 	}
+}
+
+// readUpload reads body to EOF into one buffer. declared is the
+// request's Content-Length, −1 when unknown (a chunked upload), and
+// limit = min(declared, maxBytes) is the most the body may hold. The
+// buffer starts at limit+1 bytes, so the Read that meets EOF still has
+// room, but at most uploadPresize (bytes.MinRead when no length is
+// declared); whenever it fills, its capacity doubles with the bytes
+// that did arrive, never past limit+1. A body longer than limit is
+// refused as soon as its extra byte is read.
+func readUpload(body io.Reader, declared, maxBytes int64) ([]byte, error) {
+	limit, start := maxBytes, int64(bytes.MinRead)
+	if declared >= 0 {
+		limit = min(declared, maxBytes)
+		start = uploadPresize
+	}
+	buf := make([]byte, 0, min(start, limit+1))
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit+1))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			// net/http cuts a body off at its declared length, so only a
+			// body past maxBytes gets here.
+			return nil, uploadTooLarge(limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// uploadTooLarge is the refusal of an upload over its byte limit.
+func uploadTooLarge(limit int64) error {
+	return resilience.BadInput(fmt.Errorf("trace upload exceeds %d bytes", limit))
 }
 
 // runProfile executes the pipeline (or the injected test seam).

@@ -16,7 +16,9 @@
 # ns/op metric so the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
 # storm through the batched request path, its only sub-benchmark,
 # reporting p99 as ns/op plus req/s and the measured dedup ratio — the
-# duplicate fraction is tunable with SIMPROF_STORM_DUP). Results stream to
+# duplicate fraction is tunable with SIMPROF_STORM_DUP; SimprofdHit times
+# sequential cache hits on one ~200 KB upload, p50 as ns/op, with its
+# allocations per request). Results stream to
 # BENCH_pipeline.json in `go test -json` (test2json) format so CI can
 # diff runs; the classic benchmark lines echo to stdout for humans.
 set -eu
@@ -28,7 +30,7 @@ BENCHTIME="${BENCHTIME:-1x}"
 BENCHCOUNT="${BENCHCOUNT:-1}"
 
 go test -run '^$' \
-	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$)' \
+	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkSimprofdHit$|BenchmarkAccessLog$)' \
 	-benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
 	./internal/cluster ./internal/phase ./internal/sampling ./internal/obs ./internal/tracebin ./internal/server \
 	>"$OUT"

@@ -11,7 +11,10 @@
 #                                            sink contract is broken;
 #                                            covers the obs metrics;
 #                                            SPTB decode's heap bytes
-#                                            per unit stay bounded)
+#                                            per unit stay bounded; a
+#                                            simprofd cache hit
+#                                            allocates under 2x its
+#                                            upload)
 #   fuzz-smoke    trace decoders            (no byte stream may panic
 #                                            the decode path: gob and
 #                                            the tracebin columns)
@@ -52,6 +55,9 @@
 #                                            a named test no longer
 #                                            exists)
 #   chaos-smoke   simprofd fault suite      (stalled clients, cancels,
+#                                            over-limit, chunked, empty
+#                                            and short uploads and the
+#                                            upload presize cap,
 #                                            torn appends, internal
 #                                            failures, expired deadlines,
 #                                            overload — typed errors, no
@@ -59,8 +65,8 @@
 #                                            runs under -race plus the
 #                                            resilience + crash-recovery
 #                                            unit suites; fails if a
-#                                            named store test no longer
-#                                            exists)
+#                                            named store or upload test
+#                                            no longer exists)
 #   batch-smoke   deduplicated serving      (bit-identical responses
 #                                            served vs the pipeline run
 #                                            directly and cached vs
@@ -141,6 +147,10 @@ run_bench_smoke() {
 	# The zero-copy SPTB decode allocates a bounded number of heap bytes
 	# per unit: a slice header per snapshot would break the bound.
 	named_tests bench-smoke 1 "" ./internal/tracebin TestDecodeHeapPerUnit || fail bench-smoke
+	# A simprofd cache hit allocates under twice its upload: the body is
+	# read into one buffer sized from its Content-Length (built without
+	# -race, which changes what allocates).
+	named_tests bench-smoke 1 "" ./internal/server TestHitAllocatesUnderTwiceUpload || fail bench-smoke
 }
 
 run_metrics_golden() {
@@ -195,13 +205,14 @@ run_bench_gate() {
 	# structural tail regression (a lock on the hot path, a lost
 	# fast-path), not scheduler jitter. SimprofdStorm/batched is a tail
 	# statistic of the same construction (mostly cache-hit latency) and
-	# shares that widest band.
+	# shares that widest band, as does SimprofdHit, the sub-millisecond
+	# median of sequential hits over loopback HTTP.
 	# The single-digit-ns observability paths (disabled labeled metrics,
 	# the access-log enqueue) sit at the timer's resolution floor, so
 	# they get the wide microbenchmark band — their real contract
 	# (0 allocs/op) is enforced by bench-smoke, not by wall time.
 	go run ./cmd/simprof history gate -baseline "$baseline" -bench "$cur" \
-		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60" \
+		-per-bench "BenchmarkVectorizeSparse=0.60,BenchmarkKMeansDense/Naive=0.50,BenchmarkKMeansDense/Pruned=0.50,BenchmarkEndToEnd100k=0.40,BenchmarkDecodeBin=0.35,BenchmarkDecodeGob=0.35,BenchmarkSimprofdP99=0.75,BenchmarkSimprofdStorm/batched=0.75,BenchmarkSimprofdHit=0.75,BenchmarkObsDisabledLabeled/countervec=0.60,BenchmarkObsDisabledLabeled/histogramvec=0.60,BenchmarkObsDisabledLabeled/windowedhist=0.60,BenchmarkObsDisabledLabeled/windowedcounter=0.60,BenchmarkAccessLog/enqueue=0.60,BenchmarkAccessLog/disabled=0.60" \
 		|| fail bench-gate
 }
 
@@ -330,6 +341,11 @@ run_chaos_smoke() {
 	go test -race -count=1 -run 'TestChaos' ./internal/server || fail chaos-smoke
 	named_tests chaos-smoke 1 -race ./internal/server TestChaosStoreDown \
 		TestChaosTornAppendRecovery TestChaosStoreFailureNotRetried || fail chaos-smoke
+	# The upload read: a declared length over the limit is refused before
+	# its stalled body is read; exact-length, chunked, over-limit, empty
+	# and short bodies; the capacity allocated before bytes arrive.
+	named_tests chaos-smoke 1 -race ./internal/server TestUploadOverDeclaredLimitRefusedUnread \
+		TestUploadBodies TestUploadPresizeCapped || fail chaos-smoke
 	go test -race -count=1 ./internal/resilience ./internal/faults || fail chaos-smoke
 	named_tests chaos-smoke 1 -race ./internal/history \
 		TestRecoverTailEveryTruncation TestRecoverTailCorruptLastLine TestRecoverTailMissingStore \
