@@ -164,6 +164,10 @@ func cmdProfile(args []string) error {
 	if err := validateWorkload(fs, *bench, *fw); err != nil {
 		return err
 	}
+	fcfg, err := faults.ParseSpec(*faultSpec)
+	if err != nil {
+		return cli.UsageErr(fs, "%v", err)
+	}
 	if err := tel.start("profile", args); err != nil {
 		return err
 	}
@@ -178,10 +182,6 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	if *faultSpec != "" {
-		fcfg, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			return cli.UsageErr(fs, "%v", err)
-		}
 		fcfg.Seed = *faultSeed
 		if fcfg.Seed == 0 {
 			fcfg.Seed = stats.SplitSeed(*seed, 0xfa)

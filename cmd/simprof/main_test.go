@@ -29,6 +29,7 @@ func TestFlagValidation(t *testing.T) {
 		{"profile/bad-bench", cmdProfile, []string{"-bench", "nope", "-out", os.DevNull}, `unknown -bench "nope"`},
 		{"profile/bad-framework", cmdProfile, []string{"-framework", "flink", "-out", os.DevNull}, `unknown -framework "flink"`},
 		{"profile/bad-faults", cmdProfile, []string{"-out", os.DevNull, "-faults", "bogus=="}, "usage: simprof profile"},
+		{"profile/io-fault-keys", cmdProfile, []string{"-out", os.DevNull, "-faults", "torn=0.9,pread=0.9"}, `unknown fault channel "torn"`},
 		{"profile/unknown-flag", cmdProfile, []string{"-wat"}, "usage: simprof profile"},
 		{"profile/bad-format", cmdProfile, []string{"-out", os.DevNull, "-format", "xml"}, `unknown -format "xml"`},
 		{"phases/no-trace", cmdPhases, []string{}, "usage: simprof phases"},

@@ -94,6 +94,20 @@ func BenchmarkChooseKSerial_1000x100(b *testing.B) {
 	}
 }
 
+// BenchmarkChooseKTableIShape_1000x30 is the k sweep at the shape of a
+// Table I trace's phase-formation input: 1000 distinct points in 30
+// dimensions, the default sweep (k ∈ [1,20]) and restarts, on every CPU.
+func BenchmarkChooseKTableIShape_1000x30(b *testing.B) {
+	pts := matrix.FromRows(benchPoints(1000, 30, 4, 5))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts := ChooseKOptions{KMeans: Options{Seed: uint64(i)}}
+		if _, err := ChooseKDense(pts, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkChooseKDistinctRows_200kx6 is the k sweep on a long trace's
 // shape: 200k integer-count rows drawn from ~200 distinct vectors, with
 // offline-1m's sweep settings (k ≤ 4, one restart) on every CPU.

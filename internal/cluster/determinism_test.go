@@ -121,8 +121,8 @@ func TestKMeansWorkerInvarianceProperty(t *testing.T) {
 }
 
 // TestAssignPartialSumMergeProperty is the kernel-level version of the
-// chunked-merge property on the oracle's assignment pass: the fused pass (per-chunk sizes,
-// centroid sums and inertia merged in chunk index order) must agree
+// chunked-merge property on the oracle's assignment pass: the pass
+// (per-chunk sizes and inertia merged in chunk index order) must agree
 // exactly with a plain serial accumulator on the integer outputs, and
 // bit-for-bit with its own workers=1 execution on the float outputs.
 func TestAssignPartialSumMergeProperty(t *testing.T) {
@@ -143,7 +143,7 @@ func TestAssignPartialSumMergeProperty(t *testing.T) {
 			sizes := make([]int, 4)
 			sc := new(lloydScratch)
 			sc.ensure(n, n, 4, 6)
-			inertia := assignPoints(parallel.New(w), pts, centers, assign, sizes, sc, true, new(atomic.Int64))
+			inertia := assignPoints(parallel.New(w), pts, centers, assign, sizes, sc, new(atomic.Int64))
 			return assign, sizes, inertia
 		}
 		assign1, sizes1, in1 := run(1)

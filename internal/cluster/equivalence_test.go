@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -471,5 +472,214 @@ func TestSimplifiedSilhouetteDenseMatches(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSqDist4MatchesSqDist pins the batched distance kernel to SqDist
+// bit for bit: each of its four results is the SqDist of its own center,
+// at lengths around the batch and unroll edges, on values spanning
+// 1e-300 to 1e300 (squares that underflow and overflow) with negative
+// and positive zeros mixed in.
+func TestSqDist4MatchesSqDist(t *testing.T) {
+	rng := stats.NewRNG(29)
+	value := func() float64 {
+		switch rng.IntN(8) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		}
+		v := math.Pow(10, -300+600*rng.Float64())
+		if rng.IntN(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = value()
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 3, 4, 6, 30, 100} {
+		for trial := 0; trial < 50; trial++ {
+			p := vec(n)
+			var c [4][]float64
+			for j := range c {
+				c[j] = vec(n)
+				if trial%5 == j {
+					copy(c[j], p) // an exact hit: distance 0
+				}
+			}
+			got := [4]float64{}
+			got[0], got[1], got[2], got[3] = sqDist4(p, c[0], c[1], c[2], c[3])
+			for j := range c {
+				if want := SqDist(p, c[j]); math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial=%d center %d: sqDist4 %v (%#x), SqDist %v (%#x)",
+						n, trial, j, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// latticePoints returns n points in d dimensions with integer
+// coordinates in [0, span): few distinct rows, and centroids that land
+// on half-lattice points, so exact distance ties between centers and
+// duplicate centers are routine.
+func latticePoints(n, d, span int, seed uint64) [][]float64 {
+	rng := stats.NewRNG(seed)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, d)
+		for j := range pts[i] {
+			pts[i][j] = float64(rng.IntN(span))
+		}
+	}
+	return pts
+}
+
+// resultBitsDiff reports the first difference between two clusterings,
+// comparing every float by its bits (so −0 and +0 differ).
+func resultBitsDiff(want, got Result) string {
+	if want.K != got.K || !reflect.DeepEqual(want.Assign, got.Assign) || !reflect.DeepEqual(want.Sizes, got.Sizes) {
+		return fmt.Sprintf("k/assign/sizes: want k=%d sizes=%v, got k=%d sizes=%v", want.K, want.Sizes, got.K, got.Sizes)
+	}
+	if math.Float64bits(want.Inertia) != math.Float64bits(got.Inertia) {
+		return fmt.Sprintf("inertia: want %.17g, got %.17g", want.Inertia, got.Inertia)
+	}
+	if len(want.Centers) != len(got.Centers) {
+		return fmt.Sprintf("centers: want %d, got %d", len(want.Centers), len(got.Centers))
+	}
+	for c := range want.Centers {
+		for j, v := range want.Centers[c] {
+			if math.Float64bits(v) != math.Float64bits(got.Centers[c][j]) {
+				return fmt.Sprintf("center %d dim %d: want %v, got %v", c, j, v, got.Centers[c][j])
+			}
+		}
+	}
+	return ""
+}
+
+// handoverCase is a hand-built start for lloydFrom: distinct rows, the
+// seeds, and each row's seeded center. Its d2 and sq2 are the exact
+// distances to the seeded center and to the nearest other seed, so the
+// Hamerly prefilter sees valid bounds.
+type handoverCase struct {
+	rows, seeds [][]float64
+	seedArg     []int
+}
+
+// pad embeds 2-d vectors in d dimensions, the other coordinates 0, so
+// every distance stays the same.
+func pad(vs [][]float64, d int) [][]float64 {
+	out := make([][]float64, len(vs))
+	for i, v := range vs {
+		out[i] = make([]float64, d)
+		copy(out[i], v)
+	}
+	return out
+}
+
+// run compares lloydFrom from the handover with the oracle's
+// lloydUpdate from the same seeds and assignment, bit for bit, at every
+// worker count, and returns the result.
+func (hc handoverCase) run(t *testing.T) Result {
+	t.Helper()
+	n, k, d := len(hc.rows), len(hc.seeds), len(hc.rows[0])
+	tab := newRowTable(parallel.New(1), matrix.FromRows(hc.rows))
+	if tab.distinct() != n {
+		t.Fatalf("handover rows must be distinct: %d of %d", tab.distinct(), n)
+	}
+	var got Result
+	for _, w := range workerSweep {
+		eng := parallel.New(w)
+		hs := new(seedScratch)
+		hs.ensure(n, n, k)
+		for r, p := range hc.rows {
+			a := hc.seedArg[r]
+			hs.seedArg[r], hs.d2[r], hs.sq2[r] = int32(a), SqDist(p, hc.seeds[a]), math.Inf(1)
+			for b, s := range hc.seeds {
+				if b != a {
+					hs.sq2[r] = min(hs.sq2[r], SqDist(p, s))
+				}
+			}
+		}
+		var st distStats
+		got = lloydFrom(tab, matrix.FromRows(hc.seeds), k, hs, eng, &st)
+		sc := new(lloydScratch)
+		sc.ensure(n, n, k, d)
+		want := lloydUpdate(eng, hc.rows, hc.seeds, hc.seedArg, sc, new(atomic.Int64))
+		if diff := resultBitsDiff(want, got); diff != "" {
+			t.Fatalf("workers=%d: %s", w, diff)
+		}
+	}
+	return got
+}
+
+// tieCase is a handover in which row 0, P = (0,0), is seeded to center 1
+// (distance² 16, against 36 to center 0) and the update leaves it
+// equidistant (distance² 25) from every center: cluster 0 = {(−6,0),
+// (−4,0)} moves to (−5,0), cluster 1 = {P, (0,4), (0,11)} to (0,5), and
+// centers 2… are single rows on the circle of radius 5 around P. Every
+// seeding is the strict nearest seed, as k-means++ would leave it. P
+// must go to center 0, which sits mid-list in center 1's near-list.
+func tieCase(k, d int) handoverCase {
+	seeds := [][]float64{{-6, 0}, {0, 4}, {3, 4}, {-3, 4}, {4, 3}, {5, 0}, {-4, -3}, {3, -4}, {0, -5}}[:k]
+	rows := [][]float64{{0, 0}, {-6, 0}, {-4, 0}, {0, 4}, {0, 11}}
+	seedArg := []int{1, 0, 0, 1, 1}
+	for c := 2; c < k; c++ {
+		rows, seedArg = append(rows, seeds[c]), append(seedArg, c)
+	}
+	return handoverCase{rows: pad(rows, d), seeds: pad(seeds, d), seedArg: seedArg}
+}
+
+// dupCase is a handover in which centers 0 and 1 are seeded at the same
+// point (0,0), with the rows around it split between them: cluster 0 =
+// {(−1,0), (1,0)} and cluster 1 = {(0,−1), (0,1), (0,0)}. Both update
+// to (0,0), so every row seeded to center 1 is seeded to a non-root
+// duplicate and must go to center 0. Centers 2… are single far rows.
+func dupCase(k, d int) handoverCase {
+	seeds := [][]float64{{0, 0}, {0, 0}}
+	rows := [][]float64{{-1, 0}, {1, 0}, {0, -1}, {0, 1}, {0, 0}}
+	seedArg := []int{0, 0, 1, 1, 1}
+	for c := 2; c < k; c++ {
+		far := []float64{float64(20 * c), 7}
+		seeds, rows, seedArg = append(seeds, far), append(rows, far), append(seedArg, c)
+	}
+	return handoverCase{rows: pad(rows, d), seeds: pad(seeds, d), seedArg: seedArg}
+}
+
+// TestScanEdgeCasesMatchNaive holds the near-list scan to the oracle
+// where its tie rule decides the answer: a row equidistant from its
+// seeded center and lower-index ones, which must go to the lowest
+// index, and rows seeded to a center that is a non-root duplicate
+// after the update. Both start from hand-built handovers; a sweep of
+// k-means runs on lattice points, where ties are frequent, adds the
+// path from the seeding. k = 2, 3, 5 and 9 leave the four-wide batches
+// empty, partly filled and full, at d = 2 and 6 (below and at the
+// seeding's norm-test gate). Assign, Sizes and the bits of Inertia and
+// Centers must match at every worker count.
+func TestScanEdgeCasesMatchNaive(t *testing.T) {
+	for _, d := range []int{2, 6} {
+		for _, k := range []int{2, 3, 5, 9} {
+			if res := tieCase(k, d).run(t); res.Assign[0] != 0 || res.Sizes[1] != 2 {
+				t.Fatalf("tie d=%d k=%d: P went to %d, sizes %v; want P at 0 and 2 rows at 1",
+					d, k, res.Assign[0], res.Sizes)
+			}
+			if res := dupCase(k, d).run(t); res.Sizes[0] != 5 || res.Sizes[1] != 0 {
+				t.Fatalf("dup d=%d k=%d: sizes %v, want all five rows at center 0", d, k, res.Sizes)
+			}
+			for seed := uint64(1); seed <= 6; seed++ {
+				rows := latticePoints(60+int(seed)*7, d, 3, seed)
+				for _, w := range workerSweep {
+					naive, pruned := runBoth(t, rows, k, w, Options{Seed: seed})
+					if diff := resultBitsDiff(naive, pruned); diff != "" {
+						t.Fatalf("lattice d=%d k=%d seed=%d workers=%d: %s", d, k, seed, w, diff)
+					}
+				}
+			}
+		}
 	}
 }

@@ -11,13 +11,14 @@
 // The production kernels run on flat matrix.Dense inputs with a
 // Hamerly-style bound-pruned assignment pass: per-row lower bounds on
 // the second-closest center, handed over by the seeding and decayed by
-// the update's per-center drift, skip most SqDist calls, and cached
-// squared norms prune the full scans that remain. Every distance that
-// is computed uses the same SqDist kernel in the same order as a plain
-// Lloyd pass, and every pruning test carries a float-safety margin that
-// only ever forces extra work, so results are bit-for-bit identical to
-// the naive reference kernel the equivalence tests run against
-// (oracle_test.go; see DESIGN.md §12). Everything that is a pure
+// the update's per-center drift, skip most SqDist calls, and the scans
+// that remain visit only the compare-means survivors, a prefix of a
+// sorted per-center list, four distances at a time. Every distance that
+// is computed is SqDist's, bit for bit, the scan keeps the naive scan's
+// lowest-index argmin, and every pruning test carries a float-safety
+// margin that only ever forces extra work, so results are bit-for-bit
+// identical to the naive reference kernel the equivalence tests run
+// against (oracle_test.go; see DESIGN.md §12). Everything that is a pure
 // function of one point's vector — distances, assignments, bounds, D²
 // weights, silhouette terms — is computed once per distinct row of the
 // input (rows.go), while every sum over points still adds the points in
@@ -32,9 +33,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"simprof/internal/matrix"
@@ -54,7 +57,7 @@ var (
 	obsDistComputed = obs.NewCounter("cluster.distances_computed",
 		"point–center distance evaluations executed by the pruned kernel")
 	obsDistPruned = obs.NewCounter("cluster.distances_pruned",
-		"distance evaluations skipped by Hamerly bounds, cached-norm tests and distinct-row reuse")
+		"distance evaluations skipped by Hamerly bounds, compare-means and cached-norm tests and distinct-row reuse")
 )
 
 // pointChunk is the fixed chunk size for loops over points. It is part
@@ -78,22 +81,22 @@ const (
 	// set or decayed by center drift.
 	boundSlack = 1e-9
 	// normSlack pads the cached-norm test (‖p‖−‖c‖)² > current-best
-	// before a candidate center is skipped.
+	// (the seeding's relax pass, NearestSet) before a candidate center is
+	// skipped.
 	normSlack = 1e-9
-	// elkanGuard/elkanSlack are the margins of the triangle-inequality
-	// skip d(p,c) ≥ d(b,c) − d(p,b): the gap g must exceed elkanGuard ×
-	// the magnitudes entering the subtraction (so cancellation cannot
-	// have eaten it), and g² must clear the squared threshold by a
-	// relative elkanSlack. Both sit orders of magnitude above the
-	// ~1e-14 relative error of the distances involved.
+	// elkanGuard/elkanSlack are the margins of the silhouette's
+	// triangle-inequality stop d(p,c) ≥ d(b,c) − d(p,b): the gap g must
+	// exceed elkanGuard × the magnitudes entering the subtraction (so
+	// cancellation cannot have eaten it), and g² must clear the squared
+	// threshold by a relative elkanSlack. Both sit orders of magnitude
+	// above the ~1e-14 relative error of the distances involved.
 	elkanGuard = 1e-7
 	elkanSlack = 1e-6
 )
 
-// scanSkipMinDim gates the per-candidate skip chains (Elkan triangle
-// inequality, cached-norm test) inside full scans. Each skip test costs
-// a handful of flops; below this dimensionality a SqDist is about as
-// cheap, so the chains are pure overhead and the scan runs lean. The
+// scanSkipMinDim gates the seeding relax pass's cached-norm test. The
+// test costs a handful of flops; below this dimensionality a SqDist is
+// about as cheap, so it is pure overhead and the pass runs lean. The
 // gate depends only on the input dimensionality — never on workers or
 // telemetry — and skipping less is always valid, so results are
 // unchanged either way.
@@ -138,6 +141,42 @@ func SqDist(a, b []float64) float64 {
 
 // Dist returns the Euclidean distance between two vectors.
 func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
+
+// sqDist4 returns SqDist(p, c0), …, SqDist(p, c3) bit for bit: four
+// accumulators, each adding its squared differences in SqDist's element
+// order, so the four add chains overlap instead of each waiting on its
+// own previous add. Each c must be at least as long as p.
+func sqDist4(p, c0, c1, c2, c3 []float64) (s0, s1, s2, s3 float64) {
+	c0, c1, c2, c3 = c0[:len(p)], c1[:len(p)], c2[:len(p)], c3[:len(p)]
+	for i, v := range p {
+		d0 := v - c0[i]
+		d1 := v - c1[i]
+		d2 := v - c2[i]
+		d3 := v - c3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
+// nearer is one step of a lowest-index argmin: candidate cc at squared
+// distance v replaces (best, bestD) when it is closer, or as close with
+// a lower index. Over any visiting order the result is the answer of a
+// strict-< scan in index order.
+func nearer(best int, bestD float64, cc int, v float64) (int, float64) {
+	if v < bestD || v == bestD && cc < best {
+		return cc, v
+	}
+	return best, bestD
+}
+
+// sortNear sorts the center ids in list ascending by key[id], stably, so
+// equal keys keep their order.
+func sortNear(list []int32, key []float64) {
+	slices.SortStableFunc(list, func(x, y int32) int { return cmp.Compare(key[x], key[y]) })
+}
 
 // distStats counts the distance evaluations of one pruned run: computed
 // is the number of SqDist calls actually executed, equivalent is what
@@ -225,11 +264,10 @@ type lloydScratch struct {
 	inertia  []float64   // point chunk → partial inertia
 	computed []int64     // row chunk → SqDist calls executed (pruned kernel)
 	dist2    []float64   // row → squared dist to assigned center
-	cn2      []float64   // center → squared norm
-	cnr      []float64   // center → norm
-	ccd      []float64   // k×k inter-center distances (Elkan skip)
-	qcc      []float64   // k×k squared half inter-center distances (compare-means skip)
+	qcc      []float64   // k×k squared half inter-center distances (compare-means)
 	reps     []int32     // distinct-center representatives (class roots), in index order
+	near     []int32     // center a → row a·k: the other representatives, ascending by qcc
+	nearN    []int32     // center a → length of its near-list
 }
 
 // ensure (re)sizes the scratch for n points in u distinct rows with k
@@ -253,11 +291,10 @@ func (s *lloydScratch) ensure(n, u, k, d int) {
 		s.sums[c] = s.sumBuf[c*sumStride : c*sumStride+k*d]
 	}
 	s.dist2 = resize(s.dist2, u)
-	s.cn2 = resize(s.cn2, k)
-	s.cnr = resize(s.cnr, k)
 	s.reps = resize(s.reps, k)
-	s.ccd = resize(s.ccd, k*k)
 	s.qcc = resize(s.qcc, k*k)
+	s.near = resize(s.near, k*k)
+	s.nearN = resize(s.nearN, k)
 }
 
 // seedScratch holds the state of one k-means++ seeding: the per-row D²
@@ -351,14 +388,15 @@ func lloydPruned(tab *rowTable, k int, rng *rand.Rand,
 // domain, paying a sqrt only for rows the cheap prefilter deems
 // plausibly prunable — the other k−1 distances are skipped: the row
 // provably keeps its center, and strictness means the naive scan would
-// have kept the same index even under ties. Otherwise a full scan
-// replicates the plain nearest-center scan's order and lowest-index
-// tie-breaking exactly. The scan skips candidates the compare-means test
-// excludes (d2a < (d(a,cc)/2)² proves cc strictly farther than the
-// seeded center) and, above the dimensionality gate, candidates
-// excluded by the Elkan triangle inequality or the cached-norm bound.
-// Sizes and inertia then add up over the points in order. The returned
-// Assign is per row. See DESIGN.md §12 for the equivalence argument.
+// have kept the same index even under ties. Otherwise the row scans
+// the candidates the compare-means test leaves (d2a < (d(a,cc)/2)²
+// proves cc strictly farther than the seeded center): a prefix of a's
+// near-list, sorted by that threshold, so the scan stops at the first
+// entry above d2a. It computes their distances four at a time with
+// sqDist4 and keeps the lowest-index argmin over them and a, which is
+// the plain nearest-center scan's answer. Sizes and inertia then add up
+// over the points in order. The returned Assign is per row. See
+// DESIGN.md §12 for the equivalence argument.
 func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 	hs *seedScratch, eng *parallel.Engine, st *distStats) Result {
 	n, u, d := tab.points(), tab.distinct(), tab.rows.Cols()
@@ -370,7 +408,7 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 	st.equivalent += int64(n) * int64(max(k-1, 1)+2*k)
 	sc := getScratch(n, u, k, d)
 	defer putScratch(sc)
-	rowOf, rdata, pn2, pnr := tab.rowOf, tab.rows.Data(), tab.pn2, tab.pnr
+	rowOf, rdata := tab.rowOf, tab.rows.Data()
 	seedArg, seedD2, seedSq2 := hs.seedArg, hs.d2, hs.sq2
 
 	// Update step: the seeded clusters' sizes and centroid partial sums
@@ -441,14 +479,10 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 		}
 	}
 
-	// Center geometry of the scan's skips: the k×k compare-means
-	// threshold table qcc[a·k+cc] = (d(a,cc)/2)² (with margin, sqrt-free
-	// — it is a quarter of the squared distance) and, above the
-	// dimensionality gate, the center norms and inter-center distances
-	// of the cached-norm and Elkan skips. O(k²·d), negligible next to the
-	// O(u·k·d) pass it prunes.
-	cn2, cnr, ccd, qcc, reps := sc.cn2, sc.cnr, sc.ccd, sc.qcc, sc.reps
-	useScanSkips := d >= scanSkipMinDim
+	// Compare-means geometry: qcc[a·k+cc] = (d(a,cc)/2)² (with margin,
+	// sqrt-free — it is a quarter of the squared distance). A row seeded
+	// to a whose d2a < qcc[a·k+cc] is strictly closer to a than to cc.
+	qcc, reps := sc.qcc, sc.reps
 	for a := 0; a < k; a++ {
 		qcc[a*k+a] = 0
 		ra := cdata[a*d : a*d+d]
@@ -461,10 +495,9 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 	// Duplicate centers (exactly equal coordinate vectors — frequent when
 	// k exceeds the number of distinct behaviours) yield bit-identical
 	// SqDist results, so the scan visits only one representative per
-	// identity class: the class root (lowest index), which under
-	// strict-< is exactly the index the naive lowest-index tie-break
-	// would keep. SqDist(a,b) == 0 iff every coordinate is numerically
-	// equal.
+	// identity class: the class root (lowest index), which under the
+	// lowest-index tie rule is exactly the index the naive scan would
+	// keep. SqDist(a,b) == 0 iff every coordinate is numerically equal.
 	nreps := 0
 	for b := 0; b < k; b++ {
 		root := true
@@ -476,23 +509,20 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 			nreps++
 		}
 	}
-	if useScanSkips {
-		for c := 0; c < k; c++ {
-			var s2 float64
-			for _, v := range centers.Row(c) {
-				s2 += v * v
-			}
-			cn2[c] = s2
-			cnr[c] = math.Sqrt(s2)
-		}
-		for a := 0; a < k; a++ {
-			ccd[a*k+a] = 0
-			for b := a + 1; b < k; b++ {
-				dd := Dist(centers.Row(a), centers.Row(b))
-				ccd[a*k+b] = dd
-				ccd[b*k+a] = dd
+	// Near-lists: for each center a, the representatives other than a in
+	// ascending qcc[a·k+cc] order (stable, so ties stay in index order).
+	// A row seeded to a then has as its compare-means survivors exactly
+	// the prefix with qcc ≤ d2a. O(k² log k).
+	near, nearN := sc.near, sc.nearN
+	for a := 0; a < k; a++ {
+		list := near[a*k : a*k : a*k+k]
+		for _, cc := range reps[:nreps] {
+			if int(cc) != a {
+				list = append(list, cc)
 			}
 		}
+		sortNear(list, qcc[a*k:a*k+k])
+		nearN[a] = int32(len(list))
 	}
 
 	// The assignment pass, one distinct row at a time.
@@ -522,55 +552,32 @@ func lloydFrom(tab *rowTable, seeds *matrix.Dense, k int,
 					continue
 				}
 			}
-			// The scan visits only representative centers: a duplicate
-			// can never win under strict <.
-			best, bestD, secD := -1, math.Inf(1), math.Inf(1)
-			bestR := -1.0 // √bestD, computed lazily per best
-			qrow := qcc[a*k : a*k+k]
-			for ri := 0; ri < nreps; ri++ {
-				cc := int(reps[ri])
-				var dd float64
-				if cc == a {
-					dd = d2a
-				} else {
-					if d2a < qrow[cc] {
-						// Compare-means: d(p,a) < d(a,cc)/2 puts cc
-						// strictly farther than a, so cc cannot be the
-						// best.
-						continue
-					}
-					if useScanSkips {
-						if best >= 0 {
-							// Triangle inequality against the current
-							// best: d(p,cc) ≥ d(best,cc) − d(p,best).
-							if bestR < 0 {
-								bestR = math.Sqrt(bestD)
-							}
-							cb := ccd[best*k+cc]
-							if g := cb - bestR; g > elkanGuard*(cb+bestR) {
-								if gg := g * g; gg-secD > elkanSlack*(gg+secD) {
-									// Provably ≥ the current second-
-									// best: cannot affect best, bestD
-									// or secD.
-									continue
-								}
-							}
-						}
-						df := pnr[r] - cnr[cc]
-						if nb := df * df; nb > secD && nb-secD > normSlack*(nb+pn2[r]+cn2[cc]) {
-							continue
-						}
-					}
-					dd = SqDist(p, cdata[cc*d:cc*d+d])
-					comp++
+			// The scan: the near-list prefix that survives compare-means,
+			// four distances at a time. The lowest-index argmin over it
+			// and a is the naive scan's answer, whatever the visit order.
+			qrow, m := qcc[a*k:a*k+k], 0
+			for _, cc := range near[a*k : a*k+int(nearN[a])] {
+				if qrow[cc] > d2a {
+					break
 				}
-				if dd < bestD {
-					secD = bestD
-					best, bestD = cc, dd
-					bestR = -1
-				} else if dd < secD {
-					secD = dd
-				}
+				m++
+			}
+			cand := near[a*k : a*k+m]
+			comp += int64(m)
+			best, bestD := a, d2a
+			i := 0
+			for ; i+4 <= m; i += 4 {
+				c0, c1, c2, c3 := int(cand[i]), int(cand[i+1]), int(cand[i+2]), int(cand[i+3])
+				v0, v1, v2, v3 := sqDist4(p, cdata[c0*d:c0*d+d], cdata[c1*d:c1*d+d],
+					cdata[c2*d:c2*d+d], cdata[c3*d:c3*d+d])
+				best, bestD = nearer(best, bestD, c0, v0)
+				best, bestD = nearer(best, bestD, c1, v1)
+				best, bestD = nearer(best, bestD, c2, v2)
+				best, bestD = nearer(best, bestD, c3, v3)
+			}
+			for ; i < m; i++ {
+				cc := int(cand[i])
+				best, bestD = nearer(best, bestD, cc, SqDist(p, cdata[cc*d:cc*d+d]))
 			}
 			assign[r], dist2[r] = best, bestD
 		}

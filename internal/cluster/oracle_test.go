@@ -63,45 +63,24 @@ func oracleKMeans(eng *parallel.Engine, points [][]float64, k int, opts Options,
 
 // assignPoints runs one chunked assignment pass against centers: it
 // fills assign, merges per-chunk cluster sizes into sizes (chunk index
-// order) and returns the inertia. When accumulate is true it also
-// gathers per-chunk centroid partial sums for the update step.
+// order) and returns the inertia.
 func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
-	assign []int, sizes []int, sc *lloydScratch, accumulate bool, calls *atomic.Int64) float64 {
-	n := len(points)
-	d := len(points[0])
-	eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
+	assign []int, sizes []int, sc *lloydScratch, calls *atomic.Int64) float64 {
+	eng.ForEachChunk(len(points), pointChunk, func(c, lo, hi int) {
 		szs := sc.sizes[c]
-		for i := range szs {
-			szs[i] = 0
-		}
-		var sums []float64
-		if accumulate {
-			sums = sc.sums[c]
-			for i := range sums {
-				sums[i] = 0
-			}
-		}
+		clear(szs)
 		var inertia float64
 		var dc distCount
 		for i := lo; i < hi; i++ {
-			p := points[i]
-			ci, dist := nearestCenter(p, centers, &dc)
+			ci, dist := nearestCenter(points[i], centers, &dc)
 			assign[i] = ci
 			szs[ci]++
 			inertia += dist
-			if accumulate {
-				row := sums[ci*d : ci*d+d]
-				for j, v := range p {
-					row[j] += v
-				}
-			}
 		}
 		sc.inertia[c] = inertia
 		calls.Add(int64(dc))
 	})
-	for i := range sizes {
-		sizes[i] = 0
-	}
+	clear(sizes)
 	var inertia float64
 	for c := 0; c < sc.chunks; c++ {
 		for i, s := range sc.sizes[c] {
@@ -113,24 +92,50 @@ func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
 }
 
 // lloyd is one naive k-means restart: k-means++ seeding, an assignment
-// pass to the seeds that computes every point–center distance, one
-// centroid update, and a final assignment pass to the updated centers.
+// pass to the seeds that computes every point–center distance, then
+// lloydUpdate.
 func lloyd(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine, calls *atomic.Int64) Result {
 	n, d := len(points), len(points[0])
 	seeds := seedPlusPlus(points, k, rng, eng, calls)
 	assign := make([]int, n)
-	sizes := make([]int, k)
 	sc := new(lloydScratch)
 	sc.ensure(n, n, k, d)
-	// Fused assignment + partial-sum pass against the seeds.
-	assignPoints(eng, points, seeds, assign, sizes, sc, true, calls)
-	// Update step: merge the per-chunk partial sums in chunk index
-	// order, then normalize.
+	assignPoints(eng, points, seeds, assign, make([]int, k), sc, calls)
+	return lloydUpdate(eng, points, seeds, assign, sc, calls)
+}
+
+// lloydUpdate finishes a naive restart from the points' assignment to
+// the seeds: one centroid update (per-chunk sizes and partial sums over
+// the points in order, merged in chunk index order, then normalized; an
+// empty cluster re-seeded at the first point farthest from its seed) and
+// a final assignment pass to the updated centers, so Assign, Sizes and
+// Inertia are consistent with the returned centers. seedAssign is only
+// read.
+func lloydUpdate(eng *parallel.Engine, points, seeds [][]float64, seedAssign []int,
+	sc *lloydScratch, calls *atomic.Int64) Result {
+	n, k, d := len(points), len(seeds), len(points[0])
+	eng.ForEachChunk(n, pointChunk, func(c, lo, hi int) {
+		szs, sums := sc.sizes[c], sc.sums[c]
+		clear(szs)
+		clear(sums)
+		for i := lo; i < hi; i++ {
+			ci := seedAssign[i]
+			szs[ci]++
+			row := sums[ci*d : ci*d+d]
+			for j, v := range points[i] {
+				row[j] += v
+			}
+		}
+	})
+	sizes := make([]int, k)
 	centers := make([][]float64, k)
 	for c := range centers {
 		centers[c] = make([]float64, d)
 	}
 	for c := 0; c < sc.chunks; c++ {
+		for i, s := range sc.sizes[c] {
+			sizes[i] += s
+		}
 		sums := sc.sums[c]
 		for cl := 0; cl < k; cl++ {
 			row := centers[cl]
@@ -147,7 +152,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine, call
 			far, farD := 0, -1.0
 			var dc distCount
 			for i, p := range points {
-				if dd := dc.sqDist(p, seeds[assign[i]]); dd > farD {
+				if dd := dc.sqDist(p, seeds[seedAssign[i]]); dd > farD {
 					far, farD = i, dd
 				}
 			}
@@ -160,9 +165,8 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine, call
 			centers[c][j] *= inv
 		}
 	}
-	// Final assignment pass so Assign/Sizes/Inertia are consistent with
-	// the returned (updated) centers.
-	inertia := assignPoints(eng, points, centers, assign, sizes, sc, false, calls)
+	assign := make([]int, n)
+	inertia := assignPoints(eng, points, centers, assign, sizes, sc, calls)
 	return Result{K: k, Centers: centers, Assign: assign, Sizes: sizes, Inertia: inertia}
 }
 

@@ -81,7 +81,8 @@ type Config struct {
 
 	// The I/O channels perturb byte streams rather than traces; they are
 	// consumed by NewIO's Reader/Writer wrappers and ignored by Apply
-	// (which operates on an already-decoded trace).
+	// (which operates on an already-decoded trace), so a fault spec
+	// cannot set them: callers build them into a Config directly.
 
 	// TornWrite is the per-Write probability that only a prefix of the
 	// buffer reaches the destination before the write fails (power cut,
@@ -164,7 +165,8 @@ func Uniform(r float64, seed uint64) Config {
 	}
 }
 
-// String renders the schedule in ParseSpec syntax.
+// String renders the trace channels of the schedule in ParseSpec
+// syntax.
 func (c Config) String() string {
 	var parts []string
 	add := func(k string, v float64) {
@@ -179,9 +181,6 @@ func (c Config) String() string {
 	add("crash", c.Crash)
 	add("dup", c.Duplicate)
 	add("reorder", c.Reorder)
-	add("torn", c.TornWrite)
-	add("pread", c.PartialRead)
-	add("iolatms", c.IOLatencyMS)
 	if len(parts) == 0 {
 		return "none"
 	}
@@ -190,9 +189,10 @@ func (c Config) String() string {
 
 // ParseSpec parses a comma-separated fault schedule, e.g.
 // "drop=0.05,mux=0.1,snap=0.1,crash=0.02,dup=0.01,reorder=0.02".
-// Keys: drop, mux, muxcov, snap, crash, dup, reorder, the I/O channels
-// torn, pread, iolatms, and rate=R as shorthand for the Uniform
-// schedule at rate R (trace channels only).
+// Keys: drop, mux, muxcov, snap, crash, dup, reorder, and rate=R as
+// shorthand for the Uniform schedule at rate R. There is no key for an
+// I/O channel: Apply ignores them, so a spec that set one would do
+// nothing, and it is an unknown-channel error instead.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	if strings.TrimSpace(spec) == "" {
@@ -228,12 +228,6 @@ func ParseSpec(spec string) (Config, error) {
 			c.Duplicate = f
 		case "reorder":
 			c.Reorder = f
-		case "torn":
-			c.TornWrite = f
-		case "pread":
-			c.PartialRead = f
-		case "iolatms":
-			c.IOLatencyMS = f
 		default:
 			return c, fmt.Errorf("faults: unknown fault channel %q", k)
 		}

@@ -83,14 +83,20 @@ func TestIOLatency(t *testing.T) {
 	}
 }
 
-// TestIOSpecRoundTrip: the I/O keys parse, validate and render.
+// TestIOSpecRoundTrip: a fault spec cannot name an I/O channel (Apply
+// would ignore it), so each I/O key is an unknown-channel error, alone
+// or beside trace keys; a Config that sets the channels directly
+// validates them, enables NewIO and not Apply, and renders none of them.
 func TestIOSpecRoundTrip(t *testing.T) {
-	c, err := ParseSpec("torn=0.5,pread=0.25,iolatms=20")
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{"torn=0.5", "pread=0.25", "iolatms=20", "drop=0.1,torn=0.9,pread=0.9"} {
+		_, err := ParseSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown fault channel") {
+			t.Fatalf("ParseSpec(%q) = %v, want an unknown-channel error", spec, err)
+		}
 	}
-	if c.TornWrite != 0.5 || c.PartialRead != 0.25 || c.IOLatencyMS != 20 {
-		t.Fatalf("parsed %+v", c)
+	c := Config{TornWrite: 0.5, PartialRead: 0.25, IOLatencyMS: 20}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if !c.IOEnabled() {
 		t.Fatal("IOEnabled false with channels set")
@@ -98,14 +104,13 @@ func TestIOSpecRoundTrip(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("I/O channels must not enable the trace-level Apply")
 	}
-	c2, err := ParseSpec(c.String())
-	if err != nil || c2 != c {
-		t.Fatalf("round trip %q → %+v (err %v)", c.String(), c2, err)
+	if got := c.String(); got != "none" {
+		t.Fatalf("String() = %q, want none: no spec key sets an I/O channel", got)
 	}
-	if _, err := ParseSpec("torn=1.5"); err == nil {
+	if err := (Config{TornWrite: 1.5}).Validate(); err == nil {
 		t.Fatal("torn=1.5 should fail validation")
 	}
-	if _, err := ParseSpec("iolatms=500"); err != nil {
+	if err := (Config{IOLatencyMS: 500}).Validate(); err != nil {
 		t.Fatalf("iolatms is a duration, not a probability: %v", err)
 	}
 }
@@ -113,10 +118,7 @@ func TestIOSpecRoundTrip(t *testing.T) {
 // TestIOApplyIgnoresIOChannels: Apply on an I/O-only config is the
 // identity (plus clone).
 func TestIOApplyIgnoresIOChannels(t *testing.T) {
-	cfg, err := ParseSpec("torn=1,pread=1,iolatms=5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{TornWrite: 1, PartialRead: 1, IOLatencyMS: 5}
 	tr := buildTrace(2, 10, 1)
 	out, rep, err := Apply(tr, cfg)
 	if err != nil {

@@ -415,11 +415,6 @@ func (p *Phases) members(h int) []int {
 	return p.unitsByPhase[h]
 }
 
-// PhaseUnits returns the unit indices of phase h.
-func (p *Phases) PhaseUnits(h int) []int {
-	return append([]int(nil), p.members(h)...)
-}
-
 // Sizes returns the unit count per phase.
 func (p *Phases) Sizes() []int {
 	out := make([]int, p.K)

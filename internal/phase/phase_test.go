@@ -387,3 +387,9 @@ func TestPhaseIndexAccessors(t *testing.T) {
 		}
 	}
 }
+
+// PhaseUnits returns a copy of the unit indices of phase h, read from
+// the cached member lists.
+func (p *Phases) PhaseUnits(h int) []int {
+	return append([]int(nil), p.members(h)...)
+}

@@ -16,11 +16,23 @@ import (
 // all of it in one pass over the assignment and must match this bit for
 // bit (TestStratumScanMatchesOracle).
 
+// phaseUnits is phase h's member units in ascending index order, from a
+// plain scan of the assignment.
+func phaseUnits(ph *phase.Phases, h int) []int {
+	var out []int
+	for i, a := range ph.Assign {
+		if a == h {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // oracleMeasuredUnits is phase h's drawable frame: its member units that
 // carry a usable CPI, in ascending index order.
 func oracleMeasuredUnits(ph *phase.Phases, h int) []int {
 	var out []int
-	for _, i := range ph.PhaseUnits(h) {
+	for _, i := range phaseUnits(ph, h) {
 		if ph.UnitMeasured(i) {
 			out = append(out, i)
 		}

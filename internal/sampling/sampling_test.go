@@ -6,10 +6,23 @@ import (
 	"testing/quick"
 
 	"simprof/internal/model"
+	"simprof/internal/parallel"
 	"simprof/internal/phase"
 	"simprof/internal/stats"
 	"simprof/internal/trace"
 )
+
+// PlanSE predicts the stratified standard error a sample of size n
+// would achieve, using the profiled per-phase σ — the planning loop of
+// §III-C, as RequiredSampleSize runs it, for one n.
+func PlanSE(ph *phase.Phases, n int) (float64, error) {
+	st, err := scanStrata(parallel.Default(), ph)
+	if err != nil {
+		return 0, err
+	}
+	st.pool = stats.StdDev(st.all)
+	return planSE(st, n)
+}
 
 // mixedTrace builds a trace with three behaviours of configurable CPI
 // spread: low-variance map units, high-variance sort units and mid IO.

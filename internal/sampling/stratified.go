@@ -363,21 +363,12 @@ func (s Stratified) BootstrapCI(level float64, rounds int, seed uint64) stats.In
 	return iv
 }
 
-// PlanSE predicts the stratified standard error a sample of size n
+// planSE predicts the stratified standard error a sample of size n
 // would achieve, using the profiled per-phase σ (available for free from
-// the hardware counters) — the planning loop of §III-C.
-func PlanSE(ph *phase.Phases, n int) (float64, error) {
-	st, err := scanStrata(parallel.Default(), ph)
-	if err != nil {
-		return 0, err
-	}
-	st.pool = stats.StdDev(st.all)
-	return planSE(st, n)
-}
-
-// planSE is PlanSE over a scanned population whose pool is the spread of
-// every measured CPI, charged to strata the plan cannot reach. The plan
-// replaces no zero σ_h of a degraded stratum (its flat spread is 0).
+// the hardware counters) — the planning loop of §III-C — over a scanned
+// population whose pool is the spread of every measured CPI, charged to
+// strata the plan cannot reach. The plan replaces no zero σ_h of a
+// degraded stratum (its flat spread is 0).
 func planSE(st strata, n int) (float64, error) {
 	alloc, err := neymanAllocation(st.Nh, st.capacity, st.sigma, n)
 	if err != nil {

@@ -159,10 +159,10 @@ func TestEstimateOnTraceSelfMatchesSimProf(t *testing.T) {
 			}
 		}},
 		{name: "phase lost after formation", imputed: true, after: func(tr *trace.Trace, ph *phase.Phases) {
-			degradeCounters(tr, ph.PhaseUnits(0)...)
+			degradeCounters(tr, phaseUnits(ph, 0)...)
 		}},
 		{name: "one unit left after formation", fallback: true, after: func(tr *trace.Trace, ph *phase.Phases) {
-			degradeCounters(tr, ph.PhaseUnits(1)[1:]...)
+			degradeCounters(tr, phaseUnits(ph, 1)[1:]...)
 		}},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -71,4 +72,34 @@ func TestBootstrapStratified(t *testing.T) {
 	if math.IsNaN(ci2.Mean) {
 		t.Fatal("NaN with empty stratum")
 	}
+}
+
+// Bootstrap computes a percentile-bootstrap confidence interval for the
+// mean of xs: resample with replacement B times, take the empirical
+// quantiles of the resampled means. It needs no normality assumption —
+// a useful cross-check of the CLT-based intervals the paper uses
+// (Eq. 2–3), especially for the small per-phase sample sizes optimal
+// allocation produces.
+func Bootstrap(xs []float64, level float64, rounds int, seed uint64) Interval {
+	n := len(xs)
+	mean := Mean(xs)
+	if n < 2 || rounds < 2 {
+		return Interval{Mean: mean, Level: level}
+	}
+	rng := NewRNG(seed)
+	means := make([]float64, rounds)
+	for r := 0; r < rounds; r++ {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += xs[rng.IntN(n)]
+		}
+		means[r] = s / float64(n)
+	}
+	sort.Float64s(means)
+	alpha := (1 - level) / 2
+	lo := means[quantileIndex(rounds, alpha)]
+	hi := means[quantileIndex(rounds, 1-alpha)]
+	// Represent as a symmetric-ish interval around the point estimate;
+	// Margin is half the percentile width so Lo/Hi reproduce it.
+	return Interval{Mean: (lo + hi) / 2, Margin: (hi - lo) / 2, Level: level}
 }

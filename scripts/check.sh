@@ -261,7 +261,8 @@ run_kernel_equivalence() {
 	# distinct-row table against a serial first-occurrence scan and at
 	# GOMAXPROCS 1/2/8; the k sweep's shared-seeding restart streams
 	# against independent per-k runs, and its cancellation mid-stream
-	# and mid-scoring.
+	# and mid-scoring; the batched distance kernel against SqDist, and
+	# the near-list scan's tie rule on hand-built seedings.
 	equiv_tests ./internal/cluster TestPrunedMatchesNaiveBitForBit \
 		TestPrunedMatchesNaiveProperty TestPrunedMatchesNaiveWithTelemetry \
 		TestChooseKPrunedMatchesNaive TestChooseKDistinctRowsMatchNaive \
@@ -270,7 +271,8 @@ run_kernel_equivalence() {
 		TestSweepPrefixMatchesIndependentSeeding TestChooseKCanceledMidSweep \
 		TestDrawWeightedMatchesLinear \
 		TestNearestSetMatchesNearestCenter TestSimplifiedSilhouetteDenseMatches \
-		TestPruningEffectiveness || fail kernel-equivalence
+		TestPruningEffectiveness TestSqDist4MatchesSqDist \
+		TestScanEdgeCasesMatchNaive || fail kernel-equivalence
 	# Sparse F-regression against the dense oracle, also on row sets of
 	# several row chunks (tall and wide, the same bits at workers 1/2/8)
 	# and bit for bit against one serial scan while the rows fit one
